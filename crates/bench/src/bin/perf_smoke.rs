@@ -34,6 +34,15 @@
 //! publishes per run — and this fails if per-event work (locking, digesting,
 //! allocation) ever creeps onto the observed path.
 //!
+//! A sixth check guards the strong-visibility monitor: at
+//! [`STRONG_CANARY_N`] robots under FSync, a session with strong-visibility
+//! tracking on must stay within [`MAX_STRONG_OVERHEAD`]× of the same
+//! session with it off (Kirkpatrick on the look lattice, hull and diameter
+//! monitors off, best-of-N). The monitor's per-event work is local — a grid
+//! range query plus a walk of each dirty robot's acquired partners — and
+//! reads about 5× here; a return to `O(n)` work per dirty robot reads in
+//! the hundreds, so the bound fails loudly whatever the timing noise.
+//!
 //! Usage: `cargo run --release -p cohesion-bench --bin perf_smoke [-- --quick]`
 //! (`--quick` trims samples for CI).
 
@@ -41,6 +50,7 @@ use cohesion_bench::lookbench::{
     async_fsync_paired_ratio, look_lattice, median_ns_per_event, LOOK_BENCH_SIZES,
 };
 
+use cohesion_core::KirkpatrickAlgorithm;
 use cohesion_engine::{Budget, LookPath, SimulationBuilder};
 use cohesion_model::NilAlgorithm;
 use cohesion_scheduler::FSyncScheduler;
@@ -64,6 +74,15 @@ const MAX_ASYNC_FSYNC_RATIO: f64 = 2.0;
 /// A session-driven run observed by a `StoreObserver` may be at most this
 /// many times slower than the same run unobserved.
 const MAX_STORE_OVERHEAD: f64 = 1.1;
+
+/// A session with strong-visibility tracking may be at most this many times
+/// slower than the same session without it, at [`STRONG_CANARY_N`].
+const MAX_STRONG_OVERHEAD: f64 = 20.0;
+
+/// Swarm size and event budget (two FSync rounds) of the strong-visibility
+/// canary.
+const STRONG_CANARY_N: usize = 1024;
+const STRONG_CANARY_EVENTS: usize = 2 * 3 * STRONG_CANARY_N;
 
 /// Swarm size of the Async-scheduling-overhead canary.
 const ASYNC_CANARY_N: usize = 1024;
@@ -156,6 +175,19 @@ fn main() {
             "StoreObserver-attached run is {store_overhead:.3}x the unobserved \
              session (bound {MAX_STORE_OVERHEAD}x) — per-event work crept onto \
              the telemetry publish path?"
+        ));
+    }
+
+    let strong_overhead = strong_overhead_ratio(samples);
+    println!(
+        "strong-visibility canary at n={STRONG_CANARY_N}: tracked / untracked session \
+         = {strong_overhead:.2}x (need ≤ {MAX_STRONG_OVERHEAD}x)"
+    );
+    if strong_overhead > MAX_STRONG_OVERHEAD {
+        failures.push(format!(
+            "strong-visibility tracking makes the session {strong_overhead:.2}x slower at \
+             n={STRONG_CANARY_N} (bound {MAX_STRONG_OVERHEAD}x) — O(n) work per dirty \
+             robot back in StrongVisibilityMonitor?"
         ));
     }
 
@@ -257,6 +289,36 @@ fn store_overhead_ratio(samples: usize) -> f64 {
                 drive(&mut session);
             });
             observed / bare
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Measures the strong-visibility monitor's share of a session: the same
+/// FSync Kirkpatrick run on the look lattice with tracking on and off (hull
+/// and diameter monitors off in both, so the monitor is the only
+/// difference). Best-of-N ratio `on / off`, for the same reason as
+/// [`session_overhead_ratio`]; only `run_to_completion` is timed.
+fn strong_overhead_ratio(samples: usize) -> f64 {
+    let config = look_lattice(STRONG_CANARY_N);
+    let run = |strong: bool| {
+        let session = SimulationBuilder::new(config.clone(), KirkpatrickAlgorithm::new(1))
+            .scheduler(FSyncScheduler::new())
+            .max_events(STRONG_CANARY_EVENTS)
+            .track_strong_visibility(strong)
+            .hull_check_every(0)
+            .diameter_sample_every(0)
+            .build();
+        let start = std::time::Instant::now();
+        let report = session.run_to_completion();
+        let secs = start.elapsed().as_secs_f64();
+        assert_eq!(report.events, STRONG_CANARY_EVENTS);
+        secs
+    };
+    (0..samples.max(5))
+        .map(|_| {
+            let off = run(false);
+            let on = run(true);
+            on / off
         })
         .fold(f64::INFINITY, f64::min)
 }

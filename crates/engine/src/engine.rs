@@ -1048,8 +1048,7 @@ where
         self.motile_version += 1;
         // Grid lifecycle: the entry relocates from the Move origin to the
         // realized destination.
-        self.grid.remove(idx);
-        self.grid.insert(idx, final_pos);
+        self.grid.relocate(idx, final_pos);
         self.states.set(
             idx,
             RobotState::Idle {

@@ -17,8 +17,9 @@
 use crate::report::CohesionViolation;
 use cohesion_geometry::hull::convex_hull;
 use cohesion_geometry::point::Point;
-use cohesion_geometry::{ConvexHull, Vec2};
+use cohesion_geometry::{ConvexHull, DynamicGrid, Vec2};
 use cohesion_model::frame::Ambient;
+use cohesion_model::visibility::GRID_THRESHOLD;
 use cohesion_model::RobotPair;
 use std::collections::BTreeSet;
 
@@ -181,41 +182,99 @@ impl<P: Ambient> Monitor<P> for CohesionMonitor {
 /// ever comes within `V/2` must stay within `V` forever after.
 ///
 /// Membership of the "acquired" set is a monotone property of pair-distance
-/// history, so the dirty-set sweep (`O(|dirty| · n)` per event instead of
-/// `O(n²)`) observes exactly the same acquisitions and violations as the
-/// historical all-pairs sweep: a pair with no dirty endpoint has the same
-/// distance as at the previous event, where its status was already settled.
-/// The constructor seeds the set from the initial positions (equivalently,
-/// the positions at the first event — nothing moves before it).
-pub struct StrongVisibilityMonitor {
-    n: usize,
+/// history, and a pair with no dirty endpoint has the same distance as at
+/// the previous event, where its status was already settled — so checking
+/// only pairs with a dirty endpoint observes exactly the acquisitions and
+/// violations of the historical all-pairs sweep. Of those pairs only two
+/// kinds can change anything, and the monitor visits only them:
+///
+/// * pairs within the acquisition radius `V/2 + tol`, found by a range
+///   query on a grid of current positions whose cell edge is that radius,
+///   and
+/// * pairs already acquired (candidate violations), walked from per-robot
+///   ascending partner lists, skipping partners the range query already
+///   placed within the acquisition radius (and hence within `V`).
+///
+/// Per event the cost is `O(Σ_dirty (local density + acquired degree))`
+/// instead of `O(|dirty| · n)`, no partner of a dirty robot is measured
+/// twice for it, and memory is `O(n + acquired pairs)` instead of an
+/// `n × n` bitset. Below [`GRID_THRESHOLD`] robots a grid costs more than
+/// it prunes, so every robot is a candidate instead, walked in step with
+/// the partner list. The constructor seeds the set from the initial
+/// positions (equivalently, the positions at the first event — nothing
+/// moves before it) through the same candidate source.
+pub struct StrongVisibilityMonitor<P: Point> {
     v: f64,
     tol: f64,
-    /// Row-major `n × n` bitset over normalized pairs `(min, max)`.
-    acquired: Vec<u64>,
+    /// Every robot at its current position, cell edge = acquisition radius;
+    /// `None` below [`GRID_THRESHOLD`] robots.
+    grid: Option<DynamicGrid<P>>,
+    /// `acquired[i]`: the ascending partners of robot `i` in acquired
+    /// pairs. Each pair is listed at both endpoints.
+    acquired: Vec<Vec<u32>>,
     ok: bool,
+    /// Per-event scratch for the dirty robot being checked: its grid
+    /// candidates with their membership mask, and its new acquisitions.
+    near: Vec<usize>,
+    near_mask: Vec<bool>,
+    fresh: Vec<usize>,
 }
 
-impl StrongVisibilityMonitor {
+impl<P: Point> StrongVisibilityMonitor<P> {
     /// Builds the monitor and seeds the acquired set from the initial
     /// positions.
-    pub fn new<P: Point>(v: f64, tol: f64, initial_positions: &[P]) -> Self {
+    ///
+    /// # Panics
+    ///
+    /// Panics when the acquisition radius `v/2 + tol` is not positive and
+    /// finite.
+    pub fn new(v: f64, tol: f64, initial_positions: &[P]) -> Self {
         let n = initial_positions.len();
-        let mut monitor = StrongVisibilityMonitor {
-            n,
+        let radius = v / 2.0 + tol;
+        assert!(
+            radius > 0.0 && radius.is_finite(),
+            "acquisition radius V/2 + tol must be positive and finite"
+        );
+        let grid = (n >= GRID_THRESHOLD).then(|| {
+            let mut grid = DynamicGrid::with_extent(n, radius, initial_positions);
+            for (i, &p) in initial_positions.iter().enumerate() {
+                grid.insert(i, p);
+            }
+            grid
+        });
+        // The acquisition predicate is symmetric in its two points, so each
+        // robot's own candidates are its complete partner list.
+        let mut near = Vec::new();
+        let acquired = initial_positions
+            .iter()
+            .enumerate()
+            .map(|(a, &pa)| {
+                near.clear();
+                match &grid {
+                    Some(grid) => grid.query_within(pa, radius, &mut near),
+                    None => {
+                        near.extend((0..n).filter(|&b| pa.dist(initial_positions[b]) <= radius))
+                    }
+                }
+                let mut partners: Vec<u32> = near
+                    .iter()
+                    .filter(|&&b| b != a)
+                    .map(|&b| b as u32)
+                    .collect();
+                partners.sort_unstable();
+                partners
+            })
+            .collect();
+        StrongVisibilityMonitor {
             v,
             tol,
-            acquired: vec![0u64; (n * n).div_ceil(64)],
+            grid,
+            acquired,
             ok: true,
-        };
-        for a in 0..n {
-            for b in (a + 1)..n {
-                if initial_positions[a].dist(initial_positions[b]) <= v / 2.0 + tol {
-                    monitor.insert(a, b);
-                }
-            }
+            near,
+            near_mask: vec![false; n],
+            fresh: Vec::new(),
         }
-        monitor
     }
 
     /// `true` while no acquired pair has been observed beyond `V`.
@@ -223,53 +282,158 @@ impl StrongVisibilityMonitor {
         self.ok
     }
 
-    /// The acquired-pair bitset words, for checkpointing.
-    pub(crate) fn acquired_bits(&self) -> &[u64] {
-        &self.acquired
+    /// The acquired set as the checkpoint's row-major `n × n` bitset words
+    /// over normalized pairs `(min, max)`.
+    pub(crate) fn acquired_bits(&self) -> Vec<u64> {
+        let n = self.acquired.len();
+        let mut words = vec![0u64; (n * n).div_ceil(64)];
+        for (a, partners) in self.acquired.iter().enumerate() {
+            for &b in partners.iter().filter(|&&b| b as usize > a) {
+                let bit = a * n + b as usize;
+                words[bit / 64] |= 1 << (bit % 64);
+            }
+        }
+        words
     }
 
-    /// Restores the acquired set and verdict from a checkpoint.
-    pub(crate) fn restore(&mut self, acquired: Vec<u64>, ok: bool) -> Result<(), String> {
-        if acquired.len() != self.acquired.len() {
+    /// Restores the acquired set (checkpoint bitset words) and verdict, and
+    /// re-indexes the grid at `positions`, the session's positions at the
+    /// restored event.
+    pub(crate) fn restore(
+        &mut self,
+        words: &[u64],
+        ok: bool,
+        positions: &[P],
+    ) -> Result<(), String> {
+        let n = self.acquired.len();
+        let expected = (n * n).div_ceil(64);
+        if words.len() != expected {
             return Err(format!(
-                "checkpoint strong-visibility bitset has {} words, monitor needs {}",
-                acquired.len(),
-                self.acquired.len()
+                "checkpoint strong-visibility bitset has {} words, monitor needs {expected}",
+                words.len()
             ));
         }
-        self.acquired = acquired;
+        for partners in &mut self.acquired {
+            partners.clear();
+        }
+        for (w, &word) in words.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                let bit = w * 64 + rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                let (a, b) = (bit / n, bit % n);
+                if a >= b {
+                    return Err(format!(
+                        "checkpoint strong-visibility bitset sets non-canonical pair ({a}, {b})"
+                    ));
+                }
+                // Bits ascend in (a, b) order, so both pushes keep each
+                // list ascending.
+                self.acquired[a].push(b as u32);
+                self.acquired[b].push(a as u32);
+            }
+        }
+        if let Some(grid) = &mut self.grid {
+            for (i, &p) in positions.iter().enumerate() {
+                grid.relocate(i, p);
+            }
+        }
         self.ok = ok;
         Ok(())
     }
 
-    fn bit(&self, a: usize, b: usize) -> usize {
-        a.min(b) * self.n + a.max(b)
+    fn radius(&self) -> f64 {
+        self.v / 2.0 + self.tol
     }
 
-    fn insert(&mut self, a: usize, b: usize) {
-        let bit = self.bit(a, b);
-        self.acquired[bit / 64] |= 1 << (bit % 64);
+    /// Checks dirty robot `a` against its grid candidates: acquired
+    /// partners outside the acquisition radius are tested against `V`, and
+    /// candidates not yet acquired go to `fresh`.
+    fn check_near(&mut self, a: usize, positions: &[P], dirty_mask: &[bool]) {
+        let pa = positions[a];
+        let radius = self.radius();
+        self.near.clear();
+        if let Some(grid) = &self.grid {
+            grid.query_within(pa, radius, &mut self.near);
+        }
+        for &b in &self.near {
+            self.near_mask[b] = true;
+        }
+        for &b in &self.acquired[a] {
+            let b = b as usize;
+            if self.near_mask[b] {
+                self.near_mask[b] = false;
+            } else if !checked_elsewhere(a, b, dirty_mask)
+                && pa.dist(positions[b]) > self.v + self.tol
+            {
+                self.ok = false;
+            }
+        }
+        for &b in &self.near {
+            if std::mem::take(&mut self.near_mask[b]) && !checked_elsewhere(a, b, dirty_mask) {
+                self.fresh.push(b);
+            }
+        }
     }
 
-    fn contains(&self, a: usize, b: usize) -> bool {
-        let bit = self.bit(a, b);
-        self.acquired[bit / 64] & (1 << (bit % 64)) != 0
+    /// Checks dirty robot `a` against every robot, walking its ascending
+    /// partner list in step; new acquisitions go to `fresh`.
+    fn check_all(&mut self, a: usize, positions: &[P], dirty_mask: &[bool]) {
+        let pa = positions[a];
+        let radius = self.radius();
+        let partners = &self.acquired[a];
+        let mut next = 0;
+        for (b, &pb) in positions.iter().enumerate() {
+            let acquired = partners.get(next) == Some(&(b as u32));
+            next += usize::from(acquired);
+            if checked_elsewhere(a, b, dirty_mask) {
+                continue;
+            }
+            let d = pa.dist(pb);
+            if d <= radius {
+                if !acquired {
+                    self.fresh.push(b);
+                }
+            } else if acquired && d > self.v + self.tol {
+                self.ok = false;
+            }
+        }
+    }
+
+    /// Records the not yet acquired pair `(a, b)` at both endpoints.
+    fn link(&mut self, a: usize, b: usize) {
+        for (x, y) in [(a, b), (b, a)] {
+            let partners = &mut self.acquired[x];
+            let slot = partners
+                .binary_search(&(y as u32))
+                .expect_err("a fresh acquisition is not yet listed");
+            partners.insert(slot, y as u32);
+        }
     }
 }
 
-impl<P: Ambient> Monitor<P> for StrongVisibilityMonitor {
+/// `true` when the pair `(a, b)` is not dirty robot `a`'s to check: `b` is
+/// `a` itself, or a smaller dirty robot that checks the pair from its side.
+fn checked_elsewhere(a: usize, b: usize, dirty_mask: &[bool]) -> bool {
+    b == a || (dirty_mask[b] && b < a)
+}
+
+impl<P: Ambient> Monitor<P> for StrongVisibilityMonitor<P> {
     fn on_event(&mut self, ctx: &MonitorContext<'_, P>) {
+        if let Some(grid) = &mut self.grid {
+            for &a in ctx.dirty {
+                grid.relocate(a, ctx.positions[a]);
+            }
+        }
         for &a in ctx.dirty {
-            for b in 0..self.n {
-                if b == a || (ctx.dirty_mask[b] && b < a) {
-                    continue;
-                }
-                let d = ctx.positions[a].dist(ctx.positions[b]);
-                if d <= self.v / 2.0 + self.tol {
-                    self.insert(a, b);
-                } else if d > self.v + self.tol && self.contains(a, b) {
-                    self.ok = false;
-                }
+            self.fresh.clear();
+            if self.grid.is_some() {
+                self.check_near(a, ctx.positions, ctx.dirty_mask);
+            } else {
+                self.check_all(a, ctx.positions, ctx.dirty_mask);
+            }
+            for k in 0..self.fresh.len() {
+                self.link(a, self.fresh[k]);
             }
         }
     }
@@ -402,6 +566,7 @@ impl<P: Ambient> Monitor<P> for DiameterMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ctx<'a>(
         time: f64,
@@ -470,6 +635,151 @@ mod tests {
         let mask = [false, true];
         m.on_event(&ctx(1.0, 1, &apart, &[1], &mask, NO_HULL));
         assert!(m.ok(), "0.9 > V/2: visibility was never acquired");
+    }
+
+    /// The historical all-pairs sweep, kept as the oracle: the acquired set
+    /// as checkpoint bitset words, and the verdict.
+    struct AllPairs {
+        v: f64,
+        tol: f64,
+        words: Vec<u64>,
+        ok: bool,
+    }
+
+    impl AllPairs {
+        fn new<P: Point>(v: f64, tol: f64, positions: &[P]) -> Self {
+            let n = positions.len();
+            let mut oracle = AllPairs {
+                v,
+                tol,
+                words: vec![0; (n * n).div_ceil(64)],
+                ok: true,
+            };
+            oracle.observe(positions);
+            oracle
+        }
+
+        fn observe<P: Point>(&mut self, positions: &[P]) {
+            let n = positions.len();
+            for a in 0..n {
+                for b in (a + 1)..n {
+                    let bit = a * n + b;
+                    let (word, mask) = (bit / 64, 1u64 << (bit % 64));
+                    let d = positions[a].dist(positions[b]);
+                    if d <= self.v / 2.0 + self.tol {
+                        self.words[word] |= mask;
+                    } else if d > self.v + self.tol && self.words[word] & mask != 0 {
+                        self.ok = false;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Lattice step of the differential property. With `V = 1` and
+    /// `tol = 0.25` the thresholds are 0.75 and 1.25: exactly 3 and 5
+    /// steps along an axis, and hit again by the (3, 4, 5) diagonal in the
+    /// plane and the (1, 2, 2) diagonal in space.
+    const STEP: f64 = 0.25;
+    const TOL: f64 = 0.25;
+
+    /// One robot move: `(robot, kind, lattice cell, jitter)`. `kind`
+    /// picks the target — onto another robot's position, far outside
+    /// the grid's dense extent, the cell plus jitter, the exact cell, or
+    /// (half the time) a step of up to two lattice units from where the
+    /// robot stands, so pair distances creep onto the thresholds.
+    type Move = (usize, usize, (i32, i32, i32), f64);
+
+    fn lattice<P: Point>((x, y, z): (i32, i32, i32), jitter: f64) -> P {
+        let c = [x as f64 * STEP + jitter, y as f64 * STEP, z as f64 * STEP];
+        P::from_coords(&c[..P::DIM])
+    }
+
+    /// Drives the monitor and the oracle through the same events; after
+    /// every event the verdicts and the acquired sets must agree.
+    fn matches_all_pairs<P: Ambient>(
+        start: &[(i32, i32, i32)],
+        events: &[(Vec<Move>, u32)],
+    ) -> Result<(), TestCaseError> {
+        let mut positions: Vec<P> = start.iter().map(|&c| lattice(c, 0.0)).collect();
+        let n = positions.len();
+        let mut monitor = StrongVisibilityMonitor::new(1.0, TOL, &positions);
+        let mut oracle = AllPairs::new(1.0, TOL, &positions);
+        prop_assert_eq!(monitor.acquired_bits(), oracle.words.clone());
+        for (time, (moves, all_dirty)) in events.iter().enumerate() {
+            let mut dirty: Vec<usize> = Vec::new();
+            for &(robot, kind, cell, jitter) in moves {
+                let i = robot % n;
+                positions[i] = match kind % 8 {
+                    0 => positions[(kind / 8) % n],
+                    1 => lattice((cell.0 + 40, cell.1, cell.2), 0.0),
+                    2 => lattice(cell, jitter),
+                    3 => lattice(cell, 0.0),
+                    _ => {
+                        positions[i]
+                            + lattice::<P>((cell.0 % 5 - 2, cell.1 % 5 - 2, cell.2 - 2), 0.0)
+                    }
+                };
+                dirty.push(i);
+            }
+            // Sometimes every robot is dirty, as under FSync mid-round.
+            if *all_dirty == 0 {
+                dirty = (0..n).collect();
+            }
+            dirty.sort_unstable();
+            dirty.dedup();
+            let mut dirty_mask = vec![false; n];
+            for &i in &dirty {
+                dirty_mask[i] = true;
+            }
+            monitor.on_event(&MonitorContext {
+                time: time as f64,
+                events: time + 1,
+                positions: &positions,
+                dirty: &dirty,
+                dirty_mask: &dirty_mask,
+                hull_points: NO_HULL,
+            });
+            oracle.observe(&positions);
+            prop_assert_eq!(monitor.ok(), oracle.ok, "verdict after event {}", time);
+            prop_assert_eq!(
+                monitor.acquired_bits(),
+                oracle.words.clone(),
+                "acquired set after event {}",
+                time
+            );
+        }
+        Ok(())
+    }
+
+    fn cells() -> impl Strategy<Value = (i32, i32, i32)> {
+        (0i32..7, 0i32..7, 0i32..4)
+    }
+
+    fn events() -> impl Strategy<Value = Vec<(Vec<Move>, u32)>> {
+        let one_move = (0usize..64, 0usize..512, cells(), -0.1f64..0.1);
+        proptest::collection::vec((proptest::collection::vec(one_move, 0..10), 0u32..5), 1..20)
+    }
+
+    // Swarm sizes straddle GRID_THRESHOLD, so both candidate sources run.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn strong_visibility_matches_all_pairs_2d(
+            start in proptest::collection::vec(cells(), 2..64),
+            events in events(),
+        ) {
+            matches_all_pairs::<Vec2>(&start, &events)?;
+        }
+
+        #[test]
+        fn strong_visibility_matches_all_pairs_3d(
+            start in proptest::collection::vec(cells(), 2..64),
+            events in events(),
+        ) {
+            matches_all_pairs::<cohesion_geometry::Vec3>(&start, &events)?;
+        }
     }
 
     #[test]

@@ -202,7 +202,10 @@ impl<P: Ambient> SimulationBuilder<P> {
         self
     }
 
-    /// Enables/disables the `O(n²)`-per-event strong-visibility tracking.
+    /// Enables/disables strong-visibility tracking (the acquired-visibility
+    /// clause of Theorems 3–4). Per event it costs a grid range query plus
+    /// an acquired-partner walk for each robot that moved; see
+    /// [`StrongVisibilityMonitor`].
     pub fn track_strong_visibility(mut self, enabled: bool) -> Self {
         self.track_strong_visibility = enabled;
         self

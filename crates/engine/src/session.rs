@@ -159,7 +159,7 @@ impl<P: Ambient> Observer<P> for CohesionMonitor {
     }
 }
 
-impl<P: Ambient> Observer<P> for StrongVisibilityMonitor {
+impl<P: Ambient> Observer<P> for StrongVisibilityMonitor<P> {
     fn on_event(&mut self, view: &EventView<'_, P>) {
         Monitor::on_event(self, &view.monitors);
     }
@@ -322,12 +322,15 @@ pub struct Simulation<P: Ambient = Vec2> {
     pub(crate) dirty: Vec<usize>,
     pub(crate) dirty_mask: Vec<bool>,
     pub(crate) cohesion: CohesionMonitor,
-    pub(crate) strong: Option<StrongVisibilityMonitor>,
+    pub(crate) strong: Option<StrongVisibilityMonitor<P>>,
     pub(crate) hull: Option<HullMonitor>,
     pub(crate) diameter: DiameterMonitor,
     pub(crate) round_diameters: Vec<(usize, f64)>,
     pub(crate) rounds: usize,
     pub(crate) round_base: Vec<u64>,
+    /// Robots that have not completed a cycle since the last round
+    /// boundary (`cycles[i] ≤ round_base[i]`); the round closes at zero.
+    round_pending: usize,
     pub(crate) events: usize,
     pub(crate) converged: bool,
     pub(crate) status: SessionStatus,
@@ -343,9 +346,9 @@ pub struct Simulation<P: Ambient = Vec2> {
 
 /// The four standard monitors a session is built around, bundled for
 /// construction (the builder materializes them, the session owns them).
-pub(crate) struct MonitorPipeline {
+pub(crate) struct MonitorPipeline<P: Ambient> {
     pub(crate) cohesion: CohesionMonitor,
-    pub(crate) strong: Option<StrongVisibilityMonitor>,
+    pub(crate) strong: Option<StrongVisibilityMonitor<P>>,
     pub(crate) hull: Option<HullMonitor>,
     pub(crate) diameter: DiameterMonitor,
 }
@@ -357,7 +360,7 @@ impl<P: Ambient> Simulation<P> {
         budget: Budget,
         initial_diameter: f64,
         positions: Vec<P>,
-        monitors: MonitorPipeline,
+        monitors: MonitorPipeline<P>,
     ) -> Self {
         let MonitorPipeline {
             cohesion,
@@ -384,6 +387,7 @@ impl<P: Ambient> Simulation<P> {
             round_diameters: Vec::new(),
             rounds: 0,
             round_base: vec![0; n],
+            round_pending: n,
             events: 0,
             converged: false,
             status: SessionStatus::Running,
@@ -505,7 +509,7 @@ impl<P: Ambient> Simulation<P> {
                 .collect(),
             strong: self.strong.as_ref().map(|m| StrongState {
                 ok: m.ok(),
-                acquired: m.acquired_bits().to_vec(),
+                acquired: m.acquired_bits(),
             }),
             hull: self.hull.as_ref().map(|m| HullState {
                 nested: m.nested(),
@@ -591,6 +595,8 @@ impl<P: Ambient> Simulation<P> {
         self.events = state.events as usize;
         self.rounds = state.rounds as usize;
         self.round_base = state.round_base.clone();
+        let cycles = self.engine.completed_cycles();
+        self.round_pending = (0..n).filter(|&i| cycles[i] <= self.round_base[i]).count();
         self.round_diameters = state
             .round_diameters
             .iter()
@@ -600,7 +606,7 @@ impl<P: Ambient> Simulation<P> {
         self.status = status;
         self.cohesion.restore(violations);
         if let (Some(m), Some(s)) = (self.strong.as_mut(), state.strong.as_ref()) {
-            m.restore(s.acquired.clone(), s.ok)?;
+            m.restore(&s.acquired, s.ok, &self.positions)?;
         }
         if let (Some(m), Some(s)) = (self.hull.as_mut(), state.hull.as_ref()) {
             m.restore(hull_prev, s.nested);
@@ -711,11 +717,20 @@ impl<P: Ambient> Simulation<P> {
         }
         self.violations_streamed = self.cohesion.violations().len();
 
-        // Round accounting.
-        let cycles = self.engine.completed_cycles();
-        if (0..n).all(|i| cycles[i] > self.round_base[i]) {
+        // Round accounting. Cycles only advance at a MoveEnd, by one, so a
+        // robot completes its first cycle of the round exactly when its
+        // MoveEnd lifts it to `round_base + 1`.
+        if event.kind == EngineEventKind::MoveEnd {
+            let idx = event.robot.index();
+            if self.engine.completed_cycles()[idx] == self.round_base[idx] + 1 {
+                self.round_pending -= 1;
+            }
+        }
+        if self.round_pending == 0 {
             self.rounds += 1;
-            self.round_base = cycles.to_vec();
+            self.round_base
+                .copy_from_slice(self.engine.completed_cycles());
+            self.round_pending = n;
             let d = monitors::diameter_of(&self.positions);
             self.round_diameters.push((self.rounds, d));
             for obs in &mut self.observers {

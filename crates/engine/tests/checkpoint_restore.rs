@@ -13,6 +13,8 @@
 //! rejected loudly (JSON or FNV-1a hash check) — never restored wrong.
 
 use cohesion_engine::{Budget, Checkpoint, SimulationBuilder};
+use cohesion_geometry::Vec2;
+use cohesion_model::visibility::GRID_THRESHOLD;
 use cohesion_model::FrameMode;
 use cohesion_scheduler::{
     AsyncScheduler, FSyncScheduler, KAsyncScheduler, NestAScheduler, SSyncScheduler, Scheduler,
@@ -85,12 +87,43 @@ fn figure4a_builder() -> SimulationBuilder {
     .frame_mode(FrameMode::Aligned)
 }
 
+/// A swarm of [`GRID_THRESHOLD`] or more robots, so the strong-visibility
+/// monitor runs on its grid and a restore must re-index it. Gathering
+/// moves under Async contract it fast, so it acquires hundreds of pairs
+/// over the first thousand events.
+const GRID_SIZED_N: usize = 48;
+const _: () = assert!(GRID_SIZED_N >= GRID_THRESHOLD);
+
+fn grid_sized_builder() -> SimulationBuilder {
+    SimulationBuilder::new(
+        cohesion_workloads::random_connected(GRID_SIZED_N, 1.0, 304),
+        cohesion_algorithms::GcmAlgorithm::new(),
+    )
+    .visibility(1.0)
+    .scheduler(AsyncScheduler::new(7))
+    .seed(0xC0FF_EE30)
+    .epsilon(0.05)
+    .max_events(3_000)
+    .track_strong_visibility(true)
+    .hull_check_every(16)
+    .diameter_sample_every(8)
+}
+
 /// Saves at `cut` events, round-trips the checkpoint through its JSON
 /// envelope, restores onto a fresh same-spec session, and finishes both.
 fn resume_after_cut(case: &GoldenCase, cut: usize) {
-    let uninterrupted = golden_builder(case).run();
+    resume_built_after_cut(case.label, || golden_builder(case), cut);
+}
 
-    let mut original = golden_builder(case).build();
+fn resume_built_after_cut(label: &str, builder: impl Fn() -> SimulationBuilder, cut: usize) {
+    // The final state too, so monitor state the report does not show (the
+    // strong-visibility acquired set) must also resume exactly.
+    let mut whole = builder().build();
+    while !whole.step().is_terminal() {}
+    let end_state = whole.save().expect("final checkpoint");
+    let uninterrupted = whole.into_report();
+
+    let mut original = builder().build();
     original.run_for(Budget::events(cut));
     let checkpoint = original.save().expect("golden schedulers checkpoint");
     drop(original); // the process "died" here
@@ -99,14 +132,18 @@ fn resume_after_cut(case: &GoldenCase, cut: usize) {
     let revived = Checkpoint::from_json(&checkpoint.to_json()).expect("envelope round trip");
     assert_eq!(revived, checkpoint);
 
-    let mut resumed = golden_builder(case).build();
+    let mut resumed = builder().build();
     resumed.restore(&revived).expect("restore onto same spec");
     while !resumed.step().is_terminal() {}
     assert_eq!(
+        resumed.save().expect("final checkpoint"),
+        end_state,
+        "{label} cut at {cut}: resumed final state diverged"
+    );
+    assert_eq!(
         resumed.into_report(),
         uninterrupted,
-        "{} cut at {cut}: resumed report diverged",
-        case.label
+        "{label} cut at {cut}: resumed report diverged"
     );
 }
 
@@ -116,6 +153,24 @@ fn restore_resumes_byte_for_byte_at_a_fixed_cut() {
     for case in &GOLDEN {
         resume_after_cut(case, 1_234);
     }
+}
+
+/// A grid-sized swarm resumes byte-for-byte: the restored monitor
+/// re-indexes its grid at the restored positions. Early in the run, while
+/// pairs are still being acquired, a stale grid would miss or invent
+/// acquisitions, so the states are also compared mid-run.
+#[test]
+fn grid_sized_swarm_resumes_byte_for_byte() {
+    resume_built_after_cut("grid-sized async", grid_sized_builder, 1_234);
+    let mut whole = grid_sized_builder().build();
+    whole.run_for(Budget::events(600));
+    let mut original = grid_sized_builder().build();
+    original.run_for(Budget::events(300));
+    let checkpoint = original.save().expect("checkpoint");
+    let mut resumed = grid_sized_builder().build();
+    resumed.restore(&checkpoint).expect("restore");
+    resumed.run_for(Budget::events(300));
+    assert_eq!(resumed.save(), whole.save());
 }
 
 /// Degenerate cuts: before the first event, and after the run terminated.
@@ -161,6 +216,62 @@ fn chained_checkpoints_resume_byte_for_byte() {
     third.restore(&ckpt_b).expect("second resume");
     while !third.step().is_terminal() {}
     assert_eq!(third.into_report(), uninterrupted);
+}
+
+/// The strong-visibility state keeps its wire format: a mid-run save's
+/// `acquired` words are the row-major `n × n` bitset an all-pairs sweep
+/// over the same events builds.
+#[test]
+fn saved_acquired_words_match_the_all_pairs_bitset() {
+    for case in &GOLDEN {
+        saved_words_match_sweep(case.label, golden_builder(case));
+    }
+    saved_words_match_sweep("grid-sized async", grid_sized_builder());
+}
+
+fn saved_words_match_sweep(label: &str, builder: SimulationBuilder) {
+    let mut session = builder.build();
+    let positions = session.engine().configuration().positions().to_vec();
+    let n = positions.len();
+    let v = 1.0;
+    let tol = 1e-9 * (1.0 + v);
+    let mut oracle = vec![0u64; (n * n).div_ceil(64)];
+    let mut sweep = |positions: &[Vec2]| {
+        for a in 0..n {
+            for b in (a + 1)..n {
+                if positions[a].dist(positions[b]) <= v / 2.0 + tol {
+                    oracle[(a * n + b) / 64] |= 1 << ((a * n + b) % 64);
+                }
+            }
+        }
+    };
+    sweep(&positions);
+    for _ in 0..1_234 {
+        if session.step().is_terminal() {
+            break;
+        }
+        let now = session.engine().configuration_at(session.time());
+        sweep(now.positions());
+    }
+    let envelope = serde_json::from_str(&session.save().expect("checkpoint").to_json())
+        .expect("envelope JSON");
+    let state = serde_json::from_str(
+        envelope
+            .get("state")
+            .and_then(|s| s.as_str())
+            .expect("state"),
+    )
+    .expect("state JSON");
+    let words: Vec<u64> = state
+        .get("strong")
+        .and_then(|s| s.get("acquired"))
+        .and_then(|a| a.as_array())
+        .expect("strong.acquired")
+        .iter()
+        .map(|w| w.as_u64().expect("u64 word"))
+        .collect();
+    assert!(oracle.iter().any(|&w| w != 0), "{label}: nothing acquired");
+    assert_eq!(words, oracle, "{label}: acquired words diverged");
 }
 
 /// A checkpoint refuses to restore into a session built from a different

@@ -183,7 +183,7 @@ fn compare(
     make_scheduler: impl Fn() -> Box<dyn Scheduler>,
     visibility_radii: Option<Vec<f64>>,
     max_events: usize,
-) {
+) -> SimulationReport<Vec2> {
     const SEED: u64 = 0xE01D_C0DE;
     let mut builder = SimulationBuilder::new(config.clone(), make_algorithm())
         .visibility(1.0)
@@ -213,10 +213,24 @@ fn compare(
     );
     assert_eq!(refactored, reference, "{label}: reports diverged");
     assert!(refactored.events > 0, "{label}: nothing simulated");
+    refactored
 }
 
 fn cloud(n: usize, seed: u64) -> Configuration<Vec2> {
     cohesion_workloads::random_connected(n, 1.0, seed)
+}
+
+/// Two tight clusters bridged by a pair 0.4 apart (within `V/2`, so
+/// acquired from the start). Each bridge robot sees only its own cluster
+/// and its partner, so center-of-gravity moves pull the pair apart.
+fn dumbbell(cluster: usize) -> Configuration<Vec2> {
+    let mut pts = vec![Vec2::new(0.0, 0.0), Vec2::new(0.4, 0.0)];
+    for i in 0..cluster {
+        let y = (i as f64 - (cluster as f64 - 1.0) / 2.0) * 0.05;
+        pts.push(Vec2::new(-0.85, y));
+        pts.push(Vec2::new(1.25, y));
+    }
+    Configuration::new(pts)
 }
 
 #[test]
@@ -307,4 +321,41 @@ fn converging_run_reports_are_identical() {
         None,
         200_000,
     );
+}
+
+#[test]
+fn grid_sized_swarm_reports_are_identical() {
+    // Enough robots that the strong-visibility grid spans many cells and
+    // acquisitions come from range queries, not a handful of neighbours.
+    compare(
+        "fsync-64",
+        &cloud(64, 48),
+        || Box::new(cohesion_core::KirkpatrickAlgorithm::new(1)),
+        || Box::new(FSyncScheduler::new()),
+        None,
+        1_500,
+    );
+    compare(
+        "async-64",
+        &cloud(64, 49),
+        || Box::new(cohesion_core::KirkpatrickAlgorithm::new(4)),
+        || Box::new(AsyncScheduler::new(50)),
+        None,
+        1_500,
+    );
+}
+
+#[test]
+fn strong_visibility_violation_reports_are_identical() {
+    // Center of gravity under unbounded Async splits an acquired pair, so
+    // the violation path is compared against the all-pairs sweep.
+    let report = compare(
+        "cog-async-dumbbell",
+        &dumbbell(4),
+        || Box::new(cohesion_algorithms::CogAlgorithm::new()),
+        || Box::new(AsyncScheduler::new(13)),
+        None,
+        4_000,
+    );
+    assert_eq!(report.strong_visibility_ok, Some(false));
 }

@@ -170,7 +170,7 @@ impl<P: Point> DynamicGrid<P> {
     /// # Panics
     ///
     /// Panics when `i` is already present (a lifecycle bug in the caller —
-    /// move a point by `remove` + `insert`).
+    /// move a point with [`Self::relocate`]).
     pub fn insert(&mut self, i: usize, p: P) {
         assert!(
             self.entries[i].is_none(),
@@ -208,6 +208,35 @@ impl<P: Point> DynamicGrid<P> {
             .expect("present index is bucketed");
         bucket.remove(slot);
         self.len -= 1;
+    }
+
+    /// Moves present point `i` to `p`. When `p` keys to the same cell the
+    /// bucket entry is rewritten in place (bucket order is by index, so it
+    /// is unchanged); otherwise this is [`Self::remove`] then
+    /// [`Self::insert`]. Either way the grid ends up exactly as remove +
+    /// insert would leave it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i` is not present.
+    pub fn relocate(&mut self, i: usize, p: P) {
+        let (old_key, _) =
+            self.entries[i].unwrap_or_else(|| panic!("point {i} relocated while absent"));
+        let key = cell_key(p, self.cell);
+        if key != old_key {
+            self.remove(i);
+            self.insert(i, p);
+            return;
+        }
+        let bucket = match self.dense_slot(key) {
+            Some(slot) => &mut self.dense[slot],
+            None => self.outliers.get_mut(&key).expect("present point's cell"),
+        };
+        let slot = bucket
+            .binary_search_by_key(&(i as u32), |&(j, _)| j)
+            .expect("present index is bucketed");
+        bucket[slot].1 = p;
+        self.entries[i] = Some((key, p));
     }
 
     /// Appends to `out` every present index `j` with `dist(points[j], q) ≤
@@ -428,6 +457,13 @@ mod tests {
     fn absent_remove_panics() {
         let mut grid: DynamicGrid<Vec2> = DynamicGrid::new(2, 1.0);
         grid.remove(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "relocated while absent")]
+    fn absent_relocate_panics() {
+        let mut grid = DynamicGrid::new(2, 1.0);
+        grid.relocate(0, Vec2::ZERO);
     }
 
     /// Both representations under churn: a grid with a dense extent over

@@ -18,8 +18,9 @@ use serde::{Deserialize, Serialize};
 
 /// Below this robot count, [`VisibilityGraph::from_configuration`] uses the
 /// quadratic builder: for tiny clouds the all-pairs sweep is cheaper than
-/// building a grid index.
-const GRID_THRESHOLD: usize = 32;
+/// building a grid index. The engine's strong-visibility monitor picks its
+/// candidate source by the same rule.
+pub const GRID_THRESHOLD: usize = 32;
 
 /// The undirected visibility graph `G(t) = (R, E(t))` where
 /// `(X, Y) ∈ E(t) ⟺ |X(t)Y(t)| ≤ V`.
