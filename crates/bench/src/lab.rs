@@ -8,17 +8,13 @@
 //! * CLI parsing (`--quick`, `--threads`, `--out`, `--shard I/M`) behind the
 //!   single `lab` binary (`lab list`, `lab run <name>`, `lab all`,
 //!   `lab merge <name>`);
-//! * the [`Profile`] (quick CI smoke vs full reproduction), replacing the
-//!   old per-binary `--quick` sniffing — the `COHESION_SWEEP_QUICK` env var
-//!   survives only as a deprecated fallback that warns on stderr;
+//! * the [`Profile`] (quick CI smoke vs full reproduction);
 //! * deterministic **process-level sharding**: `--shard I/M` slices the spec
 //!   grid into `M` contiguous chunks, so concatenating the shard files in
 //!   index order (`lab merge`) is *byte-identical* to an unsharded run —
 //!   rows are a pure per-spec function, merged in spec order, exactly the
 //!   [`SweepRunner`] contract lifted across processes;
 //! * JSONL sinks under `target/experiments/`.
-//!
-//! The old `exp_*` binaries survive as deprecated shims that delegate here.
 
 use crate::sweep::{ScenarioSpec, SchedulerSpec, SweepRunner, WorkloadSpec};
 use cohesion_adversary::{run_impossibility, ImpossibilityOutcome};
@@ -61,22 +57,6 @@ impl Profile {
             Profile::Quick => quick,
             Profile::Full => full,
         }
-    }
-}
-
-/// The deprecated environment fallback for [`Profile::Quick`]: honoured so
-/// existing `COHESION_SWEEP_QUICK=1` invocations keep working, but warns on
-/// stderr — pass `--quick` to the `lab` CLI instead.
-#[must_use]
-pub fn profile_env_fallback() -> Option<Profile> {
-    match std::env::var("COHESION_SWEEP_QUICK") {
-        Ok(v) if !v.is_empty() && v != "0" => {
-            eprintln!(
-                "warning: COHESION_SWEEP_QUICK is deprecated; pass --quick to the lab CLI instead"
-            );
-            Some(Profile::Quick)
-        }
-        _ => None,
     }
 }
 
@@ -321,7 +301,7 @@ pub struct CellProgress<'a> {
 }
 
 /// The inert handle, for driving an experiment cell outside the lab
-/// runtime (tests, shims, ad-hoc harnesses).
+/// runtime (tests, ad-hoc harnesses).
 pub const NO_PROGRESS: CellProgress<'static> = CellProgress {
     sink: None,
     cell: 0,
@@ -936,14 +916,12 @@ watch options:
                            plus a {\"dropped\":N} line per lossy batch,
                            instead of the terminal summary table";
 
-/// Resolves a registry experiment by name (the `exp_` prefix of the old
-/// shim binaries is accepted and stripped).
+/// Resolves a registry experiment by name.
 pub fn find_experiment(name: &str) -> Result<&'static dyn Experiment, String> {
-    let canonical = name.strip_prefix("exp_").unwrap_or(name);
     crate::experiments::REGISTRY
         .iter()
         .copied()
-        .find(|e| e.name() == canonical)
+        .find(|e| e.name() == name)
         .ok_or_else(|| {
             let names: Vec<&str> = crate::experiments::REGISTRY
                 .iter()
@@ -957,7 +935,6 @@ struct Parsed {
     opts: LabOptions,
     names: Vec<String>,
     all: bool,
-    quick_given: bool,
     addr: Option<String>,
     connect: Option<String>,
     workers: Option<usize>,
@@ -972,7 +949,6 @@ fn parse_args(args: &[String]) -> Result<Parsed, String> {
         opts: LabOptions::default(),
         names: Vec::new(),
         all: false,
-        quick_given: false,
         addr: None,
         connect: None,
         workers: None,
@@ -984,14 +960,8 @@ fn parse_args(args: &[String]) -> Result<Parsed, String> {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--quick" => {
-                parsed.opts.profile = Profile::Quick;
-                parsed.quick_given = true;
-            }
-            "--full" => {
-                parsed.opts.profile = Profile::Full;
-                parsed.quick_given = true;
-            }
+            "--quick" => parsed.opts.profile = Profile::Quick,
+            "--full" => parsed.opts.profile = Profile::Full,
             "--threads" => {
                 let v = it.next().ok_or("--threads needs a value")?;
                 let t: usize = v
@@ -1065,11 +1035,6 @@ fn parse_args(args: &[String]) -> Result<Parsed, String> {
                 return Err(format!("unknown flag '{flag}'\n\n{USAGE}"));
             }
             name => parsed.names.push(name.to_string()),
-        }
-    }
-    if !parsed.quick_given {
-        if let Some(p) = profile_env_fallback() {
-            parsed.opts.profile = p;
         }
     }
     Ok(parsed)
@@ -1251,21 +1216,6 @@ pub fn lab_main(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         other => Err(format!("unknown command '{other}'\n\n{USAGE}")),
-    }
-}
-
-/// Entry point for the deprecated per-experiment shim binaries: forwards the
-/// binary's arguments to `lab run <name>` with a stderr deprecation note.
-pub fn shim_main(name: &str) {
-    eprintln!(
-        "note: the exp_{name} binary is a deprecated shim; use `cargo run --release -p \
-         cohesion-bench --bin lab -- run {name}` (or `lab list` for the index)."
-    );
-    let mut args: Vec<String> = vec!["run".into(), name.into()];
-    args.extend(std::env::args().skip(1));
-    if let Err(e) = lab_main(&args) {
-        eprintln!("error: {e}");
-        std::process::exit(1);
     }
 }
 

@@ -6,7 +6,6 @@
 //! (`lab list` / `lab run <name>` / `lab all --quick` /
 //! `lab merge <name>`). Output goes to stdout as aligned text tables, and —
 //! for diffable regeneration — as JSON rows under `target/experiments/`.
-//! The old per-experiment `exp_*` binaries survive as deprecated shims.
 
 #![forbid(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]

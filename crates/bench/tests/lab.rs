@@ -318,47 +318,6 @@ fn progress_sidecar_is_shard_qualified() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Every deprecated `exp_*` shim binary forwards to exactly the registry
-/// experiment id `lab list` reports, and no shim is orphaned — the sources
-/// are scanned so a registry rename cannot silently drift from its shim.
-#[test]
-fn shim_binaries_forward_to_registry_experiments() {
-    let bin_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("src/bin");
-    let mut shims: Vec<String> = Vec::new();
-    for entry in std::fs::read_dir(&bin_dir).expect("read src/bin") {
-        let path = entry.expect("dir entry").path();
-        let Some(stem) = path.file_stem().and_then(|s| s.to_str()) else {
-            continue;
-        };
-        let Some(name) = stem.strip_prefix("exp_") else {
-            continue;
-        };
-        let source = std::fs::read_to_string(&path).expect("read shim source");
-        assert!(
-            source.contains(&format!("shim_main(\"{name}\")")),
-            "{stem}: shim must forward to `shim_main(\"{name}\")`, the registry name \
-             matching its binary name"
-        );
-        shims.push(name.to_string());
-    }
-    let registry: Vec<&str> = cohesion_bench::experiments::REGISTRY
-        .iter()
-        .map(|e| e.name())
-        .collect();
-    for name in &shims {
-        assert!(
-            registry.contains(&name.as_str()),
-            "shim exp_{name} forwards to an unregistered experiment"
-        );
-    }
-    for name in &registry {
-        assert!(
-            shims.iter().any(|s| s == name),
-            "registry experiment '{name}' has no exp_{name} shim binary"
-        );
-    }
-}
-
 /// Out-of-range and malformed `--shard` arguments fail with a clear error,
 /// both at the parser and through the CLI entry point.
 #[test]

@@ -4,8 +4,8 @@
 //! its spec list — independent of how many workers executed it and of the
 //! order work items happened to finish in. These tests pin that contract at
 //! three levels: full `SimulationReport` equality on a real scenario grid,
-//! byte equality of the serialized JSON rows (the form the exp binaries
-//! dump), and a property test over arbitrary item lists and thread counts.
+//! byte equality of the serialized JSON rows (the form `lab`
+//! writes), and a property test over arbitrary item lists and thread counts.
 
 use cohesion_bench::{AlgorithmSpec, ScenarioSpec, SchedulerSpec, SweepRunner, WorkloadSpec};
 use proptest::prelude::*;
@@ -57,7 +57,7 @@ fn scenario_reports_identical_for_one_vs_many_threads() {
 
 #[test]
 fn json_rows_identical_for_one_vs_many_threads() {
-    // The exp binaries' acceptance bar: the dumped JSON rows diff clean
+    // The lab's acceptance bar: the dumped JSON rows diff clean
     // against a serial reference run.
     let specs: Vec<ScenarioSpec> = scenario_grid().into_iter().take(6).collect();
     #[derive(serde::Serialize)]

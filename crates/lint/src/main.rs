@@ -14,7 +14,7 @@ usage: cohesion-lint [--root DIR] [--json]
   --root DIR   workspace root (default: walk up from the current directory)
   --json       machine-readable report on stdout
 
-Rules D1–D5 and P1 are documented in the README's \"Static analysis\"
+Rules D1–D6 and P1 are documented in the README's \"Static analysis\"
 section. Suppressions live in the checked-in lint.toml allowlist; every
 entry requires a written justification. Exit code 1 on any unallowed
 violation.";

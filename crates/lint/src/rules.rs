@@ -1,6 +1,6 @@
 //! The named invariant rules.
 //!
-//! Each rule is an independent token-level check over one file (D1–D5) or a
+//! Each rule is an independent token-level check over one file (D1–D6) or a
 //! cross-file consistency check (P1). Which files a rule applies to is
 //! decided by the path scopes in [`crate::scope`]; the checks here assume
 //! scoping already happened and look only at tokens.
@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 /// One rule violation, positioned at the offending token.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Rule id: `D1`…`D5`, `P1`.
+    /// Rule id: `D1`…`D6`, `P1`.
     pub rule: &'static str,
     /// Workspace-relative path (unix separators).
     pub path: String,
