@@ -1,17 +1,20 @@
 //! Criterion benches for the simulation engine: events per second vs swarm
 //! size and scheduler model.
 //!
-//! Two groups: the historical `engine_events` sweep at small `n`, and the
+//! Three groups: the historical `engine_events` sweep at small `n`; the
 //! `events_per_sec` end-to-end run-throughput trajectory (n ∈ {64, 256,
 //! 1024, 16384}, FSync and unbounded Async, Kirkpatrick algorithm,
 //! bounded-density lattices) whose medians are committed as
 //! `BENCH_engine.json` — the workspace's record of how fast full runs get
-//! over time. The 16384 row is the two-orders-beyond-the-paper size the
-//! ROADMAP asks the event core to sustain.
+//! over time; and `session_events_per_sec`, the same arms at n ∈ {1024,
+//! 16384} driven through a `Simulation` session with the pair monitors on,
+//! to set against the bare engine. The 16384 row is the
+//! two-orders-beyond-the-paper size the ROADMAP asks the event core to
+//! sustain.
 
 use cohesion_bench::lookbench::look_lattice;
 use cohesion_core::KirkpatrickAlgorithm;
-use cohesion_engine::Engine;
+use cohesion_engine::{Budget, Engine, SimulationBuilder};
 use cohesion_scheduler::{AsyncScheduler, FSyncScheduler, KAsyncScheduler};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -114,5 +117,44 @@ fn bench_events_per_sec(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_engine, bench_events_per_sec);
+/// One round's worth of events (3n) of a running session per iteration:
+/// the `events_per_sec` arms with the session's per-event work on top —
+/// dirty-set upkeep, round accounting, and the cohesion and
+/// strong-visibility monitors (the builder defaults minus the hull and
+/// diameter samplers, whose cost is O(n) and O(n²) per sample). The
+/// session is built once, outside the timed loop, and keeps running across
+/// iterations, so the O(n²) set-up does not drown the events at n = 16384.
+fn bench_session_events_per_sec(c: &mut Criterion) {
+    let mut group = c.benchmark_group("session_events_per_sec");
+    for n in [1024usize, 16384] {
+        let events = 3 * n;
+        group.throughput(Throughput::Elements(events as u64));
+        for (arm, k) in [("fsync", 1), ("async", 4)] {
+            let builder = SimulationBuilder::new(look_lattice(n), KirkpatrickAlgorithm::new(k))
+                .seed(1)
+                .max_events(usize::MAX)
+                .hull_check_every(0)
+                .diameter_sample_every(0);
+            let mut session = if arm == "fsync" {
+                builder.scheduler(FSyncScheduler::new()).build()
+            } else {
+                builder.scheduler(AsyncScheduler::new(3)).build()
+            };
+            group.bench_with_input(BenchmarkId::new(arm, n), &(), |b, ()| {
+                b.iter(|| {
+                    session.run_for(Budget::events(events));
+                    session.events()
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_engine,
+    bench_events_per_sec,
+    bench_session_events_per_sec
+);
 criterion_main!(benches);

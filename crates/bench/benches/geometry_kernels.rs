@@ -2,10 +2,11 @@
 //! smallest enclosing balls (Ando's Compute, congregation bookkeeping),
 //! convex hulls (metrics), the sector analysis (the paper's target rule),
 //! visibility-graph construction (grid vs brute-force builder), and the
-//! per-event monitor step (incremental dirty-set vs full re-sweep).
+//! per-event monitor step (a breakpoint re-classification vs an event with
+//! every robot dirty).
 
 use cohesion_engine::monitors::{
-    CohesionMonitor, Monitor, MonitorContext, StrongVisibilityMonitor,
+    CohesionMonitor, Envelopes, Monitor, MonitorContext, StrongVisibilityMonitor,
 };
 use cohesion_geometry::ball::smallest_enclosing_ball;
 use cohesion_geometry::cone::sector_2d;
@@ -85,14 +86,21 @@ fn bench_visibility_graph(c: &mut Criterion) {
 }
 
 fn bench_monitor_step(c: &mut Criterion) {
-    // One engine event's worth of predicate checking at n = 256: the
-    // incremental path re-checks pairs incident to a single moved robot;
-    // the full sweep (all robots dirty) is what the historical inline
-    // checks paid at *every* event.
+    // One engine event's worth of predicate checking at n = 256 on a still
+    // swarm: a breakpoint of one robot re-classifies its pairs from the
+    // motion envelopes, and an event with every robot dirty but no
+    // breakpoint walks only the watch lists. The historical monitors paid
+    // for every pair of every dirty robot at every event instead.
     let mut group = c.benchmark_group("monitor_step");
     let n = 256usize;
     let config = cohesion_workloads::random_connected(n, 1.0, 11);
     let positions: Vec<Vec2> = config.positions().to_vec();
+    let reach = vec![0.0; n];
+    let envelopes = Envelopes {
+        origins: &positions,
+        reach: &reach,
+        max_reach: 0.0,
+    };
     let graph = VisibilityGraph::from_configuration(&config, 1.0);
     let initial_edges: Vec<(usize, usize)> = graph
         .edges()
@@ -101,29 +109,29 @@ fn bench_monitor_step(c: &mut Criterion) {
         .collect();
     let hull_points: &dyn Fn(&mut Vec<Vec2>) = &|out| out.clear();
 
-    let dirty_one = vec![n / 2];
-    let mut mask_one = vec![false; n];
-    mask_one[n / 2] = true;
-    let dirty_all: Vec<usize> = (0..n).collect();
-    let mask_all = vec![true; n];
-
-    let cases: [(&str, &[usize], &[bool]); 2] = [
-        ("incremental_dirty1", &dirty_one, &mask_one),
-        ("full_sweep", &dirty_all, &mask_all),
+    let cases = [
+        ("incremental_dirty1", vec![n / 2], Some(n / 2)),
+        ("full_sweep", (0..n).collect::<Vec<_>>(), None),
     ];
-    for (id, dirty, dirty_mask) in cases {
+    for (id, dirty, breakpoint) in cases {
+        let mut dirty_mask = vec![false; n];
+        for &i in &dirty {
+            dirty_mask[i] = true;
+        }
         group.bench_with_input(BenchmarkId::new(id, n), &(), |b, ()| {
             // Positions never move, so the monitors record nothing and each
             // iteration measures the steady-state per-event check cost.
-            let mut cohesion = CohesionMonitor::new(n, &initial_edges, |_, _| 1.0, 1e-9);
+            let mut cohesion = CohesionMonitor::new(&positions, &initial_edges, |_, _| 1.0, 1e-9);
             let mut strong = StrongVisibilityMonitor::new(1.0, 1e-9, &positions);
             b.iter(|| {
                 let ctx = MonitorContext {
                     time: 1.0,
                     events: 1,
                     positions: &positions,
-                    dirty,
-                    dirty_mask,
+                    dirty: &dirty,
+                    dirty_mask: &dirty_mask,
+                    breakpoint,
+                    envelopes,
                     hull_points,
                 };
                 Monitor::<Vec2>::on_event(&mut cohesion, &ctx);

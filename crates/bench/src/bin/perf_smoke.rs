@@ -38,10 +38,19 @@
 //! [`STRONG_CANARY_N`] robots under FSync, a session with strong-visibility
 //! tracking on must stay within [`MAX_STRONG_OVERHEAD`]× of the same
 //! session with it off (Kirkpatrick on the look lattice, hull and diameter
-//! monitors off, best-of-N). The monitor's per-event work is local — a grid
-//! range query plus a walk of each dirty robot's acquired partners — and
-//! reads about 5× here; a return to `O(n)` work per dirty robot reads in
-//! the hundreds, so the bound fails loudly whatever the timing noise.
+//! monitors off, best-of-N). The monitor's work is local — a grid range
+//! query plus a walk of the robot's acquired partners at each breakpoint,
+//! and a walk of a short watch list per event — and reads about 1× here; a
+//! return to `O(n)` work per dirty robot reads in the hundreds, so the
+//! bound fails loudly whatever the timing noise.
+//!
+//! A seventh check guards the pair monitors' breakpoint scheme: at
+//! [`PAIR_CANARY_N`] robots under unbounded Async, a session with the
+//! cohesion and strong-visibility monitors on (hull and diameter off) must
+//! stay within [`MAX_PAIR_SESSION_RATIO`]× of the bare engine per event
+//! (Kirkpatrick on the look lattice, arms interleaved in pairs, median pair
+//! ratio). It reads about 2.6× on a 2-vCPU host; monitors that measure
+//! every pair of every dirty robot at every event read about 15×.
 //!
 //! Usage: `cargo run --release -p cohesion-bench --bin perf_smoke [-- --quick]`
 //! (`--quick` trims samples for CI).
@@ -51,9 +60,9 @@ use cohesion_bench::lookbench::{
 };
 
 use cohesion_core::KirkpatrickAlgorithm;
-use cohesion_engine::{Budget, LookPath, SimulationBuilder};
+use cohesion_engine::{Budget, Engine, LookPath, SimulationBuilder};
 use cohesion_model::NilAlgorithm;
-use cohesion_scheduler::FSyncScheduler;
+use cohesion_scheduler::{AsyncScheduler, FSyncScheduler};
 use cohesion_telemetry::{StateStore, StoreObserver, DEFAULT_QUEUE_CAPACITY};
 
 /// A current median may be at most this many times the committed one.
@@ -83,6 +92,16 @@ const MAX_STRONG_OVERHEAD: f64 = 20.0;
 /// canary.
 const STRONG_CANARY_N: usize = 1024;
 const STRONG_CANARY_EVENTS: usize = 2 * 3 * STRONG_CANARY_N;
+
+/// A session with the pair monitors on may be at most this many times
+/// slower per event than the bare engine at [`PAIR_CANARY_N`] under
+/// unbounded Async (median paired ratio).
+const MAX_PAIR_SESSION_RATIO: f64 = 9.0;
+
+/// Swarm size and event budget (four rounds' worth) of the pair-monitor
+/// canary.
+const PAIR_CANARY_N: usize = 1024;
+const PAIR_CANARY_EVENTS: usize = 4 * 3 * PAIR_CANARY_N;
 
 /// Swarm size of the Async-scheduling-overhead canary.
 const ASYNC_CANARY_N: usize = 1024;
@@ -188,6 +207,19 @@ fn main() {
             "strong-visibility tracking makes the session {strong_overhead:.2}x slower at \
              n={STRONG_CANARY_N} (bound {MAX_STRONG_OVERHEAD}x) — O(n) work per dirty \
              robot back in StrongVisibilityMonitor?"
+        ));
+    }
+
+    let pair_ratio = pair_session_ratio(samples);
+    println!(
+        "pair-monitor canary at n={PAIR_CANARY_N}: async session / bare engine \
+         = {pair_ratio:.2}x (need ≤ {MAX_PAIR_SESSION_RATIO}x)"
+    );
+    if pair_ratio > MAX_PAIR_SESSION_RATIO {
+        failures.push(format!(
+            "an Async session with the pair monitors is {pair_ratio:.2}x the bare \
+             engine at n={PAIR_CANARY_N} (bound {MAX_PAIR_SESSION_RATIO}x) — pair \
+             monitors measuring every dirty robot's pairs at every event again?"
         ));
     }
 
@@ -321,6 +353,51 @@ fn strong_overhead_ratio(samples: usize) -> f64 {
             on / off
         })
         .fold(f64::INFINITY, f64::min)
+}
+
+/// Measures the pair monitors' per-event cost against the engine's: an
+/// unbounded-Async Kirkpatrick session on the look lattice with the
+/// cohesion and strong-visibility monitors on (hull and diameter off),
+/// against the bare engine it wraps stepping the same events. Construction
+/// is excluded from both. Arms are interleaved in pairs after a warm-up
+/// pair, and the median pair ratio `session / engine` is returned, like
+/// [`async_fsync_paired_ratio`].
+fn pair_session_ratio(samples: usize) -> f64 {
+    const SEED: u64 = 3;
+    let config = look_lattice(PAIR_CANARY_N);
+    let session = || {
+        let session = SimulationBuilder::new(config.clone(), KirkpatrickAlgorithm::new(4))
+            .scheduler(AsyncScheduler::new(SEED))
+            .seed(SEED)
+            .max_events(PAIR_CANARY_EVENTS)
+            .hull_check_every(0)
+            .diameter_sample_every(0)
+            .build();
+        let start = std::time::Instant::now();
+        let report = session.run_to_completion();
+        let secs = start.elapsed().as_secs_f64();
+        assert_eq!(report.events, PAIR_CANARY_EVENTS);
+        secs
+    };
+    let engine = || {
+        let mut engine = Engine::new(
+            &config,
+            1.0,
+            KirkpatrickAlgorithm::new(4),
+            AsyncScheduler::new(SEED),
+            SEED,
+        );
+        let start = std::time::Instant::now();
+        for _ in 0..PAIR_CANARY_EVENTS {
+            engine.step();
+        }
+        start.elapsed().as_secs_f64()
+    };
+    session();
+    engine();
+    let mut ratios: Vec<f64> = (0..samples.max(5)).map(|_| session() / engine()).collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[ratios.len() / 2]
 }
 
 /// Extracts `engine_look` medians from `BENCH_baseline.json` at the

@@ -41,6 +41,7 @@
 //! behind the same kind of knob.
 
 use crate::checkpoint::{EngineState, PendingRepr, RobotStateRepr};
+use crate::monitors::Envelopes;
 use crate::queue::{EventQueue, Pending, QueuePath};
 use crate::state::{RobotState, RobotStates};
 use cohesion_geometry::DynamicGrid;
@@ -201,7 +202,9 @@ pub struct Engine<P: Ambient, A, S> {
     /// and when displacements tie (all-zero under the Nil algorithm) every
     /// one of them re-scans the shrinking motile set — `O(n²)` per round.
     motile_pad_stale: bool,
-    /// `|to − from|` per robot, valid while that robot is motile.
+    /// `|to − from|` per motile robot, `0` for every other robot: with the
+    /// base position, the radius of the robot's motion envelope (see
+    /// [`Engine::envelopes`]).
     motile_disp: Vec<f64>,
     /// Motile epoch: bumped whenever `motile` changes, invalidating the
     /// per-tick cache below.
@@ -521,13 +524,27 @@ where
     /// Appends (after clearing) the dense indices of all robots currently in
     /// their Move phase, ascending. Together with the robot of a `MoveEnd`
     /// event, these are the only robots whose positions can have changed
-    /// since the previous event — the *dirty set* the incremental monitors
-    /// re-check. Served from the maintained side-list and sorted on the way
-    /// out: `O(motile log motile)`, not `O(n)`.
+    /// since the previous event — the session's *dirty set*, which a
+    /// restored session rebuilds from this list. Served from the maintained
+    /// side-list and sorted on the way out: `O(motile log motile)`, not
+    /// `O(n)`.
     pub fn collect_motile(&self, out: &mut Vec<usize>) {
         out.clear();
         out.extend(self.motile.iter().map(|&m| m as usize));
         out.sort_unstable();
+    }
+
+    /// Every robot's motion envelope, read-only: its base position (the
+    /// Move origin while motile) with radius `|to − from|` while motile and
+    /// `0` otherwise, plus the displacement pad as a bound on every radius.
+    /// Until a robot's next breakpoint (`MoveStart` or `MoveEnd`) every
+    /// position it takes lies in its envelope, up to interpolation rounding.
+    pub fn envelopes(&self) -> Envelopes<'_, P> {
+        Envelopes {
+            origins: self.states.base_positions(),
+            reach: &self.motile_disp,
+            max_reach: self.motile_pad,
+        }
     }
 
     /// Fills `out` (cleared first) with current positions plus all pending
@@ -1045,6 +1062,7 @@ where
             // to the next observation (see `motile_pad_stale`).
             self.motile_pad_stale = true;
         }
+        self.motile_disp[idx] = 0.0;
         self.motile_version += 1;
         // Grid lifecycle: the entry relocates from the Move origin to the
         // realized destination.
@@ -1329,9 +1347,9 @@ mod tests {
         // The lifecycle invariant after every event: every robot is indexed
         // in the grid at its base position (true position while stationary,
         // Move origin while motile), `collect_motile` yields exactly the
-        // motile set ascending, and the pad (max displacement over the
-        // currently motile robots) bounds every motile robot's distance from
-        // its indexed origin.
+        // motile set ascending, and every robot's motion envelope (centred
+        // at its base position, radius its displacement while motile and 0
+        // otherwise, bounded by the pad) holds its position.
         let config = cohesion_workloads_stub(9);
         let mut engine = Engine::new(
             &config,
@@ -1355,11 +1373,14 @@ mod tests {
                     Some(base),
                     "grid entry of robot {i} is not its base position"
                 );
+                let envelopes = engine.envelopes();
+                assert_eq!(envelopes.origins[i], base, "envelope centre of robot {i}");
+                assert!(envelopes.reach[i] <= envelopes.max_reach);
                 if engine.states.is_motile(i) {
                     let now = engine.states.position_at(i, engine.time());
                     assert!(
-                        now.dist(base) <= engine.motile_pad + 1e-12,
-                        "motile robot {i} strayed past the pad"
+                        now.dist(base) <= envelopes.reach[i] + 1e-12,
+                        "motile robot {i} strayed past its envelope"
                     );
                 } else {
                     assert_eq!(
@@ -1367,6 +1388,7 @@ mod tests {
                         engine.states.position_at(i, engine.time()),
                         "stationary robot {i}'s base position is stale"
                     );
+                    assert_eq!(envelopes.reach[i], 0.0, "stationary robot {i}'s envelope");
                 }
             }
         }

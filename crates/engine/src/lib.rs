@@ -41,7 +41,8 @@ pub mod state;
 pub use checkpoint::{fnv1a, Checkpoint, CHECKPOINT_VERSION};
 pub use engine::{Engine, EngineEvent, EngineEventKind, LookPath};
 pub use monitors::{
-    CohesionMonitor, DiameterMonitor, HullMonitor, Monitor, MonitorContext, StrongVisibilityMonitor,
+    CohesionMonitor, DiameterMonitor, Envelopes, HullMonitor, Monitor, MonitorContext,
+    StrongVisibilityMonitor,
 };
 pub use queue::QueuePath;
 pub use report::SimulationReport;

@@ -1,18 +1,55 @@
 //! Incremental run-time monitors: the predicate checkers the simulation
 //! driver consults after every engine event.
 //!
-//! Historically these checks lived inline in `SimulationBuilder::run` and
-//! paid `O(n²)` per event (all-pairs scans) plus a full [`Configuration`]
-//! materialization. The monitors here are *incremental*: robot positions are
-//! piecewise-linear in time, so between two consecutive engine events only
-//! robots that were in their Move phase can have changed position. The
-//! driver hands each monitor the current positions **in place** plus that
-//! *dirty set*, and pair predicates are re-evaluated only for pairs with a
-//! dirty endpoint. Because pair distances attain their maxima exactly at
-//! event boundaries (the piecewise-linear invariant the old inline checks
-//! relied on), checking dirty pairs at every event remains exhaustive.
+//! Robot motion is piecewise linear. Between two of its *breakpoints* (its
+//! `MoveStart` and `MoveEnd` events) a robot either stands still or travels
+//! one straight segment `from → to` that is fixed when the Move starts. Each
+//! robot therefore has a *motion envelope*: the ball of radius `|to − from|`
+//! (zero while it stands) around its Move origin (its position while it
+//! stands), which holds every position the robot takes until its next
+//! breakpoint. The engine tracks the envelopes anyway; the driver hands them
+//! to each monitor with the event's positions in place, its *dirty set* (the
+//! robots whose position changed since the previous event) and its
+//! breakpoint robot, if any.
 //!
-//! [`Configuration`]: cohesion_model::Configuration
+//! # Pair monitors
+//!
+//! [`CohesionMonitor`] and [`StrongVisibilityMonitor`] test pair distances
+//! against thresholds, but neither measures every pair with a dirty
+//! endpoint. At a breakpoint of robot `r`, each re-classifies the pairs
+//! incident to `r` from their envelope distance bounds `|o_a − o_b| ∓ (ρ_a +
+//! ρ_b)` (origins `o`, radii `ρ`), and keeps on an ascending watch list only
+//! the pairs whose bounds can cross one of its thresholds. At every event it
+//! measures the watched pairs with a dirty endpoint, at the event positions
+//! and with the same `dist` call the historical sweep over every pair made.
+//! The work is `O(watched pairs)` per event plus `O(local degree)` per
+//! breakpoint, where the sweep paid `O(local degree)` for every dirty robot
+//! at every event.
+//!
+//! # Why an unwatched pair cannot change status
+//!
+//! Let pair `(a, b)` be classified at event `e`, the latest breakpoint of
+//! either endpoint. Until the next breakpoint of `a` or `b` — which
+//! re-classifies the pair before anything is measured at that event — every
+//! position the driver reports for `a` is either its stationary position or
+//! an interpolation `from + (to − from)·s` with `s ∈ [0, 1]`, so it lies in
+//! `a`'s envelope up to rounding, and likewise for `b`. The computed `dist`
+//! of two such positions and the computed bounds each differ from the exact
+//! distances of envelope points by a few units in the last place of the
+//! coordinates, radii and distances involved. The per-pair slack,
+//! `2⁻⁴⁰·(1 + |o_a|∞ + |o_b|∞ + ρ_a + ρ_b + threshold)`, is thousands of
+//! times that error. A pair stays off the watch list only when its computed
+//! bound clears the threshold by more than the slack — `hi ≤ limit − slack`
+//! for a test `d > limit`, `lo > limit + slack` for a test `d ≤ limit` — so
+//! no event before its next re-classification reports a distance on the
+//! other side. A bound that is not a number keeps the pair watched. Status changes
+//! re-classify the pair on the spot: a fresh acquisition becomes a
+//! candidate violation, and a reported cohesion violation leaves the list
+//! for good. A watched pair joins the list at an event where one of its
+//! endpoints is dirty, so when neither is, its distance is the one it was
+//! last measured at. Every pair is therefore decided exactly as the
+//! all-pairs sweep decides it: verdicts, violation times and distances are
+//! the sweep's, bit for bit.
 
 use crate::report::CohesionViolation;
 use cohesion_geometry::hull::convex_hull;
@@ -21,6 +58,7 @@ use cohesion_geometry::{ConvexHull, DynamicGrid, Vec2};
 use cohesion_model::frame::Ambient;
 use cohesion_model::visibility::GRID_THRESHOLD;
 use cohesion_model::RobotPair;
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
 /// Everything a monitor may look at for one engine event.
@@ -38,12 +76,99 @@ pub struct MonitorContext<'a, P: Ambient> {
     pub dirty: &'a [usize],
     /// `dirty_mask[i]` ⟺ `dirty` contains `i` (for O(1) membership tests).
     pub dirty_mask: &'a [bool],
+    /// The robot whose Move started or ended at this event; `None` at a
+    /// Look.
+    pub breakpoint: Option<usize>,
+    /// Every robot's motion envelope as of this event.
+    pub envelopes: Envelopes<'a, P>,
     /// Lazily fills a caller-provided buffer with the planar projection of
     /// positions ∪ pending targets — the vertex set of the paper's `CH_t`.
     /// Only invoked by hull-type monitors on their sampling cadence; the
     /// buffer-filling shape lets the monitor pool the vertex storage across
     /// samples instead of taking a fresh `Vec` per call.
     pub hull_points: &'a dyn Fn(&mut Vec<Vec2>),
+}
+
+/// Every robot's motion envelope: until its next breakpoint, robot `i`
+/// stays within `reach[i]` of `origins[i]`, up to interpolation rounding.
+#[derive(Debug, Clone, Copy)]
+pub struct Envelopes<'a, P> {
+    /// The Move origin of a moving robot, the position of any other.
+    pub origins: &'a [P],
+    /// `|to − from|` for a moving robot, `0` for any other.
+    pub reach: &'a [f64],
+    /// An upper bound on every `reach` entry.
+    pub max_reach: f64,
+}
+
+/// The slack of a pair's envelope bounds relative to its magnitudes (see
+/// `Bounds::new`).
+const SLACK: f64 = 1.0 / (1u64 << 40) as f64;
+
+/// A pair's envelope distance bounds: any two points of the two envelopes
+/// are between `lo` and `hi` apart, and `slack` covers the rounding of these
+/// bounds and of every distance the driver can report for the pair.
+struct Bounds {
+    lo: f64,
+    hi: f64,
+    slack: f64,
+}
+
+impl<P: Point> Envelopes<'_, P> {
+    /// The bounds of pair `(a, b)` for a threshold of size `scale`;
+    /// symmetric in `a` and `b`, bit for bit.
+    fn bounds(&self, a: usize, b: usize, scale: f64) -> Bounds {
+        let (oa, ob) = (self.origins[a], self.origins[b]);
+        let magnitudes = magnitude(oa) + magnitude(ob);
+        Bounds::new(
+            oa.dist(ob),
+            self.reach[a] + self.reach[b],
+            magnitudes,
+            scale,
+        )
+    }
+}
+
+impl Bounds {
+    /// The bounds of two envelopes `centre` apart whose radii sum to
+    /// `spread` and whose centres' largest absolute coordinates sum to
+    /// `magnitudes`. The slack is `2⁻⁴⁰·(1 + magnitudes + spread + scale)`;
+    /// every term is a symmetric sum, so the bounds do not depend on the
+    /// order of the pair.
+    fn new(centre: f64, spread: f64, magnitudes: f64, scale: f64) -> Self {
+        Bounds {
+            lo: centre - spread,
+            hi: centre + spread,
+            slack: SLACK * (1.0 + magnitudes + spread + scale),
+        }
+    }
+}
+
+/// `true` unless the upper bound `hi` is known to stay at or below `limit`;
+/// a bound that is not a number keeps its pair watched.
+fn may_exceed(hi: f64, limit: f64) -> bool {
+    !matches!(
+        hi.partial_cmp(&limit),
+        Some(Ordering::Less | Ordering::Equal)
+    )
+}
+
+/// `true` unless the lower bound `lo` is known to stay above `limit`; a
+/// bound that is not a number keeps its pair watched.
+fn may_reach(lo: f64, limit: f64) -> bool {
+    lo.partial_cmp(&limit) != Some(Ordering::Greater)
+}
+
+/// The largest absolute coordinate of `p`.
+fn magnitude<P: Point>(p: P) -> f64 {
+    (0..P::DIM).fold(0.0, |m, k| m.max(p.coord(k).abs()))
+}
+
+/// Inserts `(a, b, tag)` into an ascending watch list keyed by the pair.
+fn watch_insert<T>(watch: &mut Vec<(usize, usize, T)>, a: usize, b: usize, tag: T) {
+    let key = (a.min(b), a.max(b));
+    let slot = watch.partition_point(|&(x, y, _)| (x, y) < key);
+    watch.insert(slot, (key.0, key.1, tag));
 }
 
 /// A predicate checker driven once per engine event.
@@ -59,23 +184,25 @@ pub trait Monitor<P: Ambient> {
 }
 
 /// The configuration diameter of a position set: maximum pairwise distance
-/// (`0` for fewer than two robots). Identical arithmetic to
-/// [`Configuration::diameter`](cohesion_model::Configuration::diameter), so
-/// reports are bit-for-bit reproducible across the two paths.
+/// (`0` for fewer than two robots). Takes the largest squared distance and
+/// one square root: a correctly rounded square root is monotone, so that is
+/// bit for bit the largest `dist`, the arithmetic of
+/// [`Configuration::diameter`](cohesion_model::Configuration::diameter).
 pub fn diameter_of<P: Point>(positions: &[P]) -> f64 {
     let mut best = 0.0_f64;
     for i in 0..positions.len() {
         for j in (i + 1)..positions.len() {
-            best = best.max(positions[i].dist(positions[j]));
+            best = best.max(positions[i].dist_sq(positions[j]));
         }
     }
-    best
+    best.sqrt()
 }
 
 /// Watches the Cohesive Convergence clause `E(0) ⊆ E(t)`: every initially
 /// visible pair must stay within its visibility threshold at every event
-/// time. Re-checks only initial edges incident to a dirty robot, via a
-/// CSR-style adjacency of the initial graph.
+/// time. An initial edge is watched while its envelope bounds can exceed
+/// the threshold (see the module docs); a breakpoint re-classifies the
+/// edges of its robot from a CSR-style adjacency of the initial graph.
 pub struct CohesionMonitor {
     /// `adj[i]` = the initial-edge partners of robot `i` with the pair's
     /// visibility threshold (`V`, or `min(rᵢ, rⱼ)` under per-robot radii).
@@ -85,33 +212,48 @@ pub struct CohesionMonitor {
     /// observation, like the historical inline check).
     violated: BTreeSet<(usize, usize)>,
     violations: Vec<CohesionViolation>,
-    /// Scratch for per-event findings (kept across events to avoid
-    /// reallocation).
-    fresh: Vec<(usize, usize, f64)>,
+    /// Ascending `(a, b, threshold)` with `a < b`: the unreported initial
+    /// edges whose envelope bounds can exceed `threshold + tol`.
+    watch: Vec<(usize, usize, f64)>,
+    pairs_checked: u64,
+    /// Per-event scratch: watch-list slots of pairs found broken.
+    fresh: Vec<usize>,
 }
 
 impl CohesionMonitor {
-    /// Builds the monitor over the initial edge list (pairs `(a, b)` with
-    /// `a < b`) and a per-pair threshold function.
-    pub fn new(
-        n: usize,
+    /// Builds the monitor over the initial positions, the initial edge list
+    /// (pairs `(a, b)` with `a < b`) and a per-pair threshold function.
+    pub fn new<P: Point>(
+        initial_positions: &[P],
         initial_edges: &[(usize, usize)],
         threshold: impl Fn(usize, usize) -> f64,
         tol: f64,
     ) -> Self {
-        let mut adj: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
-        for &(a, b) in initial_edges {
-            let t = threshold(a, b);
-            adj[a].push((b, t));
-            adj[b].push((a, t));
-        }
-        CohesionMonitor {
-            adj,
+        let mut monitor = CohesionMonitor {
+            adj: vec![Vec::new(); initial_positions.len()],
             tol,
             violated: BTreeSet::new(),
             violations: Vec::new(),
+            // Every watched pair is an initial edge: reserving them all keeps
+            // events allocation-free.
+            watch: Vec::with_capacity(initial_edges.len()),
+            pairs_checked: 0,
             fresh: Vec::new(),
+        };
+        // Every robot stands at its start, so an edge's envelope bounds are
+        // its length.
+        for &(a, b) in initial_edges {
+            let t = threshold(a, b);
+            monitor.adj[a].push((b, t));
+            monitor.adj[b].push((a, t));
+            let (pa, pb) = (initial_positions[a], initial_positions[b]);
+            let bounds = Bounds::new(pa.dist(pb), 0.0, magnitude(pa) + magnitude(pb), t);
+            if monitor.qualifies(bounds, t) {
+                monitor.watch.push((a.min(b), a.max(b), t));
+            }
         }
+        monitor.watch.sort_unstable_by_key(|&(a, b, _)| (a, b));
+        monitor
     }
 
     /// `true` while no initial edge has been observed broken.
@@ -131,49 +273,99 @@ impl CohesionMonitor {
         self.violations
     }
 
-    /// Restores the recorded-violation state from a checkpoint. The
-    /// reported-pair set is rebuilt from the list — they are in bijection
-    /// (a pair enters `violated` exactly when its violation is pushed), so
-    /// checkpoints carry only the list.
-    pub(crate) fn restore(&mut self, violations: Vec<CohesionViolation>) {
+    /// The watched edges `(a, b)`, `a < b`, ascending.
+    pub fn watched(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.watch.iter().map(|&(a, b, _)| (a, b))
+    }
+
+    /// Pair distances evaluated so far: envelope bounds at construction,
+    /// restore and breakpoints, plus watched pairs measured at events.
+    pub fn pairs_checked(&self) -> u64 {
+        self.pairs_checked
+    }
+
+    /// Restores the recorded-violation state from a checkpoint and rebuilds
+    /// the watch list from the restored envelopes. The reported-pair set is
+    /// rebuilt from the list — they are in bijection (a pair enters
+    /// `violated` exactly when its violation is pushed), so checkpoints
+    /// carry only the list.
+    pub(crate) fn restore<P: Point>(
+        &mut self,
+        violations: Vec<CohesionViolation>,
+        envelopes: &Envelopes<'_, P>,
+    ) {
         self.violated = violations
             .iter()
             .map(|v| (v.pair.a.index(), v.pair.b.index()))
             .collect();
         self.violations = violations;
+        self.rebuild(envelopes);
+    }
+
+    /// Whether an unreported edge with envelope bounds `bounds` belongs on
+    /// the watch list: while they can exceed `threshold + tol`.
+    fn qualifies(&mut self, bounds: Bounds, threshold: f64) -> bool {
+        self.pairs_checked += 1;
+        may_exceed(bounds.hi, threshold + self.tol - bounds.slack)
+    }
+
+    fn rebuild<P: Point>(&mut self, envelopes: &Envelopes<'_, P>) {
+        self.watch.clear();
+        for a in 0..self.adj.len() {
+            for k in 0..self.adj[a].len() {
+                let (b, t) = self.adj[a][k];
+                if a < b
+                    && !self.violated.contains(&(a, b))
+                    && self.qualifies(envelopes.bounds(a, b, t), t)
+                {
+                    self.watch.push((a, b, t));
+                }
+            }
+        }
+        self.watch.sort_unstable_by_key(|&(a, b, _)| (a, b));
+    }
+
+    /// Re-classifies the unreported edges of breakpoint robot `r`.
+    fn reclassify<P: Point>(&mut self, r: usize, envelopes: &Envelopes<'_, P>) {
+        self.watch.retain(|&(a, b, _)| a != r && b != r);
+        for k in 0..self.adj[r].len() {
+            let (b, t) = self.adj[r][k];
+            if !self.violated.contains(&(r.min(b), r.max(b)))
+                && self.qualifies(envelopes.bounds(r, b, t), t)
+            {
+                watch_insert(&mut self.watch, r, b, t);
+            }
+        }
     }
 }
 
 impl<P: Ambient> Monitor<P> for CohesionMonitor {
     fn on_event(&mut self, ctx: &MonitorContext<'_, P>) {
-        self.fresh.clear();
-        for &a in ctx.dirty {
-            for &(b, threshold) in &self.adj[a] {
-                // A pair with both endpoints dirty is visited twice; keep
-                // the visit from the smaller endpoint.
-                if ctx.dirty_mask[b] && b < a {
-                    continue;
-                }
-                let d = ctx.positions[a].dist(ctx.positions[b]);
-                if d > threshold + self.tol {
-                    let key = (a.min(b), a.max(b));
-                    if !self.violated.contains(&key) {
-                        self.fresh.push((key.0, key.1, d));
-                    }
-                }
-            }
+        if let Some(r) = ctx.breakpoint {
+            self.reclassify(r, &ctx.envelopes);
         }
-        // Report in pair order — the order the historical full edge-list
-        // sweep discovered simultaneous violations in.
-        self.fresh.sort_unstable_by_key(|&(a, b, _)| (a, b));
-        for &(a, b, d) in &self.fresh {
-            if self.violated.insert((a, b)) {
+        // The watch list ascends by pair, so simultaneous violations are
+        // reported in pair order, as the historical edge-list sweep found
+        // them.
+        self.fresh.clear();
+        for (slot, &(a, b, threshold)) in self.watch.iter().enumerate() {
+            if !(ctx.dirty_mask[a] || ctx.dirty_mask[b]) {
+                continue;
+            }
+            self.pairs_checked += 1;
+            let d = ctx.positions[a].dist(ctx.positions[b]);
+            if d > threshold + self.tol {
+                self.violated.insert((a, b));
                 self.violations.push(CohesionViolation {
                     pair: RobotPair::new(a.into(), b.into()),
                     time: ctx.time,
                     distance: d,
                 });
+                self.fresh.push(slot);
             }
+        }
+        for &slot in self.fresh.iter().rev() {
+            self.watch.remove(slot);
         }
     }
 }
@@ -182,41 +374,41 @@ impl<P: Ambient> Monitor<P> for CohesionMonitor {
 /// ever comes within `V/2` must stay within `V` forever after.
 ///
 /// Membership of the "acquired" set is a monotone property of pair-distance
-/// history, and a pair with no dirty endpoint has the same distance as at
-/// the previous event, where its status was already settled — so checking
-/// only pairs with a dirty endpoint observes exactly the acquisitions and
-/// violations of the historical all-pairs sweep. Of those pairs only two
-/// kinds can change anything, and the monitor visits only them:
+/// history. A pair is watched while its envelope bounds can cross the
+/// threshold that could change something (see the module docs): the
+/// acquisition radius `V/2 + tol` for a pair not yet acquired, `V + tol`
+/// for an acquired one. At a breakpoint of robot `r` the candidates are
 ///
-/// * pairs within the acquisition radius `V/2 + tol`, found by a range
-///   query on a grid of current positions whose cell edge is that radius,
+/// * its acquired partners, walked from per-robot ascending partner lists,
 ///   and
-/// * pairs already acquired (candidate violations), walked from per-robot
-///   ascending partner lists, skipping partners the range query already
-///   placed within the acquisition radius (and hence within `V`).
+/// * the robots whose envelope can come within the acquisition radius of
+///   `r`'s, found by a range query on a grid of envelope origins, with the
+///   radius padded by `r`'s envelope radius and the largest one. An origin
+///   moves only at a `MoveEnd`, so that is the only time a grid entry
+///   relocates.
 ///
-/// Per event the cost is `O(Σ_dirty (local density + acquired degree))`
-/// instead of `O(|dirty| · n)`, no partner of a dirty robot is measured
-/// twice for it, and memory is `O(n + acquired pairs)` instead of an
-/// `n × n` bitset. Below [`GRID_THRESHOLD`] robots a grid costs more than
-/// it prunes, so every robot is a candidate instead, walked in step with
-/// the partner list. The constructor seeds the set from the initial
-/// positions (equivalently, the positions at the first event — nothing
-/// moves before it) through the same candidate source.
+/// Memory is `O(n + acquired + watched pairs)` instead of an `n × n`
+/// bitset. Below [`GRID_THRESHOLD`] robots a grid costs more than it
+/// prunes, so every robot is a candidate instead. The constructor seeds the set from the
+/// initial positions (equivalently, the positions at the first event —
+/// nothing moves before it).
 pub struct StrongVisibilityMonitor<P: Point> {
     v: f64,
     tol: f64,
-    /// Every robot at its current position, cell edge = acquisition radius;
-    /// `None` below [`GRID_THRESHOLD`] robots.
+    /// Every robot at its envelope origin, cell edge a hair over the
+    /// acquisition radius; `None` below [`GRID_THRESHOLD`] robots.
     grid: Option<DynamicGrid<P>>,
     /// `acquired[i]`: the ascending partners of robot `i` in acquired
     /// pairs. Each pair is listed at both endpoints.
     acquired: Vec<Vec<u32>>,
     ok: bool,
-    /// Per-event scratch for the dirty robot being checked: its grid
-    /// candidates with their membership mask, and its new acquisitions.
+    /// Ascending `(a, b, acquired)` with `a < b`: the pairs whose envelope
+    /// bounds can cross their threshold.
+    watch: Vec<(usize, usize, bool)>,
+    pairs_checked: u64,
+    /// Scratch: the candidates of the robot being classified, and the
+    /// watch-list slots of an event's fresh acquisitions.
     near: Vec<usize>,
-    near_mask: Vec<bool>,
     fresh: Vec<usize>,
 }
 
@@ -235,51 +427,77 @@ impl<P: Point> StrongVisibilityMonitor<P> {
             radius > 0.0 && radius.is_finite(),
             "acquisition radius V/2 + tol must be positive and finite"
         );
+        // Cells a hair wider than the acquisition radius keep the seeding
+        // query below, padded by the pair slack, within one ring of cells.
         let grid = (n >= GRID_THRESHOLD).then(|| {
-            let mut grid = DynamicGrid::with_extent(n, radius, initial_positions);
+            let cell = radius * (1.0 + 1.0 / 65536.0);
+            let mut grid = DynamicGrid::with_extent(n, cell, initial_positions);
             for (i, &p) in initial_positions.iter().enumerate() {
                 grid.insert(i, p);
             }
             grid
         });
-        // The acquisition predicate is symmetric in its two points, so each
-        // robot's own candidates are its complete partner list.
-        let mut near = Vec::new();
-        let acquired = initial_positions
-            .iter()
-            .enumerate()
-            .map(|(a, &pa)| {
-                near.clear();
-                match &grid {
-                    Some(grid) => grid.query_within(pa, radius, &mut near),
-                    None => {
-                        near.extend((0..n).filter(|&b| pa.dist(initial_positions[b]) <= radius))
-                    }
-                }
-                let mut partners: Vec<u32> = near
-                    .iter()
-                    .filter(|&&b| b != a)
-                    .map(|&b| b as u32)
-                    .collect();
-                partners.sort_unstable();
-                partners
-            })
-            .collect();
-        StrongVisibilityMonitor {
+        let mut monitor = StrongVisibilityMonitor {
             v,
             tol,
             grid,
-            acquired,
+            acquired: vec![Vec::new(); n],
             ok: true,
-            near,
-            near_mask: vec![false; n],
-            fresh: Vec::new(),
+            // The watch list (below the grid threshold, for every pair) and
+            // the acquisition scratch are reserved up front, so that events
+            // do not allocate.
+            watch: Vec::with_capacity(if n < GRID_THRESHOLD { n * n / 2 } else { n }),
+            pairs_checked: 0,
+            near: Vec::new(),
+            fresh: Vec::with_capacity(n),
+        };
+        // Every robot stands at its start, so a pair's envelope bounds are
+        // its distance, and one pass over each robot's candidates above it
+        // both seeds the acquired set and classifies the pairs.
+        let scale = monitor.limit();
+        for (a, &pa) in initial_positions.iter().enumerate() {
+            monitor.candidates(pa, 0.0);
+            for k in 0..monitor.near.len() {
+                let b = monitor.near[k];
+                if b <= a {
+                    continue;
+                }
+                let pb = initial_positions[b];
+                let d = pa.dist(pb);
+                let acquired = d <= radius;
+                if acquired {
+                    monitor.acquired[a].push(b as u32);
+                    monitor.acquired[b].push(a as u32);
+                }
+                let bounds = Bounds::new(d, 0.0, magnitude(pa) + magnitude(pb), scale);
+                if monitor.qualifies(bounds, acquired) {
+                    monitor.watch.push((a, b, acquired));
+                }
+            }
         }
+        // Grid candidates arrive in cell order.
+        for partners in &mut monitor.acquired {
+            partners.sort_unstable();
+        }
+        monitor.watch.sort_unstable_by_key(|&(a, b, _)| (a, b));
+        monitor
     }
 
     /// `true` while no acquired pair has been observed beyond `V`.
     pub fn ok(&self) -> bool {
         self.ok
+    }
+
+    /// The watched pairs `(a, b)`, `a < b`, ascending.
+    pub fn watched(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.watch.iter().map(|&(a, b, _)| (a, b))
+    }
+
+    /// Pair distances evaluated so far: envelope bounds at construction,
+    /// restore and breakpoints, plus watched pairs measured at events. The
+    /// grid's own range filter is not counted.
+    pub fn pairs_checked(&self) -> u64 {
+        self.pairs_checked
     }
 
     /// The acquired set as the checkpoint's row-major `n × n` bitset words
@@ -296,14 +514,14 @@ impl<P: Point> StrongVisibilityMonitor<P> {
         words
     }
 
-    /// Restores the acquired set (checkpoint bitset words) and verdict, and
-    /// re-indexes the grid at `positions`, the session's positions at the
-    /// restored event.
+    /// Restores the acquired set (checkpoint bitset words) and verdict,
+    /// re-indexes the grid at the restored envelope origins, and rebuilds
+    /// the watch list from the restored envelopes.
     pub(crate) fn restore(
         &mut self,
         words: &[u64],
         ok: bool,
-        positions: &[P],
+        envelopes: &Envelopes<'_, P>,
     ) -> Result<(), String> {
         let n = self.acquired.len();
         let expected = (n * n).div_ceil(64);
@@ -334,11 +552,12 @@ impl<P: Point> StrongVisibilityMonitor<P> {
             }
         }
         if let Some(grid) = &mut self.grid {
-            for (i, &p) in positions.iter().enumerate() {
-                grid.relocate(i, p);
+            for (i, &o) in envelopes.origins.iter().enumerate() {
+                grid.relocate(i, o);
             }
         }
         self.ok = ok;
+        self.rebuild(envelopes);
         Ok(())
     }
 
@@ -346,56 +565,93 @@ impl<P: Point> StrongVisibilityMonitor<P> {
         self.v / 2.0 + self.tol
     }
 
-    /// Checks dirty robot `a` against its grid candidates: acquired
-    /// partners outside the acquisition radius are tested against `V`, and
-    /// candidates not yet acquired go to `fresh`.
-    fn check_near(&mut self, a: usize, positions: &[P], dirty_mask: &[bool]) {
-        let pa = positions[a];
-        let radius = self.radius();
-        self.near.clear();
-        if let Some(grid) = &self.grid {
-            grid.query_within(pa, radius, &mut self.near);
-        }
-        for &b in &self.near {
-            self.near_mask[b] = true;
-        }
-        for &b in &self.acquired[a] {
-            let b = b as usize;
-            if self.near_mask[b] {
-                self.near_mask[b] = false;
-            } else if !checked_elsewhere(a, b, dirty_mask)
-                && pa.dist(positions[b]) > self.v + self.tol
-            {
-                self.ok = false;
-            }
-        }
-        for &b in &self.near {
-            if std::mem::take(&mut self.near_mask[b]) && !checked_elsewhere(a, b, dirty_mask) {
-                self.fresh.push(b);
-            }
+    fn limit(&self) -> f64 {
+        self.v + self.tol
+    }
+
+    /// Whether a pair with envelope bounds `bounds` belongs on the watch
+    /// list: an acquired pair while they can exceed `V + tol`, any other
+    /// while they can come within the acquisition radius.
+    fn qualifies(&mut self, bounds: Bounds, acquired: bool) -> bool {
+        self.pairs_checked += 1;
+        if acquired {
+            may_exceed(bounds.hi, self.limit() - bounds.slack)
+        } else {
+            may_reach(bounds.lo, self.radius() + bounds.slack)
         }
     }
 
-    /// Checks dirty robot `a` against every robot, walking its ascending
-    /// partner list in step; new acquisitions go to `fresh`.
-    fn check_all(&mut self, a: usize, positions: &[P], dirty_mask: &[bool]) {
-        let pa = positions[a];
-        let radius = self.radius();
-        let partners = &self.acquired[a];
-        let mut next = 0;
-        for (b, &pb) in positions.iter().enumerate() {
-            let acquired = partners.get(next) == Some(&(b as u32));
-            next += usize::from(acquired);
-            if checked_elsewhere(a, b, dirty_mask) {
-                continue;
+    /// Fills `near` with a superset of the robots whose envelope can come
+    /// within the acquisition radius of an envelope around `origin`;
+    /// `spread` bounds that envelope's radius plus any other's.
+    fn candidates(&mut self, origin: P, spread: f64) {
+        self.near.clear();
+        match &self.grid {
+            Some(grid) => {
+                let reach = self.radius() + spread;
+                // A qualifying partner lies within `reach` plus its pair
+                // slack, which is less than half of this margin.
+                let margin = 2.0 * SLACK * (1.0 + 2.0 * (magnitude(origin) + reach) + self.limit());
+                grid.query_within(origin, reach + margin, &mut self.near);
             }
-            let d = pa.dist(pb);
-            if d <= radius {
-                if !acquired {
-                    self.fresh.push(b);
+            None => self.near.extend(0..self.acquired.len()),
+        }
+    }
+
+    /// Rebuilds the watch list from scratch: every robot's acquired
+    /// partners and candidates above it.
+    fn rebuild(&mut self, envelopes: &Envelopes<'_, P>) {
+        self.watch.clear();
+        for r in 0..self.acquired.len() {
+            for k in 0..self.acquired[r].len() {
+                let b = self.acquired[r][k] as usize;
+                if b > r && self.qualifies(envelopes.bounds(r, b, self.limit()), true) {
+                    self.watch.push((r, b, true));
                 }
-            } else if acquired && d > self.v + self.tol {
-                self.ok = false;
+            }
+            self.candidates(
+                envelopes.origins[r],
+                envelopes.reach[r] + envelopes.max_reach,
+            );
+            for k in 0..self.near.len() {
+                let b = self.near[k];
+                if b > r
+                    && self.acquired[r].binary_search(&(b as u32)).is_err()
+                    && self.qualifies(envelopes.bounds(r, b, self.limit()), false)
+                {
+                    self.watch.push((r, b, false));
+                }
+            }
+        }
+        self.watch.sort_unstable_by_key(|&(a, b, _)| (a, b));
+    }
+
+    /// Re-classifies every pair incident to breakpoint robot `r`.
+    fn reclassify(&mut self, r: usize, envelopes: &Envelopes<'_, P>) {
+        if let Some(grid) = &mut self.grid {
+            let o = envelopes.origins[r];
+            if grid.position(r) != Some(o) {
+                grid.relocate(r, o);
+            }
+        }
+        self.watch.retain(|&(a, b, _)| a != r && b != r);
+        for k in 0..self.acquired[r].len() {
+            let b = self.acquired[r][k] as usize;
+            if self.qualifies(envelopes.bounds(r, b, self.limit()), true) {
+                watch_insert(&mut self.watch, r, b, true);
+            }
+        }
+        self.candidates(
+            envelopes.origins[r],
+            envelopes.reach[r] + envelopes.max_reach,
+        );
+        for k in 0..self.near.len() {
+            let b = self.near[k];
+            if b != r
+                && self.acquired[r].binary_search(&(b as u32)).is_err()
+                && self.qualifies(envelopes.bounds(r, b, self.limit()), false)
+            {
+                watch_insert(&mut self.watch, r, b, false);
             }
         }
     }
@@ -412,28 +668,37 @@ impl<P: Point> StrongVisibilityMonitor<P> {
     }
 }
 
-/// `true` when the pair `(a, b)` is not dirty robot `a`'s to check: `b` is
-/// `a` itself, or a smaller dirty robot that checks the pair from its side.
-fn checked_elsewhere(a: usize, b: usize, dirty_mask: &[bool]) -> bool {
-    b == a || (dirty_mask[b] && b < a)
-}
-
 impl<P: Ambient> Monitor<P> for StrongVisibilityMonitor<P> {
     fn on_event(&mut self, ctx: &MonitorContext<'_, P>) {
-        if let Some(grid) = &mut self.grid {
-            for &a in ctx.dirty {
-                grid.relocate(a, ctx.positions[a]);
+        if let Some(r) = ctx.breakpoint {
+            self.reclassify(r, &ctx.envelopes);
+        }
+        let (radius, limit) = (self.radius(), self.limit());
+        self.fresh.clear();
+        for (slot, &(a, b, acquired)) in self.watch.iter().enumerate() {
+            if !(ctx.dirty_mask[a] || ctx.dirty_mask[b]) {
+                continue;
+            }
+            self.pairs_checked += 1;
+            let d = ctx.positions[a].dist(ctx.positions[b]);
+            if d <= radius {
+                if !acquired {
+                    self.fresh.push(slot);
+                }
+            } else if acquired && d > limit {
+                self.ok = false;
             }
         }
-        for &a in ctx.dirty {
-            self.fresh.clear();
-            if self.grid.is_some() {
-                self.check_near(a, ctx.positions, ctx.dirty_mask);
+        // A fresh acquisition turns into a candidate violation; descending
+        // slots keep the remaining ones valid across removals.
+        for k in (0..self.fresh.len()).rev() {
+            let slot = self.fresh[k];
+            let (a, b, _) = self.watch[slot];
+            self.link(a, b);
+            if self.qualifies(ctx.envelopes.bounds(a, b, self.limit()), true) {
+                self.watch[slot].2 = true;
             } else {
-                self.check_all(a, ctx.positions, ctx.dirty_mask);
-            }
-            for k in 0..self.fresh.len() {
-                self.link(a, self.fresh[k]);
+                self.watch.remove(slot);
             }
         }
     }
@@ -543,6 +808,21 @@ impl DiameterMonitor {
         self.series
     }
 
+    /// `true` when the `events`-th event is on the sampling cadence.
+    pub fn due(&self, events: usize) -> bool {
+        self.every != 0 && events % self.every == 0
+    }
+
+    /// Records the diameter `d` sampled at `time` and tests convergence.
+    /// The session calls this directly so a sample that coincides with a
+    /// round boundary reuses the boundary's diameter.
+    pub fn record(&mut self, time: f64, d: f64) {
+        self.series.push((time, d));
+        if d <= self.epsilon {
+            self.converged = true;
+        }
+    }
+
     /// Restores the sample series and verdict from a checkpoint.
     pub(crate) fn restore(&mut self, series: Vec<(f64, f64)>, converged: bool) {
         self.series = series;
@@ -552,13 +832,8 @@ impl DiameterMonitor {
 
 impl<P: Ambient> Monitor<P> for DiameterMonitor {
     fn on_event(&mut self, ctx: &MonitorContext<'_, P>) {
-        if self.every == 0 || ctx.events % self.every != 0 {
-            return;
-        }
-        let d = diameter_of(ctx.positions);
-        self.series.push((ctx.time, d));
-        if d <= self.epsilon {
-            self.converged = true;
+        if self.due(ctx.events) {
+            self.record(ctx.time, diameter_of(ctx.positions));
         }
     }
 }
@@ -568,82 +843,146 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    const NO_HULL: &dyn Fn(&mut Vec<Vec2>) = &|out| out.clear();
+
+    /// A context for the sampling monitors, which read neither the dirty
+    /// set nor the envelopes.
     fn ctx<'a>(
         time: f64,
         events: usize,
         positions: &'a [Vec2],
-        dirty: &'a [usize],
-        dirty_mask: &'a [bool],
+        reach: &'a [f64],
         hull_points: &'a dyn Fn(&mut Vec<Vec2>),
     ) -> MonitorContext<'a, Vec2> {
         MonitorContext {
             time,
             events,
             positions,
-            dirty,
-            dirty_mask,
+            dirty: &[],
+            dirty_mask: &[],
+            breakpoint: None,
+            envelopes: Envelopes {
+                origins: positions,
+                reach,
+                max_reach: 0.0,
+            },
             hull_points,
         }
     }
 
-    const NO_HULL: &dyn Fn(&mut Vec<Vec2>) = &|out| out.clear();
-
-    #[test]
-    fn cohesion_monitor_flags_broken_edge_once() {
-        let mut m = CohesionMonitor::new(2, &[(0, 1)], |_, _| 1.0, 1e-9);
-        let near = [Vec2::ZERO, Vec2::new(0.9, 0.0)];
-        let far = [Vec2::ZERO, Vec2::new(1.5, 0.0)];
-        let mask = [false, true];
-        m.on_event(&ctx(0.5, 1, &near, &[1], &mask, NO_HULL));
-        assert!(m.maintained());
-        m.on_event(&ctx(1.0, 2, &far, &[1], &mask, NO_HULL));
-        assert!(!m.maintained());
-        m.on_event(&ctx(1.5, 3, &far, &[1], &mask, NO_HULL));
-        let violations = m.into_violations();
-        assert_eq!(violations.len(), 1, "first observation only");
-        assert_eq!(violations[0].time, 1.0);
-        assert_eq!(violations[0].distance, 1.5);
+    /// One engine event as the monitors see it.
+    #[derive(Debug, Clone)]
+    enum Event<P> {
+        /// MoveStart of a standing robot toward a target; a zero-duration
+        /// Move (`true`) stands at the target at once.
+        Start(usize, P, bool),
+        /// MoveEnd of a moving robot.
+        End(usize),
+        /// A Look: the moving robots stand at these fractions of their
+        /// segments, assigned in robot order and cycled.
+        Tick(Vec<f64>),
     }
 
-    #[test]
-    fn cohesion_monitor_ignores_clean_pairs() {
-        // Robot 2 drifts away but shares no initial edge with anyone.
-        let mut m = CohesionMonitor::new(3, &[(0, 1)], |_, _| 1.0, 1e-9);
-        let pos = [Vec2::ZERO, Vec2::new(0.5, 0.0), Vec2::new(9.0, 0.0)];
-        let mask = [false, false, true];
-        m.on_event(&ctx(1.0, 1, &pos, &[2], &mask, NO_HULL));
-        assert!(m.maintained());
+    /// A miniature engine: every robot stands, or travels the segment
+    /// `origin → target` with the engine's interpolation arithmetic.
+    struct Swarm<P> {
+        origins: Vec<P>,
+        targets: Vec<P>,
+        reach: Vec<f64>,
+        moving: Vec<bool>,
+        instant: Vec<bool>,
+        positions: Vec<P>,
+        events: usize,
     }
 
-    #[test]
-    fn strong_visibility_seeds_from_initial_positions() {
-        // The pair starts acquired (d = 0.4 ≤ V/2) without ever being dirty,
-        // then separates beyond V in one hop: the violation must register.
-        let start = [Vec2::ZERO, Vec2::new(0.4, 0.0)];
-        let mut m = StrongVisibilityMonitor::new(1.0, 1e-9, &start);
-        let apart = [Vec2::ZERO, Vec2::new(1.2, 0.0)];
-        let mask = [false, true];
-        m.on_event(&ctx(1.0, 1, &apart, &[1], &mask, NO_HULL));
-        assert!(!m.ok());
+    impl<P: Ambient> Swarm<P> {
+        fn new(start: &[P]) -> Self {
+            let n = start.len();
+            Swarm {
+                origins: start.to_vec(),
+                targets: start.to_vec(),
+                reach: vec![0.0; n],
+                moving: vec![false; n],
+                instant: vec![false; n],
+                positions: start.to_vec(),
+                events: 0,
+            }
+        }
+
+        fn envelopes(&self) -> Envelopes<'_, P> {
+            Envelopes {
+                origins: &self.origins,
+                reach: &self.reach,
+                max_reach: self.reach.iter().fold(0.0, |m, &r| m.max(r)),
+            }
+        }
+
+        /// Applies `event` and hands the monitors its context.
+        fn apply(&mut self, event: &Event<P>, monitors: &mut [&mut dyn Monitor<P>]) {
+            self.events += 1;
+            let (breakpoint, stopped) = match *event {
+                Event::Start(i, to, instant) => {
+                    assert!(!self.moving[i], "robot {i} is already moving");
+                    let from = self.positions[i];
+                    self.origins[i] = from;
+                    self.targets[i] = to;
+                    self.reach[i] = (to - from).norm();
+                    self.moving[i] = true;
+                    self.instant[i] = instant;
+                    self.positions[i] = if instant { to } else { from.lerp(to, 0.0) };
+                    (Some(i), None)
+                }
+                Event::End(i) => {
+                    assert!(self.moving[i], "robot {i} is not moving");
+                    self.positions[i] = self.targets[i];
+                    self.origins[i] = self.targets[i];
+                    self.reach[i] = 0.0;
+                    self.moving[i] = false;
+                    (Some(i), Some(i))
+                }
+                Event::Tick(ref fractions) => {
+                    let travelling =
+                        (0..self.positions.len()).filter(|&i| self.moving[i] && !self.instant[i]);
+                    for (i, &s) in travelling.zip(fractions.iter().cycle()) {
+                        self.positions[i] = self.origins[i].lerp(self.targets[i], s);
+                    }
+                    (None, None)
+                }
+            };
+            let n = self.positions.len();
+            let dirty_mask: Vec<bool> = (0..n)
+                .map(|i| self.moving[i] || stopped == Some(i))
+                .collect();
+            let dirty: Vec<usize> = (0..n).filter(|&i| dirty_mask[i]).collect();
+            let ctx = MonitorContext {
+                time: self.events as f64,
+                events: self.events,
+                positions: &self.positions,
+                dirty: &dirty,
+                dirty_mask: &dirty_mask,
+                breakpoint,
+                envelopes: self.envelopes(),
+                hull_points: NO_HULL,
+            };
+            for m in monitors.iter_mut() {
+                m.on_event(&ctx);
+            }
+        }
     }
 
-    #[test]
-    fn strong_visibility_never_acquired_pair_may_separate() {
-        let start = [Vec2::ZERO, Vec2::new(0.9, 0.0)];
-        let mut m = StrongVisibilityMonitor::new(1.0, 1e-9, &start);
-        let apart = [Vec2::ZERO, Vec2::new(1.2, 0.0)];
-        let mask = [false, true];
-        m.on_event(&ctx(1.0, 1, &apart, &[1], &mask, NO_HULL));
-        assert!(m.ok(), "0.9 > V/2: visibility was never acquired");
-    }
-
-    /// The historical all-pairs sweep, kept as the oracle: the acquired set
-    /// as checkpoint bitset words, and the verdict.
+    /// The historical all-pairs sweep over both pair predicates, kept as the
+    /// oracle: initial edges are the pairs within `V`, each checked against
+    /// `V + tol` at every event; every pair is checked for acquisition and
+    /// acquired-pair violations.
     struct AllPairs {
         v: f64,
         tol: f64,
+        edges: Vec<(usize, usize)>,
         words: Vec<u64>,
         ok: bool,
+        violated: BTreeSet<(usize, usize)>,
+        /// `(a, b, time bits, distance bits)` in report order.
+        violations: Vec<(usize, usize, u64, u64)>,
     }
 
     impl AllPairs {
@@ -652,14 +991,24 @@ mod tests {
             let mut oracle = AllPairs {
                 v,
                 tol,
+                edges: Vec::new(),
                 words: vec![0; (n * n).div_ceil(64)],
                 ok: true,
+                violated: BTreeSet::new(),
+                violations: Vec::new(),
             };
-            oracle.observe(positions);
+            for a in 0..n {
+                for b in (a + 1)..n {
+                    if positions[a].dist(positions[b]) <= v {
+                        oracle.edges.push((a, b));
+                    }
+                }
+            }
+            oracle.observe(0.0, positions);
             oracle
         }
 
-        fn observe<P: Point>(&mut self, positions: &[P]) {
+        fn observe<P: Point>(&mut self, time: f64, positions: &[P]) {
             let n = positions.len();
             for a in 0..n {
                 for b in (a + 1)..n {
@@ -673,6 +1022,104 @@ mod tests {
                     }
                 }
             }
+            for &(a, b) in &self.edges {
+                let d = positions[a].dist(positions[b]);
+                if d > self.v + self.tol && self.violated.insert((a, b)) {
+                    self.violations.push((a, b, time.to_bits(), d.to_bits()));
+                }
+            }
+        }
+    }
+
+    fn reported(monitor: &CohesionMonitor) -> Vec<(usize, usize, u64, u64)> {
+        monitor
+            .violations()
+            .iter()
+            .map(|v| {
+                (
+                    v.pair.a.index(),
+                    v.pair.b.index(),
+                    v.time.to_bits(),
+                    v.distance.to_bits(),
+                )
+            })
+            .collect()
+    }
+
+    /// Both pair monitors and the oracle over one start configuration.
+    struct Pairs<P: Point> {
+        start: Vec<P>,
+        cohesion: CohesionMonitor,
+        strong: StrongVisibilityMonitor<P>,
+        oracle: AllPairs,
+    }
+
+    impl<P: Ambient> Pairs<P> {
+        fn new(v: f64, tol: f64, start: &[P]) -> Self {
+            let oracle = AllPairs::new(v, tol, start);
+            Pairs {
+                start: start.to_vec(),
+                cohesion: CohesionMonitor::new(start, &oracle.edges, |_, _| v, tol),
+                strong: StrongVisibilityMonitor::new(v, tol, start),
+                oracle,
+            }
+        }
+
+        /// Drives the monitors and the oracle through one event, then
+        /// compares them, and every third event compares the live watch
+        /// lists with the ones a restore rebuilds from the same state.
+        fn step(&mut self, swarm: &mut Swarm<P>, event: &Event<P>) -> Result<(), TestCaseError> {
+            swarm.apply(event, &mut [&mut self.cohesion, &mut self.strong]);
+            let at = swarm.events;
+            self.oracle.observe(at as f64, &swarm.positions);
+            prop_assert_eq!(
+                self.strong.ok(),
+                self.oracle.ok,
+                "verdict after event {}",
+                at
+            );
+            prop_assert_eq!(
+                self.strong.acquired_bits(),
+                self.oracle.words.clone(),
+                "acquired set after event {}",
+                at
+            );
+            let (live, swept) = (reported(&self.cohesion), &self.oracle.violations);
+            prop_assert_eq!(
+                &live,
+                swept,
+                "cohesion violations after event {}: {:?} vs {:?}",
+                at,
+                live,
+                swept
+            );
+            if at % 3 != 0 {
+                return Ok(());
+            }
+            let (v, tol) = (self.oracle.v, self.oracle.tol);
+            let mut cohesion = CohesionMonitor::new(&self.start, &self.oracle.edges, |_, _| v, tol);
+            cohesion.restore(self.cohesion.violations().to_vec(), &swarm.envelopes());
+            let mut strong = StrongVisibilityMonitor::new(v, tol, &self.start);
+            strong
+                .restore(
+                    &self.strong.acquired_bits(),
+                    self.strong.ok(),
+                    &swarm.envelopes(),
+                )
+                .map_err(TestCaseError::fail)?;
+            prop_assert_eq!(
+                cohesion.watched().collect::<Vec<_>>(),
+                self.cohesion.watched().collect::<Vec<_>>(),
+                "rebuilt cohesion watch list after event {}",
+                at
+            );
+            prop_assert_eq!(
+                strong.watched().collect::<Vec<_>>(),
+                self.strong.watched().collect::<Vec<_>>(),
+                "rebuilt strong watch list after event {}",
+                at
+            );
+            Ok(())
         }
     }
 
@@ -683,71 +1130,140 @@ mod tests {
     const STEP: f64 = 0.25;
     const TOL: f64 = 0.25;
 
-    /// One robot move: `(robot, kind, lattice cell, jitter)`. `kind`
-    /// picks the target — onto another robot's position, far outside
-    /// the grid's dense extent, the cell plus jitter, the exact cell, or
-    /// (half the time) a step of up to two lattice units from where the
-    /// robot stands, so pair distances creep onto the thresholds.
-    type Move = (usize, usize, (i32, i32, i32), f64);
+    /// The computed length of a `k`-step lattice diagonal in the plane.
+    fn diagonal(k: f64) -> f64 {
+        (2.0 * (k * STEP) * (k * STEP)).sqrt()
+    }
 
-    fn lattice<P: Point>((x, y, z): (i32, i32, i32), jitter: f64) -> P {
-        let c = [x as f64 * STEP + jitter, y as f64 * STEP, z as f64 * STEP];
+    /// `V` of the rounding family (with `tol = 0`): the computed envelope
+    /// bound `diagonal(1) + diagonal(3)` of a pair one diagonal step apart
+    /// whose robot moves three more steps away, one unit in the last place
+    /// short of the `diagonal(4)` the pair then measures. Only the slack
+    /// keeps such a pair watched.
+    fn rounding_v() -> f64 {
+        diagonal(1.0) + diagonal(3.0)
+    }
+
+    fn offset_point<P: Point>(offset: [f64; 3], (x, y, z): (i32, i32, i32)) -> P {
+        let c = [
+            offset[0] + f64::from(x) * STEP,
+            offset[1] + f64::from(y) * STEP,
+            offset[2] + f64::from(z) * STEP,
+        ];
         P::from_coords(&c[..P::DIM])
     }
 
-    /// Drives the monitor and the oracle through the same events; after
-    /// every event the verdicts and the acquired sets must agree.
+    /// One raw event: `(robot, kind, lattice cell, extra bits)`.
+    type Op = (usize, usize, (i32, i32, i32), u32);
+
+    /// The segment fraction an 8-bit code stands for: the segment ends, the
+    /// quarter points, points a hair short of the end, and others.
+    fn fraction(code: u32) -> f64 {
+        let code = code & 0xff;
+        match code % 8 {
+            0 => 0.0,
+            1 | 2 => 1.0,
+            3 => 0.25,
+            4 => 0.5,
+            5 => 0.75,
+            6 => 1.0 - (-f64::from(20 + code / 8 % 30)).exp2(),
+            _ => f64::from(code) / 256.0,
+        }
+    }
+
+    /// A standing robot (searched from `from`) with a standing partner one
+    /// diagonal step away in the plane, and that partner.
+    fn diagonal_pair<P: Ambient>(swarm: &Swarm<P>, from: usize) -> Option<(usize, usize)> {
+        let n = swarm.positions.len();
+        let steps = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+            .map(|(x, y)| offset_point::<P>([0.0; 3], (x, y, 0)));
+        (0..n).map(|k| (from + k) % n).find_map(|a| {
+            let pa = swarm.positions[a];
+            (0..n)
+                .find(|&b| {
+                    !swarm.moving[a]
+                        && !swarm.moving[b]
+                        && steps.iter().any(|&s| pa - swarm.positions[b] == s)
+                })
+                .map(|b| (a, b))
+        })
+    }
+
+    /// Turns a raw op into valid events for the swarm's current state.
+    fn decode<P: Ambient>(swarm: &Swarm<P>, offset: [f64; 3], op: Op) -> Vec<Event<P>> {
+        let (robot, kind, cell, extra) = op;
+        let n = swarm.positions.len();
+        let i = robot % n;
+        let tick = || Event::Tick((0..4).map(|k| fraction(extra >> (8 * k))).collect());
+        if kind % 8 == 7 {
+            return vec![tick()];
+        }
+        if swarm.moving[i] || kind % 8 == 6 {
+            return vec![
+                match (0..n).map(|k| (i + k) % n).find(|&j| swarm.moving[j]) {
+                    Some(j) => Event::End(j),
+                    None => tick(),
+                },
+            ];
+        }
+        let here = swarm.positions[i];
+        let instant = extra % 5 == 0;
+        let to = match kind % 8 {
+            // A step of up to five lattice units, so pair distances creep
+            // onto the thresholds.
+            0 | 1 => {
+                here + offset_point::<P>(
+                    [0.0; 3],
+                    (cell.0 % 11 - 5, cell.1 % 11 - 5, cell.2 % 11 - 5),
+                )
+            }
+            // Onto another robot: coincident robots.
+            2 => swarm.positions[extra as usize % n],
+            // A zero-duration hop far outside the grid's dense extent, into
+            // a small region where the far robots gather: no long Move stays
+            // in flight to pad the other robots' candidate queries.
+            3 => {
+                let far = offset_point(offset, (cell.0 % 8 + 40, cell.1 % 8, cell.2 % 4));
+                return vec![Event::Start(i, far, true), Event::End(i)];
+            }
+            // Three diagonal steps straight away from a partner one step
+            // off, or else next to a partner on its diagonal.
+            4 => match diagonal_pair(swarm, i) {
+                Some((a, b)) => {
+                    let away = swarm.positions[a] - swarm.positions[b];
+                    return vec![Event::Start(a, swarm.positions[a] + away * 3.0, instant)];
+                }
+                None => {
+                    swarm.positions[extra as usize % n] + offset_point::<P>([0.0; 3], (1, 1, 0))
+                }
+            },
+            _ => offset_point(offset, cell),
+        };
+        vec![Event::Start(i, to, instant)]
+    }
+
+    /// Drives both pair monitors and the oracle through the decoded events
+    /// from a start on the offset lattice.
     fn matches_all_pairs<P: Ambient>(
+        rounding: bool,
+        offset: (i32, i32, i32),
         start: &[(i32, i32, i32)],
-        events: &[(Vec<Move>, u32)],
+        ops: &[Op],
     ) -> Result<(), TestCaseError> {
-        let mut positions: Vec<P> = start.iter().map(|&c| lattice(c, 0.0)).collect();
-        let n = positions.len();
-        let mut monitor = StrongVisibilityMonitor::new(1.0, TOL, &positions);
-        let mut oracle = AllPairs::new(1.0, TOL, &positions);
-        prop_assert_eq!(monitor.acquired_bits(), oracle.words.clone());
-        for (time, (moves, all_dirty)) in events.iter().enumerate() {
-            let mut dirty: Vec<usize> = Vec::new();
-            for &(robot, kind, cell, jitter) in moves {
-                let i = robot % n;
-                positions[i] = match kind % 8 {
-                    0 => positions[(kind / 8) % n],
-                    1 => lattice((cell.0 + 40, cell.1, cell.2), 0.0),
-                    2 => lattice(cell, jitter),
-                    3 => lattice(cell, 0.0),
-                    _ => {
-                        positions[i]
-                            + lattice::<P>((cell.0 % 5 - 2, cell.1 % 5 - 2, cell.2 - 2), 0.0)
-                    }
-                };
-                dirty.push(i);
+        let offset = [offset.0, offset.1, offset.2].map(|o| f64::from(o) * STEP);
+        let start: Vec<P> = start.iter().map(|&c| offset_point(offset, c)).collect();
+        let (v, tol) = if rounding {
+            (rounding_v(), 0.0)
+        } else {
+            (1.0, TOL)
+        };
+        let mut pairs = Pairs::new(v, tol, &start);
+        prop_assert_eq!(pairs.strong.acquired_bits(), pairs.oracle.words.clone());
+        let mut swarm = Swarm::new(&start);
+        for &op in ops {
+            for event in decode(&swarm, offset, op) {
+                pairs.step(&mut swarm, &event)?;
             }
-            // Sometimes every robot is dirty, as under FSync mid-round.
-            if *all_dirty == 0 {
-                dirty = (0..n).collect();
-            }
-            dirty.sort_unstable();
-            dirty.dedup();
-            let mut dirty_mask = vec![false; n];
-            for &i in &dirty {
-                dirty_mask[i] = true;
-            }
-            monitor.on_event(&MonitorContext {
-                time: time as f64,
-                events: time + 1,
-                positions: &positions,
-                dirty: &dirty,
-                dirty_mask: &dirty_mask,
-                hull_points: NO_HULL,
-            });
-            oracle.observe(&positions);
-            prop_assert_eq!(monitor.ok(), oracle.ok, "verdict after event {}", time);
-            prop_assert_eq!(
-                monitor.acquired_bits(),
-                oracle.words.clone(),
-                "acquired set after event {}",
-                time
-            );
         }
         Ok(())
     }
@@ -756,30 +1272,166 @@ mod tests {
         (0i32..7, 0i32..7, 0i32..4)
     }
 
-    fn events() -> impl Strategy<Value = Vec<(Vec<Move>, u32)>> {
-        let one_move = (0usize..64, 0usize..512, cells(), -0.1f64..0.1);
-        proptest::collection::vec((proptest::collection::vec(one_move, 0..10), 0u32..5), 1..20)
+    fn offsets() -> impl Strategy<Value = (i32, i32, i32)> {
+        let o = -4_000_000i32..4_000_000;
+        (o.clone(), o.clone(), o)
     }
 
-    // Swarm sizes straddle GRID_THRESHOLD, so both candidate sources run.
+    fn ops() -> impl Strategy<Value = Vec<Op>> {
+        let op = (
+            0usize..64,
+            0usize..4096,
+            (0i32..64, 0i32..64, 0i32..64),
+            any::<u32>(),
+        );
+        proptest::collection::vec(op, 1..60)
+    }
+
+    // Both pair monitors against the all-pairs oracle along piecewise-linear
+    // motion, with coordinates offset by up to 1e6, thresholds hit exactly
+    // on the lattice (or, in the rounding family, missed by one unit in the
+    // last place), and swarm sizes straddling GRID_THRESHOLD so both
+    // candidate sources run.
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         #[test]
         fn strong_visibility_matches_all_pairs_2d(
+            rounding in any::<bool>(),
+            offset in offsets(),
             start in proptest::collection::vec(cells(), 2..64),
-            events in events(),
+            ops in ops(),
         ) {
-            matches_all_pairs::<Vec2>(&start, &events)?;
+            matches_all_pairs::<Vec2>(rounding, offset, &start, &ops)?;
         }
 
         #[test]
         fn strong_visibility_matches_all_pairs_3d(
+            rounding in any::<bool>(),
+            offset in offsets(),
             start in proptest::collection::vec(cells(), 2..64),
-            events in events(),
+            ops in ops(),
         ) {
-            matches_all_pairs::<cohesion_geometry::Vec3>(&start, &events)?;
+            matches_all_pairs::<cohesion_geometry::Vec3>(rounding, offset, &start, &ops)?;
         }
+    }
+
+    #[test]
+    fn rounding_family_misses_the_threshold_by_one_ulp() {
+        let v = rounding_v();
+        assert!(
+            v < diagonal(4.0),
+            "the bound must fall short of the measure"
+        );
+        assert_eq!(v.next_up(), diagonal(4.0));
+    }
+
+    #[test]
+    fn envelope_rounding_is_covered_by_the_slack() {
+        // Robot 1 stands one diagonal step from robot 0 (an initial edge and
+        // an acquired pair), then moves three steps straight away. At the
+        // segment's end the pair measures diagonal(4) > V, although its
+        // computed envelope bound is exactly V.
+        let start = [Vec2::new(1e6, -1e6), Vec2::new(1e6 + STEP, -1e6 + STEP)];
+        let v = rounding_v();
+        let mut pairs = Pairs::new(v, 0.0, &start);
+        let mut swarm = Swarm::new(&start);
+        let away = start[1] + (start[1] - start[0]) * 3.0;
+        for event in [
+            Event::Start(1, away, false),
+            Event::Tick(vec![0.5]),
+            Event::Tick(vec![1.0]),
+            Event::End(1),
+        ] {
+            pairs.step(&mut swarm, &event).unwrap();
+        }
+        assert!(!pairs.strong.ok());
+        assert_eq!(pairs.cohesion.violations()[0].time, 3.0);
+    }
+
+    #[test]
+    fn a_moved_origin_relocates_in_the_grid() {
+        // A grid-sized swarm: robots 0 and 1 hop far away, 1.0 apart (not
+        // acquired), then robot 1 steps 0.5 toward robot 0. Its candidate
+        // query finds robot 0 only at the origin robot 0's MoveEnd moved it
+        // to.
+        let start: Vec<Vec2> = (0..GRID_THRESHOLD)
+            .map(|i| Vec2::new((i % 8) as f64 * 0.9, (i / 8) as f64 * 0.9))
+            .collect();
+        let mut pairs = Pairs::new(1.0, TOL, &start);
+        let mut swarm = Swarm::new(&start);
+        let far = Vec2::new(40.0, 40.0);
+        for event in [
+            Event::Start(0, far, true),
+            Event::End(0),
+            Event::Start(1, far + Vec2::new(1.0, 0.0), true),
+            Event::End(1),
+            Event::Start(1, far + Vec2::new(0.5, 0.0), false),
+            Event::Tick(vec![1.0]),
+        ] {
+            pairs.step(&mut swarm, &event).unwrap();
+        }
+        assert_eq!(pairs.strong.acquired[1], [0]);
+    }
+
+    #[test]
+    fn cohesion_monitor_flags_broken_edge_once() {
+        let start = [Vec2::ZERO, Vec2::new(0.9, 0.0)];
+        let mut m = CohesionMonitor::new(&start, &[(0, 1)], |_, _| 1.0, 1e-9);
+        let mut swarm = Swarm::new(&start);
+        swarm.apply(&Event::Start(1, Vec2::new(1.5, 0.0), false), &mut [&mut m]);
+        assert!(m.maintained());
+        assert_eq!(m.watched().collect::<Vec<_>>(), [(0, 1)]);
+        swarm.apply(&Event::Tick(vec![1.0]), &mut [&mut m]);
+        assert!(!m.maintained());
+        assert_eq!(m.watched().count(), 0, "a reported edge leaves the list");
+        swarm.apply(&Event::End(1), &mut [&mut m]);
+        let violations = m.into_violations();
+        assert_eq!(violations.len(), 1, "first observation only");
+        assert_eq!(violations[0].time, 2.0);
+        assert_eq!(violations[0].distance, 1.5);
+    }
+
+    #[test]
+    fn cohesion_monitor_ignores_clean_pairs() {
+        // Robot 2 drifts away but shares no initial edge with anyone, and
+        // robot 1's short step keeps its edge off the watch list.
+        let start = [Vec2::ZERO, Vec2::new(0.5, 0.0), Vec2::new(0.9, 0.0)];
+        let mut m = CohesionMonitor::new(&start, &[(0, 1)], |_, _| 1.0, 1e-9);
+        let mut swarm = Swarm::new(&start);
+        swarm.apply(&Event::Start(2, Vec2::new(9.0, 0.0), false), &mut [&mut m]);
+        swarm.apply(&Event::Start(1, Vec2::new(0.6, 0.0), false), &mut [&mut m]);
+        swarm.apply(&Event::Tick(vec![1.0]), &mut [&mut m]);
+        assert!(m.maintained());
+        assert_eq!(m.watched().count(), 0);
+        assert_eq!(
+            m.pairs_checked(),
+            2,
+            "one bound at construction, one at the breakpoint"
+        );
+    }
+
+    #[test]
+    fn strong_visibility_seeds_from_initial_positions() {
+        // The pair starts acquired (d = 0.4 ≤ V/2) without ever being dirty,
+        // then separates beyond V in one zero-duration Move: the violation
+        // must register.
+        let start = [Vec2::ZERO, Vec2::new(0.4, 0.0)];
+        let mut m = StrongVisibilityMonitor::new(1.0, 1e-9, &start);
+        let mut swarm = Swarm::new(&start);
+        swarm.apply(&Event::Start(1, Vec2::new(1.2, 0.0), true), &mut [&mut m]);
+        assert!(!m.ok());
+    }
+
+    #[test]
+    fn strong_visibility_never_acquired_pair_may_separate() {
+        let start = [Vec2::ZERO, Vec2::new(0.9, 0.0)];
+        let mut m = StrongVisibilityMonitor::new(1.0, 1e-9, &start);
+        let mut swarm = Swarm::new(&start);
+        swarm.apply(&Event::Start(1, Vec2::new(1.2, 0.0), true), &mut [&mut m]);
+        swarm.apply(&Event::End(1), &mut [&mut m]);
+        assert!(m.ok(), "0.9 > V/2: visibility was never acquired");
+        assert_eq!(m.watched().count(), 0, "moving away cannot acquire");
     }
 
     #[test]
@@ -787,13 +1439,13 @@ mod tests {
         let mut m = DiameterMonitor::new(2, 0.5, (0.0, 2.0));
         let wide = [Vec2::ZERO, Vec2::new(2.0, 0.0)];
         let tight = [Vec2::ZERO, Vec2::new(0.3, 0.0)];
-        let mask = [false, false];
-        m.on_event(&ctx(1.0, 1, &wide, &[], &mask, NO_HULL));
+        let reach = [0.0; 2];
+        m.on_event(&ctx(1.0, 1, &wide, &reach, NO_HULL));
         assert_eq!(m.series().len(), 1, "off-cadence event not sampled");
-        m.on_event(&ctx(2.0, 2, &wide, &[], &mask, NO_HULL));
+        m.on_event(&ctx(2.0, 2, &wide, &reach, NO_HULL));
         assert_eq!(m.series(), &[(0.0, 2.0), (2.0, 2.0)]);
         assert!(!m.converged());
-        m.on_event(&ctx(3.0, 4, &tight, &[], &mask, NO_HULL));
+        m.on_event(&ctx(3.0, 4, &tight, &reach, NO_HULL));
         assert!(m.converged());
         assert_eq!(m.into_series().last(), Some(&(3.0, 0.3)));
     }
@@ -806,14 +1458,14 @@ mod tests {
             vec![Vec2::ZERO, Vec2::new(9.0, 0.0), Vec2::new(0.0, 9.0)],
         ];
         let mut m = HullMonitor::new(1, 1e-9);
-        let mask = [false; 3];
+        let reach = [0.0; 3];
         for (i, pts) in shrink_then_grow.iter().enumerate() {
             let provider = |out: &mut Vec<Vec2>| {
                 out.clear();
                 out.extend_from_slice(pts);
             };
             let positions = [Vec2::ZERO; 3];
-            m.on_event(&ctx(i as f64, i + 1, &positions, &[], &mask, &provider));
+            m.on_event(&ctx(i as f64, i + 1, &positions, &reach, &provider));
             if i < 2 {
                 assert!(m.nested(), "shrinking hulls stay nested");
             }
@@ -828,5 +1480,47 @@ mod tests {
         let c = Configuration::new(pts.clone());
         assert_eq!(diameter_of(&pts), c.diameter());
         assert_eq!(diameter_of::<Vec2>(&[]), 0.0);
+    }
+
+    /// The historical diameter loop: the largest `dist`.
+    fn largest_dist<P: Point>(positions: &[P]) -> f64 {
+        let mut best = 0.0_f64;
+        for i in 0..positions.len() {
+            for j in (i + 1)..positions.len() {
+                best = best.max(positions[i].dist(positions[j]));
+            }
+        }
+        best
+    }
+
+    /// A cloud of up to 40 points with coordinates of every magnitude, half
+    /// of them copies of earlier points.
+    fn cloud() -> impl Strategy<Value = Vec<((f64, f64, f64), usize)>> {
+        let coord = (-30i32..30, -1.0f64..1.0).prop_map(|(e, m)| m * f64::from(e).exp2());
+        proptest::collection::vec(((coord.clone(), coord.clone(), coord), 0usize..80), 0..40)
+    }
+
+    fn points<P: Point>(cloud: &[((f64, f64, f64), usize)]) -> Vec<P> {
+        let mut out: Vec<P> = Vec::new();
+        for &((x, y, z), copy) in cloud {
+            let p = match out.get(copy) {
+                Some(&q) if copy % 2 == 0 => q,
+                _ => P::from_coords(&[x, y, z][..P::DIM]),
+            };
+            out.push(p);
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn diameter_of_is_bitwise_the_largest_dist(cloud in cloud()) {
+            let planar: Vec<Vec2> = points(&cloud);
+            prop_assert_eq!(diameter_of(&planar).to_bits(), largest_dist(&planar).to_bits());
+            let spatial: Vec<cohesion_geometry::Vec3> = points(&cloud);
+            prop_assert_eq!(diameter_of(&spatial).to_bits(), largest_dist(&spatial).to_bits());
+        }
     }
 }

@@ -203,9 +203,9 @@ impl<P: Ambient> SimulationBuilder<P> {
     }
 
     /// Enables/disables strong-visibility tracking (the acquired-visibility
-    /// clause of Theorems 3–4). Per event it costs a grid range query plus
-    /// an acquired-partner walk for each robot that moved; see
-    /// [`StrongVisibilityMonitor`].
+    /// clause of Theorems 3–4). It costs a grid range query plus an
+    /// acquired-partner walk per breakpoint, and a walk of its watch list
+    /// per event; see [`StrongVisibilityMonitor`].
     pub fn track_strong_visibility(mut self, enabled: bool) -> Self {
         self.track_strong_visibility = enabled;
         self
@@ -228,11 +228,13 @@ impl<P: Ambient> SimulationBuilder<P> {
     /// in budgeted slices, and observed mid-flight.
     ///
     /// Predicate checking is delegated to the incremental monitors of
-    /// [`crate::monitors`]: positions are piecewise-linear in time, so only
-    /// robots in their Move phase can change position between consecutive
-    /// events, and the monitors re-check exactly the pairs incident to that
-    /// *dirty set*, reading positions from a session-owned buffer instead
-    /// of cloning a [`Configuration`] per event.
+    /// [`crate::monitors`]. Positions are piecewise-linear in time, so the
+    /// session updates only the robots in their Move phase (the *dirty
+    /// set*) in a session-owned buffer instead of cloning a
+    /// [`Configuration`] per event. The pair monitors re-classify a robot's
+    /// pairs only at its breakpoints (`MoveStart`, `MoveEnd`), from the
+    /// engine's motion envelopes, and at other events measure only the few
+    /// watched pairs whose envelopes can cross a threshold.
     pub fn build(self) -> Simulation<P> {
         let n = self.initial.len();
         // Cohesion is judged on the mutual visibility graph: with a common
@@ -284,9 +286,9 @@ impl<P: Ambient> SimulationBuilder<P> {
 
         let positions: Vec<P> = self.initial.positions().to_vec();
         let cohesion = match &self.visibility_radii {
-            None => CohesionMonitor::new(n, &initial_edges, |_, _| v, cohesion_tol),
+            None => CohesionMonitor::new(&positions, &initial_edges, |_, _| v, cohesion_tol),
             Some(radii) => CohesionMonitor::new(
-                n,
+                &positions,
                 &initial_edges,
                 |a, b| radii[a].min(radii[b]),
                 cohesion_tol,

@@ -40,7 +40,9 @@
 //! implements the trait by delegating to its incremental
 //! [`Monitor::on_event`] check), and the session drives its internal
 //! pipeline through exactly that interface — registered observers see the
-//! same stream the report is computed from.
+//! same stream the report is computed from. The one exception is the
+//! diameter sampler, which the session feeds directly so that a sample on
+//! a round boundary reuses the boundary's diameter.
 //!
 //! To read an observer's state *while the session still owns it*, register
 //! a shared handle: `Rc<RefCell<O>>` implements [`Observer`] whenever `O`
@@ -101,7 +103,8 @@ pub struct EventView<'a, P: Ambient = Vec2> {
 /// The standard monitors ([`CohesionMonitor`], [`StrongVisibilityMonitor`],
 /// [`HullMonitor`], [`DiameterMonitor`]) implement this trait by delegating
 /// to their incremental [`Monitor::on_event`] checks; the session's internal
-/// pipeline and registered observers are driven through the same interface.
+/// pipeline and registered observers are driven through the same interface
+/// (the diameter sampler aside, see the module docs).
 ///
 /// ```
 /// use cohesion_engine::{Observer, EventView, SimulationBuilder};
@@ -434,6 +437,19 @@ impl<P: Ambient> Simulation<P> {
         &self.engine
     }
 
+    /// The cohesion monitor (read-only), e.g. for its watch list or work
+    /// counter mid-run.
+    #[must_use]
+    pub fn cohesion(&self) -> &CohesionMonitor {
+        &self.cohesion
+    }
+
+    /// The strong-visibility monitor (read-only), when tracking is on.
+    #[must_use]
+    pub fn strong_visibility(&self) -> Option<&StrongVisibilityMonitor<P>> {
+        self.strong.as_ref()
+    }
+
     /// A point-in-time progress view: events, rounds, simulated time, the
     /// current configuration diameter, and cohesion-so-far. Costs one
     /// `O(n²)` diameter computation — cheap next to an event slice, but
@@ -588,9 +604,10 @@ impl<P: Ambient> Simulation<P> {
         self.engine.restore_core(&state.engine)?;
         let time = self.engine.time();
         self.engine.positions_at_into(time, &mut self.positions);
-        self.dirty.clear();
-        for m in &mut self.dirty_mask {
-            *m = false;
+        self.engine.collect_motile(&mut self.dirty);
+        self.dirty_mask.fill(false);
+        for &i in &self.dirty {
+            self.dirty_mask[i] = true;
         }
         self.events = state.events as usize;
         self.rounds = state.rounds as usize;
@@ -604,9 +621,12 @@ impl<P: Ambient> Simulation<P> {
             .collect();
         self.converged = state.converged;
         self.status = status;
-        self.cohesion.restore(violations);
+        // The pair monitors' watch lists are derived state: rebuilt from
+        // the restored envelopes, never serialized.
+        let envelopes = self.engine.envelopes();
+        self.cohesion.restore(violations, &envelopes);
         if let (Some(m), Some(s)) = (self.strong.as_mut(), state.strong.as_ref()) {
-            m.restore(&s.acquired, s.ok, &self.positions)?;
+            m.restore(&s.acquired, s.ok, &envelopes)?;
         }
         if let (Some(m), Some(s)) = (self.hull.as_mut(), state.hull.as_ref()) {
             m.restore(hull_prev, s.nested);
@@ -660,18 +680,21 @@ impl<P: Ambient> Simulation<P> {
     /// it affects the report.
     fn process(&mut self, event: EngineEvent) {
         let n = self.positions.len();
+        let robot = event.robot.index();
 
         // The dirty set: robots mid-Move plus the robot whose Move just
-        // ended — the only positions that changed since the last event.
-        self.engine.collect_motile(&mut self.dirty);
-        if event.kind == EngineEventKind::MoveEnd {
-            let idx = event.robot.index();
-            if let Err(slot) = self.dirty.binary_search(&idx) {
-                self.dirty.insert(slot, idx);
-            }
+        // ended — the only positions that changed since the last event. It
+        // is kept ascending across events and changes only at breakpoints:
+        // a robot joins at its MoveStart and leaves after its MoveEnd.
+        if event.kind == EngineEventKind::MoveStart {
+            let slot = self
+                .dirty
+                .binary_search(&robot)
+                .expect_err("a robot starts one Move at a time");
+            self.dirty.insert(slot, robot);
+            self.dirty_mask[robot] = true;
         }
         for &i in &self.dirty {
-            self.dirty_mask[i] = true;
             self.positions[i] = self.engine.position_of_at(i, event.time);
         }
 
@@ -693,13 +716,17 @@ impl<P: Ambient> Simulation<P> {
                 positions: &self.positions,
                 dirty: &self.dirty,
                 dirty_mask: &self.dirty_mask,
+                breakpoint: (event.kind != EngineEventKind::Look).then_some(robot),
+                envelopes: engine.envelopes(),
                 hull_points: &hull_points,
             },
         };
 
-        // Cohesion at every event: event times are exactly where
-        // piecewise-linear pair distances attain maxima, so checking dirty
-        // pairs at event boundaries is exhaustive.
+        // The pair monitors at every event: a breakpoint re-classifies its
+        // robot's pairs from the motion envelopes, and only the watched
+        // pairs with a dirty endpoint are measured — every other pair
+        // provably keeps its status until one of its endpoints' next
+        // breakpoint (see `crate::monitors`).
         Observer::on_event(&mut self.cohesion, &view);
         if let Some(m) = self.strong.as_mut() {
             Observer::on_event(m, &view);
@@ -717,21 +744,24 @@ impl<P: Ambient> Simulation<P> {
         }
         self.violations_streamed = self.cohesion.violations().len();
 
+        // The configuration diameter at this event, computed at most once:
+        // a round boundary and a diameter sample often fall on one event.
+        let mut diameter = None;
+
         // Round accounting. Cycles only advance at a MoveEnd, by one, so a
         // robot completes its first cycle of the round exactly when its
         // MoveEnd lifts it to `round_base + 1`.
-        if event.kind == EngineEventKind::MoveEnd {
-            let idx = event.robot.index();
-            if self.engine.completed_cycles()[idx] == self.round_base[idx] + 1 {
-                self.round_pending -= 1;
-            }
+        if event.kind == EngineEventKind::MoveEnd
+            && self.engine.completed_cycles()[robot] == self.round_base[robot] + 1
+        {
+            self.round_pending -= 1;
         }
         if self.round_pending == 0 {
             self.rounds += 1;
             self.round_base
                 .copy_from_slice(self.engine.completed_cycles());
             self.round_pending = n;
-            let d = monitors::diameter_of(&self.positions);
+            let d = *diameter.get_or_insert_with(|| monitors::diameter_of(&self.positions));
             self.round_diameters.push((self.rounds, d));
             for obs in &mut self.observers {
                 obs.on_round(self.rounds, event.time, d);
@@ -739,7 +769,10 @@ impl<P: Ambient> Simulation<P> {
         }
 
         // Diameter sampling + convergence test.
-        Observer::on_event(&mut self.diameter, &view);
+        if self.diameter.due(self.events) {
+            let d = diameter.unwrap_or_else(|| monitors::diameter_of(&self.positions));
+            self.diameter.record(event.time, d);
+        }
         for &(t, d) in &self.diameter.series()[self.samples_streamed..] {
             for obs in &mut self.observers {
                 obs.on_sample(t, d);
@@ -747,8 +780,13 @@ impl<P: Ambient> Simulation<P> {
         }
         self.samples_streamed = self.diameter.series().len();
 
-        for &i in &self.dirty {
-            self.dirty_mask[i] = false;
+        if event.kind == EngineEventKind::MoveEnd {
+            let slot = self
+                .dirty
+                .binary_search(&robot)
+                .expect("a moving robot is dirty");
+            self.dirty.remove(slot);
+            self.dirty_mask[robot] = false;
         }
     }
 

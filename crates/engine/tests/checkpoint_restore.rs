@@ -12,7 +12,7 @@
 //! file truncated at *any* byte, or with any state byte flipped, must be
 //! rejected loudly (JSON or FNV-1a hash check) — never restored wrong.
 
-use cohesion_engine::{Budget, Checkpoint, SimulationBuilder};
+use cohesion_engine::{Budget, Checkpoint, Simulation, SimulationBuilder};
 use cohesion_geometry::Vec2;
 use cohesion_model::visibility::GRID_THRESHOLD;
 use cohesion_model::FrameMode;
@@ -343,6 +343,78 @@ proptest! {
         prop_assert!(
             err.contains("hash mismatch") || err.contains("not valid JSON"),
             "unexpected rejection: {err}"
+        );
+    }
+}
+
+/// The pair monitors' watch lists: `(cohesion, strong visibility)`.
+type WatchLists = (Vec<(usize, usize)>, Vec<(usize, usize)>);
+
+fn watch_lists(session: &Simulation) -> WatchLists {
+    let strong = session
+        .strong_visibility()
+        .expect("strong visibility is tracked");
+    (
+        session.cohesion().watched().collect(),
+        strong.watched().collect(),
+    )
+}
+
+/// A cut mid-Move with pairs on the watch lists: the restored session
+/// rebuilds the lists from the restored motion envelopes, equal to the
+/// uninterrupted session's at the cut and at every event after it, and
+/// finishes with the same report.
+#[test]
+fn watch_lists_rebuild_mid_move() {
+    for (label, builder) in [
+        (
+            "grid-sized async",
+            grid_sized_builder as fn() -> SimulationBuilder,
+        ),
+        ("k-async", || golden_builder(&GOLDEN[3])),
+    ] {
+        let mut whole = builder().build();
+        let mut motile = Vec::new();
+        loop {
+            assert!(
+                !whole.step().is_terminal(),
+                "{label}: no mid-Move cut found"
+            );
+            whole.engine().collect_motile(&mut motile);
+            let (cohesion, strong) = watch_lists(&whole);
+            if whole.events() >= 100
+                && !motile.is_empty()
+                && !(cohesion.is_empty() && strong.is_empty())
+            {
+                break;
+            }
+        }
+        let checkpoint = whole.save().expect("checkpoint");
+        let mut resumed = builder().build();
+        resumed.restore(&checkpoint).expect("restore");
+        assert_eq!(
+            watch_lists(&resumed),
+            watch_lists(&whole),
+            "{label}: rebuilt watch lists at the cut (event {})",
+            whole.events()
+        );
+        loop {
+            let (a, b) = (whole.step(), resumed.step());
+            assert_eq!(a, b, "{label}: statuses diverged");
+            assert_eq!(
+                watch_lists(&resumed),
+                watch_lists(&whole),
+                "{label}: watch lists at event {}",
+                whole.events()
+            );
+            if a.is_terminal() {
+                break;
+            }
+        }
+        assert_eq!(
+            resumed.into_report(),
+            whole.into_report(),
+            "{label}: reports diverged"
         );
     }
 }

@@ -90,13 +90,16 @@ impl<P: Point> Configuration<P> {
     /// The Point Convergence predicate is exactly
     /// “∀ε ∃t ∀t′≥t: diameter ≤ ε”.
     pub fn diameter(&self) -> f64 {
+        // One square root of the largest squared distance: a correctly
+        // rounded square root is monotone, so this is bit for bit the
+        // largest `dist`.
         let mut best = 0.0_f64;
         for i in 0..self.positions.len() {
             for j in (i + 1)..self.positions.len() {
-                best = best.max(self.positions[i].dist(self.positions[j]));
+                best = best.max(self.positions[i].dist_sq(self.positions[j]));
             }
         }
-        best
+        best.sqrt()
     }
 
     /// The centre of gravity (arithmetic mean) of the configuration — the
