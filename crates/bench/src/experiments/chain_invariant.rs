@@ -126,7 +126,7 @@ impl Experiment for ChainInvariant {
     }
 
     fn engine_driven(&self) -> bool {
-        false // bespoke analytic driver below; no resumable session to cut
+        false // bespoke analytic driver below
     }
 
     fn run(&self, spec: &ScenarioSpec, _progress: &CellProgress<'_>) -> Outcome {

@@ -190,7 +190,7 @@ impl Experiment for ErrorTolerance {
     }
 
     fn engine_driven(&self) -> bool {
-        false // bespoke multi-trial driver below; no resumable session to cut
+        false // bespoke multi-trial driver below
     }
 
     fn run(&self, spec: &ScenarioSpec, _progress: &CellProgress<'_>) -> Outcome {

@@ -203,7 +203,7 @@ impl Experiment for Lemmas {
     }
 
     fn engine_driven(&self) -> bool {
-        false // bespoke violation-count driver; no resumable session to cut
+        false // bespoke violation-count driver
     }
 
     fn run(&self, spec: &ScenarioSpec, _progress: &CellProgress<'_>) -> Outcome {

@@ -138,7 +138,7 @@ impl Experiment for SafeRegions {
     }
 
     fn engine_driven(&self) -> bool {
-        false // bespoke geometric driver below; no resumable session to cut
+        false // bespoke geometric driver below
     }
 
     fn run(&self, spec: &ScenarioSpec, _progress: &CellProgress<'_>) -> Outcome {

@@ -139,7 +139,7 @@ impl Experiment for Timelines {
     }
 
     fn engine_driven(&self) -> bool {
-        false // the cell is analytic (trace collected in reduce); nothing to cut
+        false // the cell is analytic (trace collected in reduce)
     }
 
     fn run(&self, _spec: &ScenarioSpec, _progress: &CellProgress<'_>) -> Outcome {

@@ -6,12 +6,15 @@
 //! arg parsing, and file emission. One shared runtime owns:
 //!
 //! * CLI parsing (`--quick`, `--threads`, `--out`, `--shard I/M`) behind the
-//!   single `lab` binary (`lab list`, `lab run <name>`, `lab all`,
+//!   single `lab` binary (`lab list`, `lab run <name>...`, `lab all`,
 //!   `lab merge <name>`);
 //! * the [`Profile`] (quick CI smoke vs full reproduction);
-//! * deterministic **process-level sharding**: `--shard I/M` slices the spec
-//!   grid into `M` contiguous chunks, so concatenating the shard files in
-//!   index order (`lab merge`) is *byte-identical* to an unsharded run —
+//! * one cell pool ([`run_experiments`]): the cells of every selected
+//!   experiment run on a single [`SweepRunner`], with no barrier between
+//!   experiments;
+//! * deterministic **process-level sharding**: `--shard I/M` slices each
+//!   spec grid into `M` contiguous chunks, so concatenating the shard files
+//!   in index order (`lab merge`) is *byte-identical* to an unsharded run —
 //!   rows are a pure per-spec function, merged in spec order, exactly the
 //!   [`SweepRunner`] contract lifted across processes;
 //! * JSONL sinks under `target/experiments/`.
@@ -22,11 +25,9 @@ use cohesion_engine::SimulationReport;
 use cohesion_geometry::{Vec2, Vec3};
 use cohesion_model::Progress;
 use cohesion_telemetry::sync::Guarded;
-use cohesion_telemetry::{keys, StateStore};
 use serde::Serialize;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Profile
@@ -108,117 +109,18 @@ pub struct ProgressRecord {
     pub rows: usize,
 }
 
-/// Where an experiment run's progress records go. The lab CLI writes them
-/// as JSONL sidecar lines ([`JsonlProgressOutput`]); a `lab worker` bridges
-/// them onto its coordinator socket as `Heartbeat` frames (the
-/// progress-handle → heartbeat bridge in `crate::net::worker`).
-pub trait ProgressOutput: Send + Sync {
-    /// Consumes one record. Implementations serialize whole records
-    /// atomically (concurrent cells may emit at once).
-    fn record(&self, record: &ProgressRecord);
-}
-
-/// File-backed [`ProgressOutput`]: one compact-JSON line per record. Lines
-/// are written atomically through the telemetry plane's closure-scoped
-/// [`Guarded`] lock, so concurrent cells interleave whole records, never
-/// bytes — and the only concurrency primitive lives in the audited
-/// `cohesion_telemetry::sync` module.
+/// The progress sink one experiment run emits through: stamps each record
+/// with the experiment name and shard assignment and appends it to the
+/// JSONL sidecar as one compact-JSON line. Lines are written atomically
+/// through the telemetry plane's closure-scoped [`Guarded`] lock, so
+/// concurrent cells interleave whole records, never bytes — and the only
+/// concurrency primitive lives in the audited `cohesion_telemetry::sync`
+/// module.
 #[derive(Debug)]
-pub struct JsonlProgressOutput {
-    out: Guarded<std::fs::File>,
-}
-
-impl ProgressOutput for JsonlProgressOutput {
-    fn record(&self, record: &ProgressRecord) {
-        let line = serde_json::to_string(record).expect("serialize progress record");
-        self.out
-            .with(|out| writeln!(out, "{line}"))
-            .expect("write progress record");
-    }
-}
-
-/// Store-backed [`ProgressOutput`]: publishes each record's fields into a
-/// [`StateStore`] under a per-cell scope, optionally forwarding the record
-/// to another output (tee). This is how a locally-run experiment — and the
-/// coordinator's Heartbeat path — feed the live `lab watch` plane without
-/// touching the row pipeline.
-pub struct StoreProgressOutput {
-    store: Arc<StateStore>,
-    forward: Option<Box<dyn ProgressOutput>>,
-}
-
-impl StoreProgressOutput {
-    /// An output that only publishes into `store`.
-    #[must_use]
-    pub fn new(store: Arc<StateStore>) -> StoreProgressOutput {
-        StoreProgressOutput {
-            store,
-            forward: None,
-        }
-    }
-
-    /// Tees: publish into `store`, then forward to `out`.
-    #[must_use]
-    pub fn tee(store: Arc<StateStore>, out: Box<dyn ProgressOutput>) -> StoreProgressOutput {
-        StoreProgressOutput {
-            store,
-            forward: Some(out),
-        }
-    }
-}
-
-impl ProgressOutput for StoreProgressOutput {
-    fn record(&self, record: &ProgressRecord) {
-        publish_progress(&self.store, record);
-        if let Some(forward) = &self.forward {
-            forward.record(record);
-        }
-    }
-}
-
-/// Publishes one progress record into a store under the scope
-/// `"<experiment>"` (unsharded) or `"<experiment>/<I>of<M>"`. The standard
-/// `progress/*` tokens (see `cohesion_telemetry::keys`) carry the record's
-/// fields; the latest record per scope wins, which is exactly the
-/// dashboard view.
-pub fn publish_progress(store: &StateStore, record: &ProgressRecord) {
-    let scope = if record.shard.is_empty() {
-        record.experiment.clone()
-    } else {
-        format!("{}/{}", record.experiment, record.shard.replace('/', "of"))
-    };
-    store.publish_scoped(&scope, keys::CELL, record.cell as u64);
-    store.publish_scoped(&scope, keys::CELL_PHASE, record.phase.clone());
-    if !record.tag.is_empty() {
-        store.publish_scoped(&scope, keys::CELL_TAG, record.tag.clone());
-    }
-    store.publish_scoped(&scope, keys::CELL_EVENTS, record.events as u64);
-    store.publish_scoped(&scope, keys::CELL_ROUNDS, record.rounds as u64);
-    store.publish_scoped(&scope, keys::CELL_TIME, record.time);
-    store.publish_scoped(&scope, keys::CELL_DIAMETER, record.diameter);
-    store.publish_scoped(&scope, keys::CELL_COHESION_OK, record.cohesion_ok);
-    store.publish_scoped(&scope, keys::CELL_CONVERGED, record.converged);
-    if record.phase == "done" {
-        store.publish_scoped(&scope, keys::CELL_ROWS, record.rows as u64);
-    }
-}
-
-/// The shared progress sink one experiment run emits through: stamps each
-/// record with the experiment name and shard assignment, then hands it to
-/// the configured [`ProgressOutput`].
 pub struct ProgressSink {
     experiment: &'static str,
     shard: String,
-    out: Box<dyn ProgressOutput>,
-}
-
-impl std::fmt::Debug for ProgressSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ProgressSink")
-            .field("experiment", &self.experiment)
-            .field("shard", &self.shard)
-            .finish_non_exhaustive()
-    }
+    out: Guarded<std::fs::File>,
 }
 
 impl ProgressSink {
@@ -230,28 +132,11 @@ impl ProgressSink {
     ) -> Result<ProgressSink, String> {
         let file = std::fs::File::create(path)
             .map_err(|e| format!("create progress sidecar {}: {e}", path.display()))?;
-        Ok(ProgressSink::with_output(
-            experiment,
-            shard,
-            Box::new(JsonlProgressOutput {
-                out: Guarded::new(file),
-            }),
-        ))
-    }
-
-    /// A sink over an arbitrary output — how the distributed worker routes
-    /// heartbeats onto its coordinator socket instead of a local file.
-    #[must_use]
-    pub fn with_output(
-        experiment: &'static str,
-        shard: Option<Shard>,
-        out: Box<dyn ProgressOutput>,
-    ) -> ProgressSink {
-        ProgressSink {
+        Ok(ProgressSink {
             experiment,
             shard: shard.map_or(String::new(), |s| format!("{}/{}", s.index, s.count)),
-            out,
-        }
+            out: Guarded::new(file),
+        })
     }
 
     fn emit(&self, cell: usize, tag: &str, phase: &str, p: &Progress, rows: usize) {
@@ -269,7 +154,10 @@ impl ProgressSink {
             converged: p.converged,
             rows,
         };
-        self.out.record(&record);
+        let line = serde_json::to_string(&record).expect("serialize progress record");
+        self.out
+            .with(|out| writeln!(out, "{line}"))
+            .expect("write progress record");
     }
 }
 
@@ -310,7 +198,7 @@ pub const NO_PROGRESS: CellProgress<'static> = CellProgress {
 
 impl<'a> CellProgress<'a> {
     /// A live handle appending to `sink` for grid cell `cell` — for ad-hoc
-    /// harnesses that drive cells outside `run_experiment`.
+    /// harnesses that drive cells outside `run_experiments`.
     #[must_use]
     pub fn new(sink: Option<&'a ProgressSink>, cell: usize, tag: &'a str) -> Self {
         CellProgress { sink, cell, tag }
@@ -540,12 +428,13 @@ pub trait Experiment: Sync {
         Outcome::compute_with(spec, progress)
     }
 
-    /// `true` when cells run through the default engine dispatch above —
-    /// the distributed worker then drives them as resumable sessions and
-    /// checkpoints *mid-cell* (`crate::resume`). Experiments that override
-    /// [`Experiment::run`] with a bespoke driver (Monte-Carlo trials,
-    /// schedule searches, pure geometry) must also override this to
-    /// `false`; their shards checkpoint at cell boundaries instead.
+    /// `true` when cells run through the default engine dispatch above, so
+    /// a harness may rebuild a cell's session (or §7 adversary run) from
+    /// the spec's public fields — the benchmark's traced run does, to time
+    /// Compute. Experiments that override [`Experiment::run`] with a
+    /// bespoke driver (Monte-Carlo trials, schedule searches, pure
+    /// geometry) must also override this to `false`; such harnesses then
+    /// call [`Experiment::run`] as is.
     fn engine_driven(&self) -> bool {
         true
     }
@@ -624,13 +513,6 @@ impl Shard {
     pub fn file_name(self, stem: &str) -> String {
         format!("{stem}.shard{}of{}.jsonl", self.index, self.count)
     }
-
-    /// The shard-qualified checkpoint file name for an output stem — where
-    /// the coordinator persists the last good [`crate::resume::ShardCheckpoint`].
-    #[must_use]
-    pub fn checkpoint_file_name(self, stem: &str) -> String {
-        format!("{stem}.shard{}of{}.ckpt", self.index, self.count)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -682,105 +564,143 @@ pub fn progress_file_name(stem: &str, shard: Option<Shard>) -> String {
     }
 }
 
-/// The shared cell-execution core: materialize the grid for `profile`,
-/// slice out `shard` (the whole grid when `None`), run the cells in
-/// parallel, reduce each to its rows. Per-cell progress streams through
-/// `sink` when one is given. Both the local CLI ([`run_experiment`]) and
-/// the distributed worker (`crate::net::worker`) are thin wrappers over
-/// this — the byte-identity contract lives here.
-pub fn run_shard_cells(
-    exp: &dyn Experiment,
-    profile: Profile,
-    shard: Option<Shard>,
-    threads: Option<usize>,
-    sink: Option<&ProgressSink>,
-) -> Vec<LabCell> {
-    let grid = exp.grid(profile);
-    let total = grid.len();
-    let range = shard.map_or(0..total, |s| s.slice(total));
-    let cell_base = range.start;
-    let specs = &grid[range];
-    let runner = match threads {
-        Some(t) => SweepRunner::with_threads(t),
-        None => SweepRunner::new(),
-    };
-    let results = runner.run(specs, |i, spec| {
-        let progress = CellProgress::new(sink, cell_base + i, spec.tag);
-        progress.start();
-        let outcome = exp.run(spec, &progress);
-        let rows = exp.reduce(spec, &outcome);
-        progress.done(&outcome, rows.len());
-        (outcome, rows)
-    });
-    specs
-        .iter()
-        .cloned()
-        .zip(results)
-        .map(|(spec, (outcome, rows))| LabCell {
-            spec,
-            outcome,
-            rows,
-        })
-        .collect()
+/// One selected experiment inside [`run_experiments`]: its (shard-sliced)
+/// cells and, with `--progress`, its sidecar.
+struct Planned<'a> {
+    exp: &'a dyn Experiment,
+    /// Absolute index of `specs[0]` in the unsharded grid.
+    base: usize,
+    total: usize,
+    specs: Vec<ScenarioSpec>,
+    sink: Option<(ProgressSink, PathBuf)>,
 }
 
-/// Executes one experiment: materialize the grid, slice the shard, run the
-/// cells in parallel (streaming per-cell progress into the sidecar when
-/// enabled), write rows in spec order, render, check.
-pub fn run_experiment(exp: &dyn Experiment, opts: &LabOptions) -> Result<RunSummary, String> {
-    crate::banner(exp.id(), exp.title());
-    if let Some(s) = opts.shard {
-        let total = exp.grid(opts.profile).len();
-        let range = s.slice(total);
-        println!(
-            "[shard {}/{}: cells {}..{} of {}]",
-            s.index, s.count, range.start, range.end, total
-        );
-    }
-
+/// Executes experiments as one cell pool: every given experiment's grid
+/// (its `--shard` slice) is flattened, in the order given, into one list
+/// run on a single [`SweepRunner`], so no thread idles behind one
+/// experiment's slowest cell while another's wait. Then, per experiment in
+/// the same order, the rows are written in spec order, rendered and
+/// checked. A failed check does not stop the others: every row file is
+/// written and every check runs before the failures are reported together.
+pub fn run_experiments(
+    exps: &[&dyn Experiment],
+    opts: &LabOptions,
+) -> Result<Vec<RunSummary>, String> {
     let dir = out_dir(opts);
     std::fs::create_dir_all(&dir)
         .map_err(|e| format!("create output dir {}: {e}", dir.display()))?;
-    let sink = if opts.progress {
-        let path = dir.join(progress_file_name(exp.output_stem(), opts.shard));
-        Some((ProgressSink::create(&path, exp.name(), opts.shard)?, path))
-    } else {
-        None
-    };
-    let sink_ref = sink.as_ref().map(|(s, _)| s);
+    let mut plans = Vec::with_capacity(exps.len());
+    for &exp in exps {
+        let mut specs = exp.grid(opts.profile);
+        let total = specs.len();
+        let range = opts.shard.map_or(0..total, |s| s.slice(total));
+        specs.truncate(range.end);
+        specs.drain(..range.start);
+        let sink = if opts.progress {
+            let path = dir.join(progress_file_name(exp.output_stem(), opts.shard));
+            Some((ProgressSink::create(&path, exp.name(), opts.shard)?, path))
+        } else {
+            None
+        };
+        plans.push(Planned {
+            exp,
+            base: range.start,
+            total,
+            specs,
+            sink,
+        });
+    }
 
-    let cells = run_shard_cells(exp, opts.profile, opts.shard, opts.threads, sink_ref);
-
-    let file = match opts.shard {
-        Some(s) => s.file_name(exp.output_stem()),
-        None => format!("{}.jsonl", exp.output_stem()),
+    let items: Vec<(usize, usize)> = plans
+        .iter()
+        .enumerate()
+        .flat_map(|(p, plan)| (0..plan.specs.len()).map(move |i| (p, i)))
+        .collect();
+    let runner = match opts.threads {
+        Some(t) => SweepRunner::with_threads(t),
+        None => SweepRunner::new(),
     };
-    let path = dir.join(file);
-    let mut rows_written = 0usize;
-    {
-        let mut f =
-            std::fs::File::create(&path).map_err(|e| format!("create {}: {e}", path.display()))?;
-        for cell in &cells {
-            for row in &cell.rows {
-                writeln!(f, "{}", row.as_str()).map_err(|e| format!("write row: {e}"))?;
-                rows_written += 1;
-            }
+    let mut results = runner
+        .run(&items, |_, &(p, i)| {
+            let plan = &plans[p];
+            let spec = &plan.specs[i];
+            let progress =
+                CellProgress::new(plan.sink.as_ref().map(|(s, _)| s), plan.base + i, spec.tag);
+            progress.start();
+            let outcome = plan.exp.run(spec, &progress);
+            let rows = plan.exp.reduce(spec, &outcome);
+            progress.done(&outcome, rows.len());
+            (outcome, rows)
+        })
+        .into_iter();
+
+    let mut summaries = Vec::with_capacity(plans.len());
+    let mut failures = Vec::new();
+    for plan in plans {
+        let exp = plan.exp;
+        crate::banner(exp.id(), exp.title());
+        if let Some(s) = opts.shard {
+            println!(
+                "[shard {}/{}: cells {}..{} of {}]",
+                s.index,
+                s.count,
+                plan.base,
+                plan.base + plan.specs.len(),
+                plan.total
+            );
         }
+        let cells: Vec<LabCell> = plan
+            .specs
+            .into_iter()
+            .zip(results.by_ref())
+            .map(|(spec, (outcome, rows))| LabCell {
+                spec,
+                outcome,
+                rows,
+            })
+            .collect();
+        let file = match opts.shard {
+            Some(s) => s.file_name(exp.output_stem()),
+            None => format!("{}.jsonl", exp.output_stem()),
+        };
+        let path = dir.join(file);
+        let rows = write_rows(&path, &cells)?;
+        exp.render(&cells);
+        println!("\n[{rows} rows -> {}]", path.display());
+        if let Some((_, sidecar)) = &plan.sink {
+            println!("[progress sidecar -> {}]", sidecar.display());
+        }
+        if let Err(e) = exp.check(&cells) {
+            failures.push(format!("{}: invariant check failed: {e}", exp.name()));
+        }
+        println!();
+        summaries.push(RunSummary {
+            name: exp.name(),
+            cells: cells.len(),
+            rows,
+            path,
+        });
     }
+    if failures.is_empty() {
+        Ok(summaries)
+    } else {
+        Err(failures.join("\n"))
+    }
+}
 
-    exp.render(&cells);
-    println!("\n[{} rows -> {}]", rows_written, path.display());
-    if let Some((_, sidecar)) = &sink {
-        println!("[progress sidecar -> {}]", sidecar.display());
+/// Writes every cell's rows, in order, to `path`; returns the row count.
+fn write_rows(path: &Path, cells: &[LabCell]) -> Result<usize, String> {
+    let file =
+        std::fs::File::create(path).map_err(|e| format!("create {}: {e}", path.display()))?;
+    let mut f = std::io::BufWriter::new(file);
+    let mut rows = 0usize;
+    for row in cells.iter().flat_map(|c| &c.rows) {
+        writeln!(f, "{}", row.as_str()).map_err(|e| format!("write row: {e}"))?;
+        rows += 1;
     }
-    exp.check(&cells)
-        .map_err(|e| format!("{}: invariant check failed: {e}", exp.name()))?;
-    Ok(RunSummary {
-        name: exp.name(),
-        cells: cells.len(),
-        rows: rows_written,
-        path,
-    })
+    f.flush()
+        .map_err(|e| format!("flush {}: {e}", path.display()))?;
+    Ok(rows)
 }
 
 /// Merges an experiment's shard files (`<stem>.shard<I>of<M>.jsonl`) from
@@ -825,9 +745,6 @@ pub fn merge_shards(stem: &str, dir: &Path) -> Result<PathBuf, String> {
     shards.sort_by_key(|&(i, _, _)| i);
     let indices: Vec<usize> = shards.iter().map(|&(i, _, _)| i).collect();
     if indices != (0..count).collect::<Vec<_>>() {
-        // Name exactly which `I of M` files are absent — with a fleet of
-        // workers writing shards, "which machine's output is missing" is
-        // the first question.
         let missing: Vec<String> = (0..count)
             .filter(|i| !indices.contains(i))
             .map(|i| format!("{i} of {count}"))
@@ -840,8 +757,7 @@ pub fn merge_shards(stem: &str, dir: &Path) -> Result<PathBuf, String> {
     }
     let out = dir.join(format!("{stem}.jsonl"));
     // Stream each shard through a fixed-size copy buffer instead of
-    // buffering whole files: coordinator-collected shards of billion-event
-    // runs merge in O(1) memory.
+    // buffering whole files: shards merge in O(1) memory.
     let mut w = std::io::BufWriter::new(
         std::fs::File::create(&out).map_err(|e| format!("create {}: {e}", out.display()))?,
     );
@@ -865,56 +781,32 @@ the cohesion experiment lab — every paper figure/table behind one CLI
 
 usage:
   lab list                                   index of registered experiments
-  lab run <name> [options]                   run one experiment
-  lab all [options]                          run every experiment in order
+  lab run <name>... [options]                run the named experiments
+  lab all [options]                          run every experiment
   lab merge <name>... [--out DIR]            merge shard files into <stem>.jsonl
   lab merge --all [--out DIR]                merge every complete shard set
-  lab serve [<name>...] [options]            coordinate a worker fleet over TCP
-                                             (default: every experiment); exits
-                                             once all shards are merged
-  lab worker --connect HOST:PORT [options]   run shards for a coordinator until
-                                             it sends shutdown
-  lab watch --connect HOST:PORT [--json]     attach to a coordinator as a live
-                                             telemetry watcher (any time
-                                             mid-run; read-only, cannot affect
-                                             the run or its row bytes)
   lab lint [--json]                          run cohesion-lint over the whole
                                              workspace (non-zero exit on any
                                              violation not allowlisted in
                                              lint.toml)
 
+`run` and `all` feed every selected experiment's cells through one worker
+pool, then write, render and check each experiment in registry order; a
+failed check fails the run after every row file is written.
+
 options:
   --quick          shrunken CI smoke grids (default: full reproduction)
-  --threads N      worker threads (default: COHESION_SWEEP_THREADS or all cores)
+  --full           the full reproduction grids (the default)
+  --threads N      worker threads (default: all cores)
   --out DIR        output directory (default: target/experiments)
-  --shard I/M      run only the I-th of M contiguous grid chunks; outputs to
-                   <stem>.shardIofM.jsonl — concatenating shards 0..M in order
-                   (lab merge) is byte-identical to an unsharded run
+  --shard I/M      run only the I-th of M contiguous chunks of each grid;
+                   outputs to <stem>.shardIofM.jsonl — concatenating shards
+                   0..M in order (lab merge) is byte-identical to an
+                   unsharded run
   --progress       stream per-cell heartbeats to a <stem>.progress.jsonl
-                   sidecar (shard-qualified under --shard): one start/done
-                   record per cell plus a heartbeat per 100k engine events
-
-serve options:
-  --addr HOST:PORT     listen address (default 127.0.0.1:7401; port 0 = ephemeral)
-  --workers N          expected fleet size; sets the default shard count (2N)
-  --shards M           shards per experiment grid (default 2x --workers)
-  --heartbeat-ms T     liveness cadence (default 2000); a worker silent for
-                       3 consecutive intervals is declared dead and its shard
-                       is reassigned
-
-worker options:
-  --connect HOST:PORT      coordinator address (required)
-  --checkpoint-events N    mid-cell checkpoint cadence in engine events
-                           (default 5000000); each checkpoint is shipped to
-                           the coordinator so a killed worker's shard resumes
-                           instead of recomputing
-
-watch options:
-  --connect HOST:PORT      coordinator address (required)
-  --json                   emit one compact JSON object per state update
-                           ({\"seq\":N,\"key\":\"...\",\"value\":{\"F64\":...}})
-                           plus a {\"dropped\":N} line per lossy batch,
-                           instead of the terminal summary table";
+                   sidecar per experiment (shard-qualified under --shard):
+                   one start/done record per cell plus a heartbeat per 100k
+                   engine events";
 
 /// Resolves a registry experiment by name.
 pub fn find_experiment(name: &str) -> Result<&'static dyn Experiment, String> {
@@ -935,13 +827,6 @@ struct Parsed {
     opts: LabOptions,
     names: Vec<String>,
     all: bool,
-    addr: Option<String>,
-    connect: Option<String>,
-    workers: Option<usize>,
-    shards: Option<usize>,
-    heartbeat_ms: Option<u64>,
-    checkpoint_events: Option<usize>,
-    json: bool,
 }
 
 fn parse_args(args: &[String]) -> Result<Parsed, String> {
@@ -949,13 +834,6 @@ fn parse_args(args: &[String]) -> Result<Parsed, String> {
         opts: LabOptions::default(),
         names: Vec::new(),
         all: false,
-        addr: None,
-        connect: None,
-        workers: None,
-        shards: None,
-        heartbeat_ms: None,
-        checkpoint_events: None,
-        json: false,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -982,55 +860,6 @@ fn parse_args(args: &[String]) -> Result<Parsed, String> {
             }
             "--progress" => parsed.opts.progress = true,
             "--all" => parsed.all = true,
-            "--json" => parsed.json = true,
-            "--addr" => {
-                let v = it.next().ok_or("--addr needs a HOST:PORT value")?;
-                parsed.addr = Some(v.clone());
-            }
-            "--connect" => {
-                let v = it.next().ok_or("--connect needs a HOST:PORT value")?;
-                parsed.connect = Some(v.clone());
-            }
-            "--workers" => {
-                let v = it.next().ok_or("--workers needs a value")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("--workers '{v}' is not an integer"))?;
-                if n == 0 {
-                    return Err("--workers must be at least 1".into());
-                }
-                parsed.workers = Some(n);
-            }
-            "--shards" => {
-                let v = it.next().ok_or("--shards needs a value")?;
-                let m: usize = v
-                    .parse()
-                    .map_err(|_| format!("--shards '{v}' is not an integer"))?;
-                if m == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-                parsed.shards = Some(m);
-            }
-            "--checkpoint-events" => {
-                let v = it.next().ok_or("--checkpoint-events needs a value")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("--checkpoint-events '{v}' is not an integer"))?;
-                if n == 0 {
-                    return Err("--checkpoint-events must be at least 1".into());
-                }
-                parsed.checkpoint_events = Some(n);
-            }
-            "--heartbeat-ms" => {
-                let v = it.next().ok_or("--heartbeat-ms needs a value")?;
-                let t: u64 = v
-                    .parse()
-                    .map_err(|_| format!("--heartbeat-ms '{v}' is not an integer"))?;
-                if t == 0 {
-                    return Err("--heartbeat-ms must be at least 1".into());
-                }
-                parsed.heartbeat_ms = Some(t);
-            }
             flag if flag.starts_with("--") => {
                 return Err(format!("unknown flag '{flag}'\n\n{USAGE}"));
             }
@@ -1066,10 +895,21 @@ pub fn lab_main(args: &[String]) -> Result<(), String> {
             if parsed.names.is_empty() {
                 return Err(format!("`lab run` needs an experiment name\n\n{USAGE}"));
             }
-            for name in &parsed.names {
-                let exp = find_experiment(name)?;
-                run_experiment(exp, &parsed.opts)?;
+            // A repeated name would have two runs of one experiment write
+            // its row file and sidecar at once.
+            if let Some(dup) = (1..parsed.names.len()).find_map(|i| {
+                parsed.names[..i]
+                    .contains(&parsed.names[i])
+                    .then_some(&parsed.names[i])
+            }) {
+                return Err(format!("`lab run` names '{dup}' twice"));
             }
+            let exps = parsed
+                .names
+                .iter()
+                .map(|n| find_experiment(n))
+                .collect::<Result<Vec<_>, _>>()?;
+            run_experiments(&exps, &parsed.opts)?;
             Ok(())
         }
         "all" => {
@@ -1080,11 +920,7 @@ pub fn lab_main(args: &[String]) -> Result<(), String> {
                     parsed.names
                 ));
             }
-            let mut summaries = Vec::new();
-            for exp in crate::experiments::REGISTRY {
-                summaries.push(run_experiment(*exp, &parsed.opts)?);
-                println!();
-            }
+            let summaries = run_experiments(crate::experiments::REGISTRY, &parsed.opts)?;
             println!("=== lab all: {} experiments ===", summaries.len());
             for s in &summaries {
                 println!(
@@ -1129,57 +965,6 @@ pub fn lab_main(args: &[String]) -> Result<(), String> {
                 }
                 Ok(())
             }
-        }
-        "serve" => {
-            let parsed = parse_args(rest)?;
-            let experiments: Vec<&'static dyn Experiment> = if parsed.names.is_empty() {
-                crate::experiments::REGISTRY.to_vec()
-            } else {
-                parsed
-                    .names
-                    .iter()
-                    .map(|n| find_experiment(n))
-                    .collect::<Result<_, _>>()?
-            };
-            let workers = parsed.workers.unwrap_or(1);
-            // Default to twice the fleet size: finer shards bound how long
-            // the fleet idles behind the last straggler shard.
-            let shards = parsed.shards.unwrap_or(2 * workers);
-            let mut opts = crate::net::ServeOptions::new(
-                experiments,
-                parsed.opts.profile,
-                out_dir(&parsed.opts),
-                shards,
-            );
-            if let Some(ms) = parsed.heartbeat_ms {
-                opts.heartbeat = std::time::Duration::from_millis(ms);
-            }
-            let addr = parsed.addr.as_deref().unwrap_or("127.0.0.1:7401");
-            crate::net::serve(addr, opts)?;
-            Ok(())
-        }
-        "worker" => {
-            let parsed = parse_args(rest)?;
-            let Some(addr) = parsed.connect else {
-                return Err(format!("`lab worker` needs --connect HOST:PORT\n\n{USAGE}"));
-            };
-            let mut opts = crate::net::WorkerOptions::new(addr);
-            opts.threads = parsed.opts.threads;
-            if let Some(n) = parsed.checkpoint_events {
-                opts.checkpoint_events = n;
-            }
-            crate::net::run_worker(&opts)?;
-            Ok(())
-        }
-        "watch" => {
-            let parsed = parse_args(rest)?;
-            let Some(addr) = parsed.connect else {
-                return Err(format!("`lab watch` needs --connect HOST:PORT\n\n{USAGE}"));
-            };
-            let mut opts = crate::net::WatchOptions::new(addr);
-            opts.json = parsed.json;
-            crate::net::run_watch(&opts)?;
-            Ok(())
         }
         "lint" => {
             let mut json = false;

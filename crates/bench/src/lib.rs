@@ -13,8 +13,6 @@
 pub mod experiments;
 pub mod lab;
 pub mod lookbench;
-pub mod net;
-pub mod resume;
 pub mod sweep;
 
 pub use sweep::{AlgorithmSpec, ScenarioSpec, SchedulerSpec, SweepRunner, WorkloadSpec};

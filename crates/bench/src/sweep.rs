@@ -15,9 +15,8 @@
 //!
 //! Each simulation is already deterministic in its seed; the runner adds no
 //! nondeterminism because work items never share mutable state and ordering
-//! is re-imposed at merge time. `COHESION_SWEEP_THREADS` overrides the
-//! thread count (set it to `1` to reproduce a serial run exactly — the
-//! outputs will match regardless, which `tests/sweep.rs` asserts).
+//! is re-imposed at merge time, so the outputs match for any thread count,
+//! which `tests/sweep.rs` asserts.
 
 use cohesion_algorithms::{AndoAlgorithm, CogAlgorithm, GcmAlgorithm, KatreniakAlgorithm};
 use cohesion_core::KirkpatrickAlgorithm;
@@ -582,18 +581,12 @@ pub struct SweepRunner {
 }
 
 impl SweepRunner {
-    /// A runner sized to the machine: `COHESION_SWEEP_THREADS` when set,
-    /// otherwise the available parallelism (1 when unknown).
+    /// A runner sized to the machine: the available parallelism (1 when
+    /// unknown).
     pub fn new() -> Self {
-        let threads = std::env::var("COHESION_SWEEP_THREADS")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .filter(|&t| t >= 1)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(1)
-            });
+        let threads = std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1);
         SweepRunner { threads }
     }
 
@@ -653,24 +646,6 @@ impl SweepRunner {
     /// Convenience: run a whole [`ScenarioSpec`] grid to reports.
     pub fn run_scenarios(&self, specs: &[ScenarioSpec]) -> Vec<SimulationReport<Vec2>> {
         self.run(specs, |_, spec| spec.run())
-    }
-
-    /// Like [`SweepRunner::run_scenarios`], but each cell is driven as a
-    /// session in `every`-event slices and `on_beat(spec_index, progress)`
-    /// fires between slices — live per-cell telemetry for long sweeps,
-    /// with reports still byte-identical to the unobserved run.
-    pub fn run_scenarios_observed<F>(
-        &self,
-        specs: &[ScenarioSpec],
-        every: usize,
-        on_beat: F,
-    ) -> Vec<SimulationReport<Vec2>>
-    where
-        F: Fn(usize, &Progress) + Sync,
-    {
-        self.run(specs, |i, spec| {
-            spec.run_with_heartbeat(every, |p| on_beat(i, p))
-        })
     }
 }
 
@@ -760,16 +735,6 @@ mod tests {
             "a 1000-event run in 100-event slices beats ≥ 9×, got {beats}"
         );
         assert_eq!(observed, spec.run(), "slicing must not perturb the report");
-
-        let runner = SweepRunner::with_threads(2);
-        let specs = [spec.clone(), spec.clone()];
-        let plain = runner.run_scenarios(&specs);
-        let counter = AtomicUsize::new(0);
-        let watched = runner.run_scenarios_observed(&specs, 100, |_, _| {
-            counter.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(plain, watched);
-        assert!(counter.load(Ordering::Relaxed) >= 18);
     }
 
     #[test]

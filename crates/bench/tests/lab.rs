@@ -1,4 +1,4 @@
-//! The lab runtime's sharding contract.
+//! The lab runtime's pool and sharding contracts.
 //!
 //! `--shard I/M` must be invisible in the output: running the `M` contiguous
 //! shards of a grid and concatenating their JSONL files in index order is
@@ -7,22 +7,47 @@
 //! synthetic experiment, an end-to-end check on real registry experiments
 //! (including `merge_shards`), and the CLI's rejection of malformed or
 //! out-of-range `--shard` arguments.
+//!
+//! The one cell pool must be invisible too: the row files of a whole
+//! registry run do not depend on the thread count or on sharding, and a
+//! failing check neither hides the other experiments' rows nor skips their
+//! checks.
 
+use cohesion_bench::experiments::REGISTRY;
 use cohesion_bench::lab::{
-    lab_main, merge_shards, progress_file_name, run_experiment, CellProgress, Experiment, JsonRow,
-    LabOptions, Outcome, Profile, Shard,
+    find_experiment, lab_main, merge_shards, progress_file_name, run_experiments, CellProgress,
+    Experiment, JsonRow, LabCell, LabOptions, Outcome, Profile, Shard,
 };
 use cohesion_bench::{AlgorithmSpec, ScenarioSpec, SchedulerSpec, WorkloadSpec};
 use proptest::prelude::*;
 use serde::Serialize;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// A synthetic experiment with a configurable cell count: each cell is
 /// analytic and reduces to a row that depends only on its spec, like every
-/// real registry entry.
+/// real registry entry. Its `check` counts its calls and fails when `fail`
+/// is set.
 struct SyntheticGrid {
+    name: &'static str,
     cells: usize,
+    fail: bool,
+    checks: AtomicUsize,
+}
+
+impl SyntheticGrid {
+    fn new(cells: usize) -> SyntheticGrid {
+        SyntheticGrid::named("synthetic_grid", cells, false)
+    }
+
+    fn named(name: &'static str, cells: usize, fail: bool) -> SyntheticGrid {
+        SyntheticGrid {
+            name,
+            cells,
+            fail,
+            checks: AtomicUsize::new(0),
+        }
+    }
 }
 
 #[derive(Serialize)]
@@ -33,7 +58,7 @@ struct SyntheticRow {
 
 impl Experiment for SyntheticGrid {
     fn name(&self) -> &'static str {
-        "synthetic_grid"
+        self.name
     }
 
     fn id(&self) -> &'static str {
@@ -49,7 +74,7 @@ impl Experiment for SyntheticGrid {
     }
 
     fn output_stem(&self) -> &'static str {
-        "synthetic_grid"
+        self.name
     }
 
     fn grid(&self, _profile: Profile) -> Vec<ScenarioSpec> {
@@ -76,6 +101,15 @@ impl Experiment for SyntheticGrid {
             mixed: spec.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15),
         })]
     }
+
+    fn check(&self, cells: &[LabCell]) -> Result<(), String> {
+        self.checks.fetch_add(1, Ordering::Relaxed);
+        if self.fail {
+            Err(format!("{} cells, all rejected", cells.len()))
+        } else {
+            Ok(())
+        }
+    }
 }
 
 /// A fresh scratch directory under the target dir (kept out of
@@ -90,15 +124,88 @@ fn scratch_dir(label: &str) -> PathBuf {
     dir
 }
 
-fn run_sharded(exp: &dyn Experiment, dir: &Path, shard: Option<Shard>) {
-    let opts = LabOptions {
+fn quick(threads: usize, dir: &Path, shard: Option<Shard>) -> LabOptions {
+    LabOptions {
         profile: Profile::Quick,
-        threads: Some(2),
+        threads: Some(threads),
         out_dir: Some(dir.to_path_buf()),
         shard,
         progress: false,
-    };
-    run_experiment(exp, &opts).expect("experiment runs");
+    }
+}
+
+fn run_sharded(exp: &dyn Experiment, dir: &Path, shard: Option<Shard>) {
+    run_experiments(&[exp], &quick(2, dir, shard)).expect("experiment runs");
+}
+
+/// Every registry experiment's row file in `dir`, in registry order.
+fn registry_rows(dir: &Path) -> Vec<(&'static str, Vec<u8>)> {
+    REGISTRY
+        .iter()
+        .map(|e| {
+            let path = dir.join(format!("{}.jsonl", e.output_stem()));
+            let bytes =
+                std::fs::read(&path).unwrap_or_else(|err| panic!("{}: {err}", path.display()));
+            (e.name(), bytes)
+        })
+        .collect()
+}
+
+/// The whole registry as one pool writes the same 11 files on 1 thread as
+/// on 3: which worker ran a cell, and which experiment's cells it ran in
+/// between, never reaches the rows.
+#[test]
+fn pool_rows_are_independent_of_the_thread_count() {
+    let (one, three) = (scratch_dir("pool-1"), scratch_dir("pool-3"));
+    let serial = run_experiments(REGISTRY, &quick(1, &one, None)).expect("registry runs");
+    run_experiments(REGISTRY, &quick(3, &three, None)).expect("registry runs");
+    assert_eq!(serial.len(), 11, "one summary per registry experiment");
+    assert_eq!(registry_rows(&one), registry_rows(&three));
+    std::fs::remove_dir_all(&one).ok();
+    std::fs::remove_dir_all(&three).ok();
+}
+
+/// Shards 0/2 and 1/2 of a whole-registry pool, merged per experiment,
+/// reproduce the unsharded pool's files byte for byte.
+#[test]
+fn pool_shards_merge_to_the_unsharded_pool() {
+    let dir = scratch_dir("pool-shards");
+    run_experiments(REGISTRY, &quick(2, &dir, None)).expect("registry runs");
+    let unsharded = registry_rows(&dir);
+    for index in 0..2 {
+        let shard = Some(Shard { index, count: 2 });
+        run_experiments(REGISTRY, &quick(2, &dir, shard)).expect("shard runs");
+    }
+    for exp in REGISTRY {
+        merge_shards(exp.output_stem(), &dir).expect("merge");
+    }
+    assert_eq!(registry_rows(&dir), unsharded);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A failing check between real experiments fails the run, naming only
+/// the failing experiment — after every row file is written and every
+/// other check has run.
+#[test]
+fn a_failed_check_still_writes_every_file_and_runs_every_check() {
+    let dir = scratch_dir("pool-check");
+    let failing = SyntheticGrid::named("failing_check", 4, true);
+    let last = SyntheticGrid::named("last_check", 3, false);
+    let [safe_regions, k_scaling] =
+        ["safe_regions", "k_scaling"].map(|n| find_experiment(n).expect("registered"));
+    let exps: [&dyn Experiment; 4] = [safe_regions, &failing, k_scaling, &last];
+    let err = run_experiments(&exps, &quick(2, &dir, None)).unwrap_err();
+    assert_eq!(
+        err, "failing_check: invariant check failed: 4 cells, all rejected",
+        "the error names the failing experiment only"
+    );
+    for exp in exps {
+        let path = dir.join(format!("{}.jsonl", exp.output_stem()));
+        assert!(path.exists(), "{} was not written", path.display());
+    }
+    assert_eq!(failing.checks.load(Ordering::Relaxed), 1);
+    assert_eq!(last.checks.load(Ordering::Relaxed), 1, "later checks run");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 proptest! {
@@ -112,7 +219,7 @@ proptest! {
         cells in 0usize..40,
         m in (0usize..4).prop_map(|i| [1usize, 2, 3, 7][i]),
     ) {
-        let exp = SyntheticGrid { cells };
+        let exp = SyntheticGrid::new(cells);
         let dir = scratch_dir("prop");
         run_sharded(&exp, &dir, None);
         let unsharded =
@@ -159,31 +266,28 @@ fn sharded_concatenation_matches_unsharded_registry() {
     }
 }
 
-/// Minimal structural well-formedness for one JSONL sidecar line (the
-/// offline serde_json stand-in has no decoder): one object per line with
-/// balanced quoting and every schema key present.
+/// One JSONL sidecar line parses as a single JSON object carrying every
+/// schema key.
 fn assert_well_formed_progress_line(line: &str) {
-    assert!(
-        line.starts_with('{') && line.ends_with('}'),
-        "not a JSON object: {line}"
-    );
-    let quotes = line.matches('"').count() - line.matches("\\\"").count();
-    assert_eq!(quotes % 2, 0, "unbalanced quotes: {line}");
+    let record = serde_json::from_str(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+    let fields = record
+        .as_object()
+        .unwrap_or_else(|| panic!("not a JSON object: {line}"));
     for key in [
-        "\"experiment\":",
-        "\"shard\":",
-        "\"cell\":",
-        "\"tag\":",
-        "\"phase\":",
-        "\"events\":",
-        "\"rounds\":",
-        "\"time\":",
-        "\"diameter\":",
-        "\"cohesion_ok\":",
-        "\"converged\":",
-        "\"rows\":",
+        "experiment",
+        "shard",
+        "cell",
+        "tag",
+        "phase",
+        "events",
+        "rounds",
+        "time",
+        "diameter",
+        "cohesion_ok",
+        "converged",
+        "rows",
     ] {
-        assert!(line.contains(key), "missing {key}: {line}");
+        assert!(fields.contains_key(key), "missing {key}: {line}");
     }
 }
 
@@ -208,7 +312,9 @@ fn progress_sidecar_is_written_and_well_formed() {
         shard: None,
         progress: true,
     };
-    let summary = run_experiment(exp, &opts).expect("experiment runs");
+    let summary = run_experiments(&[exp], &opts)
+        .expect("experiment runs")
+        .remove(0);
     let rows_observed =
         std::fs::read(dir.join(format!("{}.jsonl", exp.output_stem()))).expect("rows");
     assert_eq!(
@@ -287,7 +393,7 @@ fn engine_cells_past_the_cadence_emit_heartbeats() {
 /// contention) and its cell indices are absolute grid positions.
 #[test]
 fn progress_sidecar_is_shard_qualified() {
-    let exp = SyntheticGrid { cells: 10 };
+    let exp = SyntheticGrid::new(10);
     let dir = scratch_dir("progress-shard");
     let shard = Shard { index: 1, count: 2 };
     let opts = LabOptions {
@@ -297,7 +403,7 @@ fn progress_sidecar_is_shard_qualified() {
         shard: Some(shard),
         progress: true,
     };
-    run_experiment(&exp, &opts).expect("experiment runs");
+    run_experiments(&[&exp], &opts).expect("experiment runs");
     let sidecar = dir.join(progress_file_name("synthetic_grid", Some(shard)));
     let content = std::fs::read_to_string(&sidecar).expect("sharded sidecar written");
     for line in content.lines() {
@@ -340,6 +446,18 @@ fn out_of_range_shard_arguments_fail_clearly() {
         .collect();
     let err = lab_main(&args).unwrap_err();
     assert!(err.contains("at least 1"), "{err}");
+}
+
+/// `lab run` refuses a repeated experiment name: both runs would write the
+/// same row file and sidecar concurrently.
+#[test]
+fn lab_run_rejects_a_repeated_name() {
+    let args: Vec<String> = ["run", "k_scaling", "timelines", "k_scaling", "--quick"]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+    let err = lab_main(&args).unwrap_err();
+    assert_eq!(err, "`lab run` names 'k_scaling' twice");
 }
 
 /// `merge_shards` streams: a multi-megabyte synthetic shard set merges into
@@ -387,7 +505,7 @@ fn merge_streams_large_shard_sets_in_index_order() {
 /// silently producing a short file.
 #[test]
 fn merge_rejects_incomplete_and_mixed_shard_sets() {
-    let exp = SyntheticGrid { cells: 6 };
+    let exp = SyntheticGrid::new(6);
     let dir = scratch_dir("merge");
     run_sharded(&exp, &dir, Some(Shard { index: 0, count: 3 }));
     let err = merge_shards("synthetic_grid", &dir).unwrap_err();

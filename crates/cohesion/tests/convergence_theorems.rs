@@ -162,21 +162,26 @@ fn hull_nesting_holds_along_the_run() {
 
 #[test]
 fn engine_trace_respects_the_scheduling_model() {
-    // The engine replays exactly what the scheduler emits; certify the trace.
+    // The engine replays exactly what the scheduler emits; certify the trace
+    // rebuilt from its event stream.
     let config = workloads::random_connected(6, 1.0, 10);
-    let mut engine = cohesion::engine::Engine::new(
-        &config,
-        1.0,
-        KirkpatrickAlgorithm::new(2),
-        KAsyncScheduler::new(2, 37),
-        99,
-    );
-    for _ in 0..600 {
-        engine.step().unwrap();
-    }
-    let k = cohesion::scheduler::validate::minimal_async_k(engine.trace());
+    let recorder = std::rc::Rc::new(std::cell::RefCell::new(TraceRecorder::new()));
+    let mut session = SimulationBuilder::new(config, KirkpatrickAlgorithm::new(2))
+        .visibility(1.0)
+        .scheduler(KAsyncScheduler::new(2, 37))
+        .seed(99)
+        .max_events(600)
+        .build();
+    session.observe(std::rc::Rc::clone(&recorder));
+    while !session.step().is_terminal() {}
+    let recorder = recorder.borrow();
+    let trace = recorder
+        .trace(recorder.complete_prefix())
+        .expect("the complete prefix");
+    assert!(trace.len() >= 190, "600 events hold ~200 activations");
+    let k = cohesion::scheduler::validate::minimal_async_k(&trace);
     assert!(k <= 2, "2-Async scheduler produced a k={k} trace");
-    cohesion::scheduler::validate::validate_no_self_overlap(engine.trace()).unwrap();
+    cohesion::scheduler::validate::validate_no_self_overlap(&trace).unwrap();
 }
 
 #[test]

@@ -40,7 +40,6 @@
 //! calendar queue (see [`crate::queue`]) with the historical `BinaryHeap`
 //! behind the same kind of knob.
 
-use crate::checkpoint::{EngineState, PendingRepr, RobotStateRepr};
 use crate::monitors::Envelopes;
 use crate::queue::{EventQueue, Pending, QueuePath};
 use crate::state::{RobotState, RobotStates};
@@ -49,7 +48,7 @@ use cohesion_model::frame::{Ambient, Frame, FrameMode};
 use cohesion_model::{
     Algorithm, Configuration, Distortion, MotionModel, PerceptionModel, RobotId, Snapshot,
 };
-use cohesion_scheduler::{ActivationInterval, ScheduleContext, ScheduleTrace, Scheduler};
+use cohesion_scheduler::{ActivationInterval, ScheduleContext, Scheduler};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -169,7 +168,6 @@ pub struct Engine<P: Ambient, A, S> {
     seq: u64,
     queue: EventQueue,
     staged: Option<ActivationInterval>,
-    trace: ScheduleTrace,
     completed_cycles: Vec<u64>,
     /// Every robot, indexed at its *base* position — its true position while
     /// stationary (`Idle`/`Computing`), its Move origin (`from`) while
@@ -259,7 +257,6 @@ where
             seq: 0,
             queue: EventQueue::new(QueuePath::default()),
             staged: None,
-            trace: ScheduleTrace::new(),
             completed_cycles: vec![0; initial.len()],
             grid,
             motile: Vec::new(),
@@ -524,10 +521,9 @@ where
     /// Appends (after clearing) the dense indices of all robots currently in
     /// their Move phase, ascending. Together with the robot of a `MoveEnd`
     /// event, these are the only robots whose positions can have changed
-    /// since the previous event — the session's *dirty set*, which a
-    /// restored session rebuilds from this list. Served from the maintained
-    /// side-list and sorted on the way out: `O(motile log motile)`, not
-    /// `O(n)`.
+    /// since the previous event — the session's *dirty set*. Served from
+    /// the maintained side-list and sorted on the way out:
+    /// `O(motile log motile)`, not `O(n)`.
     pub fn collect_motile(&self, out: &mut Vec<usize>) {
         out.clear();
         out.extend(self.motile.iter().map(|&m| m as usize));
@@ -560,135 +556,9 @@ where
         }
     }
 
-    /// The schedule trace recorded so far.
-    pub fn trace(&self) -> &ScheduleTrace {
-        &self.trace
-    }
-
     /// Completed activation cycles per robot.
     pub fn completed_cycles(&self) -> &[u64] {
         &self.completed_cycles
-    }
-
-    /// Captures the engine's complete mutable core for a checkpoint: robot
-    /// states, the pending-event queue in pop order, the staged activation,
-    /// the RNG stream position, cycle counters, and the scheduler's mutable
-    /// state. `staged` and the scheduler state are captured at the same
-    /// instant, so a pulled-but-undispatched activation is never lost or
-    /// double-pulled. The (unbounded, report-invisible) schedule trace is
-    /// deliberately excluded — a restored engine's trace starts empty.
-    pub(crate) fn save_core(&mut self) -> Result<EngineState, String> {
-        let scheduler = self.scheduler.save_state().ok_or_else(|| {
-            format!(
-                "scheduler '{}' is not checkpointable",
-                self.scheduler.name()
-            )
-        })?;
-        Ok(EngineState {
-            time: self.time,
-            seq: self.seq,
-            rng: self.rng.state(),
-            robots: (0..self.states.len())
-                .map(|i| RobotStateRepr::of(self.states.state(i)))
-                .collect(),
-            queue: self.queue.snapshot().iter().map(PendingRepr::of).collect(),
-            staged: self.staged,
-            completed_cycles: self.completed_cycles.clone(),
-            scheduler,
-        })
-    }
-
-    /// Restores a state captured by [`Engine::save_core`] onto this engine
-    /// (which must have been built from the same scenario — same robots,
-    /// algorithm, scheduler class, and configuration knobs). Everything
-    /// derived — grid, motile side-list, displacement pad, interpolation
-    /// cache — is rebuilt from the restored states; the rebuild is
-    /// observation-exact because grid queries are supersets trimmed by exact
-    /// predicates. On error the engine may be partially updated and must be
-    /// discarded (callers fall back to a freshly built run).
-    pub(crate) fn restore_core(&mut self, state: &EngineState) -> Result<(), String> {
-        let n = self.states.len();
-        if state.robots.len() != n {
-            return Err(format!(
-                "checkpoint covers {} robots, engine has {n}",
-                state.robots.len()
-            ));
-        }
-        if state.completed_cycles.len() != n {
-            return Err(format!(
-                "checkpoint cycle counters cover {} robots, engine has {n}",
-                state.completed_cycles.len()
-            ));
-        }
-        let robots = state
-            .robots
-            .iter()
-            .map(RobotStateRepr::to_state)
-            .collect::<Result<Vec<RobotState<P>>, _>>()?;
-        let mut events = state
-            .queue
-            .iter()
-            .map(PendingRepr::to_pending)
-            .collect::<Result<Vec<_>, _>>()?;
-        self.scheduler.load_state(&state.scheduler)?;
-        for (i, s) in robots.into_iter().enumerate() {
-            self.states.set(i, s);
-        }
-        self.rng = SmallRng::from_state(state.rng);
-        self.time = state.time;
-        self.seq = state.seq;
-        self.staged = state.staged;
-        self.completed_cycles = state.completed_cycles.clone();
-        // Refill a fresh queue in ascending `(time, seq)` — the serialized
-        // pop order already is, but the sort keeps the calendar's
-        // ascending-seq-within-tick push contract independent of the
-        // encoding. All event times are finite (queue invariant).
-        events.sort_by(|a, b| {
-            (a.time, a.seq)
-                .partial_cmp(&(b.time, b.seq))
-                .expect("event times are finite")
-        });
-        let mut queue = EventQueue::new(self.queue.path());
-        for p in events {
-            queue.push(p);
-        }
-        self.queue = queue;
-        self.trace = ScheduleTrace::new();
-        self.rebuild_derived();
-        Ok(())
-    }
-
-    /// Rebuilds every structure derived from the robot states after a
-    /// restore: motile side-list and slots, per-robot displacements, the
-    /// displacement pad (taken exactly, so it can only differ from a live
-    /// engine's stale overestimate — both are correct superset bounds), the
-    /// per-tick interpolation cache, and the observation grid.
-    fn rebuild_derived(&mut self) {
-        let n = self.states.len();
-        self.motile.clear();
-        self.motile_slot = vec![u32::MAX; n];
-        self.motile_disp = vec![0.0; n];
-        let mut pad = 0.0_f64;
-        for i in 0..n {
-            if let RobotState::Moving { from, to, .. } = self.states.state(i) {
-                let d = (to - from).norm();
-                self.motile_disp[i] = d;
-                pad = pad.max(d);
-                self.motile_slot[i] = self.motile.len() as u32;
-                self.motile.push(i as u32);
-            }
-        }
-        self.motile_pad = pad;
-        self.motile_pad_stale = false;
-        self.motile_version += 1;
-        self.motile_cache = MotileCache {
-            time_bits: 0,
-            version: 0,
-            tick: self.motile_cache.tick + 1,
-            stamps: vec![0; n],
-            positions: self.states.base_positions().to_vec(),
-        };
-        self.rebuild_grid();
     }
 
     /// Reference to the scheduler (for reporting).
@@ -768,7 +638,6 @@ where
             self.states.is_idle(robot.index()),
             "robot {robot} activated while not idle (scheduler bug)"
         );
-        self.trace.push(iv);
 
         let here = self.states.position_at(robot.index(), iv.look);
         // Perception pipeline: true relative position → (occlusion) →
@@ -1159,16 +1028,24 @@ mod tests {
 
     #[test]
     fn trace_is_recorded() {
-        let mut engine = Engine::new(&two_robots(), 1.0, NilAlgorithm, FSyncScheduler::new(), 1);
-        for _ in 0..30 {
-            engine.step().unwrap();
-        }
+        // The engine keeps no trace of its own; a session's TraceRecorder
+        // rebuilds it from the event stream.
+        let recorder = std::rc::Rc::new(std::cell::RefCell::new(crate::TraceRecorder::new()));
+        let mut session = crate::SimulationBuilder::new(two_robots(), NilAlgorithm)
+            .visibility(1.0)
+            .scheduler(FSyncScheduler::new())
+            .seed(1)
+            .max_events(30)
+            .build();
+        session.observe(std::rc::Rc::clone(&recorder));
+        while !session.step().is_terminal() {}
         assert_eq!(
-            engine.trace().len(),
+            recorder.borrow().complete_prefix(),
             10,
             "30 events = 10 full cycles of 3 events"
         );
-        cohesion_scheduler::validate::validate_fsync(engine.trace(), 2).unwrap();
+        let trace = recorder.borrow().trace(10).expect("10 complete intervals");
+        cohesion_scheduler::validate::validate_fsync(&trace, 2).unwrap();
     }
 
     #[test]

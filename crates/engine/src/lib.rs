@@ -28,7 +28,6 @@
 #![forbid(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod checkpoint;
 pub mod engine;
 pub mod monitors;
 pub mod queue;
@@ -38,14 +37,13 @@ pub mod runner;
 pub mod session;
 pub mod state;
 
-pub use checkpoint::{fnv1a, Checkpoint, CHECKPOINT_VERSION};
 pub use engine::{Engine, EngineEvent, EngineEventKind, LookPath};
 pub use monitors::{
     CohesionMonitor, DiameterMonitor, Envelopes, HullMonitor, Monitor, MonitorContext,
     StrongVisibilityMonitor,
 };
 pub use queue::QueuePath;
-pub use report::SimulationReport;
+pub use report::{fnv1a, SimulationReport};
 pub use runner::SimulationBuilder;
 pub use session::{EventView, Observer, SessionStatus, Simulation, TraceRecorder};
 pub use state::RobotState;

@@ -278,28 +278,10 @@ impl CohesionMonitor {
         self.watch.iter().map(|&(a, b, _)| (a, b))
     }
 
-    /// Pair distances evaluated so far: envelope bounds at construction,
-    /// restore and breakpoints, plus watched pairs measured at events.
+    /// Pair distances evaluated so far: envelope bounds at construction
+    /// and breakpoints, plus watched pairs measured at events.
     pub fn pairs_checked(&self) -> u64 {
         self.pairs_checked
-    }
-
-    /// Restores the recorded-violation state from a checkpoint and rebuilds
-    /// the watch list from the restored envelopes. The reported-pair set is
-    /// rebuilt from the list — they are in bijection (a pair enters
-    /// `violated` exactly when its violation is pushed), so checkpoints
-    /// carry only the list.
-    pub(crate) fn restore<P: Point>(
-        &mut self,
-        violations: Vec<CohesionViolation>,
-        envelopes: &Envelopes<'_, P>,
-    ) {
-        self.violated = violations
-            .iter()
-            .map(|v| (v.pair.a.index(), v.pair.b.index()))
-            .collect();
-        self.violations = violations;
-        self.rebuild(envelopes);
     }
 
     /// Whether an unreported edge with envelope bounds `bounds` belongs on
@@ -309,6 +291,9 @@ impl CohesionMonitor {
         may_exceed(bounds.hi, threshold + self.tol - bounds.slack)
     }
 
+    /// Rebuilds the watch list from scratch: the test oracle for the
+    /// incremental re-classification at breakpoints.
+    #[cfg(test)]
     fn rebuild<P: Point>(&mut self, envelopes: &Envelopes<'_, P>) {
         self.watch.clear();
         for a in 0..self.adj.len() {
@@ -493,16 +478,17 @@ impl<P: Point> StrongVisibilityMonitor<P> {
         self.watch.iter().map(|&(a, b, _)| (a, b))
     }
 
-    /// Pair distances evaluated so far: envelope bounds at construction,
-    /// restore and breakpoints, plus watched pairs measured at events. The
-    /// grid's own range filter is not counted.
+    /// Pair distances evaluated so far: envelope bounds at construction
+    /// and breakpoints, plus watched pairs measured at events. The grid's
+    /// own range filter is not counted.
     pub fn pairs_checked(&self) -> u64 {
         self.pairs_checked
     }
 
-    /// The acquired set as the checkpoint's row-major `n × n` bitset words
-    /// over normalized pairs `(min, max)`.
-    pub(crate) fn acquired_bits(&self) -> Vec<u64> {
+    /// The acquired set as row-major `n × n` bitset words over normalized
+    /// pairs `(min, max)`, the all-pairs oracle's layout.
+    #[cfg(test)]
+    fn acquired_bits(&self) -> Vec<u64> {
         let n = self.acquired.len();
         let mut words = vec![0u64; (n * n).div_ceil(64)];
         for (a, partners) in self.acquired.iter().enumerate() {
@@ -512,53 +498,6 @@ impl<P: Point> StrongVisibilityMonitor<P> {
             }
         }
         words
-    }
-
-    /// Restores the acquired set (checkpoint bitset words) and verdict,
-    /// re-indexes the grid at the restored envelope origins, and rebuilds
-    /// the watch list from the restored envelopes.
-    pub(crate) fn restore(
-        &mut self,
-        words: &[u64],
-        ok: bool,
-        envelopes: &Envelopes<'_, P>,
-    ) -> Result<(), String> {
-        let n = self.acquired.len();
-        let expected = (n * n).div_ceil(64);
-        if words.len() != expected {
-            return Err(format!(
-                "checkpoint strong-visibility bitset has {} words, monitor needs {expected}",
-                words.len()
-            ));
-        }
-        for partners in &mut self.acquired {
-            partners.clear();
-        }
-        for (w, &word) in words.iter().enumerate() {
-            let mut rest = word;
-            while rest != 0 {
-                let bit = w * 64 + rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                let (a, b) = (bit / n, bit % n);
-                if a >= b {
-                    return Err(format!(
-                        "checkpoint strong-visibility bitset sets non-canonical pair ({a}, {b})"
-                    ));
-                }
-                // Bits ascend in (a, b) order, so both pushes keep each
-                // list ascending.
-                self.acquired[a].push(b as u32);
-                self.acquired[b].push(a as u32);
-            }
-        }
-        if let Some(grid) = &mut self.grid {
-            for (i, &o) in envelopes.origins.iter().enumerate() {
-                grid.relocate(i, o);
-            }
-        }
-        self.ok = ok;
-        self.rebuild(envelopes);
-        Ok(())
     }
 
     fn radius(&self) -> f64 {
@@ -598,9 +537,17 @@ impl<P: Point> StrongVisibilityMonitor<P> {
         }
     }
 
-    /// Rebuilds the watch list from scratch: every robot's acquired
-    /// partners and candidates above it.
+    /// Re-indexes the grid at the envelope origins and rebuilds the watch
+    /// list from scratch: every robot's acquired partners and candidates
+    /// above it. The test oracle for the incremental re-classification at
+    /// breakpoints.
+    #[cfg(test)]
     fn rebuild(&mut self, envelopes: &Envelopes<'_, P>) {
+        if let Some(grid) = &mut self.grid {
+            for (i, &o) in envelopes.origins.iter().enumerate() {
+                grid.relocate(i, o);
+            }
+        }
         self.watch.clear();
         for r in 0..self.acquired.len() {
             for k in 0..self.acquired[r].len() {
@@ -739,19 +686,6 @@ impl HullMonitor {
     pub fn nested(&self) -> bool {
         self.nested
     }
-
-    /// The previous sampled hull's vertices, for checkpointing.
-    pub(crate) fn prev_vertices(&self) -> Option<&[Vec2]> {
-        self.prev.as_ref().map(ConvexHull::vertices)
-    }
-
-    /// Restores the sampled-hull state from a checkpoint. `convex_hull` is
-    /// idempotent on a hull's own canonical vertex list, so rebuilding from
-    /// vertices reproduces the previous hull exactly.
-    pub(crate) fn restore(&mut self, prev: Option<Vec<Vec2>>, nested: bool) {
-        self.prev = prev.map(|vertices| convex_hull(&vertices));
-        self.nested = nested;
-    }
 }
 
 impl<P: Ambient> Monitor<P> for HullMonitor {
@@ -821,12 +755,6 @@ impl DiameterMonitor {
         if d <= self.epsilon {
             self.converged = true;
         }
-    }
-
-    /// Restores the sample series and verdict from a checkpoint.
-    pub(crate) fn restore(&mut self, series: Vec<(f64, f64)>, converged: bool) {
-        self.series = series;
-        self.converged = converged;
     }
 }
 
@@ -1067,7 +995,8 @@ mod tests {
 
         /// Drives the monitors and the oracle through one event, then
         /// compares them, and every third event compares the live watch
-        /// lists with the ones a restore rebuilds from the same state.
+        /// lists with the ones `rebuild` derives from scratch, given the
+        /// same reported and acquired pairs and the same envelopes.
         fn step(&mut self, swarm: &mut Swarm<P>, event: &Event<P>) -> Result<(), TestCaseError> {
             swarm.apply(event, &mut [&mut self.cohesion, &mut self.strong]);
             let at = swarm.events;
@@ -1098,15 +1027,11 @@ mod tests {
             }
             let (v, tol) = (self.oracle.v, self.oracle.tol);
             let mut cohesion = CohesionMonitor::new(&self.start, &self.oracle.edges, |_, _| v, tol);
-            cohesion.restore(self.cohesion.violations().to_vec(), &swarm.envelopes());
+            cohesion.violated = self.cohesion.violated.clone();
+            cohesion.rebuild(&swarm.envelopes());
             let mut strong = StrongVisibilityMonitor::new(v, tol, &self.start);
-            strong
-                .restore(
-                    &self.strong.acquired_bits(),
-                    self.strong.ok(),
-                    &swarm.envelopes(),
-                )
-                .map_err(TestCaseError::fail)?;
+            strong.acquired = self.strong.acquired.clone();
+            strong.rebuild(&swarm.envelopes());
             prop_assert_eq!(
                 cohesion.watched().collect::<Vec<_>>(),
                 self.cohesion.watched().collect::<Vec<_>>(),

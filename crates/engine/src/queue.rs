@@ -391,22 +391,6 @@ impl EventQueue {
         }
     }
 
-    /// Snapshots the queue contents in pop order without disturbing the
-    /// `(time, seq)` contract: drains via `pop` and refills via `push`, the
-    /// same non-destructive drain [`EventQueue::set_path`] relies on. Used by
-    /// checkpointing, which stores events exactly in this order so a restore
-    /// can refill a fresh queue with an identical pop sequence.
-    pub(crate) fn snapshot(&mut self) -> Vec<Pending> {
-        let mut drained = Vec::with_capacity(self.len());
-        while let Some(p) = self.pop() {
-            drained.push(p);
-        }
-        for &p in &drained {
-            self.push(p);
-        }
-        drained
-    }
-
     /// Switches structure mid-run: drains in pop order and refills, so the
     /// `(time, seq)` contract survives the swap (the drain hands the new
     /// structure its timestamps in ascending-`seq`-within-tick order, which

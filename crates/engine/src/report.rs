@@ -90,9 +90,28 @@ impl<P: Point> SimulationReport<P> {
     }
 }
 
+/// 64-bit FNV-1a — the workspace's standard content hash (the same function
+/// the frozen-report-hash tests use).
+#[must_use]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x100_0000_01b3);
+    }
+    hash
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_matches_the_frozen_hash_idiom() {
+        // The empty-input offset basis and a known vector pin the constants.
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
 
     fn report() -> SimulationReport {
         SimulationReport {

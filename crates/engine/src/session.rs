@@ -48,7 +48,6 @@
 //! a shared handle: `Rc<RefCell<O>>` implements [`Observer`] whenever `O`
 //! does, so keep one clone and hand the other to the session.
 
-use crate::checkpoint::{fnv1a, Checkpoint, HullState, SessionState, StrongState, ViolationRepr};
 use crate::engine::{Engine, EngineEvent, EngineEventKind};
 use crate::monitors::{
     self, CohesionMonitor, DiameterMonitor, HullMonitor, Monitor, MonitorContext,
@@ -466,179 +465,6 @@ impl<P: Ambient> Simulation<P> {
         }
     }
 
-    /// A light scenario identity stamped into checkpoints so a restore into
-    /// a differently built session is rejected up front: robot count,
-    /// scheduler, and algorithm, FNV-hashed. Deliberately *not* a full
-    /// configuration hash — the state payload's own hash already guarantees
-    /// integrity; this only catches honest mix-ups cheaply.
-    fn fingerprint(&self) -> u64 {
-        let id = format!(
-            "{}|{}|{}",
-            self.positions.len(),
-            self.engine.scheduler().name(),
-            self.engine.algorithm().name()
-        );
-        fnv1a(id.as_bytes())
-    }
-
-    /// Captures the session's complete mutable state as a versioned,
-    /// content-hashed [`Checkpoint`].
-    ///
-    /// The contract is byte-for-byte resumption: restoring the checkpoint
-    /// onto a freshly built session with the same builder spec and driving
-    /// it to completion produces [`Simulation::into_report`] output
-    /// identical to the uninterrupted run's (property-tested at random cut
-    /// points across every scheduler class). Two things deliberately do not
-    /// survive: the engine's schedule trace (report-invisible and unbounded
-    /// on exactly the runs worth checkpointing — a restored session's trace
-    /// starts empty) and registered observers (streaming sinks cannot
-    /// outlive their process; re-registered observers see only post-restore
-    /// items).
-    ///
-    /// Fails when the scheduler is not checkpointable (a custom generator
-    /// without `save_state`).
-    pub fn save(&mut self) -> Result<Checkpoint, String> {
-        let engine = self.engine.save_core()?;
-        let state = SessionState {
-            engine,
-            events: self.events as u64,
-            rounds: self.rounds as u64,
-            round_base: self.round_base.clone(),
-            round_diameters: self
-                .round_diameters
-                .iter()
-                .map(|&(r, d)| (r as u64, d))
-                .collect(),
-            converged: self.converged,
-            status: match self.status {
-                SessionStatus::Running => "Running",
-                SessionStatus::Converged => "Converged",
-                SessionStatus::BudgetExhausted => "BudgetExhausted",
-                SessionStatus::ScheduleExhausted => "ScheduleExhausted",
-            }
-            .to_string(),
-            violations: self
-                .cohesion
-                .violations()
-                .iter()
-                .map(ViolationRepr::of)
-                .collect(),
-            strong: self.strong.as_ref().map(|m| StrongState {
-                ok: m.ok(),
-                acquired: m.acquired_bits(),
-            }),
-            hull: self.hull.as_ref().map(|m| HullState {
-                nested: m.nested(),
-                has_prev: m.prev_vertices().is_some(),
-                prev: m
-                    .prev_vertices()
-                    .map(|vs| vs.iter().map(|v| vec![v.x, v.y]).collect())
-                    .unwrap_or_default(),
-            }),
-            diameter_series: self.diameter.series().to_vec(),
-            diameter_converged: self.diameter.converged(),
-        };
-        let json = serde_json::to_string(&state)
-            .map_err(|e| format!("checkpoint state failed to encode: {e}"))?;
-        Ok(Checkpoint::seal(self.fingerprint(), json))
-    }
-
-    /// Restores a [`Checkpoint`] onto this session, which must have been
-    /// built from the same spec ([`Checkpoint::fingerprint`] guards the
-    /// cheap identity; the caller owns rebuilding the right builder). On
-    /// success the session continues exactly where the saved one stood —
-    /// same upcoming events, same RNG stream, same monitor verdicts. On
-    /// error the session may be partially updated and must be discarded;
-    /// callers fall back to a clean rerun.
-    pub fn restore(&mut self, checkpoint: &Checkpoint) -> Result<(), String> {
-        if checkpoint.fingerprint() != self.fingerprint() {
-            return Err(format!(
-                "checkpoint fingerprint {:#018x} does not match this session ({:#018x}) — \
-                 it was saved from a different scenario",
-                checkpoint.fingerprint(),
-                self.fingerprint()
-            ));
-        }
-        let state = checkpoint.decode_state()?;
-        let n = self.positions.len();
-        if state.round_base.len() != n {
-            return Err(format!(
-                "checkpoint round accounting covers {} robots, session has {n}",
-                state.round_base.len()
-            ));
-        }
-        if self.strong.is_some() != state.strong.is_some() {
-            return Err(
-                "checkpoint and session disagree on strong-visibility tracking".to_string(),
-            );
-        }
-        if self.hull.is_some() != state.hull.is_some() {
-            return Err("checkpoint and session disagree on hull monitoring".to_string());
-        }
-        let status = match state.status.as_str() {
-            "Running" => SessionStatus::Running,
-            "Converged" => SessionStatus::Converged,
-            "BudgetExhausted" => SessionStatus::BudgetExhausted,
-            "ScheduleExhausted" => SessionStatus::ScheduleExhausted,
-            other => return Err(format!("unknown checkpoint session status '{other}'")),
-        };
-        let violations = state
-            .violations
-            .iter()
-            .map(ViolationRepr::to_violation)
-            .collect::<Result<Vec<_>, _>>()?;
-        let hull_prev = match state.hull.as_ref() {
-            Some(h) if h.has_prev => {
-                let mut vertices = Vec::with_capacity(h.prev.len());
-                for c in &h.prev {
-                    if c.len() != 2 {
-                        return Err("checkpoint hull vertex is not planar".to_string());
-                    }
-                    vertices.push(Vec2::new(c[0], c[1]));
-                }
-                Some(vertices)
-            }
-            _ => None,
-        };
-
-        self.engine.restore_core(&state.engine)?;
-        let time = self.engine.time();
-        self.engine.positions_at_into(time, &mut self.positions);
-        self.engine.collect_motile(&mut self.dirty);
-        self.dirty_mask.fill(false);
-        for &i in &self.dirty {
-            self.dirty_mask[i] = true;
-        }
-        self.events = state.events as usize;
-        self.rounds = state.rounds as usize;
-        self.round_base = state.round_base.clone();
-        let cycles = self.engine.completed_cycles();
-        self.round_pending = (0..n).filter(|&i| cycles[i] <= self.round_base[i]).count();
-        self.round_diameters = state
-            .round_diameters
-            .iter()
-            .map(|&(r, d)| (r as usize, d))
-            .collect();
-        self.converged = state.converged;
-        self.status = status;
-        // The pair monitors' watch lists are derived state: rebuilt from
-        // the restored envelopes, never serialized.
-        let envelopes = self.engine.envelopes();
-        self.cohesion.restore(violations, &envelopes);
-        if let (Some(m), Some(s)) = (self.strong.as_mut(), state.strong.as_ref()) {
-            m.restore(&s.acquired, s.ok, &envelopes)?;
-        }
-        if let (Some(m), Some(s)) = (self.hull.as_mut(), state.hull.as_ref()) {
-            m.restore(hull_prev, s.nested);
-        }
-        self.diameter
-            .restore(state.diameter_series.clone(), state.diameter_converged);
-        // Already-recorded items never re-stream to (post-restore) observers.
-        self.violations_streamed = self.cohesion.violations().len();
-        self.samples_streamed = self.diameter.series().len();
-        Ok(())
-    }
-
     /// Processes one engine event; returns the status afterwards. A
     /// terminal session is left untouched (the call is a no-op).
     pub fn step(&mut self) -> SessionStatus {
@@ -968,9 +794,26 @@ mod tests {
 
     #[test]
     fn trace_recorder_rebuilds_the_engine_trace() {
+        // The engine dispatches exactly the scripted intervals, so the script
+        // is the trace it executes. Robots overlap, so their phase events
+        // interleave.
+        let script: Vec<ActivationInterval> = (0..15)
+            .map(|i| {
+                let look = (i / 3) as f64 + (i % 3) as f64 * 0.3;
+                ActivationInterval::new(
+                    cohesion_model::RobotId(i % 3),
+                    look,
+                    look + 0.2,
+                    look + 0.7,
+                )
+            })
+            .collect();
         let recorder = Rc::new(RefCell::new(TraceRecorder::new()));
         let mut session = SimulationBuilder::new(line(3, 0.9), NilAlgorithm)
-            .scheduler(FSyncScheduler::new())
+            .scheduler(cohesion_scheduler::ScriptedScheduler::new(
+                "script",
+                script.clone(),
+            ))
             .max_events(60)
             .build();
         session.observe(Rc::clone(&recorder));
@@ -981,7 +824,6 @@ mod tests {
             );
         }
         let rebuilt = recorder.borrow().trace(12).expect("12 complete intervals");
-        let engine_trace = session.engine().trace();
-        assert_eq!(rebuilt.intervals(), &engine_trace.intervals()[..12]);
+        assert_eq!(rebuilt.intervals(), &script[..12]);
     }
 }

@@ -101,7 +101,7 @@ pub fn parse(text: &str) -> Result<Vec<AllowEntry>, String> {
 }
 
 fn validate(entry: &AllowEntry) -> Result<(), String> {
-    let known = ["D1", "D2", "D3", "D4", "D5", "D6", "P1"];
+    let known = ["D1", "D2", "D3", "D4", "D5", "D6"];
     if !known.contains(&entry.rule.as_str()) {
         return Err(format!(
             "lint.toml:{}: unknown rule `{}` (expected one of {})",

@@ -1,8 +1,8 @@
 //! `cohesion-lint` — determinism & concurrency invariant checker.
 //!
 //! Every headline result in this reproduction — byte-identical sharded
-//! merges, frozen-hash session equivalence, checkpoint-and-resume byte for
-//! byte — rests on invariants the compiler does not enforce: no wall clock
+//! merges, frozen-hash session equivalence, thread-count-independent rows
+//! — rests on invariants the compiler does not enforce: no wall clock
 //! or entropy in the deterministic crates, no unordered-map iteration
 //! feeding report output, all threading confined to two approved modules.
 //! This crate enforces them statically, as named, individually-testable
@@ -12,12 +12,11 @@
 //! | rule | invariant |
 //! |------|-----------|
 //! | D1   | no `HashMap`/`HashSet` iteration in deterministic code |
-//! | D2   | no wall-clock reads outside `bench/src/net/`, `bench/src/sweep.rs` |
+//! | D2   | no wall-clock reads outside `bench/src/sweep.rs`, `telemetry/src/sync.rs` |
 //! | D3   | no RNG construction from ambient entropy |
 //! | D4   | concurrency confined to the approved modules |
 //! | D5   | every `unsafe` block carries a `// SAFETY:` comment |
 //! | D6   | no bare-`{}` float `Display` on row/telemetry emission paths |
-//! | P1   | every `Message` variant has encode + decode arms and a round-trip test |
 //!
 //! Violations print rustc-style `file:line:col` diagnostics (or `--json`)
 //! and can be suppressed only through the checked-in `lint.toml` allowlist,
@@ -134,8 +133,7 @@ impl LintReport {
     }
 }
 
-/// Lints one source string as if it lived at `rel` — the per-file rules
-/// only (P1 needs a pair; see [`rules::check_protocol`]). This is the
+/// Lints one source string as if it lived at `rel`. This is the
 /// fixture-test entry point.
 pub fn check_source(rel: &str, source: &str) -> Vec<Violation> {
     rules::check_file(&SourceFile::parse(rel, source))
@@ -155,21 +153,10 @@ pub fn lint_workspace(root: &Path) -> Result<LintReport, String> {
     files.sort();
 
     let mut all = Vec::new();
-    let mut protocol: Option<SourceFile> = None;
-    let mut protocol_tests: Option<SourceFile> = None;
     for rel in &files {
         let source =
             std::fs::read_to_string(root.join(rel)).map_err(|e| format!("reading {rel}: {e}"))?;
-        let file = SourceFile::parse(rel, &source);
-        all.extend(rules::check_file(&file));
-        if rel == scope::PROTOCOL_FILE {
-            protocol = Some(file);
-        } else if rel == scope::PROTOCOL_TESTS_FILE {
-            protocol_tests = Some(file);
-        }
-    }
-    if let (Some(p), Some(t)) = (&protocol, &protocol_tests) {
-        all.extend(rules::check_protocol(p, t));
+        all.extend(rules::check_file(&SourceFile::parse(rel, &source)));
     }
     all.sort_by(|a, b| (&a.path, a.line, a.col, a.rule).cmp(&(&b.path, b.line, b.col, b.rule)));
 

@@ -1,7 +1,7 @@
 //! The named invariant rules.
 //!
-//! Each rule is an independent token-level check over one file (D1–D6) or a
-//! cross-file consistency check (P1). Which files a rule applies to is
+//! Each rule is an independent token-level check over one file (D1–D6).
+//! Which files a rule applies to is
 //! decided by the path scopes in [`crate::scope`]; the checks here assume
 //! scoping already happened and look only at tokens.
 
@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 /// One rule violation, positioned at the offending token.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Rule id: `D1`…`D6`, `P1`.
+    /// Rule id: `D1`…`D6`.
     pub rule: &'static str,
     /// Workspace-relative path (unix separators).
     pub path: String,
@@ -248,8 +248,8 @@ fn d1_unordered_iteration(file: &SourceFile) -> Vec<Violation> {
 // ---------------------------------------------------------------------------
 
 const D2_HINT: &str = "thread time through as data, or move the timing into \
-     bench/src/net/ or bench/src/sweep.rs; if the clock IS the output \
-     (a benchmark harness), allowlist the file in lint.toml";
+     bench/src/sweep.rs; if the clock IS the output (a benchmark harness), \
+     allowlist the file in lint.toml";
 
 fn d2_wall_clock(file: &SourceFile) -> Vec<Violation> {
     let mut out = Vec::new();
@@ -333,8 +333,8 @@ fn d3_entropy_rng(file: &SourceFile) -> Vec<Violation> {
 // ---------------------------------------------------------------------------
 
 const D4_HINT: &str = "keep crates single-threaded by construction; route \
-     parallelism through SweepRunner (bench/src/sweep.rs) or the net layer \
-     (bench/src/net/), or allowlist with a written justification";
+     parallelism through SweepRunner (bench/src/sweep.rs), or allowlist with \
+     a written justification";
 
 fn d4_concurrency(file: &SourceFile) -> Vec<Violation> {
     let mut out = Vec::new();
@@ -649,226 +649,4 @@ fn d6_float_format(file: &SourceFile) -> Vec<Violation> {
         i = end + 1;
     }
     out
-}
-
-// ---------------------------------------------------------------------------
-// P1 — protocol cross-file consistency
-// ---------------------------------------------------------------------------
-
-const P1_HINT_DECODE: &str = "add a `\"<Variant>\" => …` arm to `Message::from_value` \
-     in net/protocol.rs";
-const P1_HINT_ENCODE: &str = "derive `Serialize` on `enum Message` (or write an \
-     explicit encode arm) so the variant can be framed";
-const P1_HINT_TEST: &str = "add a `round_trip_<variant>` test to \
-     crates/bench/tests/net.rs that encodes and decodes the variant";
-
-/// Checks that every variant of `enum Message` in `protocol` has a decode
-/// arm (its externally-tagged name matched as a string literal), an encode
-/// path (`Serialize` in the enum's derive list), and a dedicated
-/// `round_trip_*` test in `tests` that constructs the variant.
-pub fn check_protocol(protocol: &SourceFile, tests: &SourceFile) -> Vec<Violation> {
-    let mut out = Vec::new();
-    let Some((variants, has_serialize)) = message_enum(protocol) else {
-        // No `enum Message` — nothing to check (fixtures exercise both).
-        return out;
-    };
-
-    // Decode arms: string literal "<Variant>" followed by `=>`.
-    let mut decode_arms: Vec<String> = Vec::new();
-    for w in protocol.sig.windows(2) {
-        if w[0].kind == TokenKind::Str && is_punct(&w[1], "=>") {
-            decode_arms.push(w[0].str_content().to_string());
-        }
-    }
-
-    // Round-trip coverage: variants constructed inside `fn round_trip_*`.
-    let covered = round_trip_coverage(tests);
-
-    for v in &variants {
-        if !has_serialize {
-            out.push(violation(
-                "P1",
-                protocol,
-                &v.token,
-                format!(
-                    "`Message::{}` has no encode arm (no `Serialize` derive on the enum)",
-                    v.token.text
-                ),
-                P1_HINT_ENCODE,
-            ));
-        }
-        if !decode_arms.iter().any(|a| a == &v.token.text) {
-            out.push(violation(
-                "P1",
-                protocol,
-                &v.token,
-                format!(
-                    "`Message::{}` has no decode arm in `from_value`",
-                    v.token.text
-                ),
-                P1_HINT_DECODE,
-            ));
-        }
-        if !covered.contains(&v.token.text) {
-            out.push(violation(
-                "P1",
-                protocol,
-                &v.token,
-                format!(
-                    "`Message::{}` has no `round_trip_*` test in {}",
-                    v.token.text, tests.rel
-                ),
-                P1_HINT_TEST,
-            ));
-        }
-    }
-    out
-}
-
-struct Variant {
-    token: Token,
-}
-
-/// Finds `enum Message { … }`, returning its variant name tokens and
-/// whether the derive list directly above it contains `Serialize`.
-fn message_enum(file: &SourceFile) -> Option<(Vec<Variant>, bool)> {
-    let sig = &file.sig;
-    let start = (0..sig.len()).find(|&i| {
-        is_ident(&sig[i], "enum")
-            && sig.get(i + 1).is_some_and(|t| is_ident(t, "Message"))
-            && sig.get(i + 2).is_some_and(|t| is_punct(t, "{"))
-    })?;
-
-    // Derive list: scan the attribute tokens immediately before `enum`
-    // (skipping doc comments happens for free — sig is comment-free).
-    let mut has_serialize = false;
-    let mut j = start;
-    // Step back over a visibility modifier: `pub` or `pub(crate)`-style.
-    if j >= 1 && is_punct(&sig[j - 1], ")") {
-        let mut depth = 1i32;
-        let mut k = j - 1;
-        while k > 0 && depth > 0 {
-            k -= 1;
-            if is_punct(&sig[k], ")") {
-                depth += 1;
-            } else if is_punct(&sig[k], "(") {
-                depth -= 1;
-            }
-        }
-        if k >= 1 && is_ident(&sig[k - 1], "pub") {
-            j = k - 1;
-        }
-    } else if j >= 1 && is_ident(&sig[j - 1], "pub") {
-        j -= 1;
-    }
-    while j >= 2 && is_punct(&sig[j - 1], "]") {
-        // Walk back to the matching `[` of this attribute.
-        let mut depth = 1i32;
-        let mut k = j - 1;
-        while k > 0 && depth > 0 {
-            k -= 1;
-            if is_punct(&sig[k], "]") {
-                depth += 1;
-            } else if is_punct(&sig[k], "[") {
-                depth -= 1;
-            }
-        }
-        if k >= 1 && is_punct(&sig[k - 1], "#") {
-            if sig[k..j].iter().any(|t| is_ident(t, "Serialize")) {
-                has_serialize = true;
-            }
-            j = k - 1;
-        } else {
-            break;
-        }
-    }
-
-    // Variant names: idents at brace depth 1 that open a variant (previous
-    // significant token is `{`, `,`, or a variant-closing `}`/`)`), with
-    // attribute spans skipped.
-    let mut variants = Vec::new();
-    let mut depth = 1i32; // the enum's own `{` is already open
-    let mut i = start + 3;
-    let mut prev_opens_variant = true; // right after the enum's `{`
-    while i < sig.len() {
-        let t = &sig[i];
-        if is_punct(t, "{") || is_punct(t, "(") {
-            depth += 1;
-            prev_opens_variant = false;
-        } else if is_punct(t, "}") || is_punct(t, ")") {
-            depth -= 1;
-            if depth == 0 {
-                break; // end of the enum body
-            }
-            prev_opens_variant = false;
-        } else if depth == 1 {
-            if is_punct(t, "#") && sig.get(i + 1).is_some_and(|n| is_punct(n, "[")) {
-                // Skip a variant attribute.
-                let mut adepth = 0i32;
-                i += 1;
-                while i < sig.len() {
-                    if is_punct(&sig[i], "[") {
-                        adepth += 1;
-                    } else if is_punct(&sig[i], "]") {
-                        adepth -= 1;
-                        if adepth == 0 {
-                            break;
-                        }
-                    }
-                    i += 1;
-                }
-            } else if t.kind == TokenKind::Ident && prev_opens_variant {
-                variants.push(Variant { token: t.clone() });
-                prev_opens_variant = false;
-            } else if is_punct(t, ",") {
-                prev_opens_variant = true;
-            }
-        }
-        i += 1;
-    }
-    Some((variants, has_serialize))
-}
-
-/// The set of `Message::X` variant names referenced inside the body of any
-/// function whose name starts with `round_trip`.
-fn round_trip_coverage(tests: &SourceFile) -> Vec<String> {
-    let sig = &tests.sig;
-    let mut covered = Vec::new();
-    let mut i = 0;
-    while i < sig.len() {
-        if is_ident(&sig[i], "fn")
-            && sig
-                .get(i + 1)
-                .is_some_and(|t| t.kind == TokenKind::Ident && t.text.starts_with("round_trip"))
-        {
-            // Find the body's opening brace, then its matching close.
-            let mut k = i + 2;
-            while k < sig.len() && !is_punct(&sig[k], "{") {
-                k += 1;
-            }
-            let mut depth = 0i32;
-            while k < sig.len() {
-                let t = &sig[k];
-                if is_punct(t, "{") {
-                    depth += 1;
-                } else if is_punct(t, "}") {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                } else if is_ident(t, "Message")
-                    && sig.get(k + 1).is_some_and(|n| is_punct(n, "::"))
-                    && sig.get(k + 2).is_some_and(|n| n.kind == TokenKind::Ident)
-                {
-                    covered.push(sig[k + 2].text.clone());
-                }
-                k += 1;
-            }
-            i = k;
-        }
-        i += 1;
-    }
-    covered.sort();
-    covered.dedup();
-    covered
 }

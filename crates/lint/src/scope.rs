@@ -31,12 +31,11 @@ pub const DETERMINISTIC_CRATES: &[&str] = &[
 
 /// `bench` files on the row/report emission path: everything between a
 /// finished simulation and the bytes of a merged JSONL file.
-const BENCH_EMISSION: &[&str] = &["crates/bench/src/lab.rs", "crates/bench/src/resume.rs"];
+const BENCH_EMISSION: &[&str] = &["crates/bench/src/lab.rs"];
 
 /// The only modules allowed to spawn threads, share state, or read the
-/// wall clock: the sweep thread pool, the coordinator/worker net layer,
-/// and the telemetry plane's one audited lock wrapper (everything else in
-/// `cohesion-telemetry` goes through it).
+/// wall clock: the sweep thread pool and the telemetry plane's one audited
+/// lock wrapper (everything else in `cohesion-telemetry` goes through it).
 const CONCURRENCY_MODULES: &[&str] = &["crates/bench/src/sweep.rs", "crates/telemetry/src/sync.rs"];
 
 fn in_deterministic_src(rel: &str) -> bool {
@@ -54,7 +53,7 @@ fn in_src(rel: &str) -> bool {
 }
 
 fn in_concurrency_module(rel: &str) -> bool {
-    CONCURRENCY_MODULES.contains(&rel) || rel.starts_with("crates/bench/src/net/")
+    CONCURRENCY_MODULES.contains(&rel)
 }
 
 /// D1: deterministic crates' sources plus the bench emission path.
@@ -82,19 +81,12 @@ pub fn d5_applies(_rel: &str) -> bool {
     true
 }
 
-/// D6: the emission surfaces — bench row/report emission, the telemetry
-/// plane's sources, and the `lab watch` renderer. A bare `{}` on a float
-/// there prints value-dependent widths into files and frames that external
-/// tools parse.
+/// D6: the emission surfaces — bench row/report emission and the
+/// telemetry plane's sources. A bare `{}` on a float there prints
+/// value-dependent widths into files that external tools parse.
 pub fn d6_applies(rel: &str) -> bool {
-    in_bench_emission(rel)
-        || rel.starts_with("crates/telemetry/src/")
-        || rel == "crates/bench/src/net/watch.rs"
+    in_bench_emission(rel) || rel.starts_with("crates/telemetry/src/")
 }
-
-/// The two files rule P1 cross-checks.
-pub const PROTOCOL_FILE: &str = "crates/bench/src/net/protocol.rs";
-pub const PROTOCOL_TESTS_FILE: &str = "crates/bench/tests/net.rs";
 
 /// Files the workspace walker skips entirely.
 pub fn excluded(rel: &str) -> bool {

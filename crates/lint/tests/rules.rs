@@ -3,7 +3,7 @@
 //! path gate says it does.
 
 use cohesion_lint::check_source;
-use cohesion_lint::rules::{check_protocol, SourceFile, Violation};
+use cohesion_lint::rules::Violation;
 
 const D1_TRIP: &str = include_str!("fixtures/d1_trip.rs");
 const D1_PASS: &str = include_str!("fixtures/d1_pass.rs");
@@ -49,8 +49,8 @@ fn d1_passes_ordered_iteration_and_keyed_lookup() {
 
 #[test]
 fn d1_out_of_scope_outside_deterministic_crates() {
-    // The net layer is not on the deterministic surface.
-    let v = check_source("crates/bench/src/net/fixture.rs", D1_TRIP);
+    // The Look micro-benchmark is not on the deterministic surface.
+    let v = check_source("crates/bench/src/lookbench.rs", D1_TRIP);
     assert!(!v.iter().any(|v| v.rule == "D1"), "{v:#?}");
 }
 
@@ -77,10 +77,10 @@ fn d2_ignores_clock_mentions_in_comments_strings_and_idents() {
 }
 
 #[test]
-fn d2_out_of_scope_in_the_net_layer_and_test_harnesses() {
+fn d2_out_of_scope_in_the_sweep_pool_and_test_harnesses() {
     for rel in [
-        "crates/bench/src/net/fixture.rs",
         "crates/bench/src/sweep.rs",
+        "crates/telemetry/src/sync.rs",
         "crates/bench/tests/fixture.rs",
     ] {
         let v = check_source(rel, D2_TRIP);
@@ -133,7 +133,7 @@ fn d4_passes_single_threaded_shared_state() {
 fn d4_out_of_scope_in_approved_concurrency_modules() {
     for rel in [
         "crates/bench/src/sweep.rs",
-        "crates/bench/src/net/worker.rs",
+        "crates/telemetry/src/sync.rs",
         "crates/bench/tests/fixture.rs",
     ] {
         let v = check_source(rel, D4_TRIP);
@@ -187,7 +187,6 @@ fn d6_passes_pinned_formats_and_non_floats() {
 fn d6_applies_across_the_telemetry_plane() {
     for rel in [
         "crates/telemetry/src/store.rs",
-        "crates/bench/src/net/watch.rs",
         "crates/bench/src/experiments/fixture.rs",
     ] {
         let v = check_source(rel, D6_TRIP);
@@ -201,101 +200,10 @@ fn d6_out_of_scope_off_the_emission_paths() {
     // the bytes that land in rows, frames, and dashboards are pinned.
     for rel in [
         DET_SRC,
-        "crates/bench/src/net/coordinator.rs",
+        "crates/bench/src/sweep.rs",
         "crates/bench/tests/fixture.rs",
     ] {
         let v = check_source(rel, D6_TRIP);
         assert!(!v.iter().any(|v| v.rule == "D6"), "{rel}: {v:#?}");
-    }
-}
-
-// --- P1 -------------------------------------------------------------------
-
-const P1_PROTOCOL_OK: &str = include_str!("fixtures/p1_protocol_ok.rs");
-const P1_PROTOCOL_MISSING_DECODE: &str = include_str!("fixtures/p1_protocol_missing_decode.rs");
-const P1_PROTOCOL_NO_SERIALIZE: &str = include_str!("fixtures/p1_protocol_no_serialize.rs");
-const P1_TESTS_OK: &str = include_str!("fixtures/p1_tests_ok.rs");
-const P1_TESTS_MISSING: &str = include_str!("fixtures/p1_tests_missing.rs");
-
-fn p1(protocol: &str, tests: &str) -> Vec<Violation> {
-    let p = SourceFile::parse("crates/bench/src/net/protocol.rs", protocol);
-    let t = SourceFile::parse("crates/bench/tests/net.rs", tests);
-    check_protocol(&p, &t)
-}
-
-#[test]
-fn p1_passes_complete_protocol() {
-    let v = p1(P1_PROTOCOL_OK, P1_TESTS_OK);
-    assert!(v.is_empty(), "{v:#?}");
-}
-
-#[test]
-fn p1_trips_on_missing_decode_arm() {
-    let v = p1(P1_PROTOCOL_MISSING_DECODE, P1_TESTS_OK);
-    assert_eq!(rules_of(&v), ["P1"], "{v:#?}");
-    assert!(v[0].message.contains("`Message::Pong`"));
-    assert!(v[0].message.contains("decode arm"));
-}
-
-#[test]
-fn p1_trips_on_missing_serialize_derive() {
-    let v = p1(P1_PROTOCOL_NO_SERIALIZE, P1_TESTS_OK);
-    // Every variant loses its encode leg at once.
-    let encode: Vec<_> = v
-        .iter()
-        .filter(|v| v.message.contains("encode arm"))
-        .collect();
-    assert_eq!(encode.len(), 3, "{v:#?}");
-}
-
-#[test]
-fn p1_trips_on_missing_round_trip_test() {
-    let v = p1(P1_PROTOCOL_OK, P1_TESTS_MISSING);
-    assert_eq!(rules_of(&v), ["P1"], "{v:#?}");
-    assert!(v[0].message.contains("`Message::Pong`"));
-    assert!(v[0].message.contains("round_trip"));
-}
-
-// --- P1 against the real protocol ----------------------------------------
-
-fn real_protocol_pair() -> (String, String) {
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let protocol = std::fs::read_to_string(format!("{root}/crates/bench/src/net/protocol.rs"))
-        .expect("read real protocol.rs");
-    let tests = std::fs::read_to_string(format!("{root}/crates/bench/tests/net.rs"))
-        .expect("read real tests/net.rs");
-    (protocol, tests)
-}
-
-#[test]
-fn p1_real_protocol_is_clean() {
-    let (protocol, tests) = real_protocol_pair();
-    let v = p1(&protocol, &tests);
-    assert!(v.is_empty(), "{v:#?}");
-}
-
-/// The acceptance criterion verbatim: deleting any single `round_trip_*`
-/// test from the real tests/net.rs must make P1 fail. Simulated by
-/// renaming each round-trip test, one at a time, out of the `round_trip`
-/// namespace.
-#[test]
-fn p1_fails_when_any_single_round_trip_test_is_deleted() {
-    let (protocol, tests) = real_protocol_pair();
-    let needle = "fn round_trip_";
-    let sites: Vec<usize> = tests.match_indices(needle).map(|(i, _)| i).collect();
-    assert!(
-        sites.len() >= 11,
-        "expected one round_trip_* test per Message variant, found {}",
-        sites.len()
-    );
-    for &site in &sites {
-        let mut mutated = tests.clone();
-        mutated.replace_range(site..site + needle.len(), "fn removed_trip_");
-        let v = p1(&protocol, &mutated);
-        assert!(
-            v.iter()
-                .any(|v| v.rule == "P1" && v.message.contains("round_trip")),
-            "deleting the test at byte {site} left P1 green"
-        );
     }
 }

@@ -8,51 +8,12 @@
 //! use [`ScriptedScheduler`] with hand-built traces instead.
 
 use crate::argmin::ArgMin;
-use crate::checkpoint::{ProfileState, SchedulerState};
 use crate::interval::ActivationInterval;
 use crate::{ScheduleContext, Scheduler};
 use cohesion_model::RobotId;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
-
-fn state_mismatch(expect: &str, got: &SchedulerState) -> String {
-    format!(
-        "cannot restore a {} checkpoint into a {expect} scheduler",
-        got.class()
-    )
-}
-
-fn profile_state(p: &DurationProfile) -> ProfileState {
-    [
-        p.compute.0,
-        p.compute.1,
-        p.move_phase.0,
-        p.move_phase.1,
-        p.jitter,
-    ]
-}
-
-fn profile_from_state(s: &ProfileState) -> DurationProfile {
-    DurationProfile {
-        compute: (s[0], s[1]),
-        move_phase: (s[2], s[3]),
-        jitter: s[4],
-    }
-}
-
-fn argmin_values(a: Option<&ArgMin>) -> Option<Vec<f64>> {
-    a.map(|a| (0..a.len()).map(|i| a.get(i)).collect())
-}
-
-fn argmin_from_values(v: Option<&Vec<f64>>) -> Option<ArgMin> {
-    let vals = v.filter(|vals| !vals.is_empty())?;
-    let mut a = ArgMin::new(vals.len(), 0.0);
-    for (i, &x) in vals.iter().enumerate() {
-        a.set(i, x);
-    }
-    Some(a)
-}
 
 /// Timing ranges used by the random generators.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -137,24 +98,6 @@ impl Scheduler for FSyncScheduler {
     fn name(&self) -> &str {
         "FSync"
     }
-
-    fn save_state(&self) -> Option<SchedulerState> {
-        Some(SchedulerState::FSync {
-            round: self.round,
-            queue: self.queue.iter().copied().collect(),
-        })
-    }
-
-    fn load_state(&mut self, state: &SchedulerState) -> Result<(), String> {
-        match state {
-            SchedulerState::FSync { round, queue } => {
-                self.round = *round;
-                self.queue = queue.iter().copied().collect();
-                Ok(())
-            }
-            other => Err(state_mismatch("FSync", other)),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -228,36 +171,6 @@ impl Scheduler for SSyncScheduler {
 
     fn name(&self) -> &str {
         "SSync"
-    }
-
-    fn save_state(&self) -> Option<SchedulerState> {
-        Some(SchedulerState::SSync {
-            rng: self.rng.state(),
-            round: self.round,
-            skip_counts: self.skip_counts.clone(),
-            queue: self.queue.iter().copied().collect(),
-            inclusion_probability: self.inclusion_probability,
-        })
-    }
-
-    fn load_state(&mut self, state: &SchedulerState) -> Result<(), String> {
-        match state {
-            SchedulerState::SSync {
-                rng,
-                round,
-                skip_counts,
-                queue,
-                inclusion_probability,
-            } => {
-                self.rng = SmallRng::from_state(*rng);
-                self.round = *round;
-                self.skip_counts = skip_counts.clone();
-                self.queue = queue.iter().copied().collect();
-                self.inclusion_probability = *inclusion_probability;
-                Ok(())
-            }
-            other => Err(state_mismatch("SSync", other)),
-        }
     }
 }
 
@@ -373,44 +286,6 @@ impl Scheduler for KAsyncScheduler {
 
     fn name(&self) -> &str {
         "k-Async"
-    }
-
-    fn save_state(&self) -> Option<SchedulerState> {
-        Some(SchedulerState::KAsync {
-            k: self.k,
-            rng: self.rng.state(),
-            profile: profile_state(&self.profile),
-            clock: self.clock,
-            next_free: argmin_values(self.next_free.as_ref()),
-            history: self.history.clone(),
-        })
-    }
-
-    fn load_state(&mut self, state: &SchedulerState) -> Result<(), String> {
-        match state {
-            SchedulerState::KAsync {
-                k,
-                rng,
-                profile,
-                clock,
-                next_free,
-                history,
-            } => {
-                if *k != self.k {
-                    return Err(format!(
-                        "k-Async checkpoint has k={k}, scheduler has k={}",
-                        self.k
-                    ));
-                }
-                self.rng = SmallRng::from_state(*rng);
-                self.profile = profile_from_state(profile);
-                self.clock = *clock;
-                self.next_free = argmin_from_values(next_free.as_ref());
-                self.history = history.clone();
-                Ok(())
-            }
-            other => Err(state_mismatch("k-Async", other)),
-        }
     }
 }
 
@@ -536,43 +411,6 @@ impl Scheduler for NestAScheduler {
     fn name(&self) -> &str {
         "k-NestA"
     }
-
-    fn save_state(&self) -> Option<SchedulerState> {
-        Some(SchedulerState::NestA {
-            k: self.k,
-            rng: self.rng.state(),
-            clock: self.clock,
-            next_outer: self.next_outer as u64,
-            queue: self.queue.iter().copied().collect(),
-        })
-    }
-
-    fn load_state(&mut self, state: &SchedulerState) -> Result<(), String> {
-        match state {
-            SchedulerState::NestA {
-                k,
-                rng,
-                clock,
-                next_outer,
-                queue,
-            } => {
-                if *k != self.k {
-                    return Err(format!(
-                        "k-NestA checkpoint has k={k}, scheduler has k={}",
-                        self.k
-                    ));
-                }
-                self.rng = SmallRng::from_state(*rng);
-                self.clock = *clock;
-                self.next_outer = usize::try_from(*next_outer).map_err(|_| {
-                    "k-NestA checkpoint rotation counter overflows usize".to_string()
-                })?;
-                self.queue = queue.iter().copied().collect();
-                Ok(())
-            }
-            other => Err(state_mismatch("k-NestA", other)),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -639,36 +477,6 @@ impl Scheduler for AsyncScheduler {
     fn name(&self) -> &str {
         "Async"
     }
-
-    fn save_state(&self) -> Option<SchedulerState> {
-        Some(SchedulerState::Async {
-            rng: self.rng.state(),
-            profile: profile_state(&self.profile),
-            clock: self.clock,
-            next_free: argmin_values(self.next_free.as_ref()),
-            stretch_probability: self.stretch_probability,
-        })
-    }
-
-    fn load_state(&mut self, state: &SchedulerState) -> Result<(), String> {
-        match state {
-            SchedulerState::Async {
-                rng,
-                profile,
-                clock,
-                next_free,
-                stretch_probability,
-            } => {
-                self.rng = SmallRng::from_state(*rng);
-                self.profile = profile_from_state(profile);
-                self.clock = *clock;
-                self.next_free = argmin_from_values(next_free.as_ref());
-                self.stretch_probability = *stretch_probability;
-                Ok(())
-            }
-            other => Err(state_mismatch("Async", other)),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -717,26 +525,6 @@ impl Scheduler for CentralizedScheduler {
     fn name(&self) -> &str {
         "Centralized"
     }
-
-    fn save_state(&self) -> Option<SchedulerState> {
-        Some(SchedulerState::Centralized {
-            next: self.next as u64,
-            clock: self.clock,
-        })
-    }
-
-    fn load_state(&mut self, state: &SchedulerState) -> Result<(), String> {
-        match state {
-            SchedulerState::Centralized { next, clock } => {
-                self.next = usize::try_from(*next).map_err(|_| {
-                    "Centralized checkpoint rotation counter overflows usize".to_string()
-                })?;
-                self.clock = *clock;
-                Ok(())
-            }
-            other => Err(state_mismatch("Centralized", other)),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -775,29 +563,6 @@ impl Scheduler for ScriptedScheduler {
 
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn save_state(&self) -> Option<SchedulerState> {
-        Some(SchedulerState::Scripted {
-            name: self.name.clone(),
-            queue: self.queue.iter().copied().collect(),
-        })
-    }
-
-    fn load_state(&mut self, state: &SchedulerState) -> Result<(), String> {
-        match state {
-            SchedulerState::Scripted { name, queue } => {
-                if *name != self.name {
-                    return Err(format!(
-                        "scripted checkpoint is for '{name}', scheduler is '{}'",
-                        self.name
-                    ));
-                }
-                self.queue = queue.iter().copied().collect();
-                Ok(())
-            }
-            other => Err(state_mismatch("Scripted", other)),
-        }
     }
 }
 
@@ -977,90 +742,6 @@ mod tests {
             let trace = ScheduleTrace::from_intervals(script);
             assert!(minimal_async_k(&trace) <= k, "overlap bound exceeded");
         }
-    }
-
-    #[test]
-    fn save_restore_continues_every_generator_identically() {
-        // Pull some intervals, snapshot, restore onto a fresh same-spec
-        // instance, and check both emit the same continuation — the
-        // scheduler half of the engine's byte-for-byte resume contract.
-        fn check(mut live: Box<dyn Scheduler>, mut fresh: Box<dyn Scheduler>, n: usize) {
-            let ctx = ScheduleContext { robot_count: n };
-            for _ in 0..37 {
-                live.next_activation(&ctx);
-            }
-            let state = live.save_state().expect("checkpointable");
-            // Round trip the state through JSON like a real checkpoint does.
-            let json = serde_json::to_string(&state).expect("encode");
-            let value = serde_json::from_str(&json).expect("parse");
-            let decoded = SchedulerState::decode(&value).expect("decode");
-            assert_eq!(decoded, state);
-            fresh.load_state(&decoded).expect("load");
-            for i in 0..80 {
-                assert_eq!(
-                    live.next_activation(&ctx),
-                    fresh.next_activation(&ctx),
-                    "divergence at pull {i} for {}",
-                    live.name()
-                );
-            }
-        }
-        check(
-            Box::new(FSyncScheduler::new()),
-            Box::new(FSyncScheduler::new()),
-            4,
-        );
-        check(
-            Box::new(SSyncScheduler::new(9)),
-            Box::new(SSyncScheduler::new(1)),
-            5,
-        );
-        check(
-            Box::new(KAsyncScheduler::new(2, 7)),
-            Box::new(KAsyncScheduler::new(2, 99)),
-            4,
-        );
-        check(
-            Box::new(NestAScheduler::new(3, 5)),
-            Box::new(NestAScheduler::new(3, 123)),
-            4,
-        );
-        check(
-            Box::new(AsyncScheduler::new(11)),
-            Box::new(AsyncScheduler::new(2)),
-            3,
-        );
-        check(
-            Box::new(CentralizedScheduler::new()),
-            Box::new(CentralizedScheduler::new()),
-            4,
-        );
-        check(
-            Box::new(ScriptedScheduler::new(
-                "lemma5",
-                interleaved_engagement(4, 21),
-            )),
-            Box::new(ScriptedScheduler::new(
-                "lemma5",
-                interleaved_engagement(4, 21),
-            )),
-            2,
-        );
-    }
-
-    #[test]
-    fn load_state_rejects_mismatched_class_and_config() {
-        let state = FSyncScheduler::new().save_state().unwrap();
-        let err = SSyncScheduler::new(0).load_state(&state).unwrap_err();
-        assert!(err.contains("FSync"), "unhelpful error: {err}");
-        let k2 = KAsyncScheduler::new(2, 0).save_state().unwrap();
-        let err = KAsyncScheduler::new(3, 0).load_state(&k2).unwrap_err();
-        assert!(err.contains("k=2") && err.contains("k=3"), "{err}");
-        let scripted = ScriptedScheduler::new("a", vec![]).save_state().unwrap();
-        let err = ScriptedScheduler::new("b", vec![])
-            .load_state(&scripted)
-            .unwrap_err();
-        assert!(err.contains('a') && err.contains('b'), "{err}");
     }
 
     #[test]

@@ -18,14 +18,12 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 mod argmin;
-pub mod checkpoint;
 pub mod generators;
 pub mod interval;
 pub mod render;
 pub mod trace;
 pub mod validate;
 
-pub use checkpoint::SchedulerState;
 pub use generators::{
     interleaved_engagement, AsyncScheduler, CentralizedScheduler, FSyncScheduler, KAsyncScheduler,
     NestAScheduler, SSyncScheduler, ScriptedScheduler,
@@ -55,23 +53,6 @@ pub trait Scheduler: Debug + Send {
 
     /// A short human-readable name used in experiment tables.
     fn name(&self) -> &str;
-
-    /// Captures the scheduler's mutable state for a checkpoint, or `None`
-    /// when the generator is not checkpointable (the engine then refuses to
-    /// save rather than silently mis-resuming).
-    fn save_state(&self) -> Option<SchedulerState> {
-        None
-    }
-
-    /// Restores a state captured by [`Scheduler::save_state`]. Fails when
-    /// the state belongs to a different generator class or configuration.
-    fn load_state(&mut self, state: &SchedulerState) -> Result<(), String> {
-        Err(format!(
-            "scheduler '{}' does not support restore (got {} state)",
-            self.name(),
-            state.class()
-        ))
-    }
 }
 
 impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
@@ -81,13 +62,5 @@ impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
 
     fn name(&self) -> &str {
         (**self).name()
-    }
-
-    fn save_state(&self) -> Option<SchedulerState> {
-        (**self).save_state()
-    }
-
-    fn load_state(&mut self, state: &SchedulerState) -> Result<(), String> {
-        (**self).load_state(state)
     }
 }

@@ -9,12 +9,11 @@
 //! is the (total) conversion between the two.
 //!
 //! The standard token table lives here too: everything the engine
-//! [`StoreObserver`](crate::StoreObserver) and the lab's progress path
-//! publish. Per-shard metrics are published *scoped* — the same token under
-//! a `"<experiment>/<shard>"` prefix
+//! [`StoreObserver`](crate::StoreObserver) publishes. Several sessions can
+//! share one store by publishing *scoped* — the same token under a
+//! per-session prefix
 //! ([`StateStore::publish_scoped`](crate::StateStore::publish_scoped)) —
-//! so one coordinator store aggregates a whole fleet without key
-//! collisions.
+//! without key collisions.
 
 use serde::Serialize;
 use std::marker::PhantomData;
@@ -170,54 +169,6 @@ pub const SIM_TIME: Key<f64> = Key::new("engine/time");
 /// Observed event throughput (published by timing-approved layers only —
 /// the store itself never reads a clock).
 pub const EVENTS_PER_SEC: Key<f64> = Key::new("lab/events_per_sec");
-
-/// Mid-cell checkpoint cadence, in engine events.
-pub const CHECKPOINT_EVENTS: Key<u64> = Key::new("lab/checkpoint_events");
-
-/// Grid cell a progress record speaks for (absolute, unsharded index).
-pub const CELL: Key<u64> = Key::new("progress/cell");
-
-/// Progress phase: `"start"`, `"heartbeat"`, or `"done"`.
-pub const CELL_PHASE: Key<String> = Key::new("progress/phase");
-
-/// The cell's experiment-local tag.
-pub const CELL_TAG: Key<String> = Key::new("progress/tag");
-
-/// Events processed so far in the reporting cell.
-pub const CELL_EVENTS: Key<u64> = Key::new("progress/events");
-
-/// Rounds completed so far in the reporting cell.
-pub const CELL_ROUNDS: Key<u64> = Key::new("progress/rounds");
-
-/// Simulated time so far in the reporting cell.
-pub const CELL_TIME: Key<f64> = Key::new("progress/time");
-
-/// Configuration diameter at the record.
-pub const CELL_DIAMETER: Key<f64> = Key::new("progress/diameter");
-
-/// Cohesion-so-far of the reporting cell.
-pub const CELL_COHESION_OK: Key<bool> = Key::new("progress/cohesion_ok");
-
-/// Whether the reporting cell has converged.
-pub const CELL_CONVERGED: Key<bool> = Key::new("progress/converged");
-
-/// Rows the cell reduced to (`done` records only).
-pub const CELL_ROWS: Key<u64> = Key::new("progress/rows");
-
-/// Shards queued by a `lab serve` run.
-pub const SHARDS_TOTAL: Key<u64> = Key::new("serve/shards_total");
-
-/// Shards completed so far.
-pub const SHARDS_DONE: Key<u64> = Key::new("serve/shards_done");
-
-/// Shards lost to dead workers and requeued.
-pub const REASSIGNMENTS: Key<u64> = Key::new("serve/reassignments");
-
-/// Workers that completed the handshake.
-pub const WORKERS: Key<u64> = Key::new("serve/workers");
-
-/// Rows received across all completed shards.
-pub const ROWS_TOTAL: Key<u64> = Key::new("serve/rows_total");
 
 #[cfg(test)]
 mod tests {

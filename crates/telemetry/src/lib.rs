@@ -4,7 +4,7 @@
 //!
 //! * [`Key<T>`] — a static typed token per metric ([`keys`] holds the
 //!   standard table: positions digest, violation counts, convergence
-//!   diameter, events/sec, cell progress, checkpoint cadence).
+//!   diameter, events, rounds, simulated time).
 //! * [`StateStore`] — writers [`publish`](StateStore::publish), any
 //!   number of [`Subscription`]s receive ordered [`StateUpdate`]s through
 //!   bounded queues with explicit drop accounting. A slow subscriber
@@ -12,18 +12,13 @@
 //!   safe to attach to a determinism-pinned simulation.
 //! * [`StoreObserver`] — the engine adapter: attach to any `Simulation`
 //!   session and its monitor/progress stream lands in a store.
-//!
-//! The bench layer builds on this: progress sinks tee into a store, the
-//! `lab serve` coordinator aggregates every shard's heartbeats into one
-//! store and re-broadcasts it over the framed-TCP protocol
-//! (`Subscribe`/`StateUpdate`, protocol v3), and `lab watch` renders it
-//! live. See the README "Telemetry" section for the wire format.
+//! * [`sync`] — the one audited concurrency module; the lab's progress
+//!   sidecar writes through its [`Guarded`](sync::Guarded) lock.
 //!
 //! Determinism posture: this crate never reads a clock and never touches
-//! the simulation it observes; all shared state funnels through the one
-//! audited concurrency module ([`sync`]). Row bytes are identical with
-//! zero or many subscribers attached — pinned by tests in
-//! `crates/bench/tests/watch.rs`.
+//! the simulation it observes; all shared state funnels through [`sync`].
+//! Reports are identical with zero or many subscribers attached — pinned
+//! by `tests/store.rs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -84,8 +84,7 @@ impl StoreObserver {
 
     /// FNV-1a over the little-endian bit patterns of every coordinate of
     /// every position, in robot order. Bit-exact state comparison: two
-    /// runs (or one run and its resumed twin) in the same state publish
-    /// the same digest.
+    /// runs in the same state publish the same digest.
     fn positions_digest<P: Ambient>(&mut self, positions: &[P]) -> u64 {
         self.digest_buf.clear();
         for p in positions {

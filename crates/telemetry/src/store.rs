@@ -12,14 +12,13 @@
 //!
 //! Subscribers poll ([`Subscription::poll`]); there is no condition
 //! variable or channel, so the store's only concurrency primitive is the
-//! [`Guarded`] mutex in [`crate::sync`]. Polling fits both consumers we
-//! have — the coordinator's watcher threads pace on their socket-read
-//! timeout, and in-process tests pace on their own assertions.
+//! [`Guarded`] mutex in [`crate::sync`]. A poller paces itself: the
+//! in-process tests pace on their own assertions.
 //!
 //! A subscription attached mid-run first receives a snapshot of the
 //! latest value per key (in key order, original sequence stamps), then
-//! live updates — so `lab watch` joining a billion-event run at hour
-//! three starts from current state, not from nothing.
+//! live updates — so a subscriber joining a long run starts from current
+//! state, not from nothing.
 
 use crate::keys::{Key, Metric, TelemetryValue};
 use crate::sync::Guarded;
@@ -99,16 +98,15 @@ impl StateStore {
         self.publish_raw(key.name().to_string(), value.into_value());
     }
 
-    /// Publishes under `"{scope}/{key}"` — how per-shard metrics share
-    /// one coordinator store without colliding.
+    /// Publishes under `"{scope}/{key}"` — how several observed sessions
+    /// share one store without colliding.
     pub fn publish_scoped<T: Metric>(&self, scope: &str, key: Key<T>, value: T) {
         self.publish_raw(format!("{scope}/{}", key.name()), value.into_value());
     }
 
     /// Publishes an already-wrapped value under a dynamic key name. The
-    /// typed entry points delegate here; re-broadcast paths (coordinator
-    /// mirroring a worker's updates) use it directly.
-    pub fn publish_raw(&self, key: String, value: TelemetryValue) {
+    /// typed entry points delegate here.
+    fn publish_raw(&self, key: String, value: TelemetryValue) {
         self.inner.with(|inner| {
             inner.seq += 1;
             let update = StateUpdate {
@@ -252,8 +250,9 @@ mod tests {
     fn late_subscriber_snapshot_is_seq_ordered() {
         let store = StateStore::new();
         // Publish so that key order (BTreeMap) disagrees with seq order:
-        // "progress/cell" sorts after "engine/events" but is older.
-        store.publish(keys::CELL, 0u64);
+        // "test/cell" sorts after "engine/events" but is older.
+        const CELL: crate::Key<u64> = crate::Key::new("test/cell");
+        store.publish(CELL, 0u64);
         store.publish(keys::DIAMETER, 2.0);
         store.publish(keys::EVENTS, 7);
         store.publish(keys::DIAMETER, 1.5); // supersedes seq 2
@@ -318,9 +317,9 @@ mod tests {
     #[test]
     fn scoped_publish_prefixes_key() {
         let store = StateStore::new();
-        store.publish_scoped("k_scaling/0of2", keys::CELL_EVENTS, 42);
+        store.publish_scoped("k_scaling/0of2", keys::EVENTS, 42);
         let update = store
-            .get_raw("k_scaling/0of2/progress/events")
+            .get_raw("k_scaling/0of2/engine/events")
             .expect("scoped key present");
         assert_eq!(update.value, TelemetryValue::U64(42));
     }

@@ -14,7 +14,7 @@
 use cohesion_engine::{SimulationBuilder, SimulationReport};
 use cohesion_model::NilAlgorithm;
 use cohesion_scheduler::{AsyncScheduler, Scheduler};
-use cohesion_telemetry::{keys, Metric, StateStore, StoreObserver, TelemetryValue};
+use cohesion_telemetry::{keys, Key, Metric, StateStore, StoreObserver, TelemetryValue};
 use std::sync::Arc;
 
 fn builder() -> SimulationBuilder {
@@ -142,7 +142,7 @@ fn ordered_delivery_per_key_across_polls() {
     let mut seen: Vec<u64> = Vec::new();
     let mut dropped = 0;
     for i in 0..100u64 {
-        store.publish(keys::CELL_EVENTS, i);
+        store.publish(keys::ROUNDS, i);
         if i % 5 == 4 {
             let drain = sub.poll();
             dropped += drain.dropped;
@@ -150,7 +150,7 @@ fn ordered_delivery_per_key_across_polls() {
                 drain
                     .updates
                     .iter()
-                    .filter(|u| u.key == keys::CELL_EVENTS.name())
+                    .filter(|u| u.key == keys::ROUNDS.name())
                     .map(|u| u64::from_value(&u.value).expect("u64 value")),
             );
         }
@@ -165,17 +165,19 @@ fn ordered_delivery_per_key_across_polls() {
     assert_eq!(seen, (0..100).collect::<Vec<u64>>());
 }
 
-/// The newline-JSON frame format `lab watch --json` emits: one compact
-/// object per update, value externally tagged by type. Pinned here so
-/// external UIs can rely on it.
+/// The newline-JSON form of a state update: one compact object per
+/// update, value externally tagged by type. Pinned here so external
+/// consumers can rely on it.
 #[test]
 fn state_update_wire_format() {
     let store = StateStore::new();
     let sub = store.subscribe(8);
     store.publish(keys::EVENTS, 5);
     store.publish(keys::DIAMETER, 0.5);
-    store.publish(keys::CELL_PHASE, String::from("heartbeat"));
-    store.publish(keys::CELL_COHESION_OK, true);
+    const PHASE: Key<String> = Key::new("test/phase");
+    const FLAG: Key<bool> = Key::new("test/flag");
+    store.publish(PHASE, String::from("heartbeat"));
+    store.publish(FLAG, true);
     let lines: Vec<String> = sub
         .poll()
         .updates
@@ -187,12 +189,12 @@ fn state_update_wire_format() {
         vec![
             r#"{"seq":1,"key":"engine/events","value":{"U64":5}}"#,
             r#"{"seq":2,"key":"engine/diameter","value":{"F64":0.5}}"#,
-            r#"{"seq":3,"key":"progress/phase","value":{"Text":"heartbeat"}}"#,
-            r#"{"seq":4,"key":"progress/cohesion_ok","value":{"Bool":true}}"#,
+            r#"{"seq":3,"key":"test/phase","value":{"Text":"heartbeat"}}"#,
+            r#"{"seq":4,"key":"test/flag","value":{"Bool":true}}"#,
         ]
     );
     // And the store's snapshot view reads back typed.
-    assert_eq!(store.get(keys::CELL_PHASE), Some("heartbeat".to_string()));
+    assert_eq!(store.get(PHASE), Some("heartbeat".to_string()));
     assert_eq!(
         store.get_raw("engine/diameter").map(|u| u.value),
         Some(TelemetryValue::F64(0.5))
