@@ -7,8 +7,9 @@
 //! bounded-density lattices) whose medians are committed as
 //! `BENCH_engine.json` — the workspace's record of how fast full runs get
 //! over time; and `session_events_per_sec`, the same arms at n ∈ {1024,
-//! 16384} driven through a `Simulation` session with the pair monitors on,
-//! to set against the bare engine. The 16384 row is the
+//! 16384} driven through a `Simulation` session, with the pair monitors on
+//! and with the builder defaults, to set against the bare engine. The
+//! 16384 row is the
 //! two-orders-beyond-the-paper size the ROADMAP asks the event core to
 //! sustain.
 
@@ -118,31 +119,39 @@ fn bench_events_per_sec(c: &mut Criterion) {
 }
 
 /// One round's worth of events (3n) of a running session per iteration:
-/// the `events_per_sec` arms with the session's per-event work on top —
-/// dirty-set upkeep, round accounting, and the cohesion and
-/// strong-visibility monitors (the builder defaults minus the hull and
-/// diameter samplers, whose cost is O(n) and O(n²) per sample). The
-/// session is built once, outside the timed loop, and keeps running across
-/// iterations, so the O(n²) set-up does not drown the events at n = 16384.
+/// the `events_per_sec` arms with the session's per-event work on top.
+/// The `fsync`/`async` arms run dirty-set upkeep, round accounting, and the
+/// cohesion and strong-visibility monitors (the builder defaults minus the
+/// hull and diameter samplers); the `defaults_*` arms run the builder
+/// defaults as every experiment gets them, samplers included. The session
+/// is built once, outside the timed loop, and keeps running across
+/// iterations, so set-up does not drown the events at n = 16384.
 fn bench_session_events_per_sec(c: &mut Criterion) {
     let mut group = c.benchmark_group("session_events_per_sec");
     for n in [1024usize, 16384] {
         let events = 3 * n;
         group.throughput(Throughput::Elements(events as u64));
-        for (arm, k) in [("fsync", 1), ("async", 4)] {
-            let builder = SimulationBuilder::new(look_lattice(n), KirkpatrickAlgorithm::new(k))
+        for (arm, k, samplers) in [
+            ("fsync", 1, false),
+            ("async", 4, false),
+            ("defaults_fsync", 1, true),
+            ("defaults_async", 4, true),
+        ] {
+            let mut builder = SimulationBuilder::new(look_lattice(n), KirkpatrickAlgorithm::new(k))
                 .seed(1)
-                .max_events(usize::MAX)
-                .hull_check_every(0)
-                .diameter_sample_every(0);
-            let mut session = if arm == "fsync" {
+                .max_events(usize::MAX);
+            if !samplers {
+                builder = builder.hull_check_every(0).diameter_sample_every(0);
+            }
+            let mut session = if k == 1 {
                 builder.scheduler(FSyncScheduler::new()).build()
             } else {
                 builder.scheduler(AsyncScheduler::new(3)).build()
             };
             group.bench_with_input(BenchmarkId::new(arm, n), &(), |b, ()| {
                 b.iter(|| {
-                    session.run_for(Budget::events(events));
+                    let status = session.run_for(Budget::events(events));
+                    assert!(!status.is_terminal(), "the session must keep running");
                     session.events()
                 })
             });

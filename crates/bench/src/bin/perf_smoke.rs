@@ -52,6 +52,14 @@
 //! ratio). It reads about 2.6× on a 2-vCPU host; monitors that measure
 //! every pair of every dirty robot at every event read about 15×.
 //!
+//! An eighth check guards the diameter kernel: at [`DIAMETER_CANARY_N`]
+//! robots under unbounded Async, the *default* session (every monitor on,
+//! a diameter sample every 32 events) must stay within
+//! [`MAX_DIAMETER_SAMPLER_RATIO`]× of the same session with diameter
+//! sampling off (Kirkpatrick on the look lattice, arms interleaved in
+//! pairs, median pair ratio). The pruned kernel reads about 1.5× on a 2-vCPU
+//! host; an all-pairs diameter per sample reads about 11×.
+//!
 //! Usage: `cargo run --release -p cohesion-bench --bin perf_smoke [-- --quick]`
 //! (`--quick` trims samples for CI).
 
@@ -102,6 +110,16 @@ const MAX_PAIR_SESSION_RATIO: f64 = 9.0;
 /// canary.
 const PAIR_CANARY_N: usize = 1024;
 const PAIR_CANARY_EVENTS: usize = 4 * 3 * PAIR_CANARY_N;
+
+/// The default session may be at most this many times slower than the
+/// same session without diameter samples, at [`DIAMETER_CANARY_N`] under
+/// unbounded Async (median paired ratio).
+const MAX_DIAMETER_SAMPLER_RATIO: f64 = 4.0;
+
+/// Swarm size and event budget (four rounds' worth) of the diameter
+/// canary.
+const DIAMETER_CANARY_N: usize = 1024;
+const DIAMETER_CANARY_EVENTS: usize = 4 * 3 * DIAMETER_CANARY_N;
 
 /// Swarm size of the Async-scheduling-overhead canary.
 const ASYNC_CANARY_N: usize = 1024;
@@ -220,6 +238,19 @@ fn main() {
             "an Async session with the pair monitors is {pair_ratio:.2}x the bare \
              engine at n={PAIR_CANARY_N} (bound {MAX_PAIR_SESSION_RATIO}x) — pair \
              monitors measuring every dirty robot's pairs at every event again?"
+        ));
+    }
+
+    let diameter_ratio = diameter_sampler_ratio(samples);
+    println!(
+        "diameter canary at n={DIAMETER_CANARY_N}: default async session / same without \
+         diameter samples = {diameter_ratio:.2}x (need ≤ {MAX_DIAMETER_SAMPLER_RATIO}x)"
+    );
+    if diameter_ratio > MAX_DIAMETER_SAMPLER_RATIO {
+        failures.push(format!(
+            "the default Async session is {diameter_ratio:.2}x the same session without \
+             diameter samples at n={DIAMETER_CANARY_N} (bound {MAX_DIAMETER_SAMPLER_RATIO}x) \
+             — an all-pairs diameter per sample again?"
         ));
     }
 
@@ -359,9 +390,8 @@ fn strong_overhead_ratio(samples: usize) -> f64 {
 /// unbounded-Async Kirkpatrick session on the look lattice with the
 /// cohesion and strong-visibility monitors on (hull and diameter off),
 /// against the bare engine it wraps stepping the same events. Construction
-/// is excluded from both. Arms are interleaved in pairs after a warm-up
-/// pair, and the median pair ratio `session / engine` is returned, like
-/// [`async_fsync_paired_ratio`].
+/// is excluded from both. The median pair ratio `session / engine` is
+/// returned, like [`async_fsync_paired_ratio`].
 fn pair_session_ratio(samples: usize) -> f64 {
     const SEED: u64 = 3;
     let config = look_lattice(PAIR_CANARY_N);
@@ -393,11 +423,44 @@ fn pair_session_ratio(samples: usize) -> f64 {
         }
         start.elapsed().as_secs_f64()
     };
-    session();
-    engine();
-    let mut ratios: Vec<f64> = (0..samples.max(5)).map(|_| session() / engine()).collect();
+    median_paired_ratio(samples, session, engine)
+}
+
+/// Times `a` and `b` in interleaved pairs after a warm-up pair and returns
+/// the median pair ratio `a / b`: the estimator of the canaries that compare
+/// two arms of one workload.
+fn median_paired_ratio(samples: usize, a: impl Fn() -> f64, b: impl Fn() -> f64) -> f64 {
+    a();
+    b();
+    let mut ratios: Vec<f64> = (0..samples.max(5)).map(|_| a() / b()).collect();
     ratios.sort_by(f64::total_cmp);
     ratios[ratios.len() / 2]
+}
+
+/// Measures the diameter samples' share of the default session: an
+/// unbounded-Async Kirkpatrick session on the look lattice with the
+/// builder's default monitors, against the same session with
+/// `diameter_sample_every(0)`. Only `run_to_completion` is timed; the
+/// median pair ratio `defaults / without samples` is returned.
+fn diameter_sampler_ratio(samples: usize) -> f64 {
+    const SEED: u64 = 3;
+    let config = look_lattice(DIAMETER_CANARY_N);
+    let run = |sample_every: Option<usize>| {
+        let mut builder = SimulationBuilder::new(config.clone(), KirkpatrickAlgorithm::new(4))
+            .scheduler(AsyncScheduler::new(SEED))
+            .seed(SEED)
+            .max_events(DIAMETER_CANARY_EVENTS);
+        if let Some(every) = sample_every {
+            builder = builder.diameter_sample_every(every);
+        }
+        let session = builder.build();
+        let start = std::time::Instant::now();
+        let report = session.run_to_completion();
+        let secs = start.elapsed().as_secs_f64();
+        assert_eq!(report.events, DIAMETER_CANARY_EVENTS);
+        secs
+    };
+    median_paired_ratio(samples, || run(None), || run(Some(0)))
 }
 
 /// Extracts `engine_look` medians from `BENCH_baseline.json` at the

@@ -8,6 +8,7 @@
 use crate::lab::{Experiment, JsonRow, LabCell, Outcome, Profile};
 use crate::mark;
 use crate::sweep::{AlgorithmSpec, ScenarioSpec, SchedulerSpec, WorkloadSpec};
+use cohesion_geometry::diameter::diameter;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -41,15 +42,7 @@ fn row(spec: &ScenarioSpec, outcome: &Outcome) -> Row {
                 unreachable!("the disconnected cell is a TwoClusters workload")
             };
             let pos = report.final_configuration.positions();
-            let comp = |r: std::ops::Range<usize>| {
-                let mut best = 0.0_f64;
-                for i in r.clone() {
-                    for j in r.clone() {
-                        best = best.max(pos[i].dist(pos[j]));
-                    }
-                }
-                best
-            };
+            let comp = |r: std::ops::Range<usize>| diameter(&pos[r]);
             let (a, b) = (comp(0..per_cluster), comp(per_cluster..2 * per_cluster));
             Row {
                 experiment: spec.tag.to_string(),

@@ -1,10 +1,11 @@
-//! Work counters of the pair monitors, pinned exactly.
+//! Work counters of the pair monitors and the diameter, pinned exactly.
 //!
 //! The swarm session the benchmark of record times — `look_lattice(256)`,
 //! Kirkpatrick, `SimulationBuilder` defaults, 24 FSync rounds' worth of
 //! events — under FSync with `k = 1` and unbounded Async with `k = 4`. The
-//! counters are deterministic, so a change in how often either monitor
-//! measures a pair shows up here as an exact count, independent of the
+//! counters are deterministic, so a change in how often either pair monitor
+//! measures a pair, or in how many `dist_sq` the diameter samples and round
+//! boundaries take, shows up here as an exact count, independent of the
 //! machine.
 
 use cohesion_bench::lookbench::look_lattice;
@@ -16,20 +17,45 @@ use std::rc::Rc;
 
 const N: usize = 256;
 const EVENTS: usize = 24 * 3 * N;
+/// The builder's default diameter sampling cadence.
+const SAMPLE_EVERY: usize = 32;
 
-/// Σ|dirty| over the event stream.
+/// Σ|dirty| over the event stream, and the number of events that took a
+/// diameter (a sample, a round boundary, or both at once).
 #[derive(Default)]
-struct DirtyTotal(u64);
+struct Tally {
+    dirty: u64,
+    events: usize,
+    diameters: u64,
+}
 
-impl Observer for DirtyTotal {
+impl Observer for Tally {
     fn on_event(&mut self, view: &EventView<'_>) {
-        self.0 += view.monitors.dirty.len() as u64;
+        self.dirty += view.monitors.dirty.len() as u64;
+        self.events += 1;
+        if self.events % SAMPLE_EVERY == 0 {
+            self.diameters += 1;
+        }
+    }
+
+    fn on_round(&mut self, _round: usize, _time: f64, _diameter: f64) {
+        if self.events % SAMPLE_EVERY != 0 {
+            self.diameters += 1;
+        }
     }
 }
 
-/// `(Σ|dirty|, cohesion pairs checked, strong-visibility pairs checked)`
-/// after the session's event budget.
-fn work(asynchronous: bool) -> (u64, u64, u64) {
+/// The work counters after the session's event budget.
+#[derive(Debug, PartialEq)]
+struct Work {
+    dirty: u64,
+    cohesion_pairs: u64,
+    strong_pairs: u64,
+    diameter_pairs: u64,
+    diameters: u64,
+}
+
+fn work(asynchronous: bool) -> Work {
     let (k, scheduler): (u32, Box<dyn Scheduler>) = if asynchronous {
         (4, Box::new(AsyncScheduler::new(0)))
     } else {
@@ -40,25 +66,60 @@ fn work(asynchronous: bool) -> (u64, u64, u64) {
         .seed(0)
         .max_events(EVENTS)
         .build();
-    let dirty = Rc::new(RefCell::new(DirtyTotal::default()));
-    session.observe(Rc::clone(&dirty));
+    let tally = Rc::new(RefCell::new(Tally::default()));
+    session.observe(Rc::clone(&tally));
     while !session.step().is_terminal() {}
     assert_eq!(session.events(), EVENTS);
     let strong = session.strong_visibility().expect("tracked by default");
-    let total = dirty.borrow().0;
-    (
-        total,
-        session.cohesion().pairs_checked(),
-        strong.pairs_checked(),
-    )
+    let tally = tally.borrow();
+    Work {
+        dirty: tally.dirty,
+        cohesion_pairs: session.cohesion().pairs_checked(),
+        strong_pairs: strong.pairs_checked(),
+        diameter_pairs: session.diameter_monitor().pairs_checked(),
+        diameters: tally.diameters,
+    }
+}
+
+/// The all-pairs loop paid `n(n − 1)/2` `dist_sq` per diameter; the
+/// kernel must stay three orders of magnitude below that.
+fn assert_far_below_all_pairs(work: &Work) {
+    let all_pairs = work.diameters * (N * (N - 1) / 2) as u64;
+    assert!(
+        work.diameter_pairs * 1000 < all_pairs,
+        "{} diameter pairs against {all_pairs} for all pairs",
+        work.diameter_pairs
+    );
 }
 
 #[test]
 fn fsync_pair_work_is_pinned() {
-    assert_eq!(work(false), (1_579_008, 46_560, 10_025));
+    let work = work(false);
+    assert_eq!(
+        work,
+        Work {
+            dirty: 1_579_008,
+            cohesion_pairs: 46_560,
+            strong_pairs: 10_025,
+            diameter_pairs: 8_576,
+            diameters: 576,
+        }
+    );
+    assert_far_below_all_pairs(&work);
 }
 
 #[test]
 fn async_pair_work_is_pinned() {
-    assert_eq!(work(true), (863_391, 46_471, 0));
+    let work = work(true);
+    assert_eq!(
+        work,
+        Work {
+            dirty: 863_391,
+            cohesion_pairs: 46_471,
+            strong_pairs: 0,
+            diameter_pairs: 1_699,
+            diameters: 583,
+        }
+    );
+    assert_far_below_all_pairs(&work);
 }

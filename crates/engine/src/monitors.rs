@@ -50,8 +50,29 @@
 //! last measured at. Every pair is therefore decided exactly as the
 //! all-pairs sweep decides it: verdicts, violation times and distances are
 //! the sweep's, bit for bit.
+//!
+//! # The diameter
+//!
+//! [`DiameterMonitor`] samples, the session's round boundaries,
+//! [`diameter_of`] and `Configuration::diameter` all run one kernel,
+//! [`cohesion_geometry::diameter`], which returns bit for bit the largest
+//! computed `dist_sq` over all pairs (then one square root) without
+//! measuring all pairs. For a planar swarm of 32 or more robots it projects
+//! every robot on 8 directions `kπ/8`, takes the widest extent `w`, and
+//! pairs only robots within `w·cos(π/16) − 2⁻⁴⁰·(M + w)` of opposite ends of
+//! one direction's extent (`M` the largest absolute coordinate). The pair
+//! that attains the maximum lies within `π/16` of some direction, so both
+//! of its ends pass that test: in exact arithmetic with room to spare, and
+//! after rounding because every rounding error involved is below
+//! `20·2⁻⁵³·(M + w)`, hundreds of times under a slack of `2⁻⁴⁰`, the
+//! pair monitors' `SLACK` factor. Smaller and non-planar swarms, non-finite or
+//! huge coordinates and sub-`10⁻¹³⁵` swarms take the all-pairs loop. A
+//! sample costs `O(n)` plus a handful of pairs: on the benchmark's
+//! 256-robot lattice session about 15 `dist_sq` per diameter under FSync
+//! and 3 under Async, where all pairs are 32,640.
 
 use crate::report::CohesionViolation;
+use cohesion_geometry::diameter::DiameterKernel;
 use cohesion_geometry::hull::convex_hull;
 use cohesion_geometry::point::Point;
 use cohesion_geometry::{ConvexHull, DynamicGrid, Vec2};
@@ -184,18 +205,12 @@ pub trait Monitor<P: Ambient> {
 }
 
 /// The configuration diameter of a position set: maximum pairwise distance
-/// (`0` for fewer than two robots). Takes the largest squared distance and
-/// one square root: a correctly rounded square root is monotone, so that is
-/// bit for bit the largest `dist`, the arithmetic of
-/// [`Configuration::diameter`](cohesion_model::Configuration::diameter).
+/// (`0` for fewer than two robots), bit for bit the largest `dist` over all
+/// pairs. Runs the pruned kernel of [`cohesion_geometry::diameter`] with
+/// fresh scratch; [`DiameterMonitor::measure`] is the pooled, counted form
+/// the session uses.
 pub fn diameter_of<P: Point>(positions: &[P]) -> f64 {
-    let mut best = 0.0_f64;
-    for i in 0..positions.len() {
-        for j in (i + 1)..positions.len() {
-            best = best.max(positions[i].dist_sq(positions[j]));
-        }
-    }
-    best.sqrt()
+    cohesion_geometry::diameter::diameter(positions)
 }
 
 /// Watches the Cohesive Convergence clause `E(0) ⊆ E(t)`: every initially
@@ -706,11 +721,15 @@ impl<P: Ambient> Monitor<P> for HullMonitor {
 
 /// Samples the configuration diameter on a cadence and tests convergence
 /// (`diameter ≤ ε`). Reads positions in place — no `Configuration` clone.
+/// Owns the diameter kernel's scratch and its `dist_sq` counter, which
+/// covers every sample and, through [`DiameterMonitor::measure`], the
+/// session's round-boundary diameters.
 pub struct DiameterMonitor {
     every: usize,
     epsilon: f64,
     series: Vec<(f64, f64)>,
     converged: bool,
+    kernel: DiameterKernel,
 }
 
 impl DiameterMonitor {
@@ -723,7 +742,21 @@ impl DiameterMonitor {
             epsilon,
             series: vec![initial],
             converged: false,
+            kernel: DiameterKernel::new(),
         }
+    }
+
+    /// The diameter of `positions`, bit for bit [`diameter_of`], measured
+    /// with the monitor's pooled kernel and counted in
+    /// [`DiameterMonitor::pairs_checked`].
+    pub fn measure<P: Point>(&mut self, positions: &[P]) -> f64 {
+        self.kernel.diameter(positions)
+    }
+
+    /// How many `dist_sq` evaluations [`DiameterMonitor::measure`] and the
+    /// samples have made so far.
+    pub fn pairs_checked(&self) -> u64 {
+        self.kernel.pairs_checked()
     }
 
     /// `true` once a sampled diameter reached `ε`. The driver stops the run
@@ -761,7 +794,8 @@ impl DiameterMonitor {
 impl<P: Ambient> Monitor<P> for DiameterMonitor {
     fn on_event(&mut self, ctx: &MonitorContext<'_, P>) {
         if self.due(ctx.events) {
-            self.record(ctx.time, diameter_of(ctx.positions));
+            let d = self.measure(ctx.positions);
+            self.record(ctx.time, d);
         }
     }
 }
@@ -1407,7 +1441,7 @@ mod tests {
         assert_eq!(diameter_of::<Vec2>(&[]), 0.0);
     }
 
-    /// The historical diameter loop: the largest `dist`.
+    /// The historical diameter loop, the oracle: the largest `dist`.
     fn largest_dist<P: Point>(positions: &[P]) -> f64 {
         let mut best = 0.0_f64;
         for i in 0..positions.len() {
@@ -1418,11 +1452,44 @@ mod tests {
         best
     }
 
-    /// A cloud of up to 40 points with coordinates of every magnitude, half
-    /// of them copies of earlier points.
+    /// The bits of `(diameter_of, Configuration::diameter, the oracle)`.
+    fn diameter_bits<P: Point>(positions: &[P]) -> (u64, u64, u64) {
+        let config = cohesion_model::Configuration::new(positions.to_vec());
+        (
+            diameter_of(positions).to_bits(),
+            config.diameter().to_bits(),
+            largest_dist(positions).to_bits(),
+        )
+    }
+
+    fn assert_bitwise_oracle<P: Point>(positions: &[P], what: &str) {
+        let (of, config, oracle) = diameter_bits(positions);
+        assert_eq!(of, oracle, "diameter_of, {what}");
+        assert_eq!(config, oracle, "Configuration::diameter, {what}");
+    }
+
+    /// A cloud of up to 300 points with coordinates of every magnitude,
+    /// about a quarter of them copies of earlier points.
     fn cloud() -> impl Strategy<Value = Vec<((f64, f64, f64), usize)>> {
         let coord = (-30i32..30, -1.0f64..1.0).prop_map(|(e, m)| m * f64::from(e).exp2());
-        proptest::collection::vec(((coord.clone(), coord.clone(), coord), 0usize..80), 0..40)
+        proptest::collection::vec(((coord.clone(), coord.clone(), coord), 0usize..600), 0..300)
+    }
+
+    /// Up to 300 points of a thin ring — every direction's extent is close
+    /// to the diameter, the kernel's tight case — of one random scale,
+    /// shifted by an offset of up to 10⁶.
+    fn swarm() -> impl Strategy<Value = Vec<Vec2>> {
+        (
+            proptest::collection::vec((0.0..std::f64::consts::TAU, 0.9f64..1.0), 0..300),
+            (-20i32..10).prop_map(|e| f64::from(e).exp2()),
+            (-1e6f64..1e6, -1e6f64..1e6),
+        )
+            .prop_map(|(polar, scale, (ox, oy))| {
+                polar
+                    .into_iter()
+                    .map(|(t, r)| Vec2::new(ox, oy) + Vec2::from_angle(t) * (r * scale))
+                    .collect()
+            })
     }
 
     fn points<P: Point>(cloud: &[((f64, f64, f64), usize)]) -> Vec<P> {
@@ -1441,11 +1508,94 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
-        fn diameter_of_is_bitwise_the_largest_dist(cloud in cloud()) {
+        fn diameter_of_is_bitwise_the_largest_dist(cloud in cloud(), swarm in swarm()) {
             let planar: Vec<Vec2> = points(&cloud);
-            prop_assert_eq!(diameter_of(&planar).to_bits(), largest_dist(&planar).to_bits());
+            let (of, config, oracle) = diameter_bits(&planar);
+            prop_assert_eq!(of, oracle);
+            prop_assert_eq!(config, oracle);
             let spatial: Vec<cohesion_geometry::Vec3> = points(&cloud);
-            prop_assert_eq!(diameter_of(&spatial).to_bits(), largest_dist(&spatial).to_bits());
+            let (of, config, oracle) = diameter_bits(&spatial);
+            prop_assert_eq!(of, oracle);
+            prop_assert_eq!(config, oracle);
+            let (of, config, oracle) = diameter_bits(&swarm);
+            prop_assert_eq!(of, oracle);
+            prop_assert_eq!(config, oracle);
         }
+    }
+
+    /// Lattices (the swarms the sessions start from) with and without far
+    /// offsets and jitter, exact ties, collinear and coincident sets, and
+    /// sizes around the kernel's all-pairs cutoff.
+    #[test]
+    fn diameter_of_is_bitwise_the_largest_dist_on_structured_sets() {
+        use cohesion_geometry::diameter::PRUNE_MIN_POINTS;
+        use cohesion_geometry::Vec3;
+        use std::f64::consts::TAU;
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut unit = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        let shift = |pts: &[Vec2], (ox, oy): (f64, f64)| -> Vec<Vec2> {
+            pts.iter().map(|p| Vec2::new(p.x + ox, p.y + oy)).collect()
+        };
+        let offsets = [(0.0, 0.0), (1e6, -1e6), (-3e6, 1e6 + 0.3)];
+
+        for side in [5, 6, 16, 32] {
+            let lattice = cohesion_workloads::grid(side, side, 0.9);
+            for offset in offsets {
+                for jitter in [0.0, 1e-9, 1e-3] {
+                    let pts: Vec<Vec2> = shift(lattice.positions(), offset)
+                        .into_iter()
+                        .map(|p| p + Vec2::new(jitter * unit(), jitter * unit()))
+                        .collect();
+                    let what = format!("{side}² lattice at {offset:?}, jitter {jitter}");
+                    assert_bitwise_oracle(&pts, &what);
+                }
+            }
+        }
+        for m in [
+            PRUNE_MIN_POINTS - 1,
+            PRUNE_MIN_POINTS,
+            33,
+            48,
+            64,
+            99,
+            160,
+            360,
+        ] {
+            let polygon: Vec<Vec2> = (0..m)
+                .map(|i| Vec2::from_angle(i as f64 * TAU / m as f64) * 3.0)
+                .collect();
+            for offset in offsets {
+                assert_bitwise_oracle(&shift(&polygon, offset), &format!("{m}-gon at {offset:?}"));
+            }
+        }
+        let perimeter: Vec<Vec2> = (0..40)
+            .map(|i| {
+                let t = f64::from(i % 10);
+                let (x, y) =
+                    [(t, 0.0), (10.0, t), (10.0 - t, 10.0), (0.0, 10.0 - t)][i as usize / 10];
+                Vec2::new(x, y)
+            })
+            .collect();
+        assert_bitwise_oracle(&perimeter, "square perimeter");
+        for (dx, dy) in [(0.9, 0.0), (0.0, 0.9), (0.7, 0.7), (0.3, -1.1)] {
+            let line: Vec<Vec2> = (0..50)
+                .map(|i| Vec2::new(1e6 + f64::from(i) * dx, f64::from(i) * dy))
+                .collect();
+            assert_bitwise_oracle(&line, &format!("line along ({dx}, {dy})"));
+        }
+        for n in [0, 1, 2, 40] {
+            let coincident = vec![Vec2::new(-7.25, 1e6); n];
+            assert_bitwise_oracle(&coincident, &format!("{n} coincident"));
+        }
+        assert_bitwise_oracle(&[Vec2::ZERO, Vec2::new(3.0, 4.0)], "a pair");
+        let cube: Vec<Vec3> = (0..64)
+            .map(|i| Vec3::new(f64::from(i % 4), f64::from(i / 4 % 4), f64::from(i / 16)) * 0.9)
+            .collect();
+        assert_bitwise_oracle(&cube, "4³ lattice");
     }
 }

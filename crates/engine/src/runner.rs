@@ -6,7 +6,7 @@ use crate::monitors::{CohesionMonitor, DiameterMonitor, HullMonitor, StrongVisib
 use crate::queue::QueuePath;
 use crate::report::SimulationReport;
 use crate::session::Simulation;
-use cohesion_geometry::Vec2;
+use cohesion_geometry::{Point, SpatialGrid, Vec2};
 use cohesion_model::frame::{Ambient, FrameMode};
 use cohesion_model::{
     Algorithm, Budget, Configuration, MotionModel, PerceptionModel, VisibilityGraph,
@@ -102,11 +102,15 @@ impl<P: Ambient> SimulationBuilder<P> {
     ///
     /// # Panics
     ///
-    /// Panics unless there is exactly one radius per robot — a
-    /// misconfiguration fails here, at construction, not after the session
-    /// is built.
+    /// Panics unless there is exactly one radius per robot and every radius
+    /// is positive and finite — a misconfiguration fails here, at
+    /// construction, not after the session is built.
     pub fn visibility_radii(mut self, radii: Vec<f64>) -> Self {
         assert_eq!(radii.len(), self.initial.len(), "one radius per robot");
+        assert!(
+            radii.iter().all(|r| *r > 0.0 && r.is_finite()),
+            "radii must be positive and finite"
+        );
         self.visibility_radii = Some(radii);
         self
     }
@@ -236,7 +240,6 @@ impl<P: Ambient> SimulationBuilder<P> {
     /// engine's motion envelopes, and at other events measure only the few
     /// watched pairs whose envelopes can cross a threshold.
     pub fn build(self) -> Simulation<P> {
-        let n = self.initial.len();
         // Cohesion is judged on the mutual visibility graph: with a common
         // radius that is the usual E(0); with per-robot radii, an edge needs
         // distance ≤ min of the two radii (both endpoints see each other).
@@ -248,18 +251,7 @@ impl<P: Ambient> SimulationBuilder<P> {
                     .map(|e| (e.a.index(), e.b.index()))
                     .collect()
             }
-            Some(radii) => {
-                let pos = self.initial.positions();
-                let mut edges = Vec::new();
-                for i in 0..n {
-                    for j in (i + 1)..n {
-                        if pos[i].dist(pos[j]) <= radii[i].min(radii[j]) {
-                            edges.push((i, j));
-                        }
-                    }
-                }
-                edges
-            }
+            Some(radii) => mutual_edges(self.initial.positions(), radii),
         };
         let initial_diameter = self.initial.diameter();
 
@@ -331,6 +323,22 @@ impl<P: Ambient> SimulationBuilder<P> {
     pub fn run(self) -> SimulationReport<P> {
         self.build().run_to_completion()
     }
+}
+
+/// The initial mutual visibility edges under per-robot radii: every pair
+/// `(i, j)`, `i < j`, with `dist ≤ min(rᵢ, rⱼ)`, in ascending order. The
+/// candidates are the pairs within the largest radius, drawn from a
+/// [`SpatialGrid`] at that radius in the same order; the test is the
+/// all-pairs loop's, on the same `dist`, so the edge list is too.
+fn mutual_edges<P: Point>(positions: &[P], radii: &[f64]) -> Vec<(usize, usize)> {
+    let Some(reach) = radii.iter().copied().reduce(f64::max) else {
+        return Vec::new();
+    };
+    SpatialGrid::build(positions, reach)
+        .pairs_within(reach)
+        .into_iter()
+        .filter(|&(i, j)| positions[i].dist(positions[j]) <= radii[i].min(radii[j]))
+        .collect()
 }
 
 impl<P: Ambient> std::fmt::Debug for SimulationBuilder<P> {
@@ -407,6 +415,47 @@ mod tests {
                 report.final_diameter
             );
             assert!(report.cohesion_maintained, "{name}");
+        }
+    }
+
+    #[test]
+    fn mutual_edges_match_the_all_pairs_loop() {
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut unit = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut configs: Vec<Configuration> = [1, 2, 10, 50, 200]
+            .into_iter()
+            .map(|n| cohesion_workloads::random_connected(n, 1.0, n as u64))
+            .collect();
+        configs.push(Configuration::new(Vec::new()));
+        // Exact ties: lattice neighbours at exactly the smaller radius.
+        configs.push(cohesion_workloads::grid(12, 12, 0.5));
+        for config in &configs {
+            let pos = config.positions();
+            for spread in [0.0, 0.5, 3.0] {
+                let radii: Vec<f64> = (0..pos.len())
+                    .map(|i| {
+                        if i % 3 == 0 {
+                            0.5
+                        } else {
+                            0.5 + spread * unit()
+                        }
+                    })
+                    .collect();
+                let mut brute = Vec::new();
+                for i in 0..pos.len() {
+                    for j in (i + 1)..pos.len() {
+                        if pos[i].dist(pos[j]) <= radii[i].min(radii[j]) {
+                            brute.push((i, j));
+                        }
+                    }
+                }
+                assert_eq!(mutual_edges(pos, &radii), brute, "n = {}", pos.len());
+            }
         }
     }
 

@@ -449,10 +449,19 @@ impl<P: Ambient> Simulation<P> {
         self.strong.as_ref()
     }
 
+    /// The diameter monitor (read-only), e.g. for its sample series or the
+    /// work counter of every diameter the session has taken.
+    #[must_use]
+    pub fn diameter_monitor(&self) -> &DiameterMonitor {
+        &self.diameter
+    }
+
     /// A point-in-time progress view: events, rounds, simulated time, the
     /// current configuration diameter, and cohesion-so-far. Costs one
-    /// `O(n²)` diameter computation — cheap next to an event slice, but
-    /// meant for heartbeats and stop predicates, not per-event polling.
+    /// diameter computation — `O(n)` plus a few pairs for planar swarms of
+    /// 32 or more (see [`cohesion_geometry::diameter`]), all pairs below
+    /// that and in 3D — cheap next to an event slice, but meant for
+    /// heartbeats and stop predicates, not per-event polling.
     #[must_use]
     pub fn progress(&self) -> Progress {
         Progress {
@@ -587,7 +596,7 @@ impl<P: Ambient> Simulation<P> {
             self.round_base
                 .copy_from_slice(self.engine.completed_cycles());
             self.round_pending = n;
-            let d = *diameter.get_or_insert_with(|| monitors::diameter_of(&self.positions));
+            let d = *diameter.get_or_insert_with(|| self.diameter.measure(&self.positions));
             self.round_diameters.push((self.rounds, d));
             for obs in &mut self.observers {
                 obs.on_round(self.rounds, event.time, d);
@@ -596,7 +605,7 @@ impl<P: Ambient> Simulation<P> {
 
         // Diameter sampling + convergence test.
         if self.diameter.due(self.events) {
-            let d = diameter.unwrap_or_else(|| monitors::diameter_of(&self.positions));
+            let d = diameter.unwrap_or_else(|| self.diameter.measure(&self.positions));
             self.diameter.record(event.time, d);
         }
         for &(t, d) in &self.diameter.series()[self.samples_streamed..] {

@@ -10,6 +10,11 @@
 //! *identical* reports. This test carries the pre-refactor loop verbatim as
 //! a reference implementation and compares full [`SimulationReport`]s for
 //! fixed seeds across all five scheduler classes.
+//!
+//! The reference takes its diameters from `Configuration::diameter`, which
+//! now runs the same pruned kernel as the session, so this test does not
+//! check that kernel independently; `monitors::tests::
+//! diameter_of_is_bitwise_the_largest_dist*` hold it to the all-pairs loop.
 
 use cohesion_engine::{Engine, SimulationBuilder, SimulationReport};
 use cohesion_geometry::hull::convex_hull;

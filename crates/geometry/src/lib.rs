@@ -16,6 +16,8 @@
 //! * convex hulls with perimeter/diameter/nesting queries ([`hull`]) — the
 //!   hull-diminishing invariant is the backbone of the congregation argument
 //!   (§5);
+//! * the configuration diameter ([`diameter`]), the Point Convergence
+//!   measure, bit for bit the all-pairs value at a fraction of its pairs;
 //! * axis-aligned bounding boxes ([`bbox`]) for the GCM (“centre of minbox”)
 //!   baseline;
 //! * minimal enclosing cones of direction sets ([`cone`]), the d-dimensional
@@ -51,6 +53,7 @@ pub mod ball;
 pub mod bbox;
 pub mod circle;
 pub mod cone;
+pub mod diameter;
 pub mod dynamic_grid;
 pub mod grid;
 pub mod hull;

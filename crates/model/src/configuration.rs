@@ -85,21 +85,15 @@ impl<P: Point> Configuration<P> {
     }
 
     /// The configuration diameter: maximum pairwise distance (`0` for fewer
-    /// than two robots). `O(n²)` — configurations are small.
+    /// than two robots), bit for bit the largest `dist` over all pairs.
+    /// Planar configurations of 32 or more robots take `O(n)` plus the few
+    /// pairs that can hold the maximum (see [`cohesion_geometry::diameter`]);
+    /// smaller and 3D ones take all pairs.
     ///
     /// The Point Convergence predicate is exactly
     /// “∀ε ∃t ∀t′≥t: diameter ≤ ε”.
     pub fn diameter(&self) -> f64 {
-        // One square root of the largest squared distance: a correctly
-        // rounded square root is monotone, so this is bit for bit the
-        // largest `dist`.
-        let mut best = 0.0_f64;
-        for i in 0..self.positions.len() {
-            for j in (i + 1)..self.positions.len() {
-                best = best.max(self.positions[i].dist_sq(self.positions[j]));
-            }
-        }
-        best.sqrt()
+        cohesion_geometry::diameter::diameter(&self.positions)
     }
 
     /// The centre of gravity (arithmetic mean) of the configuration — the
