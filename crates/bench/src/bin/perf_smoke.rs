@@ -26,15 +26,7 @@
 //! interleaved in pairs and the median pair ratio is compared, so the bound
 //! is hardware-independent and loaded-runner-robust.
 //!
-//! A fifth check guards the telemetry plane the same way: the identical
-//! session-driven run with a [`StoreObserver`] publishing into a live
-//! [`StateStore`] (one subscriber attached) must stay within
-//! [`MAX_STORE_OVERHEAD`]× of the unobserved run. The observer is cadenced
-//! bookkeeping — a counter bump and a branch per event, a handful of store
-//! publishes per run — and this fails if per-event work (locking, digesting,
-//! allocation) ever creeps onto the observed path.
-//!
-//! A sixth check guards the strong-visibility monitor: at
+//! A fifth check guards the strong-visibility monitor: at
 //! [`STRONG_CANARY_N`] robots under FSync, a session with strong-visibility
 //! tracking on must stay within [`MAX_STRONG_OVERHEAD`]× of the same
 //! session with it off (Kirkpatrick on the look lattice, hull and diameter
@@ -44,7 +36,7 @@
 //! return to `O(n)` work per dirty robot reads in the hundreds, so the
 //! bound fails loudly whatever the timing noise.
 //!
-//! A seventh check guards the pair monitors' breakpoint scheme: at
+//! A sixth check guards the pair monitors' breakpoint scheme: at
 //! [`PAIR_CANARY_N`] robots under unbounded Async, a session with the
 //! cohesion and strong-visibility monitors on (hull and diameter off) must
 //! stay within [`MAX_PAIR_SESSION_RATIO`]× of the bare engine per event
@@ -52,7 +44,7 @@
 //! ratio). It reads about 2.6× on a 2-vCPU host; monitors that measure
 //! every pair of every dirty robot at every event read about 15×.
 //!
-//! An eighth check guards the diameter kernel: at [`DIAMETER_CANARY_N`]
+//! A seventh check guards the diameter kernel: at [`DIAMETER_CANARY_N`]
 //! robots under unbounded Async, the *default* session (every monitor on,
 //! a diameter sample every 32 events) must stay within
 //! [`MAX_DIAMETER_SAMPLER_RATIO`]× of the same session with diameter
@@ -71,7 +63,6 @@ use cohesion_core::KirkpatrickAlgorithm;
 use cohesion_engine::{Budget, Engine, LookPath, SimulationBuilder};
 use cohesion_model::NilAlgorithm;
 use cohesion_scheduler::{AsyncScheduler, FSyncScheduler};
-use cohesion_telemetry::{StateStore, StoreObserver, DEFAULT_QUEUE_CAPACITY};
 
 /// A current median may be at most this many times the committed one.
 const REGRESSION_FACTOR: f64 = 3.0;
@@ -87,10 +78,6 @@ const MAX_SESSION_OVERHEAD: f64 = 1.1;
 /// The Async arm of the throughput fixture may be at most this many times
 /// slower than the FSync arm at [`ASYNC_CANARY_N`] (median paired ratio).
 const MAX_ASYNC_FSYNC_RATIO: f64 = 2.0;
-
-/// A session-driven run observed by a `StoreObserver` may be at most this
-/// many times slower than the same run unobserved.
-const MAX_STORE_OVERHEAD: f64 = 1.1;
 
 /// A session with strong-visibility tracking may be at most this many times
 /// slower than the same session without it, at [`STRONG_CANARY_N`].
@@ -202,19 +189,6 @@ fn main() {
         ));
     }
 
-    let store_overhead = store_overhead_ratio(samples);
-    println!(
-        "telemetry canary at n={SESSION_CANARY_N}: observed / unobserved session \
-         = {store_overhead:.3}x (need ≤ {MAX_STORE_OVERHEAD}x)"
-    );
-    if store_overhead > MAX_STORE_OVERHEAD {
-        failures.push(format!(
-            "StoreObserver-attached run is {store_overhead:.3}x the unobserved \
-             session (bound {MAX_STORE_OVERHEAD}x) — per-event work crept onto \
-             the telemetry publish path?"
-        ));
-    }
-
     let strong_overhead = strong_overhead_ratio(samples);
     println!(
         "strong-visibility canary at n={STRONG_CANARY_N}: tracked / untracked session \
@@ -305,53 +279,6 @@ fn session_overhead_ratio(samples: usize) -> f64 {
                 assert_eq!(session.events(), SESSION_CANARY_EVENTS);
             });
             sliced / one_shot
-        })
-        .fold(f64::INFINITY, f64::min)
-}
-
-/// Measures the telemetry-plane overhead: the session canary's workload
-/// driven in slices, once unobserved and once with a [`StoreObserver`]
-/// publishing into a [`StateStore`] that has one live subscriber (so the
-/// fan-out path is exercised, not skipped). Best-of-N ratio
-/// `observed / unobserved`, the same estimator as
-/// [`session_overhead_ratio`] and for the same reason: real observer
-/// overhead is systematic, noise only inflates.
-fn store_overhead_ratio(samples: usize) -> f64 {
-    let config = look_lattice(SESSION_CANARY_N);
-    let builder = || {
-        SimulationBuilder::new(config.clone(), NilAlgorithm)
-            .scheduler(FSyncScheduler::new())
-            .max_events(SESSION_CANARY_EVENTS)
-            .track_strong_visibility(false)
-            .hull_check_every(0)
-            .diameter_sample_every(0)
-    };
-    let drive = |session: &mut cohesion_engine::Simulation| {
-        while !session
-            .run_for(Budget::events(SESSION_CANARY_SLICE))
-            .is_terminal()
-        {}
-        assert_eq!(session.events(), SESSION_CANARY_EVENTS);
-    };
-    let time = |f: &dyn Fn()| {
-        let start = std::time::Instant::now();
-        f();
-        start.elapsed().as_secs_f64()
-    };
-    (0..samples.max(5))
-        .map(|_| {
-            let bare = time(&|| {
-                let mut session = builder().build();
-                drive(&mut session);
-            });
-            let observed = time(&|| {
-                let store = StateStore::new();
-                let _sub = store.subscribe(DEFAULT_QUEUE_CAPACITY);
-                let mut session = builder().build();
-                session.observe(StoreObserver::new(store.clone()));
-                drive(&mut session);
-            });
-            observed / bare
         })
         .fold(f64::INFINITY, f64::min)
 }

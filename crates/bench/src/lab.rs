@@ -19,12 +19,11 @@
 //!   [`SweepRunner`] contract lifted across processes;
 //! * JSONL sinks under `target/experiments/`.
 
-use crate::sweep::{ScenarioSpec, SchedulerSpec, SweepRunner, WorkloadSpec};
+use crate::sweep::{Guarded, ScenarioSpec, SchedulerSpec, SweepRunner, WorkloadSpec};
 use cohesion_adversary::{run_impossibility, ImpossibilityOutcome};
 use cohesion_engine::SimulationReport;
 use cohesion_geometry::{Vec2, Vec3};
 use cohesion_model::Progress;
-use cohesion_telemetry::sync::Guarded;
 use serde::Serialize;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -69,7 +68,7 @@ impl Profile {
 /// session is driven in slices of this size and a heartbeat record lands in
 /// the sidecar between slices. Deterministic per cell (event counts are),
 /// though sidecar *line interleaving* across worker threads is not — the
-/// sidecar is telemetry, not part of the byte-identity contract.
+/// sidecar is a progress channel, not part of the byte-identity contract.
 pub const PROGRESS_HEARTBEAT_EVENTS: usize = 100_000;
 
 /// One line of the progress sidecar (`<stem>.progress.jsonl`, or
@@ -112,10 +111,9 @@ pub struct ProgressRecord {
 /// The progress sink one experiment run emits through: stamps each record
 /// with the experiment name and shard assignment and appends it to the
 /// JSONL sidecar as one compact-JSON line. Lines are written atomically
-/// through the telemetry plane's closure-scoped [`Guarded`] lock, so
-/// concurrent cells interleave whole records, never bytes — and the only
-/// concurrency primitive lives in the audited `cohesion_telemetry::sync`
-/// module.
+/// through the closure-scoped [`Guarded`] lock, so concurrent cells
+/// interleave whole records, never bytes — and the only concurrency
+/// primitive lives in the audited [`crate::sweep`] module.
 #[derive(Debug)]
 pub struct ProgressSink {
     experiment: &'static str,
@@ -304,7 +302,7 @@ impl Outcome {
         Outcome::compute_with(spec, &NO_PROGRESS)
     }
 
-    /// [`Outcome::compute`] with live telemetry: engine-driven cells run as
+    /// [`Outcome::compute`] with live progress: engine-driven cells run as
     /// sessions in [`PROGRESS_HEARTBEAT_EVENTS`]-event slices, emitting a
     /// heartbeat between slices. With a disabled handle the session is
     /// driven uninterrupted — either way the report is byte-identical (the

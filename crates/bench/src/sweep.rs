@@ -11,7 +11,10 @@
 //!   thread pool (`std::thread::scope` + an atomic work counter — no
 //!   external dependency, the build environment is offline). Results are
 //!   written into per-spec slots and merged **in spec order**, so the output
-//!   is byte-identical whether the sweep ran on 1 thread or 64.
+//!   is byte-identical whether the sweep ran on 1 thread or 64;
+//! * [`Guarded`] — a closure-scoped mutex, the lock the lab's progress
+//!   sidecar writes through. Lint rule D4 confines concurrency primitives
+//!   to this module, so the sidecar's lock lives here too.
 //!
 //! Each simulation is already deterministic in its seed; the runner adds no
 //! nondeterminism because work items never share mutable state and ordering
@@ -655,9 +658,51 @@ impl Default for SweepRunner {
     }
 }
 
+/// A mutex whose lock can only be used inside a closure: callers cannot
+/// hold a lock across I/O they did not pass in or leak a guard into a
+/// struct, so every critical section is visibly bounded at the call site.
+///
+/// Poisoning is deliberately swallowed (`PoisonError::into_inner`): the
+/// progress sidecar must keep flowing after a panicked cell.
+#[derive(Debug, Default)]
+pub struct Guarded<T> {
+    inner: Mutex<T>,
+}
+
+impl<T> Guarded<T> {
+    /// Wraps a value.
+    pub fn new(value: T) -> Guarded<T> {
+        Guarded {
+            inner: Mutex::new(value),
+        }
+    }
+
+    /// Runs `f` with exclusive access to the value. Blocks only for the
+    /// duration of other `with` calls — nothing outside the closure can
+    /// hold the lock.
+    pub fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
+        let mut guard = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        f(&mut guard)
+    }
+
+    /// Consumes the wrapper, returning the inner value.
+    pub fn into_inner(self) -> T {
+        self.inner.into_inner().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn with_serializes_access() {
+        let g = Guarded::new(0u64);
+        g.with(|v| *v += 1);
+        g.with(|v| *v += 1);
+        assert_eq!(g.with(|v| *v), 2);
+        assert_eq!(g.into_inner(), 2);
+    }
 
     #[test]
     fn results_arrive_in_spec_order() {

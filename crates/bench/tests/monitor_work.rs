@@ -20,28 +20,15 @@ const EVENTS: usize = 24 * 3 * N;
 /// The builder's default diameter sampling cadence.
 const SAMPLE_EVERY: usize = 32;
 
-/// Σ|dirty| over the event stream, and the number of events that took a
-/// diameter (a sample, a round boundary, or both at once).
+/// Σ|dirty| over the event stream.
 #[derive(Default)]
 struct Tally {
     dirty: u64,
-    events: usize,
-    diameters: u64,
 }
 
 impl Observer for Tally {
     fn on_event(&mut self, view: &EventView<'_>) {
         self.dirty += view.monitors.dirty.len() as u64;
-        self.events += 1;
-        if self.events % SAMPLE_EVERY == 0 {
-            self.diameters += 1;
-        }
-    }
-
-    fn on_round(&mut self, _round: usize, _time: f64, _diameter: f64) {
-        if self.events % SAMPLE_EVERY != 0 {
-            self.diameters += 1;
-        }
     }
 }
 
@@ -68,7 +55,19 @@ fn work(asynchronous: bool) -> Work {
         .build();
     let tally = Rc::new(RefCell::new(Tally::default()));
     session.observe(Rc::clone(&tally));
-    while !session.step().is_terminal() {}
+    // Events that took a diameter: a sample, a round boundary, or both at
+    // once. `progress()` measures with `diameter_of`, outside the monitor's
+    // counter, so reading the round count leaves `diameter_pairs` alone.
+    // Every step but the terminal one processes an event: the event budget
+    // ends the run (asserted below).
+    let (mut diameters, mut rounds) = (0, 0);
+    while !session.step().is_terminal() {
+        let now = session.progress().rounds;
+        if session.events() % SAMPLE_EVERY == 0 || now > rounds {
+            diameters += 1;
+        }
+        rounds = now;
+    }
     assert_eq!(session.events(), EVENTS);
     let strong = session.strong_visibility().expect("tracked by default");
     let tally = tally.borrow();
@@ -77,7 +76,7 @@ fn work(asynchronous: bool) -> Work {
         cohesion_pairs: session.cohesion().pairs_checked(),
         strong_pairs: strong.pairs_checked(),
         diameter_pairs: session.diameter_monitor().pairs_checked(),
-        diameters: tally.diameters,
+        diameters,
     }
 }
 

@@ -195,10 +195,12 @@ fn watch_insert<T>(watch: &mut Vec<(usize, usize, T)>, a: usize, b: usize, tag: 
 /// A predicate checker driven once per engine event.
 ///
 /// Monitors are deliberately small: state in, [`MonitorContext`] per event,
-/// typed results read off the concrete monitor after the run. The driver
-/// composes the four standard monitors below; external experiment harnesses
-/// can implement the trait to track custom invariants without touching the
-/// engine loop.
+/// typed results read off the concrete monitor after the run. The session
+/// drives the cohesion, strong-visibility and hull monitors below through
+/// this trait (the diameter sampler through its own `due`/`measure`/
+/// `record` cadence). A custom invariant rides on an
+/// [`Observer`](crate::Observer), which receives the same context as
+/// `EventView::monitors`.
 pub trait Monitor<P: Ambient> {
     /// Observes one engine event.
     fn on_event(&mut self, ctx: &MonitorContext<'_, P>);
@@ -791,15 +793,6 @@ impl DiameterMonitor {
     }
 }
 
-impl<P: Ambient> Monitor<P> for DiameterMonitor {
-    fn on_event(&mut self, ctx: &MonitorContext<'_, P>) {
-        if self.due(ctx.events) {
-            let d = self.measure(ctx.positions);
-            self.record(ctx.time, d);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -807,8 +800,8 @@ mod tests {
 
     const NO_HULL: &dyn Fn(&mut Vec<Vec2>) = &|out| out.clear();
 
-    /// A context for the sampling monitors, which read neither the dirty
-    /// set nor the envelopes.
+    /// A context for the hull monitor, which reads neither the dirty set
+    /// nor the envelopes.
     fn ctx<'a>(
         time: f64,
         events: usize,
@@ -1395,16 +1388,22 @@ mod tests {
 
     #[test]
     fn diameter_monitor_samples_on_cadence_and_converges() {
+        // The session's sampling step for the `events`-th event.
+        fn sample(m: &mut DiameterMonitor, time: f64, events: usize, positions: &[Vec2]) {
+            if m.due(events) {
+                let d = m.measure(positions);
+                m.record(time, d);
+            }
+        }
         let mut m = DiameterMonitor::new(2, 0.5, (0.0, 2.0));
         let wide = [Vec2::ZERO, Vec2::new(2.0, 0.0)];
         let tight = [Vec2::ZERO, Vec2::new(0.3, 0.0)];
-        let reach = [0.0; 2];
-        m.on_event(&ctx(1.0, 1, &wide, &reach, NO_HULL));
+        sample(&mut m, 1.0, 1, &wide);
         assert_eq!(m.series().len(), 1, "off-cadence event not sampled");
-        m.on_event(&ctx(2.0, 2, &wide, &reach, NO_HULL));
+        sample(&mut m, 2.0, 2, &wide);
         assert_eq!(m.series(), &[(0.0, 2.0), (2.0, 2.0)]);
         assert!(!m.converged());
-        m.on_event(&ctx(3.0, 4, &tight, &reach, NO_HULL));
+        sample(&mut m, 3.0, 4, &tight);
         assert!(m.converged());
         assert_eq!(m.into_series().last(), Some(&(3.0, 0.3)));
     }

@@ -31,18 +31,15 @@
 //!
 //! # Observers
 //!
-//! An [`Observer`] receives the session's event stream as it happens:
-//! every engine event ([`Observer::on_event`]), round boundaries
-//! ([`Observer::on_round`]), cohesion violations as they are first recorded
-//! ([`Observer::on_violation`]), and diameter samples
-//! ([`Observer::on_sample`]). The four standard monitors of
-//! [`crate::monitors`] are themselves re-expressed as observers (each
-//! implements the trait by delegating to its incremental
-//! [`Monitor::on_event`] check), and the session drives its internal
-//! pipeline through exactly that interface — registered observers see the
-//! same stream the report is computed from. The one exception is the
-//! diameter sampler, which the session feeds directly so that a sample on
-//! a round boundary reuses the boundary's diameter.
+//! An [`Observer`] receives every engine event as it is processed
+//! ([`Observer::on_event`]), together with the [`MonitorContext`] the
+//! session's monitors read — the same stream the report is computed from.
+//! Rounds, violations and diameter samples are not streamed separately:
+//! [`Simulation::progress`] and the finished [`SimulationReport`] carry
+//! them. The session drives the pair and hull monitors of
+//! [`crate::monitors`] through [`Monitor::on_event`] and the diameter
+//! sampler through its `due`/`measure`/`record` cadence, so that a sample
+//! on a round boundary reuses the boundary's diameter.
 //!
 //! To read an observer's state *while the session still owns it*, register
 //! a shared handle: `Rc<RefCell<O>>` implements [`Observer`] whenever `O`
@@ -53,7 +50,7 @@ use crate::monitors::{
     self, CohesionMonitor, DiameterMonitor, HullMonitor, Monitor, MonitorContext,
     StrongVisibilityMonitor,
 };
-use crate::report::{CohesionViolation, SimulationReport};
+use crate::report::SimulationReport;
 use cohesion_geometry::Vec2;
 use cohesion_model::frame::Ambient;
 use cohesion_model::{Algorithm, Budget, Progress};
@@ -96,14 +93,9 @@ pub struct EventView<'a, P: Ambient = Vec2> {
     pub monitors: MonitorContext<'a, P>,
 }
 
-/// A streaming consumer of a session's event stream. All hooks default to
-/// no-ops — implement only what the sink needs.
-///
-/// The standard monitors ([`CohesionMonitor`], [`StrongVisibilityMonitor`],
-/// [`HullMonitor`], [`DiameterMonitor`]) implement this trait by delegating
-/// to their incremental [`Monitor::on_event`] checks; the session's internal
-/// pipeline and registered observers are driven through the same interface
-/// (the diameter sampler aside, see the module docs).
+/// A streaming consumer of a session's event stream: one hook, called once
+/// per processed engine event after the session's own monitors have seen
+/// it (see the module docs).
 ///
 /// ```
 /// use cohesion_engine::{Observer, EventView, SimulationBuilder};
@@ -134,67 +126,13 @@ pub struct EventView<'a, P: Ambient = Vec2> {
 /// ```
 pub trait Observer<P: Ambient = Vec2> {
     /// Called once per processed engine event.
-    fn on_event(&mut self, view: &EventView<'_, P>) {
-        let _ = view;
-    }
-
-    /// Called at each round boundary (every robot completed ≥ 1 cycle since
-    /// the previous boundary) with the configuration diameter at it.
-    fn on_round(&mut self, round: usize, time: f64, diameter: f64) {
-        let _ = (round, time, diameter);
-    }
-
-    /// Called when a cohesion violation is first recorded for a pair.
-    fn on_violation(&mut self, violation: &CohesionViolation) {
-        let _ = violation;
-    }
-
-    /// Called at each diameter sample (the `diameter_sample_every` cadence).
-    fn on_sample(&mut self, time: f64, diameter: f64) {
-        let _ = (time, diameter);
-    }
-}
-
-impl<P: Ambient> Observer<P> for CohesionMonitor {
-    fn on_event(&mut self, view: &EventView<'_, P>) {
-        Monitor::on_event(self, &view.monitors);
-    }
-}
-
-impl<P: Ambient> Observer<P> for StrongVisibilityMonitor<P> {
-    fn on_event(&mut self, view: &EventView<'_, P>) {
-        Monitor::on_event(self, &view.monitors);
-    }
-}
-
-impl<P: Ambient> Observer<P> for HullMonitor {
-    fn on_event(&mut self, view: &EventView<'_, P>) {
-        Monitor::on_event(self, &view.monitors);
-    }
-}
-
-impl<P: Ambient> Observer<P> for DiameterMonitor {
-    fn on_event(&mut self, view: &EventView<'_, P>) {
-        Monitor::on_event(self, &view.monitors);
-    }
+    fn on_event(&mut self, view: &EventView<'_, P>);
 }
 
 /// Shared-handle registration: keep one clone, give the session the other.
 impl<P: Ambient, O: Observer<P>> Observer<P> for Rc<RefCell<O>> {
     fn on_event(&mut self, view: &EventView<'_, P>) {
         self.borrow_mut().on_event(view);
-    }
-
-    fn on_round(&mut self, round: usize, time: f64, diameter: f64) {
-        self.borrow_mut().on_round(round, time, diameter);
-    }
-
-    fn on_violation(&mut self, violation: &CohesionViolation) {
-        self.borrow_mut().on_violation(violation);
-    }
-
-    fn on_sample(&mut self, time: f64, diameter: f64) {
-        self.borrow_mut().on_sample(time, diameter);
     }
 }
 
@@ -207,6 +145,10 @@ impl<P: Ambient, O: Observer<P>> Observer<P> for Rc<RefCell<O>> {
 /// arrival order rebuilds its intervals exactly. This replaces the bespoke
 /// scheduler-driving recorder the timelines experiment used: the trace now
 /// comes from the *same* event stream the simulation actually executed.
+///
+/// A recorder registered mid-run starts at the first Look it sees: the
+/// `MoveStart`/`MoveEnd` of an activation already in flight at
+/// registration are skipped.
 #[derive(Debug, Default)]
 pub struct TraceRecorder {
     /// Reconstructed intervals in Look (= schedule) order. `move_start` and
@@ -263,14 +205,14 @@ impl<P: Ambient> Observer<P> for TraceRecorder {
                 self.intervals.push((robot, time, f64::NAN, f64::NAN));
             }
             EngineEventKind::MoveStart => {
-                let slot = self.open[idx].expect("MoveStart for an open activation");
-                self.intervals[slot].2 = time;
+                if let Some(slot) = self.open[idx] {
+                    self.intervals[slot].2 = time;
+                }
             }
             EngineEventKind::MoveEnd => {
-                let slot = self.open[idx]
-                    .take()
-                    .expect("MoveEnd for an open activation");
-                self.intervals[slot].3 = time;
+                if let Some(slot) = self.open[idx].take() {
+                    self.intervals[slot].3 = time;
+                }
             }
         }
     }
@@ -340,10 +282,6 @@ pub struct Simulation<P: Ambient = Vec2> {
     /// closure is `Fn`, so interior mutability bridges the reuse).
     pub(crate) hull_scratch: RefCell<Vec<P>>,
     observers: Vec<Box<dyn Observer<P>>>,
-    /// How many cohesion violations / diameter samples have already been
-    /// streamed to observers.
-    violations_streamed: usize,
-    samples_streamed: usize,
 }
 
 /// The four standard monitors a session is built around, bundled for
@@ -371,9 +309,6 @@ impl<P: Ambient> Simulation<P> {
             diameter,
         } = monitors;
         let n = positions.len();
-        // The series arrives seeded with the t = 0 point; only samples
-        // taken after it stream through `on_sample`.
-        let samples_streamed = diameter.series().len();
         Simulation {
             engine,
             epsilon,
@@ -395,8 +330,6 @@ impl<P: Ambient> Simulation<P> {
             status: SessionStatus::Running,
             hull_scratch: RefCell::new(Vec::new()),
             observers: Vec::new(),
-            violations_streamed: 0,
-            samples_streamed,
         }
     }
 
@@ -509,10 +442,10 @@ impl<P: Ambient> Simulation<P> {
         self.status
     }
 
-    /// The per-event pipeline: dirty-set maintenance, the monitor
-    /// observers, round accounting, diameter sampling, and observer
-    /// streaming — the body of the historical `run()` loop, verbatim where
-    /// it affects the report.
+    /// The per-event pipeline: dirty-set maintenance, the monitors, the
+    /// registered observers, round accounting, and diameter sampling — the
+    /// body of the historical `run()` loop, verbatim where it affects the
+    /// report.
     fn process(&mut self, event: EngineEvent) {
         let n = self.positions.len();
         let robot = event.robot.index();
@@ -562,22 +495,16 @@ impl<P: Ambient> Simulation<P> {
         // pairs with a dirty endpoint are measured — every other pair
         // provably keeps its status until one of its endpoints' next
         // breakpoint (see `crate::monitors`).
-        Observer::on_event(&mut self.cohesion, &view);
+        self.cohesion.on_event(&view.monitors);
         if let Some(m) = self.strong.as_mut() {
-            Observer::on_event(m, &view);
+            m.on_event(&view.monitors);
         }
         if let Some(m) = self.hull.as_mut() {
-            Observer::on_event(m, &view);
+            m.on_event(&view.monitors);
         }
         for obs in &mut self.observers {
             obs.on_event(&view);
         }
-        for v in &self.cohesion.violations()[self.violations_streamed..] {
-            for obs in &mut self.observers {
-                obs.on_violation(v);
-            }
-        }
-        self.violations_streamed = self.cohesion.violations().len();
 
         // The configuration diameter at this event, computed at most once:
         // a round boundary and a diameter sample often fall on one event.
@@ -598,9 +525,6 @@ impl<P: Ambient> Simulation<P> {
             self.round_pending = n;
             let d = *diameter.get_or_insert_with(|| self.diameter.measure(&self.positions));
             self.round_diameters.push((self.rounds, d));
-            for obs in &mut self.observers {
-                obs.on_round(self.rounds, event.time, d);
-            }
         }
 
         // Diameter sampling + convergence test.
@@ -608,12 +532,6 @@ impl<P: Ambient> Simulation<P> {
             let d = diameter.unwrap_or_else(|| self.diameter.measure(&self.positions));
             self.diameter.record(event.time, d);
         }
-        for &(t, d) in &self.diameter.series()[self.samples_streamed..] {
-            for obs in &mut self.observers {
-                obs.on_sample(t, d);
-            }
-        }
-        self.samples_streamed = self.diameter.series().len();
 
         if event.kind == EngineEventKind::MoveEnd {
             let slot = self
@@ -771,18 +689,10 @@ mod tests {
         #[derive(Default)]
         struct Counts {
             events: usize,
-            rounds: usize,
-            samples: usize,
         }
         impl Observer for Counts {
             fn on_event(&mut self, _view: &EventView<'_>) {
                 self.events += 1;
-            }
-            fn on_round(&mut self, _round: usize, _time: f64, _diameter: f64) {
-                self.rounds += 1;
-            }
-            fn on_sample(&mut self, _time: f64, _diameter: f64) {
-                self.samples += 1;
             }
         }
         let counts = Rc::new(RefCell::new(Counts::default()));
@@ -795,10 +705,6 @@ mod tests {
         let report = session.run_to_completion();
         let counts = counts.borrow();
         assert_eq!(counts.events, report.events);
-        assert_eq!(counts.rounds, report.rounds);
-        // The series carries the seeded t=0 point and the final sample
-        // appended by into_report; neither streams through on_sample.
-        assert_eq!(counts.samples, report.diameter_series.len() - 2);
     }
 
     #[test]
@@ -834,5 +740,36 @@ mod tests {
         }
         let rebuilt = recorder.borrow().trace(12).expect("12 complete intervals");
         assert_eq!(rebuilt.intervals(), &script[..12]);
+    }
+
+    #[test]
+    fn trace_recorder_registered_mid_activation_starts_at_the_next_look() {
+        // One robot, so every activation's MoveStart and MoveEnd follow its
+        // Look directly; registering after the first Look puts the recorder
+        // inside an activation it never saw begin.
+        let script: Vec<ActivationInterval> = (0..5)
+            .map(|i| {
+                let look = i as f64;
+                ActivationInterval::new(cohesion_model::RobotId(0), look, look + 0.2, look + 0.7)
+            })
+            .collect();
+        let mut session = SimulationBuilder::new(line(1, 0.9), NilAlgorithm)
+            .scheduler(cohesion_scheduler::ScriptedScheduler::new(
+                "script",
+                script.clone(),
+            ))
+            .max_events(60)
+            .build();
+        assert_eq!(session.step(), SessionStatus::Running);
+        let recorder = Rc::new(RefCell::new(TraceRecorder::new()));
+        session.observe(Rc::clone(&recorder));
+        while !session.step().is_terminal() {}
+        assert_eq!(session.status(), SessionStatus::ScheduleExhausted);
+        let recorder = recorder.borrow();
+        assert_eq!(recorder.complete_prefix(), script.len() - 1);
+        let rebuilt = recorder
+            .trace(script.len() - 1)
+            .expect("every later interval");
+        assert_eq!(rebuilt.intervals(), &script[1..]);
     }
 }

@@ -4,7 +4,7 @@
 //! merges, frozen-hash session equivalence, thread-count-independent rows
 //! — rests on invariants the compiler does not enforce: no wall clock
 //! or entropy in the deterministic crates, no unordered-map iteration
-//! feeding report output, all threading confined to two approved modules.
+//! feeding report output, all threading confined to one approved module.
 //! This crate enforces them statically, as named, individually-testable
 //! rules over a hand-rolled lexer (no `syn`; the offline `third_party/`
 //! policy applies):
@@ -12,11 +12,11 @@
 //! | rule | invariant |
 //! |------|-----------|
 //! | D1   | no `HashMap`/`HashSet` iteration in deterministic code |
-//! | D2   | no wall-clock reads outside `bench/src/sweep.rs`, `telemetry/src/sync.rs` |
+//! | D2   | no wall-clock reads outside `bench/src/sweep.rs` |
 //! | D3   | no RNG construction from ambient entropy |
-//! | D4   | concurrency confined to the approved modules |
+//! | D4   | concurrency confined to `bench/src/sweep.rs` |
 //! | D5   | every `unsafe` block carries a `// SAFETY:` comment |
-//! | D6   | no bare-`{}` float `Display` on row/telemetry emission paths |
+//! | D6   | no bare-`{}` float `Display` on row emission paths |
 //!
 //! Violations print rustc-style `file:line:col` diagnostics (or `--json`)
 //! and can be suppressed only through the checked-in `lint.toml` allowlist,

@@ -34,9 +34,9 @@ pub const DETERMINISTIC_CRATES: &[&str] = &[
 const BENCH_EMISSION: &[&str] = &["crates/bench/src/lab.rs"];
 
 /// The only modules allowed to spawn threads, share state, or read the
-/// wall clock: the sweep thread pool and the telemetry plane's one audited
-/// lock wrapper (everything else in `cohesion-telemetry` goes through it).
-const CONCURRENCY_MODULES: &[&str] = &["crates/bench/src/sweep.rs", "crates/telemetry/src/sync.rs"];
+/// wall clock: the sweep thread pool, which also holds the progress
+/// sidecar's one audited lock wrapper.
+const CONCURRENCY_MODULES: &[&str] = &["crates/bench/src/sweep.rs"];
 
 fn in_deterministic_src(rel: &str) -> bool {
     DETERMINISTIC_CRATES
@@ -81,11 +81,11 @@ pub fn d5_applies(_rel: &str) -> bool {
     true
 }
 
-/// D6: the emission surfaces — bench row/report emission and the
-/// telemetry plane's sources. A bare `{}` on a float there prints
-/// value-dependent widths into files that external tools parse.
+/// D6: the emission surfaces — bench row/report emission. A bare `{}` on
+/// a float there prints value-dependent widths into files that external
+/// tools parse.
 pub fn d6_applies(rel: &str) -> bool {
-    in_bench_emission(rel) || rel.starts_with("crates/telemetry/src/")
+    in_bench_emission(rel)
 }
 
 /// Files the workspace walker skips entirely.

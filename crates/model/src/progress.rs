@@ -92,7 +92,7 @@ impl Default for Budget {
 }
 
 /// A cheap point-in-time view of a running simulation, for heartbeats,
-/// stop predicates, and telemetry.
+/// stop predicates, and the `--progress` sidecar's records.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Progress {
     /// Engine events processed so far.
