@@ -91,11 +91,6 @@ impl SpiralConstruction {
         self.configuration.len()
     }
 
-    /// Number of tail robots (`P_0 … P_{n−3}`).
-    pub fn tail_len(&self) -> usize {
-        self.configuration.len() - 2
-    }
-
     /// The paper's lower bound `3 + e^{3π/(8 sin ψ)}` on the robots needed
     /// to span the `3π/8` rotation.
     pub fn paper_size_estimate(psi: f64) -> f64 {

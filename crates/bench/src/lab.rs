@@ -291,19 +291,8 @@ pub enum Outcome {
 impl Outcome {
     /// The default cell driver: dispatches a spec to the engine (2D or 3D)
     /// or to the §7 impossibility adversary. Experiments with bespoke
-    /// drivers override [`Experiment::run`] instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a [`SchedulerSpec::AdversaryNested`] scheduler without a
-    /// [`WorkloadSpec::SpiralTail`] workload.
-    #[must_use]
-    pub fn compute(spec: &ScenarioSpec) -> Outcome {
-        Outcome::compute_with(spec, &NO_PROGRESS)
-    }
-
-    /// [`Outcome::compute`] with live progress: engine-driven cells run as
-    /// sessions in [`PROGRESS_HEARTBEAT_EVENTS`]-event slices, emitting a
+    /// drivers override [`Experiment::run`] instead. Engine-driven cells run
+    /// as sessions in [`PROGRESS_HEARTBEAT_EVENTS`]-event slices, emitting a
     /// heartbeat between slices. With a disabled handle the session is
     /// driven uninterrupted — either way the report is byte-identical (the
     /// session equivalence suite pins sliced ≡ one-shot).
@@ -500,10 +489,12 @@ impl Shard {
     /// The contiguous sub-range of a `len`-cell grid this shard owns.
     /// Ranges of shards `0..count` partition `0..len` in order, so
     /// concatenating per-shard outputs by index reproduces the unsharded
-    /// output byte-for-byte.
+    /// output byte-for-byte. The bounds are computed in `u128`, so no
+    /// shard count that [`Shard::parse`] accepts can overflow them.
     #[must_use]
     pub fn slice(self, len: usize) -> std::ops::Range<usize> {
-        (self.index * len / self.count)..((self.index + 1) * len / self.count)
+        let bound = |i: usize| (i as u128 * len as u128 / self.count as u128) as usize;
+        bound(self.index)..bound(self.index + 1)
     }
 
     /// The shard-qualified file name for an output stem.
@@ -1039,6 +1030,34 @@ mod tests {
                     covered.extend(r);
                 }
                 assert_eq!(covered, (0..len).collect::<Vec<_>>());
+            }
+        }
+    }
+
+    /// A shard count near `usize::MAX` (which `Shard::parse` accepts) must
+    /// not overflow the bounds: the last shard owns the last cell, and the
+    /// shards at either end still chain contiguously over `0..len`.
+    #[test]
+    fn huge_shard_counts_still_partition() {
+        for count in [usize::MAX, usize::MAX - 1] {
+            for len in [1usize, 8, 97] {
+                let last = Shard {
+                    index: count - 1,
+                    count,
+                }
+                .slice(len);
+                assert_eq!(last, len - 1..len, "last of {count} shards, {len} cells");
+                let window = |lo: usize, hi: usize| {
+                    let ranges: Vec<_> = (lo..hi)
+                        .map(|index| Shard { index, count }.slice(len))
+                        .collect();
+                    for pair in ranges.windows(2) {
+                        assert_eq!(pair[0].end, pair[1].start, "gap in {count} shards");
+                    }
+                    ranges
+                };
+                assert_eq!(window(0, 4)[0].start, 0);
+                assert_eq!(window(count - 4, count).last().map(|r| r.end), Some(len));
             }
         }
     }

@@ -156,7 +156,7 @@ pub enum SchedulerSpec {
     /// The §7 sliver-flattening adversary with unbounded nesting. This is a
     /// *driver*, not an engine scheduler: scenarios carrying it must use a
     /// [`WorkloadSpec::SpiralTail`] workload and run through the lab's
-    /// outcome dispatch (`crate::lab::Outcome::compute`), which hands the
+    /// outcome dispatch (`crate::lab::Outcome::compute_with`), which hands the
     /// victim algorithm to `cohesion_adversary::run_impossibility`.
     AdversaryNested {
         /// Budget of flattening sweeps over the spiral tail.
@@ -499,7 +499,7 @@ impl ScenarioSpec {
     /// # Panics
     ///
     /// Panics for specs that are not a single 2D engine run (3D workloads,
-    /// the §7 adversary) — the lab's `Outcome::compute` dispatches those.
+    /// the §7 adversary) — the lab's `Outcome::compute_with` dispatches those.
     #[must_use]
     pub fn session(&self) -> Simulation<Vec2> {
         self.configure(self.workload.build(), self.algorithm.build())
@@ -522,7 +522,7 @@ impl ScenarioSpec {
     /// # Panics
     ///
     /// Panics for specs that are not a single 2D engine run (3D workloads,
-    /// the §7 adversary) — the lab's `Outcome::compute` dispatches those.
+    /// the §7 adversary) — the lab's `Outcome::compute_with` dispatches those.
     #[must_use]
     pub fn run(&self) -> SimulationReport<Vec2> {
         self.session().run_to_completion()

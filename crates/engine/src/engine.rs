@@ -37,11 +37,10 @@
 //! and outputs are bit-for-bit identical to the old loop. That old loop is
 //! kept verbatim as [`LookPath::BruteReference`], the property-tested
 //! reference and bench baseline. Pending phase events live in a tick-batched
-//! calendar queue (see [`crate::queue`]) with the historical `BinaryHeap`
-//! behind the same kind of knob.
+//! calendar queue (see `queue.rs`).
 
 use crate::monitors::Envelopes;
-use crate::queue::{EventQueue, Pending, QueuePath};
+use crate::queue::{CalendarQueue, Pending};
 use crate::state::{RobotState, RobotStates};
 use cohesion_geometry::DynamicGrid;
 use cohesion_model::frame::{Ambient, Frame, FrameMode};
@@ -166,7 +165,7 @@ pub struct Engine<P: Ambient, A, S> {
     rng: SmallRng,
     time: f64,
     seq: u64,
-    queue: EventQueue,
+    queue: CalendarQueue,
     staged: Option<ActivationInterval>,
     completed_cycles: Vec<u64>,
     /// Every robot, indexed at its *base* position — its true position while
@@ -255,7 +254,7 @@ where
             rng: SmallRng::seed_from_u64(seed),
             time: 0.0,
             seq: 0,
-            queue: EventQueue::new(QueuePath::default()),
+            queue: CalendarQueue::new(),
             staged: None,
             completed_cycles: vec![0; initial.len()],
             grid,
@@ -303,16 +302,6 @@ where
     /// reference exists for differential testing and benchmarking.
     pub fn set_look_path(&mut self, path: LookPath) {
         self.look_path = path;
-    }
-
-    /// Selects the pending-event queue. The default [`QueuePath::Calendar`]
-    /// and the [`QueuePath::HeapReference`] pop in the identical
-    /// `(time, seq)` order (property-tested against each other and pinned by
-    /// the session equivalence hashes); the heap exists for differential
-    /// testing and benchmarking. Switching mid-run drains and refills, so it
-    /// is safe at any event boundary.
-    pub fn set_queue_path(&mut self, path: QueuePath) {
-        self.queue.set_path(path);
     }
 
     /// Enables the occlusion model (one of the paper's §8 future-work
@@ -569,24 +558,6 @@ where
     /// Reference to the algorithm (for reporting).
     pub fn algorithm(&self) -> &A {
         &self.algorithm
-    }
-
-    /// The timestamp of the next event [`Engine::step`] would process, or
-    /// `None` when the schedule is exhausted and no phase is in flight.
-    ///
-    /// Staging the upcoming activation here is exactly what `step` does, so
-    /// peeking never perturbs the event sequence — it lets a driver honour a
-    /// simulated-time budget *before* committing to an event instead of
-    /// noticing the overrun one event too late.
-    pub fn peek_time(&mut self) -> Option<f64> {
-        self.stage_next_activation();
-        let staged = self.staged.as_ref().map(|iv| iv.look);
-        match (staged, self.queue.peek_time()) {
-            (Some(look), Some(t)) => Some(look.min(t)),
-            (Some(look), None) => Some(look),
-            (None, Some(t)) => Some(t),
-            (None, None) => None,
-        }
     }
 
     /// Keeps one upcoming activation staged so it can be ordered against

@@ -30,7 +30,7 @@
 
 pub mod engine;
 pub mod monitors;
-pub mod queue;
+mod queue;
 
 pub mod report;
 pub mod runner;
@@ -42,7 +42,6 @@ pub use monitors::{
     CohesionMonitor, DiameterMonitor, Envelopes, HullMonitor, Monitor, MonitorContext,
     StrongVisibilityMonitor,
 };
-pub use queue::QueuePath;
 pub use report::{fnv1a, SimulationReport};
 pub use runner::SimulationBuilder;
 pub use session::{EventView, Observer, SessionStatus, Simulation, TraceRecorder};

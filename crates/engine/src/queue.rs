@@ -1,5 +1,5 @@
-//! The pending-event queue: a tick-batched calendar queue with a
-//! `BinaryHeap` reference implementation behind a knob.
+//! The pending-event queue: a tick-batched calendar queue, tested against
+//! a `BinaryHeap` oracle.
 //!
 //! # Ordering contract
 //!
@@ -31,28 +31,15 @@
 //! calendar resizes (bucket count and width from the median inter-tick gap)
 //! as the tick population drifts.
 //!
-//! The heap is kept verbatim behind [`QueuePath::HeapReference`], mirroring
-//! the `LookPath::BruteReference` pattern: a property-tested oracle
-//! (`calendar_matches_heap_pop_order`) pins the pop order of the two
-//! structures against each other on randomized streams, and the session
-//! equivalence suite pins frozen report hashes under both paths.
+//! The historical `BinaryHeap` survives as a test oracle only: the
+//! property test `calendar_matches_heap_pop_order` pins the calendar's pop
+//! order against a plain `BinaryHeap<Pending>` on randomized streams, and
+//! the session equivalence suite pins frozen report hashes.
 
 use cohesion_model::RobotId;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::engine::EngineEventKind;
-
-/// Which pending-event queue the engine runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueuePath {
-    /// The tick-batched calendar queue — `O(1)` amortized per event, the
-    /// production path (default).
-    #[default]
-    Calendar,
-    /// The historical `BinaryHeap`, kept verbatim as the property-tested
-    /// reference implementation (mirroring `LookPath::BruteReference`).
-    HeapReference,
-}
 
 /// A pending phase event (min-order by time, stable by sequence number).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,8 +50,12 @@ pub(crate) struct Pending {
     pub(crate) kind: EngineEventKind,
 }
 
+/// Min-heap order for the test oracle: a `BinaryHeap<Pending>` pops in
+/// `(time, seq)` order.
+#[cfg(test)]
 impl Eq for Pending {}
 
+#[cfg(test)]
 impl Ord for Pending {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // Reverse for a min-heap; tie-break on sequence for determinism.
@@ -76,6 +67,7 @@ impl Ord for Pending {
     }
 }
 
+#[cfg(test)]
 impl PartialOrd for Pending {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
@@ -149,7 +141,8 @@ impl CalendarQueue {
         }
     }
 
-    pub(crate) fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.len
     }
 
@@ -341,79 +334,11 @@ impl CalendarQueue {
     }
 }
 
-/// The engine's pending-event queue behind the [`QueuePath`] knob.
-#[derive(Debug)]
-pub(crate) enum EventQueue {
-    Calendar(CalendarQueue),
-    Heap(BinaryHeap<Pending>),
-}
-
-impl EventQueue {
-    pub(crate) fn new(path: QueuePath) -> Self {
-        match path {
-            QueuePath::Calendar => EventQueue::Calendar(CalendarQueue::new()),
-            QueuePath::HeapReference => EventQueue::Heap(BinaryHeap::new()),
-        }
-    }
-
-    pub(crate) fn path(&self) -> QueuePath {
-        match self {
-            EventQueue::Calendar(_) => QueuePath::Calendar,
-            EventQueue::Heap(_) => QueuePath::HeapReference,
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            EventQueue::Calendar(q) => q.len(),
-            EventQueue::Heap(h) => h.len(),
-        }
-    }
-
-    pub(crate) fn push(&mut self, p: Pending) {
-        match self {
-            EventQueue::Calendar(q) => q.push(p),
-            EventQueue::Heap(h) => h.push(p),
-        }
-    }
-
-    pub(crate) fn pop(&mut self) -> Option<Pending> {
-        match self {
-            EventQueue::Calendar(q) => q.pop(),
-            EventQueue::Heap(h) => h.pop(),
-        }
-    }
-
-    pub(crate) fn peek_time(&mut self) -> Option<f64> {
-        match self {
-            EventQueue::Calendar(q) => q.peek_time(),
-            EventQueue::Heap(h) => h.peek().map(|p| p.time),
-        }
-    }
-
-    /// Switches structure mid-run: drains in pop order and refills, so the
-    /// `(time, seq)` contract survives the swap (the drain hands the new
-    /// structure its timestamps in ascending-`seq`-within-tick order, which
-    /// is exactly what [`CalendarQueue::push`] requires).
-    pub(crate) fn set_path(&mut self, path: QueuePath) {
-        if self.path() == path {
-            return;
-        }
-        let mut drained = Vec::with_capacity(self.len());
-        while let Some(p) = self.pop() {
-            drained.push(p);
-        }
-        *self = EventQueue::new(path);
-        for p in drained {
-            self.push(p);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BinaryHeap;
 
     fn pending(time: f64, seq: u64) -> Pending {
         Pending {
@@ -492,24 +417,6 @@ mod tests {
         assert_eq!(q.pop().expect("pending").seq, 0);
     }
 
-    #[test]
-    fn set_path_drains_and_preserves_order() {
-        let mut q = EventQueue::new(QueuePath::Calendar);
-        for seq in 0..50 {
-            q.push(pending((seq % 5) as f64, seq));
-        }
-        q.set_path(QueuePath::HeapReference);
-        assert_eq!(q.path(), QueuePath::HeapReference);
-        assert_eq!(q.len(), 50);
-        let mut prev: Option<Pending> = None;
-        while let Some(p) = q.pop() {
-            if let Some(prev) = prev {
-                assert!((p.time, p.seq) > (prev.time, prev.seq));
-            }
-            prev = Some(p);
-        }
-    }
-
     /// One queue operation of the randomized differential stream.
     #[derive(Debug, Clone)]
     enum Op {
@@ -540,8 +447,8 @@ mod tests {
             quantum in (0usize..3).prop_map(|i| [0.25, 1.0e-7, 3.75e4][i]),
             ops in proptest::collection::vec(op_strategy(), 1..200),
         ) {
-            let mut calendar = EventQueue::new(QueuePath::Calendar);
-            let mut heap = EventQueue::new(QueuePath::HeapReference);
+            let mut calendar = CalendarQueue::new();
+            let mut heap = BinaryHeap::new();
             let mut seq = 0u64;
             for op in ops {
                 match op {
@@ -555,7 +462,7 @@ mod tests {
                         prop_assert_eq!(calendar.pop(), heap.pop());
                     }
                     Op::Peek => {
-                        prop_assert_eq!(calendar.peek_time(), heap.peek_time());
+                        prop_assert_eq!(calendar.peek_time(), heap.peek().map(|p: &Pending| p.time));
                     }
                 }
                 prop_assert_eq!(calendar.len(), heap.len());

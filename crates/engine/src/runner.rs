@@ -1,9 +1,12 @@
 //! The simulation builder: configures a [`Simulation`] session (or runs one
 //! to completion in a single call).
+//!
+//! The session's only budget is an event count (`max_events`): the paper's
+//! verdicts are per activation schedule, so nothing here bounds simulated
+//! time.
 
 use crate::engine::{Engine, LookPath};
 use crate::monitors::{CohesionMonitor, DiameterMonitor, HullMonitor, StrongVisibilityMonitor};
-use crate::queue::QueuePath;
 use crate::report::SimulationReport;
 use crate::session::Simulation;
 use cohesion_geometry::{Point, SpatialGrid, Vec2};
@@ -46,7 +49,6 @@ pub struct SimulationBuilder<P: Ambient = Vec2> {
     visibility_radii: Option<Vec<f64>>,
     epsilon: f64,
     max_events: usize,
-    max_time: f64,
     seed: u64,
     perception: PerceptionModel,
     motion: MotionModel,
@@ -54,7 +56,6 @@ pub struct SimulationBuilder<P: Ambient = Vec2> {
     multiplicity_detection: bool,
     occlusion_tolerance: Option<f64>,
     look_path: LookPath,
-    queue_path: QueuePath,
     track_strong_visibility: bool,
     hull_check_every: usize,
     diameter_sample_every: usize,
@@ -73,7 +74,6 @@ impl<P: Ambient> SimulationBuilder<P> {
             visibility_radii: None,
             epsilon: 0.01,
             max_events: 100_000,
-            max_time: f64::INFINITY,
             seed: 0xC0E510,
             perception: PerceptionModel::EXACT,
             motion: MotionModel::RIGID,
@@ -81,7 +81,6 @@ impl<P: Ambient> SimulationBuilder<P> {
             multiplicity_detection: false,
             occlusion_tolerance: None,
             look_path: LookPath::default(),
-            queue_path: QueuePath::default(),
             track_strong_visibility: true,
             hull_check_every: 64,
             diameter_sample_every: 32,
@@ -134,21 +133,6 @@ impl<P: Ambient> SimulationBuilder<P> {
         self
     }
 
-    /// Sets the simulated-time budget. No event stamped beyond `t` is
-    /// processed (the budget clamps *before* an event commits, per
-    /// [`Budget::admits_time`]).
-    pub fn max_time(mut self, t: f64) -> Self {
-        self.max_time = t;
-        self
-    }
-
-    /// Sets both budgets at once from a [`Budget`].
-    pub fn budget(mut self, budget: Budget) -> Self {
-        self.max_events = budget.max_events;
-        self.max_time = budget.max_time;
-        self
-    }
-
     /// Sets the RNG seed (frames, error models, scheduler jitter all derive
     /// from engine randomness seeded here; the scheduler's own seed is set at
     /// its construction).
@@ -194,15 +178,6 @@ impl<P: Ambient> SimulationBuilder<P> {
     /// and benchmarking; both produce bit-identical reports).
     pub fn look_path(mut self, path: LookPath) -> Self {
         self.look_path = path;
-        self
-    }
-
-    /// Selects the engine's pending-event queue — the calendar-queue
-    /// default or the historical `BinaryHeap` reference (for differential
-    /// testing and benchmarking; both pop in the identical order and
-    /// produce bit-identical reports).
-    pub fn queue_path(mut self, path: QueuePath) -> Self {
-        self.queue_path = path;
         self
     }
 
@@ -271,7 +246,6 @@ impl<P: Ambient> SimulationBuilder<P> {
         }
         engine.set_occlusion(self.occlusion_tolerance);
         engine.set_look_path(self.look_path);
-        engine.set_queue_path(self.queue_path);
 
         let v = self.visibility;
         let cohesion_tol = 1e-9 * (1.0 + v);
@@ -303,10 +277,7 @@ impl<P: Ambient> SimulationBuilder<P> {
         Simulation::from_parts(
             engine,
             self.epsilon,
-            Budget {
-                max_events: self.max_events,
-                max_time: self.max_time,
-            },
+            Budget::events(self.max_events),
             initial_diameter,
             positions,
             crate::session::MonitorPipeline {

@@ -7,7 +7,7 @@
 //! one-shot `run()` used to keep as loop locals. A session can be
 //!
 //! * **stepped** one engine event at a time ([`Simulation::step`]),
-//! * **driven in budgeted slices** ([`Simulation::run_for`] with a
+//! * **driven in budgeted slices** ([`Simulation::run_for`] with an event
 //!   [`Budget`], or [`Simulation::run_until`] with a stop predicate over
 //!   [`Progress`]),
 //! * **observed mid-flight** ([`Simulation::progress`] for a cheap view;
@@ -66,7 +66,8 @@ pub enum SessionStatus {
     Running,
     /// A sampled diameter reached the convergence threshold `ε`.
     Converged,
-    /// The session's overall event or time budget is exhausted.
+    /// The session's overall event budget (the builder's `max_events`) is
+    /// exhausted.
     BudgetExhausted,
     /// The scheduler produced no further activations and no phase is in
     /// flight (scripted schedules end; generative ones never do).
@@ -258,7 +259,7 @@ impl<P: Ambient> Observer<P> for TraceRecorder {
 pub struct Simulation<P: Ambient = Vec2> {
     pub(crate) engine: Engine<P, Box<dyn Algorithm<P>>, Box<dyn Scheduler>>,
     pub(crate) epsilon: f64,
-    /// The session's overall budget (the builder's `max_events`/`max_time`).
+    /// The session's overall event budget (the builder's `max_events`).
     pub(crate) budget: Budget,
     pub(crate) initial_diameter: f64,
     /// Driver-owned position buffer; each event updates the dirty entries.
@@ -417,18 +418,6 @@ impl<P: Ambient> Simulation<P> {
             self.status = SessionStatus::BudgetExhausted;
             return self.status;
         }
-        // The time budget clamps *before* the event is committed: the
-        // historical loop compared the budget against the previous event's
-        // time and so overran by one event; peeking the next event's
-        // timestamp closes that gap without perturbing the event sequence.
-        if self.budget.max_time.is_finite() {
-            if let Some(t) = self.engine.peek_time() {
-                if !self.budget.admits_time(t) {
-                    self.status = SessionStatus::BudgetExhausted;
-                    return self.status;
-                }
-            }
-        }
         let Some(event) = self.engine.step() else {
             self.status = SessionStatus::ScheduleExhausted;
             return self.status;
@@ -544,22 +533,12 @@ impl<P: Ambient> Simulation<P> {
     }
 
     /// Runs until the *slice* budget is exhausted or the session
-    /// terminates. `slice.max_events` is relative (that many more events);
-    /// `slice.max_time` is an absolute simulated-time ceiling, clamped so
-    /// no event beyond it is processed. Returns [`SessionStatus::Running`]
-    /// when only the slice — not the session — is spent.
+    /// terminates. `slice.max_events` is relative (that many more events).
+    /// Returns [`SessionStatus::Running`] when only the slice — not the
+    /// session — is spent.
     pub fn run_for(&mut self, slice: Budget) -> SessionStatus {
         let end_events = self.events.saturating_add(slice.max_events);
-        while !self.status.is_terminal() {
-            if self.events >= end_events {
-                break;
-            }
-            if slice.max_time.is_finite() {
-                match self.engine.peek_time() {
-                    Some(t) if !slice.admits_time(t) => break,
-                    _ => {}
-                }
-            }
+        while !self.status.is_terminal() && self.events < end_events {
             self.step();
         }
         self.status

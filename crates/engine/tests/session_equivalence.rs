@@ -14,12 +14,9 @@
 //! 2. **slice-invariance** — driving a session in arbitrarily-sized
 //!    interleaved `run_for` slices (property-tested over random slice
 //!    sequences), via per-event `step()`, or via `run_until`, produces the
-//!    identical report;
-//! 3. **budget boundary semantics** — the `Budget` time clamp processes the
-//!    event at exactly `max_time` but not the first one beyond it (the
-//!    historical loop overran by one event).
+//!    identical report.
 
-use cohesion_engine::{Budget, SessionStatus, SimulationBuilder, SimulationReport};
+use cohesion_engine::{Budget, SimulationBuilder, SimulationReport};
 use cohesion_geometry::Vec2;
 use cohesion_model::{Configuration, FrameMode, NilAlgorithm};
 use cohesion_scheduler::{
@@ -137,25 +134,6 @@ fn run_matches_frozen_pre_refactor_hashes() {
     }
 }
 
-/// The `QueuePath::HeapReference` knob reproduces the same frozen hashes:
-/// the calendar queue and the historical `BinaryHeap` pop in the identical
-/// `(time, seq)` order, so the entire report — every RNG draw included —
-/// is byte-for-byte the same under either structure.
-#[test]
-fn heap_reference_queue_matches_frozen_hashes() {
-    for case in &GOLDEN {
-        let report = golden_builder(case)
-            .queue_path(cohesion_engine::QueuePath::HeapReference)
-            .run();
-        assert_eq!(
-            report_hash(&report),
-            case.json_fnv1a,
-            "{}: heap-reference queue diverged from the frozen capture",
-            case.label
-        );
-    }
-}
-
 /// Same pin for the scripted Figure 4(a) adversary schedule.
 #[test]
 fn run_matches_frozen_adversary_schedule_hash() {
@@ -227,80 +205,6 @@ proptest! {
         while !session.step().is_terminal() {}
         prop_assert_eq!(one_shot, session.into_report());
     }
-}
-
-/// The `Budget` time clamp: the event at exactly `max_time` is processed,
-/// the first one beyond it is not. (The historical loop tested the budget
-/// against the previous event's time and so always processed one event past
-/// it.)
-#[test]
-fn time_budget_clamps_at_the_boundary() {
-    // Under FSync + Nil, events land at uniform times: Look at t, MoveStart
-    // at t + 1/3, MoveEnd at t + 2/3 for every robot, rounds at integer t.
-    let line = Configuration::new(vec![Vec2::ZERO, Vec2::new(0.9, 0.0)]);
-    let events_until = |max_time: f64| {
-        SimulationBuilder::new(line.clone(), NilAlgorithm)
-            .scheduler(FSyncScheduler::new())
-            .max_events(10_000)
-            .max_time(max_time)
-            .run()
-    };
-
-    let report = events_until(1.0);
-    // Every processed event is stamped ≤ the budget...
-    assert!(
-        report.end_time <= 1.0,
-        "end_time {} overran",
-        report.end_time
-    );
-    // ...and the events at exactly t = 1.0 (the two Looks of the second
-    // round) are still in budget.
-    let boundary = events_until(1.0);
-    let just_below = events_until(1.0 - 1e-9);
-    assert!(
-        boundary.events > just_below.events,
-        "events at exactly max_time must be admitted \
-         ({} at 1.0 vs {} just below)",
-        boundary.events,
-        just_below.events
-    );
-
-    // The session reports the stop as budget exhaustion, and a later slice
-    // with a longer horizon resumes exactly where the clamp stopped.
-    let mut session = SimulationBuilder::new(line.clone(), NilAlgorithm)
-        .scheduler(FSyncScheduler::new())
-        .max_events(10_000)
-        .max_time(1.0)
-        .build();
-    assert_eq!(
-        session.run_for(Budget::UNLIMITED),
-        SessionStatus::BudgetExhausted
-    );
-    assert_eq!(session.events(), boundary.events);
-    assert!(session.time() <= 1.0);
-}
-
-/// `run_for`'s slice-level time bound is the same clamp, without
-/// terminating the session.
-#[test]
-fn slice_time_bound_pauses_without_terminating() {
-    let line = Configuration::new(vec![Vec2::ZERO, Vec2::new(0.9, 0.0)]);
-    let mut session = SimulationBuilder::new(line, NilAlgorithm)
-        .scheduler(FSyncScheduler::new())
-        .max_events(10_000)
-        .build();
-    let status = session.run_for(Budget::time(2.5));
-    assert_eq!(status, SessionStatus::Running, "slice bound is a pause");
-    assert!(session.time() <= 2.5);
-    let events_at_pause = session.events();
-    session.run_for(Budget::time(2.5));
-    assert_eq!(
-        session.events(),
-        events_at_pause,
-        "an exhausted slice bound admits nothing further"
-    );
-    session.run_for(Budget::time(3.5).and_events(2));
-    assert_eq!(session.events(), events_at_pause + 2);
 }
 
 /// The builder's radii validation fails at configuration time.

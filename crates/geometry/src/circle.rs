@@ -44,12 +44,6 @@ impl Circle {
         self.center.dist(other.center) + other.radius <= self.radius + eps
     }
 
-    /// Signed distance from `p` to the boundary (negative inside the disk).
-    #[inline]
-    pub fn signed_dist(&self, p: Vec2) -> f64 {
-        self.center.dist(p) - self.radius
-    }
-
     /// The largest `t ≥ 0` such that `origin + t·dir` lies in the closed disk,
     /// or `None` when the ray misses the disk entirely (`dir` need not be
     /// normalized; the result is in units of `|dir|`).
@@ -111,12 +105,6 @@ impl Circle {
         let h = h_sq.sqrt();
         let off = u.perp() * h;
         vec![base + off, base - off]
-    }
-
-    /// Returns `true` when the closed disks of the two circles intersect.
-    #[inline]
-    pub fn disks_intersect(&self, other: &Circle, eps: f64) -> bool {
-        self.center.dist(other.center) <= self.radius + other.radius + eps
     }
 
     /// Area of the disk.

@@ -124,11 +124,6 @@ impl<P: Point> DynamicGrid<P> {
         }
     }
 
-    /// The cell edge length.
-    pub fn cell_size(&self) -> f64 {
-        self.cell
-    }
-
     /// Number of present points.
     pub fn len(&self) -> usize {
         self.len
@@ -424,6 +419,30 @@ mod tests {
 
     use crate::test_util::cloud;
 
+    /// Squared distance from `z` to the closed segment `a → b`, for any
+    /// [`Point`] dimension: the exact predicate the coarse segment cell walk
+    /// must cover.
+    fn dist_sq_to_segment<P: Point>(z: P, a: P, b: P) -> f64 {
+        let line = b - a;
+        let len_sq = line.norm_sq();
+        if len_sq == 0.0 {
+            return z.dist_sq(a);
+        }
+        let t = ((z - a).dot(line) / len_sq).clamp(0.0, 1.0);
+        z.dist_sq(a + line * t)
+    }
+
+    #[test]
+    fn dist_sq_to_segment_basics() {
+        let a = Vec2::ZERO;
+        let b = Vec2::new(4.0, 0.0);
+        assert_eq!(dist_sq_to_segment(Vec2::new(2.0, 3.0), a, b), 9.0);
+        assert_eq!(dist_sq_to_segment(Vec2::new(-3.0, 0.0), a, b), 9.0);
+        assert_eq!(dist_sq_to_segment(Vec2::new(6.0, 0.0), a, b), 4.0);
+        // Degenerate segment: plain point distance.
+        assert_eq!(dist_sq_to_segment(Vec2::new(1.0, 1.0), a, a), 2.0);
+    }
+
     fn brute_within(pts: &[Option<Vec2>], q: Vec2, radius: f64) -> Vec<usize> {
         (0..pts.len())
             .filter(|&j| pts[j].is_some_and(|p| (p - q).norm() <= radius))
@@ -552,7 +571,7 @@ mod tests {
         grid.query_segment_cells(a, b, pad, &mut out);
         // The coarse cell walk must be a superset of the exact hit set.
         for (j, &p) in pts.iter().enumerate() {
-            if crate::grid::dist_sq_to_segment(p, a, b) <= pad * pad {
+            if dist_sq_to_segment(p, a, b) <= pad * pad {
                 assert!(out.contains(&j), "point {j} near segment missed");
             }
         }

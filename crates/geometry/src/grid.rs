@@ -70,9 +70,6 @@ const DENSE_MIN_CELLS: i128 = 1024;
 /// use cohesion_geometry::{SpatialGrid, Vec2};
 /// let pts = vec![Vec2::new(0.0, 0.0), Vec2::new(0.5, 0.0), Vec2::new(3.0, 0.0)];
 /// let grid = SpatialGrid::build(&pts, 1.0);
-/// let mut out = Vec::new();
-/// grid.neighbors_within(0, 1.0, &mut out);
-/// assert_eq!(out, vec![1]);
 /// assert_eq!(grid.pairs_within(1.0), vec![(0, 1)]);
 /// ```
 #[derive(Debug, Clone)]
@@ -185,26 +182,6 @@ impl<P: Point> SpatialGrid<P> {
         }
     }
 
-    /// Number of indexed points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// `true` when no points are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// The cell edge length.
-    pub fn cell_size(&self) -> f64 {
-        self.cell
-    }
-
-    /// The indexed points.
-    pub fn points(&self) -> &[P] {
-        &self.points
-    }
-
     /// The point indices stored in the cell containing `key`, ascending
     /// (empty when the cell holds no points).
     fn bucket(&self, key: CellKey) -> &[u32] {
@@ -219,132 +196,6 @@ impl<P: Point> SpatialGrid<P> {
             }
             None => &[],
         }
-    }
-
-    /// Appends to `out` every index `j ≠ i` with `dist(points[i], points[j])
-    /// ≤ radius` (closed predicate, matching §2.1's visibility definition).
-    /// `out` is cleared first and returned sorted ascending.
-    pub fn neighbors_within(&self, i: usize, radius: f64, out: &mut Vec<usize>) {
-        out.clear();
-        let center = self.points[i];
-        let key = self.point_key[i];
-        self.for_each_candidate(key, radius, |j| {
-            if j != i && center.dist(self.points[j]) <= radius {
-                out.push(j);
-            }
-        });
-        out.sort_unstable();
-    }
-
-    /// Appends to `out` every index `j` with `dist(q, points[j]) ≤ radius`,
-    /// for an arbitrary probe point `q`. `out` is cleared first and returned
-    /// sorted ascending.
-    pub fn query_within(&self, q: P, radius: f64, out: &mut Vec<usize>) {
-        out.clear();
-        self.for_each_candidate(cell_key(q, self.cell), radius, |j| {
-            if q.dist(self.points[j]) <= radius {
-                out.push(j);
-            }
-        });
-        out.sort_unstable();
-    }
-
-    /// Appends to `out` every index `j` with `r_min ≤ dist(q, points[j]) ≤
-    /// r_max` (both predicates closed). `out` is cleared first and returned
-    /// sorted ascending.
-    ///
-    /// Cells entirely inside the inner radius are skipped wholesale: a cell
-    /// whose farthest corner from `q` is still below `r_min` cannot hold a
-    /// hit, which makes wide annuli with a fat hole (e.g. ring placement in
-    /// workload generators) cheaper than a full-disk scan plus filter.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `r_min > r_max` or either bound is negative.
-    pub fn query_annulus(&self, q: P, r_min: f64, r_max: f64, out: &mut Vec<usize>) {
-        assert!(
-            0.0 <= r_min && r_min <= r_max,
-            "annulus needs 0 ≤ r_min ≤ r_max"
-        );
-        out.clear();
-        // Half the diagonal of one cell, inflated a hair so sqrt rounding can
-        // never make the whole-cell rejection below overreach: if the cell
-        // *center* is strictly within r_min − half_diag of q, every point of
-        // the cell is strictly inside the hole.
-        let half_diag = 0.5 * self.cell * (P::DIM as f64).sqrt() * (1.0 + 1e-12);
-        let skip_below_sq = {
-            let margin = r_min - half_diag;
-            if margin > 0.0 {
-                margin * margin
-            } else {
-                -1.0
-            }
-        };
-        let key = cell_key(q, self.cell);
-        let reach = (r_max / self.cell).ceil().max(1.0) as i64;
-        for dx in -reach..=reach {
-            for dy in -reach..=reach {
-                let z_range = if P::DIM >= 3 { -reach..=reach } else { 0..=0 };
-                for dz in z_range {
-                    let probe = [key[0] + dx, key[1] + dy, key[2] + dz];
-                    if skip_below_sq > 0.0 {
-                        let center = self.cell_center(probe);
-                        if q.dist_sq(center) < skip_below_sq {
-                            continue;
-                        }
-                    }
-                    for &j in self.bucket(probe) {
-                        let d = q.dist(self.points[j as usize]);
-                        if r_min <= d && d <= r_max {
-                            out.push(j as usize);
-                        }
-                    }
-                }
-            }
-        }
-        out.sort_unstable();
-    }
-
-    /// Appends to `out` every index `j` whose point lies within distance
-    /// `pad` of the closed segment `a → b`. `out` is cleared first and
-    /// returned sorted ascending.
-    ///
-    /// Candidate cells are the grid cells intersecting the segment's
-    /// bounding box expanded by `pad` — for segments no longer than a few
-    /// cells (the visibility-scale sight lines of the occlusion model) this
-    /// is a constant number of cells, independent of the point count.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `pad` is negative.
-    pub fn query_segment_within(&self, a: P, b: P, pad: f64, out: &mut Vec<usize>) {
-        assert!(pad >= 0.0, "segment pad must be non-negative");
-        out.clear();
-        let pad_sq = pad * pad;
-        let lo_key = cell_key(min_corner(a, b, pad), self.cell);
-        let hi_key = cell_key(max_corner(a, b, pad), self.cell);
-        for x in lo_key[0]..=hi_key[0] {
-            for y in lo_key[1]..=hi_key[1] {
-                for z in lo_key[2]..=hi_key[2] {
-                    for &j in self.bucket([x, y, z]) {
-                        if dist_sq_to_segment(self.points[j as usize], a, b) <= pad_sq {
-                            out.push(j as usize);
-                        }
-                    }
-                }
-            }
-        }
-        out.sort_unstable();
-    }
-
-    /// The center of an (arbitrary) cell, for conservative whole-cell
-    /// rejection tests.
-    fn cell_center(&self, key: CellKey) -> P {
-        let mut coords = [0.0f64; KEY_AXES];
-        for (axis, c) in coords.iter_mut().enumerate() {
-            *c = (key[axis] as f64 + 0.5) * self.cell;
-        }
-        P::from_coords(&coords[..P::DIM])
     }
 
     /// All pairs `(i, j)` with `i < j` and `dist ≤ radius`, in the exact
@@ -489,19 +340,6 @@ pub(crate) fn max_corner<P: Point>(a: P, b: P, pad: f64) -> P {
     P::from_coords(&coords[..P::DIM])
 }
 
-/// Squared distance from `z` to the closed segment `a → b`, written once for
-/// any [`Point`] dimension (the planar [`crate::Segment`] type stays the
-/// ergonomic 2D API; the grids need the predicate generically).
-pub(crate) fn dist_sq_to_segment<P: Point>(z: P, a: P, b: P) -> f64 {
-    let line = b - a;
-    let len_sq = line.norm_sq();
-    if len_sq == 0.0 {
-        return z.dist_sq(a);
-    }
-    let t = ((z - a).dot(line) / len_sq).clamp(0.0, 1.0);
-    z.dist_sq(a + line * t)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -570,11 +408,6 @@ mod tests {
         ];
         let grid = SpatialGrid::build(&pts, 1.0);
         assert_eq!(grid.pairs_within(1.0), vec![(0, 1)]);
-        let mut out = Vec::new();
-        grid.query_within(Vec2::new(-2.0, -1.0), 0.5, &mut out);
-        assert_eq!(out, vec![0, 1]);
-        grid.query_within(Vec2::new(10.0, 10.0), 1.0, &mut out);
-        assert!(out.is_empty());
     }
 
     #[test]
@@ -614,12 +447,6 @@ mod tests {
             "1e9-cell span must not be directly addressed"
         );
         assert_eq!(grid.pairs_within(1.0), brute_pairs(&pts, 1.0));
-        let mut out = Vec::new();
-        grid.query_within(Vec2::new(1e9, 1e9), 2.0, &mut out);
-        let brute: Vec<usize> = (0..pts.len())
-            .filter(|&j| Vec2::new(1e9, 1e9).dist(pts[j]) <= 2.0)
-            .collect();
-        assert_eq!(out, brute);
     }
 
     #[test]
@@ -640,7 +467,6 @@ mod tests {
     #[test]
     fn empty_input() {
         let grid = SpatialGrid::<Vec2>::build(&[], 1.0);
-        assert!(grid.is_empty());
         assert!(grid.pairs_within(1.0).is_empty());
     }
 
@@ -648,98 +474,5 @@ mod tests {
     #[should_panic(expected = "cell edge must be positive")]
     fn zero_cell_panics() {
         let _ = SpatialGrid::<Vec2>::build(&[Vec2::ZERO], 0.0);
-    }
-
-    #[test]
-    fn annulus_matches_brute_force() {
-        let pts = cloud(150, 9.0, 21);
-        let grid = SpatialGrid::build(&pts, 1.0);
-        let mut out = Vec::new();
-        for (q, r_min, r_max) in [
-            (Vec2::new(4.5, 4.5), 0.0, 1.0),
-            (Vec2::new(4.5, 4.5), 2.0, 3.5),
-            (Vec2::new(0.0, 0.0), 5.0, 5.2),
-            (Vec2::new(4.0, 4.0), 0.5, 0.5),
-        ] {
-            grid.query_annulus(q, r_min, r_max, &mut out);
-            let brute: Vec<usize> = (0..pts.len())
-                .filter(|&j| {
-                    let d = q.dist(pts[j]);
-                    r_min <= d && d <= r_max
-                })
-                .collect();
-            assert_eq!(out, brute, "q={q} r_min={r_min} r_max={r_max}");
-        }
-    }
-
-    #[test]
-    fn annulus_inner_skip_keeps_boundary_points() {
-        // Points exactly on the inner radius are hits (closed predicate),
-        // including ones sitting in cells the center-rejection test probes.
-        let pts = vec![
-            Vec2::new(2.0, 0.0),
-            Vec2::new(0.0, 2.0),
-            Vec2::new(0.5, 0.5),
-            Vec2::new(3.0, 0.0),
-        ];
-        let grid = SpatialGrid::build(&pts, 0.4);
-        let mut out = Vec::new();
-        grid.query_annulus(Vec2::ZERO, 2.0, 2.5, &mut out);
-        assert_eq!(out, vec![0, 1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "annulus needs")]
-    fn annulus_inverted_bounds_panic() {
-        let grid = SpatialGrid::build(&[Vec2::ZERO], 1.0);
-        let mut out = Vec::new();
-        grid.query_annulus(Vec2::ZERO, 2.0, 1.0, &mut out);
-    }
-
-    #[test]
-    fn segment_query_matches_brute_force() {
-        let pts = cloud(150, 8.0, 33);
-        let grid = SpatialGrid::build(&pts, 1.0);
-        let mut out = Vec::new();
-        for (a, b, pad) in [
-            (Vec2::new(1.0, 1.0), Vec2::new(6.0, 5.0), 0.3),
-            (Vec2::new(0.0, 4.0), Vec2::new(8.0, 4.0), 0.05),
-            (Vec2::new(3.0, 3.0), Vec2::new(3.0, 3.0), 0.5), // degenerate
-        ] {
-            grid.query_segment_within(a, b, pad, &mut out);
-            let brute: Vec<usize> = (0..pts.len())
-                .filter(|&j| dist_sq_to_segment(pts[j], a, b) <= pad * pad)
-                .collect();
-            assert_eq!(out, brute, "a={a} b={b} pad={pad}");
-        }
-    }
-
-    #[test]
-    fn segment_query_in_three_dimensions() {
-        let pts: Vec<Vec3> = (0..60)
-            .map(|i| {
-                let f = i as f64;
-                Vec3::new((f * 0.43).sin() * 2.0, (f * 0.29).cos() * 2.0, f * 0.07)
-            })
-            .collect();
-        let grid = SpatialGrid::build(&pts, 0.8);
-        let (a, b, pad) = (Vec3::new(-1.0, -1.0, 0.0), Vec3::new(1.5, 1.5, 3.0), 0.4);
-        let mut out = Vec::new();
-        grid.query_segment_within(a, b, pad, &mut out);
-        let brute: Vec<usize> = (0..pts.len())
-            .filter(|&j| dist_sq_to_segment(pts[j], a, b) <= pad * pad)
-            .collect();
-        assert_eq!(out, brute);
-    }
-
-    #[test]
-    fn dist_sq_to_segment_basics() {
-        let a = Vec2::ZERO;
-        let b = Vec2::new(4.0, 0.0);
-        assert_eq!(dist_sq_to_segment(Vec2::new(2.0, 3.0), a, b), 9.0);
-        assert_eq!(dist_sq_to_segment(Vec2::new(-3.0, 0.0), a, b), 9.0);
-        assert_eq!(dist_sq_to_segment(Vec2::new(6.0, 0.0), a, b), 4.0);
-        // Degenerate segment: plain point distance.
-        assert_eq!(dist_sq_to_segment(Vec2::new(1.0, 1.0), a, a), 2.0);
     }
 }

@@ -180,21 +180,6 @@ proptest! {
         prop_assert_eq!(grid.pairs_within(radius), brute);
     }
 
-    #[test]
-    fn spatial_grid_probe_query_matches_brute_force(
-        pts in proptest::collection::vec(vec2(6.0), 1..60),
-        probe in vec2(8.0),
-        radius in 0.0..3.0f64,
-    ) {
-        let grid = SpatialGrid::build(&pts, 1.0);
-        let mut out = Vec::new();
-        grid.query_within(probe, radius, &mut out);
-        let brute: Vec<usize> = (0..pts.len())
-            .filter(|&j| probe.dist(pts[j]) <= radius)
-            .collect();
-        prop_assert_eq!(out, brute);
-    }
-
     /// `relocate` leaves the grid exactly as remove + insert would: same
     /// positions, same hits in the same traversal order. Moves nudge a
     /// point within its cell, snap it onto a cell boundary, stack it on

@@ -15,39 +15,26 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 
-/// Timing ranges used by the random generators.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DurationProfile {
-    /// Compute-phase duration range.
-    pub compute: (f64, f64),
-    /// Move-phase duration range.
-    pub move_phase: (f64, f64),
-    /// Idle jitter added between activations.
-    pub jitter: f64,
+/// Compute-phase duration range of the random generators.
+const COMPUTE: (f64, f64) = (0.05, 0.35);
+/// Move-phase duration range of the random generators.
+const MOVE_PHASE: (f64, f64) = (0.1, 1.2);
+/// Upper end of the idle jitter added between activations.
+const JITTER: f64 = 0.08;
+/// Probability that an [`AsyncScheduler`] activation gets a 10–30×
+/// stretched Move phase.
+const STRETCH_PROBABILITY: f64 = 0.1;
+
+fn sample_compute(rng: &mut SmallRng) -> f64 {
+    rng.gen_range(COMPUTE.0..=COMPUTE.1)
 }
 
-impl Default for DurationProfile {
-    fn default() -> Self {
-        DurationProfile {
-            compute: (0.05, 0.35),
-            move_phase: (0.1, 1.2),
-            jitter: 0.08,
-        }
-    }
+fn sample_move(rng: &mut SmallRng) -> f64 {
+    rng.gen_range(MOVE_PHASE.0..=MOVE_PHASE.1)
 }
 
-impl DurationProfile {
-    fn sample_compute(&self, rng: &mut SmallRng) -> f64 {
-        rng.gen_range(self.compute.0..=self.compute.1)
-    }
-
-    fn sample_move(&self, rng: &mut SmallRng) -> f64 {
-        rng.gen_range(self.move_phase.0..=self.move_phase.1)
-    }
-
-    fn sample_jitter(&self, rng: &mut SmallRng) -> f64 {
-        rng.gen_range(0.0..=self.jitter)
-    }
+fn sample_jitter(rng: &mut SmallRng) -> f64 {
+    rng.gen_range(0.0..=JITTER)
 }
 
 // ---------------------------------------------------------------------------
@@ -190,7 +177,6 @@ impl Scheduler for SSyncScheduler {
 pub struct KAsyncScheduler {
     k: u32,
     rng: SmallRng,
-    profile: DurationProfile,
     clock: f64,
     /// Per-robot earliest re-activation times behind an `O(log n)` indexed
     /// min-tracker (fairness picks the first minimal index, exactly like the
@@ -210,17 +196,10 @@ impl KAsyncScheduler {
         KAsyncScheduler {
             k,
             rng: SmallRng::seed_from_u64(seed),
-            profile: DurationProfile::default(),
             clock: 0.0,
             next_free: None,
             history: Vec::new(),
         }
-    }
-
-    /// Replaces the duration profile (builder style).
-    pub fn with_profile(mut self, profile: DurationProfile) -> Self {
-        self.profile = profile;
-        self
     }
 
     /// The bound `k`.
@@ -238,8 +217,7 @@ impl Scheduler for KAsyncScheduler {
         };
         // Fairness: activate the robot that has been free the longest.
         let robot = next_free.min_index();
-        let mut look =
-            next_free.get(robot).max(self.clock) + self.profile.sample_jitter(&mut self.rng);
+        let mut look = next_free.get(robot).max(self.clock) + sample_jitter(&mut self.rng);
         // Repair loop: postpone past any interval whose per-robot budget the
         // proposal would blow.
         loop {
@@ -254,7 +232,7 @@ impl Scheduler for KAsyncScheduler {
                     .filter(|h| h.robot.index() == robot && iv.contains_time(h.look))
                     .count() as u32;
                 if already + 1 > self.k {
-                    look = iv.end + self.profile.sample_jitter(&mut self.rng) + 1e-6;
+                    look = iv.end + sample_jitter(&mut self.rng) + 1e-6;
                     bumped = true;
                 }
             }
@@ -262,8 +240,8 @@ impl Scheduler for KAsyncScheduler {
                 break;
             }
         }
-        let move_start = look + self.profile.sample_compute(&mut self.rng);
-        let end = move_start + self.profile.sample_move(&mut self.rng);
+        let move_start = look + sample_compute(&mut self.rng);
+        let end = move_start + sample_move(&mut self.rng);
         let iv = ActivationInterval::new(RobotId::from(robot), look, move_start, end);
         self.clock = look;
         next_free.set(robot, end + 1e-9);
@@ -419,19 +397,16 @@ impl Scheduler for NestAScheduler {
 
 /// The unbounded-asynchrony adversary: arbitrary overlap, arbitrary (finite)
 /// durations, fairness only (Figure 1, bottom). Occasionally stretches a
-/// Move far beyond the usual profile, which is exactly the freedom that the
+/// Move far beyond the usual phase lengths, which is exactly the freedom that the
 /// §7 impossibility construction weaponizes.
 #[derive(Debug)]
 pub struct AsyncScheduler {
     rng: SmallRng,
-    profile: DurationProfile,
     clock: f64,
     /// Per-robot earliest re-activation times behind an `O(log n)` indexed
     /// min-tracker (fairness picks the first minimal index, exactly like the
     /// historical linear scan).
     next_free: Option<ArgMin>,
-    /// Probability that an activation gets a 10–30× stretched Move phase.
-    pub stretch_probability: f64,
 }
 
 impl AsyncScheduler {
@@ -439,17 +414,9 @@ impl AsyncScheduler {
     pub fn new(seed: u64) -> Self {
         AsyncScheduler {
             rng: SmallRng::seed_from_u64(seed),
-            profile: DurationProfile::default(),
             clock: 0.0,
             next_free: None,
-            stretch_probability: 0.1,
         }
-    }
-
-    /// Replaces the duration profile (builder style).
-    pub fn with_profile(mut self, profile: DurationProfile) -> Self {
-        self.profile = profile;
-        self
     }
 }
 
@@ -461,10 +428,10 @@ impl Scheduler for AsyncScheduler {
             _ => self.next_free.insert(ArgMin::new(ctx.robot_count, 0.0)),
         };
         let robot = next_free.min_index();
-        let look = next_free.get(robot).max(self.clock) + self.profile.sample_jitter(&mut self.rng);
-        let move_start = look + self.profile.sample_compute(&mut self.rng);
-        let mut move_d = self.profile.sample_move(&mut self.rng);
-        if self.rng.gen_bool(self.stretch_probability) {
+        let look = next_free.get(robot).max(self.clock) + sample_jitter(&mut self.rng);
+        let move_start = look + sample_compute(&mut self.rng);
+        let mut move_d = sample_move(&mut self.rng);
+        if self.rng.gen_bool(STRETCH_PROBABILITY) {
             move_d *= self.rng.gen_range(10.0..30.0);
         }
         let iv =
