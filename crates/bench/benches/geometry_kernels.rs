@@ -107,7 +107,7 @@ fn bench_monitor_step(c: &mut Criterion) {
         .iter()
         .map(|e| (e.a.index(), e.b.index()))
         .collect();
-    let hull_points: &dyn Fn(&mut Vec<Vec2>) = &|out| out.clear();
+    let position = |i: usize| positions[i];
 
     let cases = [
         ("incremental_dirty1", vec![n / 2], Some(n / 2)),
@@ -126,13 +126,11 @@ fn bench_monitor_step(c: &mut Criterion) {
             b.iter(|| {
                 let ctx = MonitorContext {
                     time: 1.0,
-                    events: 1,
-                    positions: &positions,
+                    position: &position,
                     dirty: &dirty,
                     dirty_mask: &dirty_mask,
                     breakpoint,
                     envelopes,
-                    hull_points,
                 };
                 Monitor::<Vec2>::on_event(&mut cohesion, &ctx);
                 Monitor::<Vec2>::on_event(&mut strong, &ctx);

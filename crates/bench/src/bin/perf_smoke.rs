@@ -52,6 +52,16 @@
 //! pairs, median pair ratio). The pruned kernel reads about 1.5× on a 2-vCPU
 //! host; an all-pairs diameter per sample reads about 11×.
 //!
+//! An eighth check guards the session's position handling under FSync: at
+//! [`FSYNC_CANARY_N`] robots, an FSync session with the cohesion and
+//! strong-visibility monitors on (hull and diameter off) must stay within
+//! [`MAX_FSYNC_SESSION_RATIO`]× of the bare engine per event over two
+//! rounds (Kirkpatrick on the look lattice, arms interleaved in pairs,
+//! median pair ratio). The session reads positions from the engine only
+//! for the watched pairs it measures and reads about 1.8× on a 2-vCPU host;
+//! a session that copies every moving robot's position at every event —
+//! all of them under FSync — reads about 35×.
+//!
 //! Usage: `cargo run --release -p cohesion-bench --bin perf_smoke [-- --quick]`
 //! (`--quick` trims samples for CI).
 
@@ -62,7 +72,7 @@ use cohesion_bench::lookbench::{
 use cohesion_core::KirkpatrickAlgorithm;
 use cohesion_engine::{Budget, Engine, LookPath, SimulationBuilder};
 use cohesion_model::NilAlgorithm;
-use cohesion_scheduler::{AsyncScheduler, FSyncScheduler};
+use cohesion_scheduler::{AsyncScheduler, FSyncScheduler, Scheduler};
 
 /// A current median may be at most this many times the committed one.
 const REGRESSION_FACTOR: f64 = 3.0;
@@ -102,6 +112,20 @@ const PAIR_CANARY_EVENTS: usize = 4 * 3 * PAIR_CANARY_N;
 /// same session without diameter samples, at [`DIAMETER_CANARY_N`] under
 /// unbounded Async (median paired ratio).
 const MAX_DIAMETER_SAMPLER_RATIO: f64 = 4.0;
+
+/// An FSync session with the pair monitors on may be at most this many
+/// times slower per event than the bare engine at [`FSYNC_CANARY_N`]
+/// (median paired ratio).
+const MAX_FSYNC_SESSION_RATIO: f64 = 4.0;
+
+/// Swarm size and event budget (two FSync rounds) of the FSync session
+/// canary.
+const FSYNC_CANARY_N: usize = 4096;
+const FSYNC_CANARY_EVENTS: usize = 2 * 3 * FSYNC_CANARY_N;
+
+/// The engine seed (and the Async scheduler's) of the canaries that run
+/// Kirkpatrick against a session or the bare engine.
+const CANARY_SEED: u64 = 3;
 
 /// Swarm size and event budget (four rounds' worth) of the diameter
 /// canary.
@@ -202,7 +226,9 @@ fn main() {
         ));
     }
 
-    let pair_ratio = pair_session_ratio(samples);
+    let pair_ratio = session_engine_ratio(samples, PAIR_CANARY_N, PAIR_CANARY_EVENTS, 4, || {
+        AsyncScheduler::new(CANARY_SEED)
+    });
     println!(
         "pair-monitor canary at n={PAIR_CANARY_N}: async session / bare engine \
          = {pair_ratio:.2}x (need ≤ {MAX_PAIR_SESSION_RATIO}x)"
@@ -212,6 +238,25 @@ fn main() {
             "an Async session with the pair monitors is {pair_ratio:.2}x the bare \
              engine at n={PAIR_CANARY_N} (bound {MAX_PAIR_SESSION_RATIO}x) — pair \
              monitors measuring every dirty robot's pairs at every event again?"
+        ));
+    }
+
+    let fsync_ratio = session_engine_ratio(
+        samples,
+        FSYNC_CANARY_N,
+        FSYNC_CANARY_EVENTS,
+        1,
+        FSyncScheduler::new,
+    );
+    println!(
+        "fsync session canary at n={FSYNC_CANARY_N}: fsync session / bare engine \
+         = {fsync_ratio:.2}x (need ≤ {MAX_FSYNC_SESSION_RATIO}x)"
+    );
+    if fsync_ratio > MAX_FSYNC_SESSION_RATIO {
+        failures.push(format!(
+            "an FSync session with the pair monitors is {fsync_ratio:.2}x the bare \
+             engine at n={FSYNC_CANARY_N} (bound {MAX_FSYNC_SESSION_RATIO}x) — the \
+             session copying every moving robot's position at every event again?"
         ));
     }
 
@@ -313,39 +358,44 @@ fn strong_overhead_ratio(samples: usize) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// Measures the pair monitors' per-event cost against the engine's: an
-/// unbounded-Async Kirkpatrick session on the look lattice with the
+/// Measures the pair monitors' per-event cost against the engine's: a
+/// Kirkpatrick (`k`) session on the `n`-robot look lattice with the
 /// cohesion and strong-visibility monitors on (hull and diameter off),
-/// against the bare engine it wraps stepping the same events. Construction
-/// is excluded from both. The median pair ratio `session / engine` is
-/// returned, like [`async_fsync_paired_ratio`].
-fn pair_session_ratio(samples: usize) -> f64 {
-    const SEED: u64 = 3;
-    let config = look_lattice(PAIR_CANARY_N);
+/// against the bare engine it wraps stepping the same `events` events under
+/// the same scheduler. Construction is excluded from both. The median pair
+/// ratio `session / engine` is returned, like [`async_fsync_paired_ratio`].
+fn session_engine_ratio<S: Scheduler + 'static>(
+    samples: usize,
+    n: usize,
+    events: usize,
+    k: u32,
+    scheduler: impl Fn() -> S,
+) -> f64 {
+    let config = look_lattice(n);
     let session = || {
-        let session = SimulationBuilder::new(config.clone(), KirkpatrickAlgorithm::new(4))
-            .scheduler(AsyncScheduler::new(SEED))
-            .seed(SEED)
-            .max_events(PAIR_CANARY_EVENTS)
+        let session = SimulationBuilder::new(config.clone(), KirkpatrickAlgorithm::new(k))
+            .scheduler(scheduler())
+            .seed(CANARY_SEED)
+            .max_events(events)
             .hull_check_every(0)
             .diameter_sample_every(0)
             .build();
         let start = std::time::Instant::now();
         let report = session.run_to_completion();
         let secs = start.elapsed().as_secs_f64();
-        assert_eq!(report.events, PAIR_CANARY_EVENTS);
+        assert_eq!(report.events, events);
         secs
     };
     let engine = || {
         let mut engine = Engine::new(
             &config,
             1.0,
-            KirkpatrickAlgorithm::new(4),
-            AsyncScheduler::new(SEED),
-            SEED,
+            KirkpatrickAlgorithm::new(k),
+            scheduler(),
+            CANARY_SEED,
         );
         let start = std::time::Instant::now();
-        for _ in 0..PAIR_CANARY_EVENTS {
+        for _ in 0..events {
             engine.step();
         }
         start.elapsed().as_secs_f64()
@@ -370,12 +420,11 @@ fn median_paired_ratio(samples: usize, a: impl Fn() -> f64, b: impl Fn() -> f64)
 /// `diameter_sample_every(0)`. Only `run_to_completion` is timed; the
 /// median pair ratio `defaults / without samples` is returned.
 fn diameter_sampler_ratio(samples: usize) -> f64 {
-    const SEED: u64 = 3;
     let config = look_lattice(DIAMETER_CANARY_N);
     let run = |sample_every: Option<usize>| {
         let mut builder = SimulationBuilder::new(config.clone(), KirkpatrickAlgorithm::new(4))
-            .scheduler(AsyncScheduler::new(SEED))
-            .seed(SEED)
+            .scheduler(AsyncScheduler::new(CANARY_SEED))
+            .seed(CANARY_SEED)
             .max_events(DIAMETER_CANARY_EVENTS);
         if let Some(every) = sample_every {
             builder = builder.diameter_sample_every(every);

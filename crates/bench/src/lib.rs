@@ -17,8 +17,6 @@ pub mod sweep;
 
 pub use sweep::{AlgorithmSpec, ScenarioSpec, SchedulerSpec, SweepRunner, WorkloadSpec};
 
-use serde::Serialize;
-use std::io::Write;
 use std::path::PathBuf;
 
 /// Prints a header banner for an experiment.
@@ -33,17 +31,6 @@ pub fn experiments_dir() -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/experiments");
     std::fs::create_dir_all(&dir).expect("create experiments dir");
     dir
-}
-
-/// Dumps serializable rows as JSON lines next to the printed table.
-pub fn dump_json<T: Serialize>(name: &str, rows: &[T]) {
-    let path = experiments_dir().join(format!("{name}.jsonl"));
-    let mut f = std::fs::File::create(&path).expect("create json dump");
-    for row in rows {
-        let line = serde_json::to_string(row).expect("serialize row");
-        writeln!(f, "{line}").expect("write row");
-    }
-    println!("\n[rows dumped to {}]", path.display());
 }
 
 /// Formats a boolean as a compact check mark for tables.
@@ -63,16 +50,5 @@ mod tests {
     fn marks() {
         assert_eq!(mark(true), "yes");
         assert_eq!(mark(false), "NO");
-    }
-
-    #[test]
-    fn dump_roundtrip() {
-        #[derive(serde::Serialize)]
-        struct Row {
-            x: u32,
-        }
-        dump_json("selftest", &[Row { x: 1 }, Row { x: 2 }]);
-        let content = std::fs::read_to_string(experiments_dir().join("selftest.jsonl")).unwrap();
-        assert_eq!(content.lines().count(), 2);
     }
 }

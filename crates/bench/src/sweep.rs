@@ -645,11 +645,6 @@ impl SweepRunner {
             })
             .collect()
     }
-
-    /// Convenience: run a whole [`ScenarioSpec`] grid to reports.
-    pub fn run_scenarios(&self, specs: &[ScenarioSpec]) -> Vec<SimulationReport<Vec2>> {
-        self.run(specs, |_, spec| spec.run())
-    }
 }
 
 impl Default for SweepRunner {

@@ -56,10 +56,10 @@ fn work(asynchronous: bool) -> Work {
     let tally = Rc::new(RefCell::new(Tally::default()));
     session.observe(Rc::clone(&tally));
     // Events that took a diameter: a sample, a round boundary, or both at
-    // once. `progress()` measures with `diameter_of`, outside the monitor's
-    // counter, so reading the round count leaves `diameter_pairs` alone.
-    // Every step but the terminal one processes an event: the event budget
-    // ends the run (asserted below).
+    // once. `progress()` measures with `Configuration::diameter`, outside
+    // the monitor's counter, so reading the round count leaves
+    // `diameter_pairs` alone. Every step but the terminal one processes an
+    // event: the event budget ends the run (asserted below).
     let (mut diameters, mut rounds) = (0, 0);
     while !session.step().is_terminal() {
         let now = session.progress().rounds;

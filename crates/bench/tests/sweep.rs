@@ -49,8 +49,8 @@ fn scenario_grid() -> Vec<ScenarioSpec> {
 #[test]
 fn scenario_reports_identical_for_one_vs_many_threads() {
     let specs = scenario_grid();
-    let serial = SweepRunner::with_threads(1).run_scenarios(&specs);
-    let parallel = SweepRunner::with_threads(8).run_scenarios(&specs);
+    let serial = SweepRunner::with_threads(1).run(&specs, |_, s| s.run());
+    let parallel = SweepRunner::with_threads(8).run(&specs, |_, s| s.run());
     assert_eq!(serial.len(), specs.len());
     assert_eq!(serial, parallel, "reports must not depend on thread count");
 }
@@ -71,7 +71,7 @@ fn json_rows_identical_for_one_vs_many_threads() {
     }
     let rows = |threads: usize| -> Vec<String> {
         SweepRunner::with_threads(threads)
-            .run_scenarios(&specs)
+            .run(&specs, |_, s| s.run())
             .iter()
             .map(|r| {
                 serde_json::to_string(&Row {

@@ -484,16 +484,16 @@ where
         self.configuration_at(self.time)
     }
 
-    /// The position of one robot (by dense index) at time `t` — lets metrics
-    /// code read positions in place instead of materializing a whole
-    /// [`Configuration`] per event.
+    /// The position of one robot (by dense index) at time `t`. The session's
+    /// pair monitors read every position they measure through this lookup
+    /// (`MonitorContext::position`), so no event copies the swarm.
     pub fn position_of_at(&self, index: usize, t: f64) -> P {
         self.states.position_at(index, t)
     }
 
     /// Fills `out` (cleared first) with the position of every robot at time
-    /// `t` — the buffer-reusing counterpart of [`Engine::configuration_at`]
-    /// for per-event metrics code.
+    /// `t` — the buffer-reusing counterpart of [`Engine::configuration_at`],
+    /// which the session's diameter samples and round boundaries read.
     ///
     /// Struct-of-arrays fast path: a bulk copy of the base-position array
     /// (exact for every stationary robot), then interpolation fix-ups for
@@ -510,9 +510,9 @@ where
     /// Appends (after clearing) the dense indices of all robots currently in
     /// their Move phase, ascending. Together with the robot of a `MoveEnd`
     /// event, these are the only robots whose positions can have changed
-    /// since the previous event — the session's *dirty set*. Served from
-    /// the maintained side-list and sorted on the way out:
-    /// `O(motile log motile)`, not `O(n)`.
+    /// since the previous event — the set the session keeps incrementally
+    /// as its *dirty set*. Served from the maintained side-list and sorted
+    /// on the way out: `O(motile log motile)`, not `O(n)`.
     pub fn collect_motile(&self, out: &mut Vec<usize>) {
         out.clear();
         out.extend(self.motile.iter().map(|&m| m as usize));
@@ -534,8 +534,10 @@ where
 
     /// Fills `out` (cleared first) with current positions plus all pending
     /// (planned or in-flight) destinations — the vertex set of the paper's
-    /// `CH_t`. Buffer-reusing by design so monitors on a sampling cadence
-    /// never allocate per sample.
+    /// `CH_t`, which the session hands to `HullMonitor::sample`. The first
+    /// [`Engine::robot_count`] entries are [`Engine::positions_at_into`] at
+    /// the current time. Buffer-reusing by design so samplers never allocate
+    /// per sample.
     pub fn positions_with_targets_into(&self, out: &mut Vec<P>) {
         self.positions_at_into(self.time, out);
         for i in 0..self.states.len() {

@@ -11,7 +11,9 @@
 //!   models from SSync (Figure 4 exploits it twice);
 //! * cohesion (`E(0) ⊆ E(t)`) is checked at every event time — positions are
 //!   piecewise linear, so pairwise distances attain extrema at event
-//!   boundaries and the check is exhaustive, not sampled;
+//!   boundaries and the check is exhaustive, not sampled; the engine owns
+//!   the trajectories, and the monitors read the positions they measure
+//!   from it ([`Engine::position_of_at`]);
 //! * optional strong-visibility tracking asserts the acquired-visibility
 //!   clause of Theorems 3–4 (pairs once within `V/2` stay within `V`);
 //! * hull monotonicity (`CH_{t⁺} ⊆ CH_t`, including planned trajectories) is
@@ -21,7 +23,7 @@
 //!   measure used by the rate experiments;
 //! * runs are **resumable sessions** ([`session`]): `SimulationBuilder::build`
 //!   yields a [`Simulation`] that can be stepped, driven in budgeted slices
-//!   (`run_for` / `run_until`), inspected mid-flight (`progress`), and
+//!   (`run_for`), inspected mid-flight (`progress`), and
 //!   streamed through registered [`Observer`]s — with `run()` remaining the
 //!   one-shot `build().run_to_completion()` convenience.
 

@@ -8,9 +8,10 @@
 //! (zero while it stands) around its Move origin (its position while it
 //! stands), which holds every position the robot takes until its next
 //! breakpoint. The engine tracks the envelopes anyway; the driver hands them
-//! to each monitor with the event's positions in place, its *dirty set* (the
-//! robots whose position changed since the previous event) and its
-//! breakpoint robot, if any.
+//! to each monitor with a lookup of any robot's position at the event time
+//! (the engine's own trajectories: the session keeps no copy of the
+//! positions), the event's *dirty set* (the robots whose position changed
+//! since the previous event) and its breakpoint robot, if any.
 //!
 //! # Pair monitors
 //!
@@ -24,7 +25,7 @@
 //! and with the same `dist` call the historical sweep over every pair made.
 //! The work is `O(watched pairs)` per event plus `O(local degree)` per
 //! breakpoint, where the sweep paid `O(local degree)` for every dirty robot
-//! at every event.
+//! at every event; only the two endpoints of a measured pair are looked up.
 //!
 //! # Why an unwatched pair cannot change status
 //!
@@ -50,6 +51,15 @@
 //! last measured at. Every pair is therefore decided exactly as the
 //! all-pairs sweep decides it: verdicts, violation times and distances are
 //! the sweep's, bit for bit.
+//!
+//! # Samplers
+//!
+//! [`HullMonitor`] and [`DiameterMonitor`] read the whole swarm, so they run
+//! on a cadence instead: `due(events)` says whether an event is sampled, and
+//! only then does the session fill one buffer from the engine
+//! (`positions_with_targets_into` for a hull sample, `positions_at_into`
+//! otherwise) and hand it to `sample` or `measure`. Round boundaries take
+//! their diameter from the same buffer.
 //!
 //! # The diameter
 //!
@@ -84,14 +94,15 @@ use std::collections::BTreeSet;
 
 /// Everything a monitor may look at for one engine event.
 ///
-/// Borrowed views into driver-owned buffers — no per-event allocation.
+/// Borrowed views into engine- and driver-owned state — no per-event
+/// allocation, and no copy of the swarm's positions: a monitor reads the
+/// robots it needs through [`MonitorContext::position`].
 pub struct MonitorContext<'a, P: Ambient> {
     /// Time of the event being processed.
     pub time: f64,
-    /// 1-based count of events processed so far (for cadence checks).
-    pub events: usize,
-    /// Position of every robot at `time`.
-    pub positions: &'a [P],
+    /// The position of robot `i` at `time`; in a session,
+    /// [`Engine::position_of_at`](crate::Engine::position_of_at).
+    pub position: &'a dyn Fn(usize) -> P,
     /// Ascending dense indices of robots whose position changed since the
     /// previous event.
     pub dirty: &'a [usize],
@@ -102,12 +113,6 @@ pub struct MonitorContext<'a, P: Ambient> {
     pub breakpoint: Option<usize>,
     /// Every robot's motion envelope as of this event.
     pub envelopes: Envelopes<'a, P>,
-    /// Lazily fills a caller-provided buffer with the planar projection of
-    /// positions ∪ pending targets — the vertex set of the paper's `CH_t`.
-    /// Only invoked by hull-type monitors on their sampling cadence; the
-    /// buffer-filling shape lets the monitor pool the vertex storage across
-    /// samples instead of taking a fresh `Vec` per call.
-    pub hull_points: &'a dyn Fn(&mut Vec<Vec2>),
 }
 
 /// Every robot's motion envelope: until its next breakpoint, robot `i`
@@ -196,9 +201,9 @@ fn watch_insert<T>(watch: &mut Vec<(usize, usize, T)>, a: usize, b: usize, tag: 
 ///
 /// Monitors are deliberately small: state in, [`MonitorContext`] per event,
 /// typed results read off the concrete monitor after the run. The session
-/// drives the cohesion, strong-visibility and hull monitors below through
-/// this trait (the diameter sampler through its own `due`/`measure`/
-/// `record` cadence). A custom invariant rides on an
+/// drives the cohesion and strong-visibility monitors below through this
+/// trait, and the hull and diameter samplers through their own `due`
+/// cadence. A custom invariant rides on an
 /// [`Observer`](crate::Observer), which receives the same context as
 /// `EventView::monitors`.
 pub trait Monitor<P: Ambient> {
@@ -355,7 +360,7 @@ impl<P: Ambient> Monitor<P> for CohesionMonitor {
                 continue;
             }
             self.pairs_checked += 1;
-            let d = ctx.positions[a].dist(ctx.positions[b]);
+            let d = (ctx.position)(a).dist((ctx.position)(b));
             if d > threshold + self.tol {
                 self.violated.insert((a, b));
                 self.violations.push(CohesionViolation {
@@ -644,7 +649,7 @@ impl<P: Ambient> Monitor<P> for StrongVisibilityMonitor<P> {
                 continue;
             }
             self.pairs_checked += 1;
-            let d = ctx.positions[a].dist(ctx.positions[b]);
+            let d = (ctx.position)(a).dist((ctx.position)(b));
             if d <= radius {
                 if !acquired {
                     self.fresh.push(slot);
@@ -671,13 +676,15 @@ impl<P: Ambient> Monitor<P> for StrongVisibilityMonitor<P> {
 /// Watches hull nesting on a sampling cadence: each sampled convex hull of
 /// positions ∪ pending targets must contain the next (the paper's
 /// hull-diminishing invariant). Planar only — the driver constructs this
-/// monitor only when `P::DIM == 2`.
+/// monitor only when `P::DIM == 2`. Like [`DiameterMonitor`], it is driven
+/// by its cadence: the session fills the vertex set only when
+/// [`HullMonitor::due`] says so, and hands it to [`HullMonitor::sample`].
 pub struct HullMonitor {
     every: usize,
     tol: f64,
     prev: Option<ConvexHull>,
     nested: bool,
-    /// Pooled vertex buffer refilled via `MonitorContext::hull_points`.
+    /// Pooled planar projection of the sampled vertex set.
     scratch: Vec<Vec2>,
 }
 
@@ -703,14 +710,19 @@ impl HullMonitor {
     pub fn nested(&self) -> bool {
         self.nested
     }
-}
 
-impl<P: Ambient> Monitor<P> for HullMonitor {
-    fn on_event(&mut self, ctx: &MonitorContext<'_, P>) {
-        if ctx.events % self.every != 0 {
-            return;
-        }
-        (ctx.hull_points)(&mut self.scratch);
+    /// `true` when the `events`-th event is on the sampling cadence.
+    pub fn due(&self, events: usize) -> bool {
+        events % self.every == 0
+    }
+
+    /// Samples the hull of `points` — positions ∪ pending targets, the
+    /// vertex set of the paper's `CH_t`, projected on the plane — and tests
+    /// that the previous sample contains it.
+    pub fn sample<P: Point>(&mut self, points: &[P]) {
+        self.scratch.clear();
+        self.scratch
+            .extend(points.iter().map(|p| Vec2::new(p.coord(0), p.coord(1))));
         let hull = convex_hull(&self.scratch);
         if let Some(prev) = &self.prev {
             if !prev.contains_hull(&hull, self.tol) {
@@ -798,33 +810,6 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    const NO_HULL: &dyn Fn(&mut Vec<Vec2>) = &|out| out.clear();
-
-    /// A context for the hull monitor, which reads neither the dirty set
-    /// nor the envelopes.
-    fn ctx<'a>(
-        time: f64,
-        events: usize,
-        positions: &'a [Vec2],
-        reach: &'a [f64],
-        hull_points: &'a dyn Fn(&mut Vec<Vec2>),
-    ) -> MonitorContext<'a, Vec2> {
-        MonitorContext {
-            time,
-            events,
-            positions,
-            dirty: &[],
-            dirty_mask: &[],
-            breakpoint: None,
-            envelopes: Envelopes {
-                origins: positions,
-                reach,
-                max_reach: 0.0,
-            },
-            hull_points,
-        }
-    }
-
     /// One engine event as the monitors see it.
     #[derive(Debug, Clone)]
     enum Event<P> {
@@ -909,15 +894,14 @@ mod tests {
                 .map(|i| self.moving[i] || stopped == Some(i))
                 .collect();
             let dirty: Vec<usize> = (0..n).filter(|&i| dirty_mask[i]).collect();
+            let positions = &self.positions;
             let ctx = MonitorContext {
                 time: self.events as f64,
-                events: self.events,
-                positions: &self.positions,
+                position: &|i| positions[i],
                 dirty: &dirty,
                 dirty_mask: &dirty_mask,
                 breakpoint,
                 envelopes: self.envelopes(),
-                hull_points: NO_HULL,
             };
             for m in monitors.iter_mut() {
                 m.on_event(&ctx);
@@ -1416,19 +1400,19 @@ mod tests {
             vec![Vec2::ZERO, Vec2::new(9.0, 0.0), Vec2::new(0.0, 9.0)],
         ];
         let mut m = HullMonitor::new(1, 1e-9);
-        let reach = [0.0; 3];
         for (i, pts) in shrink_then_grow.iter().enumerate() {
-            let provider = |out: &mut Vec<Vec2>| {
-                out.clear();
-                out.extend_from_slice(pts);
-            };
-            let positions = [Vec2::ZERO; 3];
-            m.on_event(&ctx(i as f64, i + 1, &positions, &reach, &provider));
+            assert!(m.due(i + 1));
+            m.sample(pts);
             if i < 2 {
                 assert!(m.nested(), "shrinking hulls stay nested");
             }
         }
         assert!(!m.nested(), "expansion breaks nesting");
+        let sparse = HullMonitor::new(4, 1e-9);
+        assert!(
+            !sparse.due(3) && sparse.due(8),
+            "samples every fourth event"
+        );
     }
 
     #[test]

@@ -250,11 +250,11 @@ impl<P: Ambient> SimulationBuilder<P> {
         let v = self.visibility;
         let cohesion_tol = 1e-9 * (1.0 + v);
 
-        let positions: Vec<P> = self.initial.positions().to_vec();
+        let positions = self.initial.positions();
         let cohesion = match &self.visibility_radii {
-            None => CohesionMonitor::new(&positions, &initial_edges, |_, _| v, cohesion_tol),
+            None => CohesionMonitor::new(positions, &initial_edges, |_, _| v, cohesion_tol),
             Some(radii) => CohesionMonitor::new(
-                &positions,
+                positions,
                 &initial_edges,
                 |a, b| radii[a].min(radii[b]),
                 cohesion_tol,
@@ -262,7 +262,7 @@ impl<P: Ambient> SimulationBuilder<P> {
         };
         let strong = self
             .track_strong_visibility
-            .then(|| StrongVisibilityMonitor::new(v, cohesion_tol, &positions));
+            .then(|| StrongVisibilityMonitor::new(v, cohesion_tol, positions));
         // 2D-only hull checks: the ConvexHull type is planar. For other
         // dimensions the check is skipped (reported as None).
         let hull_checks_possible = P::DIM == 2;
@@ -279,7 +279,6 @@ impl<P: Ambient> SimulationBuilder<P> {
             self.epsilon,
             Budget::events(self.max_events),
             initial_diameter,
-            positions,
             crate::session::MonitorPipeline {
                 cohesion,
                 strong,

@@ -8,10 +8,9 @@
 //!
 //! * **stepped** one engine event at a time ([`Simulation::step`]),
 //! * **driven in budgeted slices** ([`Simulation::run_for`] with an event
-//!   [`Budget`], or [`Simulation::run_until`] with a stop predicate over
-//!   [`Progress`]),
-//! * **observed mid-flight** ([`Simulation::progress`] for a cheap view;
-//!   registered [`Observer`]s for a streaming one), and
+//!   [`Budget`]),
+//! * **observed mid-flight** ([`Simulation::progress`] for a [`Progress`]
+//!   view; registered [`Observer`]s for a streaming one), and
 //! * **finished** into the exact [`SimulationReport`] the historical
 //!   monolithic loop produced ([`Simulation::run_to_completion`] /
 //!   [`Simulation::into_report`]) — the equivalence suite pins the reports
@@ -21,7 +20,7 @@
 //!
 //! ```text
 //! SimulationBuilder ──build()──▶ Simulation (Running)
-//!        │                          │  step() / run_for(Budget) / run_until(pred)
+//!        │                          │  step() / run_for(Budget)
 //!        │                          ▼
 //!        │                 Converged │ BudgetExhausted │ ScheduleExhausted
 //!        │                          │
@@ -36,10 +35,21 @@
 //! session's monitors read — the same stream the report is computed from.
 //! Rounds, violations and diameter samples are not streamed separately:
 //! [`Simulation::progress`] and the finished [`SimulationReport`] carry
-//! them. The session drives the pair and hull monitors of
-//! [`crate::monitors`] through [`Monitor::on_event`] and the diameter
-//! sampler through its `due`/`measure`/`record` cadence, so that a sample
-//! on a round boundary reuses the boundary's diameter.
+//! them. The session drives the pair monitors of [`crate::monitors`]
+//! through [`Monitor::on_event`], and the hull and diameter samplers
+//! through their `due` cadence, so that a sample on a round boundary reuses
+//! the boundary's diameter.
+//!
+//! # Positions
+//!
+//! The engine is the only owner of robot positions. The pair monitors and
+//! observers read a robot's position at the event time through
+//! [`MonitorContext::position`], which
+//! [`Engine::position_of_at`](crate::Engine::position_of_at) backs, so an
+//! event costs no work per moving robot beyond the dirty-set upkeep at its
+//! breakpoints. The whole swarm is copied out of the engine only when a
+//! hull sample, a diameter sample or a round boundary fires, into one
+//! session buffer.
 //!
 //! To read an observer's state *while the session still owns it*, register
 //! a shared handle: `Rc<RefCell<O>>` implements [`Observer`] whenever `O`
@@ -47,8 +57,7 @@
 
 use crate::engine::{Engine, EngineEvent, EngineEventKind};
 use crate::monitors::{
-    self, CohesionMonitor, DiameterMonitor, HullMonitor, Monitor, MonitorContext,
-    StrongVisibilityMonitor,
+    CohesionMonitor, DiameterMonitor, HullMonitor, Monitor, MonitorContext, StrongVisibilityMonitor,
 };
 use crate::report::SimulationReport;
 use cohesion_geometry::Vec2;
@@ -84,13 +93,13 @@ impl SessionStatus {
 }
 
 /// What an [`Observer`] may look at for one engine event: the event itself
-/// plus the monitor-grade context (positions in place, the dirty set, the
-/// hull-vertex provider) the internal predicate checkers read.
+/// plus the monitor-grade context (a position lookup, the dirty set, the
+/// motion envelopes) the pair monitors read.
 pub struct EventView<'a, P: Ambient = Vec2> {
     /// The event just processed.
     pub event: EngineEvent,
-    /// The monitor context for this event — positions at `event.time`, the
-    /// dirty set, and the 1-based event count.
+    /// The monitor context for this event — any robot's position at
+    /// `event.time`, the dirty set, and the motion envelopes.
     pub monitors: MonitorContext<'a, P>,
 }
 
@@ -262,8 +271,9 @@ pub struct Simulation<P: Ambient = Vec2> {
     /// The session's overall event budget (the builder's `max_events`).
     pub(crate) budget: Budget,
     pub(crate) initial_diameter: f64,
-    /// Driver-owned position buffer; each event updates the dirty entries.
-    pub(crate) positions: Vec<P>,
+    /// The samplers' buffer: filled from the engine only at an event where a
+    /// hull sample, a diameter sample or a round boundary fires.
+    samples: Vec<P>,
     pub(crate) dirty: Vec<usize>,
     pub(crate) dirty_mask: Vec<bool>,
     pub(crate) cohesion: CohesionMonitor,
@@ -279,9 +289,6 @@ pub struct Simulation<P: Ambient = Vec2> {
     pub(crate) events: usize,
     pub(crate) converged: bool,
     pub(crate) status: SessionStatus,
-    /// Pooled vertex buffer for the hull monitor's sampling closure (the
-    /// closure is `Fn`, so interior mutability bridges the reuse).
-    pub(crate) hull_scratch: RefCell<Vec<P>>,
     observers: Vec<Box<dyn Observer<P>>>,
 }
 
@@ -300,7 +307,6 @@ impl<P: Ambient> Simulation<P> {
         epsilon: f64,
         budget: Budget,
         initial_diameter: f64,
-        positions: Vec<P>,
         monitors: MonitorPipeline<P>,
     ) -> Self {
         let MonitorPipeline {
@@ -309,13 +315,13 @@ impl<P: Ambient> Simulation<P> {
             hull,
             diameter,
         } = monitors;
-        let n = positions.len();
+        let n = engine.robot_count();
         Simulation {
             engine,
             epsilon,
             budget,
             initial_diameter,
-            positions,
+            samples: Vec::new(),
             dirty: Vec::with_capacity(n),
             dirty_mask: vec![false; n],
             cohesion,
@@ -329,7 +335,6 @@ impl<P: Ambient> Simulation<P> {
             events: 0,
             converged: false,
             status: SessionStatus::Running,
-            hull_scratch: RefCell::new(Vec::new()),
             observers: Vec::new(),
         }
     }
@@ -391,18 +396,18 @@ impl<P: Ambient> Simulation<P> {
     }
 
     /// A point-in-time progress view: events, rounds, simulated time, the
-    /// current configuration diameter, and cohesion-so-far. Costs one
-    /// diameter computation — `O(n)` plus a few pairs for planar swarms of
-    /// 32 or more (see [`cohesion_geometry::diameter`]), all pairs below
-    /// that and in 3D — cheap next to an event slice, but meant for
-    /// heartbeats and stop predicates, not per-event polling.
+    /// current configuration diameter, and cohesion-so-far. Costs a copy of
+    /// the positions and one diameter computation — `O(n)` plus a few pairs
+    /// for planar swarms of 32 or more (see [`cohesion_geometry::diameter`]),
+    /// all pairs below that and in 3D — cheap next to an event slice, but
+    /// meant for heartbeats between slices, not per-event polling.
     #[must_use]
     pub fn progress(&self) -> Progress {
         Progress {
             events: self.events,
             rounds: self.rounds,
             time: self.engine.time(),
-            diameter: monitors::diameter_of(&self.positions),
+            diameter: self.engine.configuration().diameter(),
             cohesion_ok: self.cohesion.maintained(),
             converged: self.converged,
         }
@@ -431,12 +436,12 @@ impl<P: Ambient> Simulation<P> {
         self.status
     }
 
-    /// The per-event pipeline: dirty-set maintenance, the monitors, the
-    /// registered observers, round accounting, and diameter sampling — the
-    /// body of the historical `run()` loop, verbatim where it affects the
-    /// report.
+    /// The per-event pipeline: dirty-set maintenance, the pair monitors,
+    /// the registered observers, round accounting, and the hull and
+    /// diameter samples — the body of the historical `run()` loop, verbatim
+    /// where it affects the report.
     fn process(&mut self, event: EngineEvent) {
-        let n = self.positions.len();
+        let n = self.engine.robot_count();
         let robot = event.robot.index();
 
         // The dirty set: robots mid-Move plus the robot whose Move just
@@ -451,53 +456,32 @@ impl<P: Ambient> Simulation<P> {
             self.dirty.insert(slot, robot);
             self.dirty_mask[robot] = true;
         }
-        for &i in &self.dirty {
-            self.positions[i] = self.engine.position_of_at(i, event.time);
-        }
 
-        // Split borrows: the monitor context reads positions/dirty/engine
-        // immutably while the monitors and observers are driven mutably.
+        // The pair monitors at every event: a breakpoint re-classifies its
+        // robot's pairs from the motion envelopes, and only the watched
+        // pairs with a dirty endpoint are measured, at positions looked up
+        // in the engine — every other pair provably keeps its status until
+        // one of its endpoints' next breakpoint (see `crate::monitors`).
         let engine = &self.engine;
-        let hull_scratch = &self.hull_scratch;
-        let hull_points = move |out: &mut Vec<Vec2>| {
-            let mut buf = hull_scratch.borrow_mut();
-            engine.positions_with_targets_into(&mut buf);
-            out.clear();
-            out.extend(buf.iter().map(|p| Vec2::new(p.coord(0), p.coord(1))));
-        };
+        let position = |i: usize| engine.position_of_at(i, event.time);
         let view = EventView {
             event,
             monitors: MonitorContext {
                 time: event.time,
-                events: self.events,
-                positions: &self.positions,
+                position: &position,
                 dirty: &self.dirty,
                 dirty_mask: &self.dirty_mask,
                 breakpoint: (event.kind != EngineEventKind::Look).then_some(robot),
                 envelopes: engine.envelopes(),
-                hull_points: &hull_points,
             },
         };
-
-        // The pair monitors at every event: a breakpoint re-classifies its
-        // robot's pairs from the motion envelopes, and only the watched
-        // pairs with a dirty endpoint are measured — every other pair
-        // provably keeps its status until one of its endpoints' next
-        // breakpoint (see `crate::monitors`).
         self.cohesion.on_event(&view.monitors);
         if let Some(m) = self.strong.as_mut() {
-            m.on_event(&view.monitors);
-        }
-        if let Some(m) = self.hull.as_mut() {
             m.on_event(&view.monitors);
         }
         for obs in &mut self.observers {
             obs.on_event(&view);
         }
-
-        // The configuration diameter at this event, computed at most once:
-        // a round boundary and a diameter sample often fall on one event.
-        let mut diameter = None;
 
         // Round accounting. Cycles only advance at a MoveEnd, by one, so a
         // robot completes its first cycle of the round exactly when its
@@ -507,18 +491,35 @@ impl<P: Ambient> Simulation<P> {
         {
             self.round_pending -= 1;
         }
-        if self.round_pending == 0 {
+        let round_closed = self.round_pending == 0;
+        let diameter_due = self.diameter.due(self.events);
+
+        // The samples read the whole swarm, so the buffer is filled only
+        // when one fires: with the pending targets appended for a hull
+        // sample, and cut back to the positions for the diameters.
+        if let Some(hull) = self.hull.as_mut().filter(|m| m.due(self.events)) {
+            self.engine.positions_with_targets_into(&mut self.samples);
+            hull.sample(&self.samples);
+            self.samples.truncate(n);
+        } else if round_closed || diameter_due {
+            self.engine.positions_at_into(event.time, &mut self.samples);
+        }
+
+        // The configuration diameter at this event, computed at most once:
+        // a round boundary and a diameter sample often fall on one event.
+        let mut diameter = None;
+        if round_closed {
             self.rounds += 1;
             self.round_base
                 .copy_from_slice(self.engine.completed_cycles());
             self.round_pending = n;
-            let d = *diameter.get_or_insert_with(|| self.diameter.measure(&self.positions));
+            let d = *diameter.get_or_insert_with(|| self.diameter.measure(&self.samples));
             self.round_diameters.push((self.rounds, d));
         }
 
         // Diameter sampling + convergence test.
-        if self.diameter.due(self.events) {
-            let d = diameter.unwrap_or_else(|| self.diameter.measure(&self.positions));
+        if diameter_due {
+            let d = diameter.unwrap_or_else(|| self.diameter.measure(&self.samples));
             self.diameter.record(event.time, d);
         }
 
@@ -539,20 +540,6 @@ impl<P: Ambient> Simulation<P> {
     pub fn run_for(&mut self, slice: Budget) -> SessionStatus {
         let end_events = self.events.saturating_add(slice.max_events);
         while !self.status.is_terminal() && self.events < end_events {
-            self.step();
-        }
-        self.status
-    }
-
-    /// Runs until `stop` returns `true` (checked before every event against
-    /// a fresh [`Progress`] view) or the session terminates. The predicate
-    /// costs a diameter computation per event — for lighter-weight pacing,
-    /// prefer `run_for` slices with a progress check between them.
-    pub fn run_until(&mut self, mut stop: impl FnMut(&Progress) -> bool) -> SessionStatus {
-        while !self.status.is_terminal() {
-            if stop(&self.progress()) {
-                break;
-            }
             self.step();
         }
         self.status
@@ -581,7 +568,7 @@ impl<P: Ambient> Simulation<P> {
         SimulationReport {
             algorithm: self.engine.algorithm().name().to_string(),
             scheduler: self.engine.scheduler().name().to_string(),
-            robots: self.positions.len(),
+            robots: final_configuration.len(),
             visibility: self.engine.visibility(),
             converged,
             cohesion_maintained: self.cohesion.maintained(),
@@ -603,7 +590,7 @@ impl<P: Ambient> Simulation<P> {
 impl<P: Ambient> std::fmt::Debug for Simulation<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulation")
-            .field("robots", &self.positions.len())
+            .field("robots", &self.engine.robot_count())
             .field("events", &self.events)
             .field("rounds", &self.rounds)
             .field("time", &self.engine.time())
@@ -650,17 +637,6 @@ mod tests {
         let report = session.into_report();
         assert_eq!(report.events, 10);
         assert!(!report.converged);
-    }
-
-    #[test]
-    fn run_until_stops_on_predicate() {
-        let mut session = SimulationBuilder::new(line(3, 0.9), NilAlgorithm)
-            .scheduler(FSyncScheduler::new())
-            .max_events(100)
-            .build();
-        let status = session.run_until(|p| p.events >= 7);
-        assert_eq!(status, SessionStatus::Running);
-        assert_eq!(session.events(), 7);
     }
 
     #[test]

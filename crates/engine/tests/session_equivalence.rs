@@ -2,7 +2,7 @@
 //!
 //! PR 5 split the monolithic `SimulationBuilder::run()` into
 //! `build() -> Simulation` plus incremental drivers (`step`, `run_for`,
-//! `run_until`, `run_to_completion`). The refactor must be *invisible* in
+//! `run_to_completion`). The refactor must be *invisible* in
 //! the output: this suite pins
 //!
 //! 1. **frozen pre-refactor hashes** — the serialized `SimulationReport`
@@ -13,8 +13,7 @@
 //!    byte-for-byte;
 //! 2. **slice-invariance** — driving a session in arbitrarily-sized
 //!    interleaved `run_for` slices (property-tested over random slice
-//!    sequences), via per-event `step()`, or via `run_until`, produces the
-//!    identical report.
+//!    sequences) or via per-event `step()` produces the identical report.
 
 use cohesion_engine::{Budget, SimulationBuilder, SimulationReport};
 use cohesion_geometry::Vec2;
@@ -145,8 +144,8 @@ fn run_matches_frozen_adversary_schedule_hash() {
     );
 }
 
-/// Fixed-size `run_for` slices, per-event `step()`, and `run_until` all
-/// land on the identical report for every golden case.
+/// Fixed-size `run_for` slices and per-event `step()` both land on the
+/// identical report for every golden case.
 #[test]
 fn sliced_drivers_match_the_one_shot_run() {
     for case in &GOLDEN {
@@ -161,18 +160,6 @@ fn sliced_drivers_match_the_one_shot_run() {
         while !stepped.step().is_terminal() {}
         let stepped = stepped.into_report();
         assert_eq!(one_shot, stepped, "{}: step loop diverged", case.label);
-
-        let mut until = golden_builder(case).build();
-        // A predicate that keeps pausing mid-run: resume until terminal.
-        loop {
-            let resume_at = until.events() + 211;
-            until.run_until(|p| p.events >= resume_at);
-            if until.status().is_terminal() {
-                break;
-            }
-        }
-        let until = until.into_report();
-        assert_eq!(one_shot, until, "{}: run_until loop diverged", case.label);
     }
 
     let one_shot = figure4a_builder().run();
