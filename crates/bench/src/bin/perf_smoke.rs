@@ -164,7 +164,7 @@ fn main() {
             failures.push(format!("baseline has no engine_look record for {id}"));
             continue;
         };
-        let now = median_ns_per_event(n, LookPath::Grid, None, samples);
+        let now = median_ns_per_event(n, LookPath::Grid, samples);
         let ratio = now / base;
         println!("{id:<14} {base:>14.1} {now:>14.1} {ratio:>7.2}x");
         if ratio > REGRESSION_FACTOR {
@@ -176,8 +176,8 @@ fn main() {
     }
 
     let n = 1024;
-    let grid = median_ns_per_event(n, LookPath::Grid, None, samples);
-    let brute = median_ns_per_event(n, LookPath::BruteReference, None, samples);
+    let grid = median_ns_per_event(n, LookPath::Grid, samples);
+    let brute = median_ns_per_event(n, LookPath::BruteReference, samples);
     let ratio = brute / grid;
     println!("relative canary at n={n}: brute/grid = {ratio:.1}x (need ≥ {MIN_BRUTE_RATIO}x)");
     if ratio < MIN_BRUTE_RATIO {

@@ -5,7 +5,7 @@
 //! [`WorkloadSpec::TwoClusters`] workload, the 3D ball a
 //! [`WorkloadSpec::Ball3`] one (dispatched to the `Vec3` engine).
 
-use crate::lab::{Experiment, JsonRow, LabCell, Outcome, Profile};
+use crate::lab::{check_rows, Experiment, JsonRow, LabCell, Outcome, Profile};
 use crate::mark;
 use crate::sweep::{AlgorithmSpec, ScenarioSpec, SchedulerSpec, WorkloadSpec};
 use cohesion_geometry::diameter::diameter;
@@ -172,5 +172,20 @@ impl Experiment for Extensions {
             );
         }
         println!("\npaper (§6.2-§6.3): all three rows converge cohesively.");
+    }
+
+    fn check(&self, cells: &[LabCell]) -> Result<(), String> {
+        check_rows(
+            cells,
+            row,
+            "every extension must converge cohesively",
+            |r| r.converged && r.cohesive,
+            |r| {
+                format!(
+                    "{}: converged {}, cohesive {}",
+                    r.experiment, r.converged, r.cohesive
+                )
+            },
+        )
     }
 }

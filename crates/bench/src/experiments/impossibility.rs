@@ -9,7 +9,7 @@
 //! Each `(ψ, victim)` cell is a [`ScenarioSpec`] whose workload is the
 //! spiral tail and whose scheduler is the unbounded-nesting adversary.
 
-use crate::lab::{Experiment, JsonRow, LabCell, Outcome, Profile};
+use crate::lab::{check_rows, Experiment, JsonRow, LabCell, Outcome, Profile};
 use crate::mark;
 use crate::sweep::{AlgorithmSpec, ScenarioSpec, SchedulerSpec, WorkloadSpec};
 use cohesion_adversary::SpiralConstruction;
@@ -138,5 +138,15 @@ impl Experiment for Impossibility {
         println!("Shape reproduced: larger ζ ⇒ shallower nesting suffices (Ando breaks in a few");
         println!("sweeps, matching its 2-NestA failure); smaller ζ ⇒ the adversary needs deeper");
         println!("nesting and smaller ψ — the paper's 'ψ sufficiently small relative to ζ'.");
+    }
+
+    fn check(&self, cells: &[LabCell]) -> Result<(), String> {
+        check_rows(
+            cells,
+            row,
+            "unbounded nesting must separate every victim",
+            |r| r.separated,
+            |r| format!("{} at ψ {:?}", r.algorithm, r.psi),
+        )
     }
 }

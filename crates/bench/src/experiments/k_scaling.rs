@@ -11,7 +11,7 @@
 //! Every `(alg k, sched k)` cell is an independent [`ScenarioSpec`]; the
 //! lab runtime executes them in parallel and merges rows in spec order.
 
-use crate::lab::{Experiment, JsonRow, LabCell, Outcome, Profile};
+use crate::lab::{check_rows, Experiment, JsonRow, LabCell, Outcome, Profile};
 use crate::sweep::{AlgorithmSpec, ScenarioSpec, SchedulerSpec, WorkloadSpec};
 use serde::Serialize;
 
@@ -46,6 +46,12 @@ fn spec(algorithm_k: u32, scheduler_k: u32, seed: u64, profile: Profile) -> Scen
             },
         )
     }
+}
+
+/// The T4 claim for one row. Theorems 3-4 cover matched and
+/// over-provisioned k only; under-provisioned rows are diagnostics.
+fn holds(r: &Row) -> bool {
+    r.algorithm_k < r.scheduler_k || (r.converged && r.cohesive)
 }
 
 fn row(spec: &ScenarioSpec, outcome: &Outcome) -> Row {
@@ -130,5 +136,38 @@ impl Experiment for KScaling {
         println!("*not* covered by the theorem — random schedulers rarely realize the worst case,");
         println!("so their 'cohesive' cells may still read yes; the guaranteed break needs the");
         println!("scripted adversaries (see ando_separation, impossibility).");
+    }
+
+    fn check(&self, cells: &[LabCell]) -> Result<(), String> {
+        check_rows(
+            cells,
+            row,
+            "alg k ≥ sched k must converge cohesively",
+            holds,
+            |r| {
+                format!(
+                    "alg k {}, sched k {}: converged {}, cohesive {}",
+                    r.algorithm_k, r.scheduler_k, r.converged, r.cohesive
+                )
+            },
+        )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn claim_skips_under_provisioned_rows_only() {
+        let row = |algorithm_k, scheduler_k, cohesive| super::Row {
+            algorithm_k,
+            scheduler_k,
+            converged: true,
+            cohesive,
+            rounds: 0,
+            end_time: 0.0,
+        };
+        assert!(super::holds(&row(2, 2, true)));
+        assert!(!super::holds(&row(8, 2, false)));
+        assert!(super::holds(&row(1, 4, false)));
     }
 }

@@ -374,6 +374,31 @@ pub struct LabCell {
     pub rows: Vec<JsonRow>,
 }
 
+/// A claim checked row by row, for [`Experiment::check`]: an error states
+/// `claim` and names each cell whose row `holds` rejects by its index in
+/// `cells` and its `describe`d key fields.
+pub(crate) fn check_rows<R>(
+    cells: &[LabCell],
+    row: impl Fn(&ScenarioSpec, &Outcome) -> R,
+    claim: &str,
+    holds: impl Fn(&R) -> bool,
+    describe: impl Fn(&R) -> String,
+) -> Result<(), String> {
+    let failing: Vec<String> = cells
+        .iter()
+        .enumerate()
+        .filter_map(|(i, cell)| {
+            let r = row(&cell.spec, &cell.outcome);
+            (!holds(&r)).then(|| format!("cell {i} ({})", describe(&r)))
+        })
+        .collect();
+    if failing.is_empty() {
+        Ok(())
+    } else {
+        Err(format!("{claim}; fails at {}", failing.join(", ")))
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The Experiment trait
 // ---------------------------------------------------------------------------

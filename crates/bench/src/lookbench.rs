@@ -6,7 +6,7 @@
 //! lives here once. Bounded density is the regime the grid is designed for
 //! (the paper's standing connected-at-visibility-scale assumption): degree
 //! stays constant as `n` grows, making the asymptotic gap between the
-//! `O(deg)` grid path and the `O(n)`–`O(n²)` brute reference visible as a
+//! `O(deg)` grid path and the `O(n)` brute reference visible as a
 //! slope, not a constant.
 
 use cohesion_core::KirkpatrickAlgorithm;
@@ -18,9 +18,6 @@ use cohesion_scheduler::{AsyncScheduler, FSyncScheduler, Scheduler};
 /// Swarm sizes the Look benches sweep (perfect squares: lattice sides 8,
 /// 16, 32).
 pub const LOOK_BENCH_SIZES: [usize; 3] = [64, 256, 1024];
-
-/// Occlusion tolerance used by the `*_occl` bench variants.
-pub const LOOK_BENCH_OCCLUSION: f64 = 0.05;
 
 /// A bounded-density lattice of `n` robots at near-threshold spacing.
 ///
@@ -41,11 +38,9 @@ pub fn look_lattice(n: usize) -> Configuration {
 pub fn look_engine(
     config: &Configuration,
     path: LookPath,
-    occlusion: Option<f64>,
 ) -> Engine<Vec2, NilAlgorithm, FSyncScheduler> {
     let mut engine = Engine::new(config, 1.0, NilAlgorithm, FSyncScheduler::new(), 1);
     engine.set_look_path(path);
-    engine.set_occlusion(occlusion);
     engine
 }
 
@@ -58,17 +53,12 @@ pub fn run_events(engine: &mut Engine<Vec2, NilAlgorithm, FSyncScheduler>, event
 
 /// One timed measurement for the perf smoke: median ns **per event** over
 /// `samples` runs of one FSync round at size `n`.
-pub fn median_ns_per_event(
-    n: usize,
-    path: LookPath,
-    occlusion: Option<f64>,
-    samples: usize,
-) -> f64 {
+pub fn median_ns_per_event(n: usize, path: LookPath, samples: usize) -> f64 {
     let config = look_lattice(n);
     let events = 3 * n;
     // One engine stepped across samples (steady state, construction
     // excluded), with one warm-up round — mirroring the criterion bench.
-    let mut engine = look_engine(&config, path, occlusion);
+    let mut engine = look_engine(&config, path);
     run_events(&mut engine, events);
     let mut ns: Vec<f64> = (0..samples.max(2))
         .map(|_| {
@@ -144,7 +134,7 @@ mod tests {
     fn both_paths_complete_a_round() {
         let config = look_lattice(64);
         for path in [LookPath::Grid, LookPath::BruteReference] {
-            let mut engine = look_engine(&config, path, Some(LOOK_BENCH_OCCLUSION));
+            let mut engine = look_engine(&config, path);
             run_events(&mut engine, 3 * 64);
             assert!(
                 engine.completed_cycles().iter().all(|&c| c >= 1),

@@ -1,6 +1,6 @@
 //! The §6.2–§6.3 extensions: unlimited visibility under full Async,
-//! disconnected starts, open visibility, multiplicity detection, and the
-//! three-dimensional generalization.
+//! disconnected starts, open visibility, co-located robots, heterogeneous
+//! radii, and the three-dimensional generalization.
 
 use cohesion::geometry::Vec3;
 use cohesion::model::VisibilityGraph;
@@ -18,7 +18,6 @@ fn unlimited_visibility_converges_under_full_async() {
         .scheduler(AsyncScheduler::new(7))
         .epsilon(0.05)
         .max_events(400_000)
-        .multiplicity_detection(false)
         .run();
     assert!(report.converged, "final diameter {}", report.final_diameter);
     assert!(report.cohesion_maintained, "complete graph stays complete");
@@ -95,24 +94,21 @@ fn three_dimensional_convergence() {
 }
 
 #[test]
-fn multiplicity_detection_is_irrelevant_to_the_algorithm() {
-    // The destination rule depends only on positions; co-located robots are
-    // collapsed or not without changing behaviour.
+fn co_located_robots_converge_cohesively() {
+    // §2.2: no multiplicity detection, so a co-located pair reaches every
+    // observer as one observation; the swarm still converges cohesively.
     let config = Configuration::new(vec![
         cohesion::geometry::Vec2::new(0.0, 0.0),
         cohesion::geometry::Vec2::new(0.0, 0.0), // co-located pair
         cohesion::geometry::Vec2::new(0.8, 0.0),
     ]);
-    for detection in [false, true] {
-        let report = SimulationBuilder::new(config.clone(), KirkpatrickAlgorithm::new(1))
-            .visibility(1.0)
-            .scheduler(FSyncScheduler::new())
-            .multiplicity_detection(detection)
-            .epsilon(0.05)
-            .max_events(60_000)
-            .run();
-        assert!(report.cohesively_converged(), "multiplicity={detection}");
-    }
+    let report = SimulationBuilder::new(config, KirkpatrickAlgorithm::new(1))
+        .visibility(1.0)
+        .scheduler(FSyncScheduler::new())
+        .epsilon(0.05)
+        .max_events(60_000)
+        .run();
+    assert!(report.cohesively_converged());
 }
 
 #[test]
@@ -154,28 +150,6 @@ fn heterogeneous_radii_converge_cohesively() {
     assert!(
         report.cohesively_converged(),
         "heterogeneous radii: diameter {} cohesive {}",
-        report.final_diameter,
-        report.cohesion_maintained
-    );
-}
-
-#[test]
-fn occlusion_still_converges_cohesively() {
-    // §8 future work, exercised: on a line every robot sees only its
-    // immediate neighbours once occlusion is on (interior robots block the
-    // sight lines), yet cohesive convergence still holds — the algorithm
-    // only ever needed its extreme-pair rule.
-    let config = workloads::line(6, 0.9);
-    let report = SimulationBuilder::new(config, KirkpatrickAlgorithm::new(1))
-        .visibility(1.0)
-        .scheduler(SSyncScheduler::new(77))
-        .occlusion(0.01)
-        .epsilon(0.05)
-        .max_events(400_000)
-        .run();
-    assert!(
-        report.cohesively_converged(),
-        "occlusion run: diameter {} cohesive {}",
         report.final_diameter,
         report.cohesion_maintained
     );

@@ -109,8 +109,10 @@ proptest! {
     #[test]
     fn multiplicity_collapse_idempotent(pts in proptest::collection::vec(vec2(2.0), 0..10)) {
         let s = Snapshot::from_positions(pts);
-        let once = s.clone().without_multiplicity(1e-9);
-        let twice = once.clone().without_multiplicity(1e-9);
+        let mut once = s.clone();
+        once.dedup_multiplicity(1e-9);
+        let mut twice = once.clone();
+        twice.dedup_multiplicity(1e-9);
         prop_assert!(once.len() <= s.len());
         prop_assert_eq!(once.len(), twice.len());
     }

@@ -6,10 +6,9 @@
 //! The Look phase is the engine's hot path: one observation per activation,
 //! thousands of activations per run, thousands of runs per sweep. The
 //! historical pipeline rebuilt an `all_positions` vector (an `O(n)`
-//! allocation), scanned all `n` robots linearly, and ran an `O(n)` occlusion
-//! test per visible candidate — `O(n)`–`O(n²)` per Look. Under limited
-//! visibility each robot actually sees only `O(deg)` neighbours, so the
-//! engine keeps one incremental [`DynamicGrid`] over **all** robots (cells
+//! allocation) and scanned all `n` robots linearly — `O(n)` per Look. Under
+//! limited visibility each robot actually sees only `O(deg)` neighbours, so
+//! the engine keeps one incremental [`DynamicGrid`] over **all** robots (cells
 //! sized to half the largest perception radius), indexed at their *base*
 //! positions:
 //!
@@ -25,8 +24,6 @@
 //! * interpolations of motile robots are memoized per *tick* (exact
 //!   timestamp × motile epoch), so a same-timestamp Look burst — a whole
 //!   FSync round — interpolates each motile robot at most once;
-//! * the occlusion test walks only the (padded) grid cells around the sight
-//!   segment instead of all `n` robots;
 //! * all working sets live in pooled scratch buffers ([`LookScratch`]),
 //!   including the [`Snapshot`] handed to the algorithm — the steady-state
 //!   Look performs no heap allocation.
@@ -36,8 +33,11 @@
 //! `sample_distance_factor` per observed robot) happens in the same sequence
 //! and outputs are bit-for-bit identical to the old loop. That old loop is
 //! kept verbatim as [`LookPath::BruteReference`], the property-tested
-//! reference and bench baseline. Pending phase events live in a tick-batched
-//! calendar queue (see `queue.rs`).
+//! reference and bench baseline. Both paths observe the §2.2 model: robots
+//! are points that block no sight line and have no multiplicity detection,
+//! so coincident observations collapse ([`Snapshot::dedup_multiplicity`])
+//! before Compute. Pending phase events live in a tick-batched calendar
+//! queue (see `queue.rs`).
 
 use crate::monitors::Envelopes;
 use crate::queue::{CalendarQueue, Pending};
@@ -81,7 +81,7 @@ pub enum LookPath {
     /// buffers — the production path (default).
     #[default]
     Grid,
-    /// The historical `O(n)`–`O(n²)` linear scan, kept verbatim as the
+    /// The historical `O(n)` linear scan, kept verbatim as the
     /// property-tested reference implementation and the bench baseline
     /// (mirroring how `VisibilityGraph` keeps its brute-force builder).
     BruteReference,
@@ -94,8 +94,6 @@ struct LookScratch<P> {
     /// Visible-candidate indices: grid hits merged with motile hits, sorted
     /// ascending before observation (the historical scan order).
     candidates: Vec<usize>,
-    /// Occlusion-candidate indices near the current sight segment.
-    occluders: Vec<usize>,
     /// Raw padded-range hits awaiting their exact range check.
     range_hits: Vec<usize>,
     /// Pooled observation buffer handed to the algorithm's Compute.
@@ -110,7 +108,6 @@ impl<P> Default for LookScratch<P> {
     fn default() -> Self {
         LookScratch {
             candidates: Vec::new(),
-            occluders: Vec::new(),
             range_hits: Vec::new(),
             snapshot: Snapshot::default(),
             brute_positions: Vec::new(),
@@ -160,8 +157,6 @@ pub struct Engine<P: Ambient, A, S> {
     perception: PerceptionModel,
     motion: MotionModel,
     frame_mode: FrameMode,
-    multiplicity_detection: bool,
-    occlusion_tolerance: Option<f64>,
     rng: SmallRng,
     time: f64,
     seq: u64,
@@ -249,8 +244,6 @@ where
             perception: PerceptionModel::EXACT,
             motion: MotionModel::RIGID,
             frame_mode: FrameMode::RandomOrtho,
-            multiplicity_detection: false,
-            occlusion_tolerance: None,
             rng: SmallRng::seed_from_u64(seed),
             time: 0.0,
             seq: 0,
@@ -291,110 +284,12 @@ where
         self.frame_mode = mode;
     }
 
-    /// Enables or disables multiplicity detection in snapshots.
-    pub fn set_multiplicity_detection(&mut self, enabled: bool) {
-        self.multiplicity_detection = enabled;
-    }
-
     /// Selects the Look-phase observation pipeline. The default
     /// [`LookPath::Grid`] and the [`LookPath::BruteReference`] produce
     /// bit-identical results (pinned by the equivalence suite); the
     /// reference exists for differential testing and benchmarking.
     pub fn set_look_path(&mut self, path: LookPath) {
         self.look_path = path;
-    }
-
-    /// Enables the occlusion model (one of the paper's §8 future-work
-    /// constraints, studied in its citations [3, 5]): robot `Y` is hidden
-    /// from `X` when some third robot sits on the sight line `X → Y`
-    /// strictly between them, within perpendicular distance `tolerance`
-    /// (robots are points, so a positive body tolerance makes occlusion
-    /// realizable). `None` disables (the paper's base model).
-    ///
-    /// # Panics
-    ///
-    /// Panics when a supplied tolerance is not positive and finite.
-    pub fn set_occlusion(&mut self, tolerance: Option<f64>) {
-        if let Some(t) = tolerance {
-            assert!(
-                t > 0.0 && t.is_finite(),
-                "occlusion tolerance must be positive"
-            );
-        }
-        self.occlusion_tolerance = tolerance;
-    }
-
-    /// Returns `true` when `target` (the position of robot `candidate`) is
-    /// hidden from robot `observer` at `origin`, under the configured
-    /// tolerance — the grid-backed occlusion test.
-    ///
-    /// Only robots within `tolerance` of the sight segment can block it, so
-    /// candidates come from the `O(1)` cells around the segment (padded by
-    /// the displacement high-water mark, so origin-indexed motile robots
-    /// cannot be missed) instead of a full scan. The
-    /// observer and the candidate are excluded **by index**: a third robot
-    /// exactly coincident with either is still examined (and then rejected
-    /// by the strictly-between window on its own merits) rather than
-    /// silently skipped the way the historical position-equality test did.
-    fn is_occluded(
-        &mut self,
-        observer: usize,
-        candidate: usize,
-        origin: P,
-        target: P,
-        look: f64,
-        occluders: &mut Vec<usize>,
-    ) -> bool {
-        let Some(tol) = self.occlusion_tolerance else {
-            return false;
-        };
-        let line = target - origin;
-        let len_sq = line.norm_sq();
-        if len_sq == 0.0 {
-            return false;
-        }
-        // Motile blockers sit within `motile_pad` of their indexed origin,
-        // so padding the segment query by it yields a superset for them too.
-        occluders.clear();
-        self.grid
-            .query_segment_cells(origin, target, tol + self.motile_pad, occluders);
-        for &z_idx in occluders.iter() {
-            if z_idx == observer || z_idx == candidate {
-                continue;
-            }
-            let z = if self.states.is_motile(z_idx) {
-                self.motile_position_cached(z_idx, look)
-            } else {
-                self.grid.position(z_idx).expect("occluder present in grid")
-            };
-            if blocks_sight(origin, line, len_sq, z, tol) {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// The historical occlusion test, kept verbatim for
-    /// [`LookPath::BruteReference`]: scans every robot and skips the
-    /// endpoints by exact position equality.
-    fn is_occluded_reference(&self, origin: P, target: P, all: &[P]) -> bool {
-        let Some(tol) = self.occlusion_tolerance else {
-            return false;
-        };
-        let line = target - origin;
-        let len_sq = line.norm_sq();
-        if len_sq == 0.0 {
-            return false;
-        }
-        for &z in all {
-            if z == origin || z == target {
-                continue;
-            }
-            if blocks_sight(origin, line, len_sq, z, tol) {
-                return true;
-            }
-        }
-        false
     }
 
     /// Number of robots.
@@ -613,8 +508,7 @@ where
         );
 
         let here = self.states.position_at(robot.index(), iv.look);
-        // Perception pipeline: true relative position → (occlusion) →
-        // local frame → symmetric distortion → distance error.
+        // Perception pipeline: relative position → local frame → distortion → distance error.
         let frame = P::sample_frame(self.frame_mode, &mut self.rng);
         let distortion = self.perception.sample_distortion(&mut self.rng);
         let local_target = match self.look_path {
@@ -697,8 +591,8 @@ where
     }
 
     /// The grid-backed observation pipeline: `O(deg + motile)` candidate
-    /// gathering, cell-walk occlusion, pooled buffers — and a result
-    /// bit-identical to [`Engine::observe_brute`].
+    /// gathering and pooled buffers, with a result bit-identical to
+    /// [`Engine::observe_brute`].
     fn observe_grid(
         &mut self,
         robot: RobotId,
@@ -776,24 +670,19 @@ where
             } else {
                 self.states.base_positions()[j]
             };
-            if self.is_occluded(idx, j, here, pos, look, &mut scratch.occluders) {
-                continue;
-            }
             let rel = pos - here;
             let local = frame.to_local(rel);
             let distorted = P::distort(local, distortion);
             let factor = self.perception.sample_distance_factor(&mut self.rng);
             scratch.snapshot.push(distorted * factor);
         }
-        if !self.multiplicity_detection {
-            scratch.snapshot.dedup_multiplicity(1e-12);
-        }
+        scratch.snapshot.dedup_multiplicity(1e-12);
         let local_target = self.algorithm.compute(&scratch.snapshot);
         self.scratch = scratch;
         local_target
     }
 
-    /// The historical `O(n)`–`O(n²)` observation loop, kept as the
+    /// The historical `O(n)` observation loop, kept as the
     /// differential-testing reference and bench baseline. The loop structure
     /// is verbatim; its two per-Look `collect()`s now draw from the pooled
     /// [`LookScratch`] (the all-robot position buffer and the snapshot), so
@@ -815,18 +704,14 @@ where
                 continue;
             }
             let rel = pos - here;
-            if rel.norm() <= self.radius_of(robot)
-                && !self.is_occluded_reference(here, pos, &scratch.brute_positions)
-            {
+            if rel.norm() <= self.radius_of(robot) {
                 let local = frame.to_local(rel);
                 let distorted = P::distort(local, distortion);
                 let factor = self.perception.sample_distance_factor(&mut self.rng);
                 scratch.snapshot.push(distorted * factor);
             }
         }
-        if !self.multiplicity_detection {
-            scratch.snapshot.dedup_multiplicity(1e-12);
-        }
+        scratch.snapshot.dedup_multiplicity(1e-12);
         let local_target = self.algorithm.compute(&scratch.snapshot);
         self.scratch = scratch;
         local_target
@@ -934,20 +819,6 @@ fn grid_cell(max_radius: f64) -> f64 {
     max_radius * 0.5
 }
 
-/// The strictly-between occlusion predicate for one potential blocker `z` on
-/// the sight line `origin → origin + line`: `z`'s projection must fall
-/// strictly inside the segment and its perpendicular foot within `tol`.
-/// Shared verbatim by both Look paths, so their booleans cannot drift.
-#[inline]
-fn blocks_sight<P: Ambient>(origin: P, line: P, len_sq: f64, z: P, tol: f64) -> bool {
-    let t = (z - origin).dot(line) / len_sq;
-    if t <= 1e-9 || t >= 1.0 - 1e-9 {
-        return false; // not strictly between
-    }
-    let foot = origin + line * t;
-    foot.dist(z) <= tol
-}
-
 impl<P: Ambient, A: std::fmt::Debug, S: std::fmt::Debug> std::fmt::Debug for Engine<P, A, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
@@ -1022,68 +893,25 @@ mod tests {
     }
 
     #[test]
-    fn occlusion_hides_robots_behind_others() {
+    fn co_located_observations_count_once() {
         use cohesion_scheduler::ScriptedScheduler;
-        // Three collinear robots: the middle one blocks the far one.
-        let config = Configuration::new(vec![Vec2::ZERO, Vec2::new(0.4, 0.0), Vec2::new(0.8, 0.0)]);
-        let run = |occlusion: Option<f64>, path: LookPath| {
+        // §2.2: no multiplicity detection. The twins at 0.4 collapse into one
+        // observation at Look, the far robot at 0.8 is a second one.
+        let config = Configuration::new([0.0, 0.4, 0.4, 0.8].map(|x| Vec2::new(x, 0.0)).to_vec());
+        for path in [LookPath::Grid, LookPath::BruteReference] {
             let script = ScriptedScheduler::new(
                 "one-look",
                 vec![ActivationInterval::new(RobotId(0), 0.0, 0.3, 0.6)],
             );
             let mut engine = Engine::new(&config, 1.0, CountingAlgorithm, script, 1);
             engine.set_frame_mode(cohesion_model::FrameMode::Aligned);
-            engine.set_occlusion(occlusion);
             engine.set_look_path(path);
             while engine.step().is_some() {}
-            engine.configuration().position(RobotId(0)).x
-        };
-        for path in [LookPath::Grid, LookPath::BruteReference] {
-            // The counting algorithm moves by 0.001 per visible robot.
+            // The counting algorithm moves by 0.001 per observation.
+            let x = engine.configuration().position(RobotId(0)).x;
             assert!(
-                (run(None, path) - 0.002).abs() < 1e-12,
-                "no occlusion: sees both ({path:?})"
-            );
-            assert!(
-                (run(Some(0.01), path) - 0.001).abs() < 1e-12,
-                "occlusion: middle hides far ({path:?})"
-            );
-        }
-    }
-
-    #[test]
-    fn coincident_occluders_are_not_skipped() {
-        use cohesion_scheduler::ScriptedScheduler;
-        // Regression for the index-based endpoint exclusion: three collinear
-        // robots where two coincide. The blocking pair sits at 0.4 — exactly
-        // on the observer's sight line to the far robot at 0.8. Each of the
-        // coincident twins must stay visible (a robot exactly at the sight
-        // line's endpoint is not *strictly between*, whichever twin is the
-        // candidate), while the far robot must be occluded by both.
-        let config = Configuration::new(vec![
-            Vec2::ZERO,
-            Vec2::new(0.4, 0.0),
-            Vec2::new(0.4, 0.0),
-            Vec2::new(0.8, 0.0),
-        ]);
-        let run = |path: LookPath| {
-            let script = ScriptedScheduler::new(
-                "one-look",
-                vec![ActivationInterval::new(RobotId(0), 0.0, 0.3, 0.6)],
-            );
-            let mut engine = Engine::new(&config, 1.0, CountingAlgorithm, script, 1);
-            engine.set_frame_mode(cohesion_model::FrameMode::Aligned);
-            engine.set_occlusion(Some(0.01));
-            engine.set_multiplicity_detection(true);
-            engine.set_look_path(path);
-            while engine.step().is_some() {}
-            engine.configuration().position(RobotId(0)).x
-        };
-        for path in [LookPath::Grid, LookPath::BruteReference] {
-            // Both twins visible (0.002), far robot hidden behind them.
-            assert!(
-                (run(path) - 0.002).abs() < 1e-12,
-                "coincident twins visible, far robot occluded ({path:?})"
+                (x - 0.002).abs() < 1e-12,
+                "twins count once, far robot once ({path:?}): {x}"
             );
         }
     }

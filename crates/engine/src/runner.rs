@@ -53,8 +53,6 @@ pub struct SimulationBuilder<P: Ambient = Vec2> {
     perception: PerceptionModel,
     motion: MotionModel,
     frame_mode: FrameMode,
-    multiplicity_detection: bool,
-    occlusion_tolerance: Option<f64>,
     look_path: LookPath,
     track_strong_visibility: bool,
     hull_check_every: usize,
@@ -78,8 +76,6 @@ impl<P: Ambient> SimulationBuilder<P> {
             perception: PerceptionModel::EXACT,
             motion: MotionModel::RIGID,
             frame_mode: FrameMode::RandomOrtho,
-            multiplicity_detection: false,
-            occlusion_tolerance: None,
             look_path: LookPath::default(),
             track_strong_visibility: true,
             hull_check_every: 64,
@@ -159,20 +155,6 @@ impl<P: Ambient> SimulationBuilder<P> {
         self
     }
 
-    /// Enables multiplicity detection in snapshots.
-    pub fn multiplicity_detection(mut self, enabled: bool) -> Self {
-        self.multiplicity_detection = enabled;
-        self
-    }
-
-    /// Enables the occlusion model (§8 future work): a robot within the
-    /// sight line of two others, at perpendicular distance ≤ `tolerance`,
-    /// hides the farther one.
-    pub fn occlusion(mut self, tolerance: f64) -> Self {
-        self.occlusion_tolerance = Some(tolerance);
-        self
-    }
-
     /// Selects the engine's Look-phase pipeline — the grid-backed default
     /// or the historical brute-force reference (for differential testing
     /// and benchmarking; both produce bit-identical reports).
@@ -207,13 +189,14 @@ impl<P: Ambient> SimulationBuilder<P> {
     /// in budgeted slices, and observed mid-flight.
     ///
     /// Predicate checking is delegated to the incremental monitors of
-    /// [`crate::monitors`]. Positions are piecewise-linear in time, so the
-    /// session updates only the robots in their Move phase (the *dirty
-    /// set*) in a session-owned buffer instead of cloning a
-    /// [`Configuration`] per event. The pair monitors re-classify a robot's
-    /// pairs only at its breakpoints (`MoveStart`, `MoveEnd`), from the
-    /// engine's motion envelopes, and at other events measure only the few
-    /// watched pairs whose envelopes can cross a threshold.
+    /// [`crate::monitors`]. The engine is the one owner of robot positions:
+    /// they are piecewise-linear in time, and monitors read a robot's
+    /// position at the event time from the engine on demand instead of
+    /// from a per-event copy of the [`Configuration`]. The pair monitors
+    /// re-classify a robot's pairs only at its breakpoints (`MoveStart`,
+    /// `MoveEnd`), from the engine's motion envelopes, and at other events
+    /// measure only the few watched pairs whose envelopes can cross a
+    /// threshold.
     pub fn build(self) -> Simulation<P> {
         // Cohesion is judged on the mutual visibility graph: with a common
         // radius that is the usual E(0); with per-robot radii, an edge needs
@@ -240,11 +223,9 @@ impl<P: Ambient> SimulationBuilder<P> {
         engine.set_perception(self.perception);
         engine.set_motion(self.motion);
         engine.set_frame_mode(self.frame_mode);
-        engine.set_multiplicity_detection(self.multiplicity_detection);
         if let Some(radii) = self.visibility_radii.clone() {
             engine.set_visibility_radii(radii);
         }
-        engine.set_occlusion(self.occlusion_tolerance);
         engine.set_look_path(self.look_path);
 
         let v = self.visibility;

@@ -1,20 +1,20 @@
 //! Bit-exact equivalence of the grid-backed Look phase and the historical
 //! brute-force observation loop.
 //!
-//! The engine's Look used to rebuild `all_positions` (an `O(n)` allocation),
-//! scan all `n` robots linearly, and run an `O(n)` occlusion test per
-//! visible candidate. The grid-backed pipeline gathers the `O(deg)`
-//! stationary candidates from an incremental [`cohesion_geometry::DynamicGrid`],
-//! checks the motile few at interpolated positions, prunes occlusion through
-//! the cells around the sight segment, and reuses pooled scratch buffers —
-//! but sorts merged candidates into ascending robot order, the historical
-//! scan order, so every RNG draw happens in the same sequence and the two
-//! paths must produce **identical** [`SimulationReport`]s.
+//! The engine's Look used to rebuild `all_positions` (an `O(n)` allocation)
+//! and scan all `n` robots linearly. The grid-backed pipeline gathers the
+//! `O(deg)` stationary candidates from an incremental
+//! [`cohesion_geometry::DynamicGrid`], checks the motile few at interpolated
+//! positions, and reuses pooled scratch buffers — but sorts merged
+//! candidates into ascending robot order, the historical scan order, so
+//! every RNG draw happens in the same sequence and the two paths must
+//! produce **identical** [`SimulationReport`]s.
 //!
 //! The old loop is carried verbatim inside the engine as
 //! [`LookPath::BruteReference`]; this suite sweeps the full equivalence
-//! matrix — all five scheduler classes × occlusion on/off × heterogeneous
-//! radii on/off — over frozen-seed random connected configurations, and
+//! matrix — all five scheduler classes × heterogeneous radii on/off — over
+//! frozen-seed random connected configurations, one of them with
+//! co-located robots for the Look-time multiplicity collapse (§2.2), and
 //! compares reports both structurally and as serialized JSON bytes (the
 //! format the sweep harness persists).
 
@@ -66,7 +66,6 @@ fn run_with(
     config: &Configuration<Vec2>,
     algorithm: impl Algorithm<Vec2> + 'static,
     scheduler: Box<dyn Scheduler>,
-    occlusion: Option<f64>,
     radii: Option<Vec<f64>>,
     seed: u64,
 ) -> SimulationReport<Vec2> {
@@ -80,9 +79,6 @@ fn run_with(
         .hull_check_every(16)
         .diameter_sample_every(8)
         .look_path(path);
-    if let Some(tol) = occlusion {
-        builder = builder.occlusion(tol);
-    }
     if let Some(radii) = radii {
         builder = builder.visibility_radii(radii);
     }
@@ -100,41 +96,46 @@ fn hetero_radii(n: usize) -> Vec<f64> {
 #[test]
 fn grid_look_reports_are_byte_identical_across_the_matrix() {
     // Frozen rng stream: configuration seeds drive random_connected, run
-    // seeds drive engine randomness (frames, distortions, factor draws) and
-    // scheduler jitter.
-    let cases: &[(usize, u64, u64)] = &[(10, 101, 0xE01D_C0DE), (13, 202, 0xBADC_0FFE)];
+    // seeds drive engine randomness and scheduler jitter. The last case adds
+    // twins of robots 0, 0 and 3 (`random_connected` never places two robots
+    // on one point), so the Look-time collapse has observations to merge.
+    let cases: &[(usize, u64, u64, &[usize])] = &[
+        (10, 101, 0xE01D_C0DE, &[]),
+        (13, 202, 0xBADC_0FFE, &[]),
+        (10, 101, 0xE01D_C0DE, &[0, 0, 3]),
+    ];
     for case in &SCHEDULER_CASES {
-        for &(n, config_seed, run_seed) in cases {
-            let config = cohesion_workloads::random_connected(n, 1.0, config_seed);
-            for occlusion in [None, Some(0.08)] {
-                for hetero in [false, true] {
-                    let radii = hetero.then(|| hetero_radii(n));
-                    let mut reports =
-                        [LookPath::Grid, LookPath::BruteReference]
-                            .into_iter()
-                            .map(|path| {
-                                run_with(
-                                    path,
-                                    &config,
-                                    cohesion_core::KirkpatrickAlgorithm::new(case.k),
-                                    (case.make)(run_seed ^ config_seed),
-                                    occlusion,
-                                    radii.clone(),
-                                    run_seed,
-                                )
-                            });
-                    let grid = reports.next().unwrap();
-                    let brute = reports.next().unwrap();
-                    let label = format!(
-                        "{} n={n} occlusion={occlusion:?} hetero={hetero}",
-                        case.label
-                    );
-                    assert!(grid.events > 0, "{label}: nothing simulated");
-                    assert_eq!(grid, brute, "{label}: reports diverged");
-                    let grid_json = serde_json::to_string(&grid).expect("serialize");
-                    let brute_json = serde_json::to_string(&brute).expect("serialize");
-                    assert_eq!(grid_json, brute_json, "{label}: JSON bytes diverged");
-                }
+        for &(n, config_seed, run_seed, twins) in cases {
+            let mut positions = cohesion_workloads::random_connected(n, 1.0, config_seed)
+                .positions()
+                .to_vec();
+            for &i in twins {
+                positions.push(positions[i]);
+            }
+            let config = Configuration::new(positions);
+            for hetero in [false, true] {
+                let radii = hetero.then(|| hetero_radii(config.len()));
+                let mut reports =
+                    [LookPath::Grid, LookPath::BruteReference]
+                        .into_iter()
+                        .map(|path| {
+                            run_with(
+                                path,
+                                &config,
+                                cohesion_core::KirkpatrickAlgorithm::new(case.k),
+                                (case.make)(run_seed ^ config_seed),
+                                radii.clone(),
+                                run_seed,
+                            )
+                        });
+                let grid = reports.next().unwrap();
+                let brute = reports.next().unwrap();
+                let label = format!("{} n={n} twins={twins:?} hetero={hetero}", case.label);
+                assert!(grid.events > 0, "{label}: nothing simulated");
+                assert_eq!(grid, brute, "{label}: reports diverged");
+                let grid_json = serde_json::to_string(&grid).expect("serialize");
+                let brute_json = serde_json::to_string(&brute).expect("serialize");
+                assert_eq!(grid_json, brute_json, "{label}: JSON bytes diverged");
             }
         }
     }
@@ -151,53 +152,19 @@ fn grid_look_matches_under_perception_error() {
         distance_error: 0.02,
         skew: 0.1,
     };
-    for occlusion in [None, Some(0.05)] {
-        let run = |path: LookPath| {
-            let mut builder =
-                SimulationBuilder::new(config.clone(), cohesion_core::KirkpatrickAlgorithm::new(2))
-                    .visibility(1.0)
-                    .scheduler(KAsyncScheduler::new(2, 5))
-                    .seed(0xD15_7027)
-                    .epsilon(0.05)
-                    .max_events(2_000)
-                    .perception(perception)
-                    .look_path(path);
-            if let Some(tol) = occlusion {
-                builder = builder.occlusion(tol);
-            }
-            builder.run()
-        };
-        let grid = run(LookPath::Grid);
-        let brute = run(LookPath::BruteReference);
-        assert_eq!(
-            serde_json::to_string(&grid).expect("serialize"),
-            serde_json::to_string(&brute).expect("serialize"),
-            "occlusion={occlusion:?}"
-        );
-    }
-}
-
-/// Multiplicity detection toggles the in-place dedup on the grid path and
-/// the consuming dedup on the reference — both must collapse identically.
-#[test]
-fn grid_look_matches_with_multiplicity_detection() {
-    let config = cohesion_workloads::random_connected(9, 1.0, 55);
-    for detection in [false, true] {
-        let run = |path: LookPath| {
-            SimulationBuilder::new(config.clone(), cohesion_core::KirkpatrickAlgorithm::new(1))
-                .visibility(1.0)
-                .scheduler(FSyncScheduler::new())
-                .seed(4242)
-                .epsilon(0.05)
-                .max_events(1_500)
-                .multiplicity_detection(detection)
-                .look_path(path)
-                .run()
-        };
-        assert_eq!(
-            run(LookPath::Grid),
-            run(LookPath::BruteReference),
-            "multiplicity_detection={detection}"
-        );
-    }
+    let run = |path: LookPath| {
+        SimulationBuilder::new(config.clone(), cohesion_core::KirkpatrickAlgorithm::new(2))
+            .visibility(1.0)
+            .scheduler(KAsyncScheduler::new(2, 5))
+            .seed(0xD15_7027)
+            .epsilon(0.05)
+            .max_events(2_000)
+            .perception(perception)
+            .look_path(path)
+            .run()
+    };
+    assert_eq!(
+        serde_json::to_string(&run(LookPath::Grid)).expect("serialize"),
+        serde_json::to_string(&run(LookPath::BruteReference)).expect("serialize"),
+    );
 }

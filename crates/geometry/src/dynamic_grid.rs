@@ -26,7 +26,7 @@
 //! touching the allocator, which is what makes the engine's per-event grid
 //! maintenance allocation-free in the steady state.
 
-use crate::grid::{cell_key, max_corner, min_corner, CellKey, KEY_AXES};
+use crate::grid::{cell_key, CellKey, KEY_AXES};
 use crate::point::Point;
 use std::collections::BTreeMap;
 
@@ -293,21 +293,6 @@ impl<P: Point> DynamicGrid<P> {
         });
     }
 
-    /// Appends to `out` every present index whose **cell** intersects the
-    /// bounding box of segment `a → b` expanded by `pad` — a cheap superset
-    /// of the points within `pad` of the segment, for callers with their own
-    /// exact predicate (the engine's occlusion test). `out` is neither
-    /// cleared nor sorted.
-    ///
-    /// The cell walk is O(cells in the padded box): constant for sight lines
-    /// no longer than a few cells, which is the occlusion model's regime
-    /// (targets are within visibility range, and cells are visibility-sized).
-    pub fn query_segment_cells(&self, a: P, b: P, pad: f64, out: &mut Vec<usize>) {
-        let lo = cell_key(min_corner(a, b, pad), self.cell);
-        let hi = cell_key(max_corner(a, b, pad), self.cell);
-        self.for_each_in_key_box(lo, hi, |j, _| out.push(j));
-    }
-
     /// Visits `(index, position)` of every present point in the inclusive
     /// key box `lo..=hi`: dense rows first (contiguous bucket runs — in 2D
     /// a whole `y` span of cells is one slice scan), then — only when any
@@ -418,30 +403,6 @@ mod tests {
     use crate::vec3::Vec3;
 
     use crate::test_util::cloud;
-
-    /// Squared distance from `z` to the closed segment `a → b`, for any
-    /// [`Point`] dimension: the exact predicate the coarse segment cell walk
-    /// must cover.
-    fn dist_sq_to_segment<P: Point>(z: P, a: P, b: P) -> f64 {
-        let line = b - a;
-        let len_sq = line.norm_sq();
-        if len_sq == 0.0 {
-            return z.dist_sq(a);
-        }
-        let t = ((z - a).dot(line) / len_sq).clamp(0.0, 1.0);
-        z.dist_sq(a + line * t)
-    }
-
-    #[test]
-    fn dist_sq_to_segment_basics() {
-        let a = Vec2::ZERO;
-        let b = Vec2::new(4.0, 0.0);
-        assert_eq!(dist_sq_to_segment(Vec2::new(2.0, 3.0), a, b), 9.0);
-        assert_eq!(dist_sq_to_segment(Vec2::new(-3.0, 0.0), a, b), 9.0);
-        assert_eq!(dist_sq_to_segment(Vec2::new(6.0, 0.0), a, b), 4.0);
-        // Degenerate segment: plain point distance.
-        assert_eq!(dist_sq_to_segment(Vec2::new(1.0, 1.0), a, a), 2.0);
-    }
 
     fn brute_within(pts: &[Option<Vec2>], q: Vec2, radius: f64) -> Vec<usize> {
         (0..pts.len())
@@ -557,24 +518,6 @@ mod tests {
         grid.query_within(Vec2::new(2.5, 2.5), 1.7, &mut out);
         out.sort_unstable();
         assert_eq!(out, brute_within(&present, Vec2::new(2.5, 2.5), 1.7));
-    }
-
-    #[test]
-    fn segment_cells_cover_all_near_segment_points() {
-        let pts = cloud(100, 6.0, 13);
-        let mut grid = DynamicGrid::with_extent(pts.len(), 1.0, &pts);
-        for (i, &p) in pts.iter().enumerate() {
-            grid.insert(i, p);
-        }
-        let (a, b, pad) = (Vec2::new(1.0, 1.0), Vec2::new(4.0, 3.0), 0.25);
-        let mut out = Vec::new();
-        grid.query_segment_cells(a, b, pad, &mut out);
-        // The coarse cell walk must be a superset of the exact hit set.
-        for (j, &p) in pts.iter().enumerate() {
-            if dist_sq_to_segment(p, a, b) <= pad * pad {
-                assert!(out.contains(&j), "point {j} near segment missed");
-            }
-        }
     }
 
     #[test]

@@ -320,26 +320,6 @@ pub(crate) fn cell_key<P: Point>(p: P, cell: f64) -> CellKey {
     key
 }
 
-/// Componentwise minimum of `a` and `b`, shifted down by `pad` on every axis
-/// (the low corner of a segment's padded bounding box).
-pub(crate) fn min_corner<P: Point>(a: P, b: P, pad: f64) -> P {
-    let mut coords = [0.0f64; KEY_AXES];
-    for (axis, c) in coords.iter_mut().enumerate().take(P::DIM) {
-        *c = a.coord(axis).min(b.coord(axis)) - pad;
-    }
-    P::from_coords(&coords[..P::DIM])
-}
-
-/// Componentwise maximum of `a` and `b`, shifted up by `pad` on every axis
-/// (the high corner of a segment's padded bounding box).
-pub(crate) fn max_corner<P: Point>(a: P, b: P, pad: f64) -> P {
-    let mut coords = [0.0f64; KEY_AXES];
-    for (axis, c) in coords.iter_mut().enumerate().take(P::DIM) {
-        *c = a.coord(axis).max(b.coord(axis)) + pad;
-    }
-    P::from_coords(&coords[..P::DIM])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -8,7 +8,8 @@ use serde::{Deserialize, Serialize};
 /// The positions of all robots at one instant, indexed by [`RobotId`].
 ///
 /// A configuration is a *multiset*: distinct robots may occupy the same
-/// point (multiplicity detection, when enabled, is applied at snapshot time).
+/// point. Robots have no multiplicity detection (§2.2): co-located robots
+/// collapse into one observation at snapshot time.
 ///
 /// ```
 /// use cohesion_model::Configuration;

@@ -86,18 +86,10 @@ impl<P: Point> Snapshot<P> {
 
     /// Collapses co-located observations (within `eps`) into single ones —
     /// what a robot *without* multiplicity detection perceives (§2.2,
-    /// footnote 4).
-    pub fn without_multiplicity(mut self, eps: f64) -> Self {
-        self.dedup_multiplicity(eps);
-        self
-    }
-
-    /// In-place [`Snapshot::without_multiplicity`]: keeps the first
-    /// observation of every co-located group (within `eps`), preserving
-    /// order, without touching the allocator. Quadratic in the observation
-    /// count, like the consuming version it replaces on the engine hot path
-    /// — snapshots are `O(deg)` under limited visibility, so the constant
-    /// matters more than the exponent.
+    /// footnote 4). Keeps the first observation of every co-located group,
+    /// preserving order, in place without touching the allocator. Quadratic
+    /// in the observation count — snapshots are `O(deg)` under limited
+    /// visibility, so the constant matters more than the exponent.
     pub fn dedup_multiplicity(&mut self, eps: f64) {
         let mut kept = 0usize;
         for i in 0..self.observations.len() {
@@ -189,15 +181,15 @@ mod tests {
 
     #[test]
     fn multiplicity_collapse() {
-        let s = Snapshot::from_positions(vec![
+        let mut s = Snapshot::from_positions(vec![
             Vec2::new(1.0, 0.0),
             Vec2::new(1.0, 0.0),
             Vec2::new(1.0, 1e-12),
             Vec2::new(0.0, 1.0),
         ]);
-        let collapsed = s.clone().without_multiplicity(1e-9);
-        assert_eq!(collapsed.len(), 2);
-        assert_eq!(s.len(), 4, "original untouched");
+        s.dedup_multiplicity(1e-9);
+        let kept: Vec<Vec2> = s.positions().collect();
+        assert_eq!(kept, [Vec2::new(1.0, 0.0), Vec2::new(0.0, 1.0)]);
     }
 
     #[test]
@@ -228,21 +220,5 @@ mod tests {
         assert_eq!(buf.len(), 1);
         let s = Snapshot::from_buffer(buf);
         assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn in_place_dedup_matches_consuming_version() {
-        let positions = vec![
-            Vec2::new(1.0, 0.0),
-            Vec2::new(0.0, 1.0),
-            Vec2::new(1.0, 1e-12),
-            Vec2::new(1.0, 0.0),
-            Vec2::new(2.0, 0.0),
-        ];
-        let consuming = Snapshot::from_positions(positions.clone()).without_multiplicity(1e-9);
-        let mut in_place = Snapshot::from_positions(positions);
-        in_place.dedup_multiplicity(1e-9);
-        assert_eq!(in_place, consuming);
-        assert_eq!(in_place.len(), 3, "first of each co-located group kept");
     }
 }
