@@ -19,12 +19,10 @@
 //! `events_per_sec` fixture's Async arm must stay within
 //! [`MAX_ASYNC_FSYNC_RATIO`]× of the FSync arm. Async pays real per-event
 //! costs FSync amortizes over whole rounds (a fairness argmin per
-//! activation, a pop-min per event instead of per round), so the ratio is
-//! structurally above 1 — but the calendar queue, blocked argmin, and
-//! origin-indexed grid hold it well under 2×, and a revert of any of them
-//! (or new per-event work on the Async path) pushes it back over. Arms are
-//! interleaved in pairs and the median pair ratio is compared, so the bound
-//! is hardware-independent and loaded-runner-robust.
+//! activation), so the ratio is structurally above 1. It reads about 1.25× on a 2-vCPU host; new
+//! per-event work on the Async path pushes it up. Arms are interleaved in
+//! pairs and the median pair ratio is compared, so the bound is
+//! hardware-independent and loaded-runner-robust.
 //!
 //! A fifth check guards the strong-visibility monitor: at
 //! [`STRONG_CANARY_N`] robots under FSync, a session with strong-visibility

@@ -4,7 +4,7 @@
 //! The scripted schedules are first-class [`SchedulerSpec`] variants, so
 //! each `(figure, algorithm)` cell is a plain [`ScenarioSpec`] replay.
 
-use crate::lab::{Experiment, JsonRow, LabCell, Outcome, Profile};
+use crate::lab::{check_rows, Experiment, JsonRow, LabCell, Outcome, Profile};
 use crate::mark;
 use crate::sweep::{AlgorithmSpec, ScenarioSpec, SchedulerSpec};
 use cohesion_adversary::ando_counterexample::{
@@ -25,10 +25,14 @@ struct Row {
     schedule_nested: bool,
 }
 
+/// Row labels of the two scripts; 1-Async is Katreniak's home model.
+const FIGURE_4A: &str = "4a (1-Async)";
+const FIGURE_4B: &str = "4b (2-NestA)";
+
 fn schedule(scheduler: SchedulerSpec) -> (&'static str, Vec<ActivationInterval>) {
     match scheduler {
-        SchedulerSpec::Figure4a => ("4a (1-Async)", figure4a_schedule()),
-        SchedulerSpec::Figure4b => ("4b (2-NestA)", figure4b_schedule()),
+        SchedulerSpec::Figure4a => (FIGURE_4A, figure4a_schedule()),
+        SchedulerSpec::Figure4b => (FIGURE_4B, figure4b_schedule()),
         other => panic!("unexpected F4 scheduler {other:?}"),
     }
 }
@@ -37,6 +41,18 @@ fn algorithm_label(algorithm: AlgorithmSpec) -> String {
     match algorithm {
         AlgorithmSpec::Kirkpatrick { k } => format!("kirkpatrick(k={k})"),
         other => other.family().to_string(),
+    }
+}
+
+/// The F4 claim for one row: Ando separates (> V) under both scripts, and
+/// Katreniak under 1-Async and the paper's algorithm (`kirkpatrick(k=…)`)
+/// under both stay within V. Katreniak under 2-NestA, outside its home
+/// model, is a diagnostic.
+fn holds(r: &Row) -> bool {
+    match r.algorithm.as_str() {
+        "ando" => r.xy_separation > V,
+        "katreniak" => r.figure != FIGURE_4A || r.xy_separation <= V,
+        _ => r.xy_separation <= V,
     }
 }
 
@@ -137,5 +153,51 @@ impl Experiment for AndoSeparation {
             "\npaper: Figure 4 — Ando separates (>V = {V}) in both models; Katreniak survives"
         );
         println!("1-Async (its home model); the paper's algorithm survives both (Theorems 3–4).");
+    }
+
+    fn check(&self, cells: &[LabCell]) -> Result<(), String> {
+        check_rows(cells, row, self.claim(), holds, |r| {
+            format!(
+                "{} under {}: |XY| {:.4}",
+                r.algorithm, r.figure, r.xy_separation
+            )
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{holds, Row, FIGURE_4A, FIGURE_4B, V};
+
+    fn row(figure: &str, algorithm: &str, xy_separation: f64) -> Row {
+        Row {
+            figure: figure.to_string(),
+            algorithm: algorithm.to_string(),
+            xy_separation,
+            cohesive: xy_separation <= V,
+            schedule_k: 1,
+            schedule_nested: false,
+        }
+    }
+
+    #[test]
+    fn claim_exempts_katreniak_outside_its_home_model_only() {
+        // Today's rows hold.
+        for r in [
+            row(FIGURE_4A, "ando", 1.12),
+            row(FIGURE_4A, "katreniak", 0.829),
+            row(FIGURE_4A, "kirkpatrick(k=1)", 0.5),
+            row(FIGURE_4B, "ando", 1.12),
+            row(FIGURE_4B, "katreniak", 0.829),
+            row(FIGURE_4B, "kirkpatrick(k=2)", 0.5),
+        ] {
+            assert!(holds(&r), "{} under {}", r.algorithm, r.figure);
+        }
+        // One failing row per clause.
+        assert!(!holds(&row(FIGURE_4B, "ando", V)));
+        assert!(!holds(&row(FIGURE_4A, "katreniak", 1.12)));
+        assert!(!holds(&row(FIGURE_4B, "kirkpatrick(k=2)", 1.12)));
+        // Katreniak under 2-NestA is a diagnostic.
+        assert!(holds(&row(FIGURE_4B, "katreniak", 1.12)));
     }
 }

@@ -799,10 +799,6 @@ usage:
   lab all [options]                          run every experiment
   lab merge <name>... [--out DIR]            merge shard files into <stem>.jsonl
   lab merge --all [--out DIR]                merge every complete shard set
-  lab lint [--json]                          run cohesion-lint over the whole
-                                             workspace (non-zero exit on any
-                                             violation not allowlisted in
-                                             lint.toml)
 
 `run` and `all` feed every selected experiment's cells through one worker
 pool, then write, render and check each experiment in registry order; a
@@ -978,36 +974,6 @@ pub fn lab_main(args: &[String]) -> Result<(), String> {
                     println!("merged {} -> {}", exp.name(), path.display());
                 }
                 Ok(())
-            }
-        }
-        "lint" => {
-            let mut json = false;
-            for arg in rest {
-                match arg.as_str() {
-                    "--json" => json = true,
-                    other => return Err(format!("unknown `lab lint` option '{other}'\n\n{USAGE}")),
-                }
-            }
-            let root = std::env::current_dir()
-                .ok()
-                .and_then(|d| cohesion_lint::find_workspace_root(&d))
-                .or_else(|| {
-                    cohesion_lint::find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
-                })
-                .ok_or("no workspace root (Cargo.toml + crates/) above the current directory")?;
-            let report = cohesion_lint::lint_workspace(&root)?;
-            if json {
-                print!("{}", report.render_json());
-            } else {
-                print!("{}", report.render_text());
-            }
-            if report.is_clean() {
-                Ok(())
-            } else {
-                Err(format!(
-                    "cohesion-lint found {} violation(s)",
-                    report.violations.len()
-                ))
             }
         }
         "help" | "--help" | "-h" => {

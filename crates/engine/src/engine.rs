@@ -36,12 +36,12 @@
 //! reference and bench baseline. Both paths observe the §2.2 model: robots
 //! are points that block no sight line and have no multiplicity detection,
 //! so coincident observations collapse ([`Snapshot::dedup_multiplicity`])
-//! before Compute. Pending phase events live in a tick-batched calendar
-//! queue (see `queue.rs`).
+//! before Compute. Pending phase events wait in a `BinaryHeap`, popped in
+//! `(time, seq)` order (see `queue.rs`).
 
 use crate::monitors::Envelopes;
-use crate::queue::{CalendarQueue, Pending};
-use crate::state::{RobotState, RobotStates};
+use crate::queue::Pending;
+use crate::state::{Phase, RobotStates};
 use cohesion_geometry::DynamicGrid;
 use cohesion_model::frame::{Ambient, Frame, FrameMode};
 use cohesion_model::{
@@ -50,6 +50,7 @@ use cohesion_model::{
 use cohesion_scheduler::{ActivationInterval, ScheduleContext, Scheduler};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::collections::BinaryHeap;
 
 /// What happened at an engine step.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -160,7 +161,7 @@ pub struct Engine<P: Ambient, A, S> {
     rng: SmallRng,
     time: f64,
     seq: u64,
-    queue: CalendarQueue,
+    queue: BinaryHeap<Pending>,
     staged: Option<ActivationInterval>,
     completed_cycles: Vec<u64>,
     /// Every robot, indexed at its *base* position — its true position while
@@ -247,7 +248,7 @@ where
             rng: SmallRng::seed_from_u64(seed),
             time: 0.0,
             seq: 0,
-            queue: CalendarQueue::new(),
+            queue: BinaryHeap::new(),
             staged: None,
             completed_cycles: vec![0; initial.len()],
             grid,
@@ -473,7 +474,7 @@ where
     pub fn step(&mut self) -> Option<EngineEvent> {
         self.stage_next_activation();
         let staged = self.staged.as_ref().map(|iv| iv.look);
-        let take_staged = match (staged, self.queue.peek_time()) {
+        let take_staged = match (staged, self.queue.peek().map(|p| p.time)) {
             (Some(look), Some(t)) => look <= t,
             (Some(_), None) => true,
             (None, Some(_)) => false,
@@ -522,15 +523,9 @@ where
         // and frame.
         let global_delta = frame.to_global(P::undistort(local_target, &distortion));
         let target = here + global_delta;
-        self.states.set(
-            robot.index(),
-            RobotState::Computing {
-                position: here,
-                target,
-                move_start: iv.move_start,
-                move_end: iv.end,
-            },
-        );
+        self.states
+            .begin_computing(robot.index(), target, iv.move_start, iv.end);
+        assert!(!iv.move_start.is_nan(), "finite event times");
         self.seq += 1;
         self.queue.push(Pending {
             time: iv.move_start,
@@ -719,15 +714,15 @@ where
 
     fn dispatch_move_start(&mut self, p: Pending) -> Option<EngineEvent> {
         let idx = p.robot.index();
-        let (position, target, move_end) = match self.states.state(idx) {
-            RobotState::Computing {
-                position,
-                target,
-                move_end,
-                ..
-            } => (position, target, move_end),
-            other => unreachable!("MoveStart in state {other:?}"),
-        };
+        assert_eq!(
+            self.states.phase(idx),
+            Phase::Computing,
+            "MoveStart of robot {}",
+            p.robot
+        );
+        let position = self.states.base_positions()[idx];
+        let target = self.states.pending_target(idx).expect("planned target");
+        let move_end = self.states.move_end(idx);
         let realized = self
             .motion
             .resolve(position, target, self.visibility, &mut self.rng);
@@ -745,15 +740,8 @@ where
         self.motile_slot[idx] = self.motile.len() as u32;
         self.motile.push(idx as u32);
         self.motile_version += 1;
-        self.states.set(
-            idx,
-            RobotState::Moving {
-                from: position,
-                to: realized,
-                t0: p.time,
-                t1: move_end,
-            },
-        );
+        self.states.begin_move(idx, realized, p.time);
+        assert!(!move_end.is_nan(), "finite event times");
         self.seq += 1;
         self.queue.push(Pending {
             time: move_end,
@@ -770,10 +758,12 @@ where
 
     fn dispatch_move_end(&mut self, p: Pending) -> Option<EngineEvent> {
         let idx = p.robot.index();
-        let final_pos = match self.states.state(idx) {
-            RobotState::Moving { to, .. } => to,
-            other => unreachable!("MoveEnd in state {other:?}"),
-        };
+        assert_eq!(
+            self.states.phase(idx),
+            Phase::Moving,
+            "MoveEnd of robot {}",
+            p.robot
+        );
         let slot = self.motile_slot[idx] as usize;
         debug_assert_eq!(self.motile[slot], idx as u32, "motile robot is side-listed");
         self.motile.swap_remove(slot);
@@ -793,13 +783,8 @@ where
         self.motile_version += 1;
         // Grid lifecycle: the entry relocates from the Move origin to the
         // realized destination.
+        let final_pos = self.states.end_move(idx);
         self.grid.relocate(idx, final_pos);
-        self.states.set(
-            idx,
-            RobotState::Idle {
-                position: final_pos,
-            },
-        );
         self.completed_cycles[idx] += 1;
         Some(EngineEvent {
             time: p.time,

@@ -47,7 +47,6 @@ pub use monitors::{
 pub use report::{fnv1a, SimulationReport};
 pub use runner::SimulationBuilder;
 pub use session::{EventView, Observer, SessionStatus, Simulation, TraceRecorder};
-pub use state::RobotState;
 
 // Driver-facing plain data, re-exported from the model crate so session
 // consumers need only one import path.

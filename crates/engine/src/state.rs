@@ -1,105 +1,19 @@
 //! Per-robot simulation state: the Look–Compute–Move state machine.
 //!
-//! Two representations share the same state machine:
+//! [`RobotStates`] is the engine's **struct-of-arrays** table: parallel
+//! dense vectors for phase tags, positions, targets, and move windows. Hot
+//! loops (position interpolation for every candidate of a Look, the
+//! whole-swarm position fills behind the monitors) touch only the arrays
+//! they need — a phase-tag byte and a position — and the all-robot fill is
+//! a `memcpy` of the base-position array plus a fix-up of the few motile
+//! robots.
 //!
-//! * [`RobotState`] — the per-robot enum, the readable unit the engine's
-//!   dispatch code matches on and the tests assert against;
-//! * [`RobotStates`] — the engine's **struct-of-arrays** table: parallel
-//!   dense vectors for phase tags, positions, targets, and move windows.
-//!   Hot loops (position interpolation for every candidate of a Look, the
-//!   whole-swarm position fills behind the monitors) touch only the arrays
-//!   they need — a phase-tag byte and a position — instead of striding
-//!   across a `Vec` of multi-word enums, and the all-robot fill becomes a
-//!   `memcpy` of the base-position array plus a fix-up of the few motile
-//!   robots.
-//!
-//! Conversions are lossless in both directions ([`RobotStates::set`] /
-//! [`RobotStates::state`]), and [`RobotStates::position_at`] is the same
-//! arithmetic as [`RobotState::position_at`] expression for expression, so
-//! the layouts are bit-identical in every observable — the session and Look
-//! equivalence suites pin this via their frozen report hashes.
+//! Transitions (driven by the engine, timed by the scheduler):
+//! `Idle → Computing` at Look ([`RobotStates::begin_computing`]),
+//! `Computing → Moving` at Move start ([`RobotStates::begin_move`]),
+//! `Moving → Idle` at Move end ([`RobotStates::end_move`]).
 
 use cohesion_geometry::point::Point;
-use serde::{Deserialize, Serialize};
-
-/// The runtime state of one robot.
-///
-/// Transitions (driven by the engine, timed by the scheduler):
-/// `Idle → Computing` at Look, `Computing → Moving` at Move start,
-/// `Moving → Idle` at Move end.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum RobotState<P> {
-    /// Inactive, parked at a position.
-    Idle {
-        /// Current position.
-        position: P,
-    },
-    /// Between Look and Move start; the destination has been determined from
-    /// the Look snapshot but no motion has happened yet.
-    Computing {
-        /// Position (unchanged since the Look).
-        position: P,
-        /// Planned destination in global coordinates.
-        target: P,
-        /// When the Move phase will begin.
-        move_start: f64,
-        /// When the Move phase will end.
-        move_end: f64,
-    },
-    /// Motile: moving linearly from `from` toward `to` during `[t0, t1]`.
-    Moving {
-        /// Position at Move start.
-        from: P,
-        /// Realized destination (after rigidity/motion error resolution).
-        to: P,
-        /// Move start time.
-        t0: f64,
-        /// Move end time.
-        t1: f64,
-    },
-}
-
-impl<P: Point> RobotState<P> {
-    /// The robot's position at time `t`.
-    ///
-    /// For a moving robot, `t` is clamped into `[t0, t1]`; queries outside a
-    /// robot's current phase window are the callers' bookkeeping bug, but
-    /// clamping keeps the answer physically sensible.
-    pub fn position_at(&self, t: f64) -> P {
-        match *self {
-            RobotState::Idle { position } => position,
-            RobotState::Computing { position, .. } => position,
-            RobotState::Moving { from, to, t0, t1 } => {
-                if t1 <= t0 {
-                    return to;
-                }
-                let s = ((t - t0) / (t1 - t0)).clamp(0.0, 1.0);
-                from.lerp(to, s)
-            }
-        }
-    }
-
-    /// Returns `true` when the robot is in its Move phase (motile).
-    pub fn is_motile(&self) -> bool {
-        matches!(self, RobotState::Moving { .. })
-    }
-
-    /// Returns `true` when the robot is idle (activatable).
-    pub fn is_idle(&self) -> bool {
-        matches!(self, RobotState::Idle { .. })
-    }
-
-    /// The planned or in-flight destination, if any — the “planned but as yet
-    /// unrealized trajectory” endpoint that the paper's convex-hull argument
-    /// includes in `CH_t`.
-    pub fn pending_target(&self) -> Option<P> {
-        match *self {
-            RobotState::Idle { .. } => None,
-            RobotState::Computing { target, .. } => Some(target),
-            RobotState::Moving { to, .. } => Some(to),
-        }
-    }
-}
 
 /// The phase tag of one robot in the struct-of-arrays table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,8 +82,11 @@ impl<P: Point> RobotStates<P> {
         self.phases[i] == Phase::Idle
     }
 
-    /// The position of robot `i` at time `t` — the same expression as
-    /// [`RobotState::position_at`], reading only the arrays the phase needs.
+    /// The position of robot `i` at time `t`, reading only the arrays the
+    /// phase needs. A moving robot's `t` is clamped into `[t0, t1]`
+    /// (queries outside the window are the caller's bookkeeping bug, but
+    /// clamping keeps the answer physically sensible); a zero-duration Move
+    /// sits at its destination.
     #[inline]
     pub fn position_at(&self, i: usize, t: f64) -> P {
         match self.phases[i] {
@@ -202,55 +119,36 @@ impl<P: Point> RobotStates<P> {
         }
     }
 
-    /// Reconstructs robot `i`'s state as the per-robot enum.
-    pub fn state(&self, i: usize) -> RobotState<P> {
-        match self.phases[i] {
-            Phase::Idle => RobotState::Idle {
-                position: self.positions[i],
-            },
-            Phase::Computing => RobotState::Computing {
-                position: self.positions[i],
-                target: self.targets[i],
-                move_start: self.starts[i],
-                move_end: self.ends[i],
-            },
-            Phase::Moving => RobotState::Moving {
-                from: self.positions[i],
-                to: self.targets[i],
-                t0: self.starts[i],
-                t1: self.ends[i],
-            },
-        }
+    /// Robot `i`'s scheduled (`Computing`) or running (`Moving`) Move end.
+    pub fn move_end(&self, i: usize) -> f64 {
+        self.ends[i]
     }
 
-    /// Writes robot `i`'s state from the per-robot enum.
-    pub fn set(&mut self, i: usize, state: RobotState<P>) {
-        match state {
-            RobotState::Idle { position } => {
-                self.phases[i] = Phase::Idle;
-                self.positions[i] = position;
-                self.targets[i] = position;
-            }
-            RobotState::Computing {
-                position,
-                target,
-                move_start,
-                move_end,
-            } => {
-                self.phases[i] = Phase::Computing;
-                self.positions[i] = position;
-                self.targets[i] = target;
-                self.starts[i] = move_start;
-                self.ends[i] = move_end;
-            }
-            RobotState::Moving { from, to, t0, t1 } => {
-                self.phases[i] = Phase::Moving;
-                self.positions[i] = from;
-                self.targets[i] = to;
-                self.starts[i] = t0;
-                self.ends[i] = t1;
-            }
-        }
+    /// Look, `Idle → Computing`: idle robot `i` plans a Move to `target`
+    /// over `[move_start, move_end]` and stays where it stands.
+    pub fn begin_computing(&mut self, i: usize, target: P, move_start: f64, move_end: f64) {
+        self.phases[i] = Phase::Computing;
+        self.targets[i] = target;
+        self.starts[i] = move_start;
+        self.ends[i] = move_end;
+    }
+
+    /// Move start, `Computing → Moving`: computing robot `i` leaves its
+    /// position at `t0` toward the realized destination `to`, arriving at
+    /// its scheduled Move end.
+    pub fn begin_move(&mut self, i: usize, to: P, t0: f64) {
+        self.phases[i] = Phase::Moving;
+        self.targets[i] = to;
+        self.starts[i] = t0;
+    }
+
+    /// Move end, `Moving → Idle`: moving robot `i` parks at its destination,
+    /// which is returned.
+    pub fn end_move(&mut self, i: usize) -> P {
+        let to = self.targets[i];
+        self.phases[i] = Phase::Idle;
+        self.positions[i] = to;
+        to
     }
 }
 
@@ -259,108 +157,107 @@ mod tests {
     use super::*;
     use cohesion_geometry::Vec2;
 
+    /// Bitwise position comparison: interpolation feeds RNG-visible
+    /// outputs, so equality must be exact, not tolerance-based.
+    fn assert_bits(actual: Vec2, expected: Vec2, what: &str) {
+        assert_eq!(
+            (actual.x.to_bits(), actual.y.to_bits()),
+            (expected.x.to_bits(), expected.y.to_bits()),
+            "{what}: {actual:?} vs {expected:?}"
+        );
+    }
+
     #[test]
     fn idle_and_computing_are_stationary() {
-        let idle = RobotState::Idle {
-            position: Vec2::new(1.0, 2.0),
-        };
-        assert_eq!(idle.position_at(0.0), Vec2::new(1.0, 2.0));
-        assert_eq!(idle.position_at(99.0), Vec2::new(1.0, 2.0));
-        assert!(idle.is_idle());
-        assert_eq!(idle.pending_target(), None);
+        let mut table = RobotStates::new(&[Vec2::new(1.0, 2.0), Vec2::ZERO]);
+        assert_bits(table.position_at(0, 0.0), Vec2::new(1.0, 2.0), "idle");
+        assert_bits(table.position_at(0, 99.0), Vec2::new(1.0, 2.0), "idle");
+        assert!(table.is_idle(0));
+        assert_eq!(table.pending_target(0), None);
 
-        let computing = RobotState::Computing {
-            position: Vec2::ZERO,
-            target: Vec2::new(1.0, 0.0),
-            move_start: 1.0,
-            move_end: 2.0,
-        };
-        assert_eq!(computing.position_at(1.5), Vec2::ZERO);
-        assert_eq!(computing.pending_target(), Some(Vec2::new(1.0, 0.0)));
-        assert!(!computing.is_motile());
+        table.begin_computing(1, Vec2::new(1.0, 0.0), 1.0, 2.0);
+        assert_eq!(table.phase(1), Phase::Computing);
+        for t in [0.0, 1.5, 2.0, 9.0] {
+            assert_bits(table.position_at(1, t), Vec2::ZERO, "computing");
+        }
+        assert_eq!(table.pending_target(1), Some(Vec2::new(1.0, 0.0)));
+        assert_eq!(table.move_end(1), 2.0);
+        assert!(!table.is_motile(1));
+        assert!(!table.is_idle(1));
+        // Robot 0 is untouched.
+        assert!(table.is_idle(0));
+        assert_eq!(table.base_positions()[0], Vec2::new(1.0, 2.0));
     }
 
     #[test]
     fn moving_interpolates_linearly() {
-        let m = RobotState::Moving {
-            from: Vec2::ZERO,
-            to: Vec2::new(2.0, 0.0),
-            t0: 1.0,
-            t1: 3.0,
-        };
-        assert!(m.is_motile());
-        assert_eq!(m.position_at(1.0), Vec2::ZERO);
-        assert_eq!(m.position_at(2.0), Vec2::new(1.0, 0.0));
-        assert_eq!(m.position_at(3.0), Vec2::new(2.0, 0.0));
-        // Clamped outside the window.
-        assert_eq!(m.position_at(0.0), Vec2::ZERO);
-        assert_eq!(m.position_at(9.0), Vec2::new(2.0, 0.0));
+        let mut table = RobotStates::new(&[Vec2::new(0.5, 0.5)]);
+        table.begin_computing(0, Vec2::new(9.0, 9.0), 1.0, 3.0);
+        // The realized destination replaces the planned one.
+        table.begin_move(0, Vec2::new(2.5, 1.5), 1.0);
+        assert!(table.is_motile(0));
+        assert_eq!(table.pending_target(0), Some(Vec2::new(2.5, 1.5)));
+        assert_eq!(table.base_positions()[0], Vec2::new(0.5, 0.5));
+        for (t, expected) in [
+            (1.0, Vec2::new(0.5, 0.5)),
+            (1.5, Vec2::new(1.0, 0.75)),
+            (2.0, Vec2::new(1.5, 1.0)),
+            (2.5, Vec2::new(2.0, 1.25)),
+            (3.0, Vec2::new(2.5, 1.5)),
+            // Clamped outside the window.
+            (-1.0, Vec2::new(0.5, 0.5)),
+            (0.0, Vec2::new(0.5, 0.5)),
+            (9.0, Vec2::new(2.5, 1.5)),
+        ] {
+            assert_bits(table.position_at(0, t), expected, &format!("t={t}"));
+        }
+        // A fraction that is not a dyadic rational: `from + (to − from)·s`.
+        let mut thirds = RobotStates::new(&[Vec2::ZERO]);
+        thirds.begin_computing(0, Vec2::new(1.0, 0.0), 0.0, 3.0);
+        thirds.begin_move(0, Vec2::new(1.0, 0.0), 0.0);
+        assert_bits(thirds.position_at(0, 1.0), Vec2::new(1.0 / 3.0, 0.0), "t=1");
     }
 
     #[test]
     fn zero_duration_move_sits_at_destination() {
-        let m = RobotState::Moving {
-            from: Vec2::ZERO,
-            to: Vec2::new(1.0, 1.0),
-            t0: 2.0,
-            t1: 2.0,
-        };
-        assert_eq!(m.position_at(2.0), Vec2::new(1.0, 1.0));
+        let mut table = RobotStates::new(&[Vec2::ZERO]);
+        table.begin_computing(0, Vec2::new(1.0, 1.0), 2.0, 2.0);
+        table.begin_move(0, Vec2::new(1.0, 1.0), 2.0);
+        for t in [0.0, 2.0, 3.0] {
+            assert_bits(
+                table.position_at(0, t),
+                Vec2::new(1.0, 1.0),
+                "zero-duration",
+            );
+        }
+        assert_eq!(table.pending_target(0), Some(Vec2::new(1.0, 1.0)));
     }
 
     #[test]
-    fn soa_table_round_trips_and_matches_the_enum() {
-        let mut table = RobotStates::new(&[Vec2::ZERO; 4]);
-        let states = [
-            RobotState::Idle {
-                position: Vec2::new(5.0, -5.0),
-            },
-            RobotState::Computing {
-                position: Vec2::new(0.5, 0.5),
-                target: Vec2::new(1.0, 0.0),
-                move_start: 1.0,
-                move_end: 2.0,
-            },
-            RobotState::Moving {
-                from: Vec2::ZERO,
-                to: Vec2::new(2.0, 1.0),
-                t0: 1.0,
-                t1: 3.0,
-            },
-            // The degenerate zero-duration Move.
-            RobotState::Moving {
-                from: Vec2::ZERO,
-                to: Vec2::new(1.0, 1.0),
-                t0: 2.0,
-                t1: 2.0,
-            },
+    fn look_move_cycle_parks_at_the_destination() {
+        let mut table = RobotStates::new(&[Vec2::ZERO, Vec2::new(5.0, -5.0)]);
+        assert_eq!(table.len(), 2);
+        // (destination, midpoint of the Move there from the previous stop).
+        let legs = [
+            (Vec2::new(2.0, 1.0), Vec2::new(1.0, 0.5)),
+            (Vec2::new(-1.0, 0.5), Vec2::new(0.5, 0.75)),
         ];
-        for (i, s) in states.iter().enumerate() {
-            table.set(i, *s);
-            assert_eq!(table.state(i), *s, "round trip of robot {i}");
-            assert_eq!(table.is_motile(i), s.is_motile());
-            assert_eq!(table.is_idle(i), s.is_idle());
-            assert_eq!(table.pending_target(i), s.pending_target());
-            for t in [-1.0, 0.0, 1.0, 1.5, 2.0, 2.5, 3.0, 9.0] {
-                assert_eq!(
-                    table.position_at(i, t).to_bits_repr(),
-                    s.position_at(t).to_bits_repr(),
-                    "interpolation of robot {i} at t={t}"
-                );
+        for (cycle, (to, mid)) in legs.into_iter().enumerate() {
+            let t0 = 4.0 * cycle as f64 + 1.0;
+            table.begin_computing(0, to, t0, t0 + 2.0);
+            table.begin_move(0, to, t0);
+            assert_eq!(table.move_end(0), t0 + 2.0);
+            assert_bits(table.position_at(0, t0 + 1.0), mid, "mid-move");
+            assert_bits(table.end_move(0), to, "end_move's return");
+            assert!(table.is_idle(0));
+            assert_eq!(table.pending_target(0), None);
+            assert_bits(table.base_positions()[0], to, "parked base");
+            for t in [t0, t0 + 1.0, 99.0] {
+                assert_bits(table.position_at(0, t), to, "parked");
             }
         }
-        assert_eq!(table.len(), 4);
-        assert_eq!(table.base_positions()[1], Vec2::new(0.5, 0.5));
-    }
-
-    /// Bitwise comparison helper: equality of interpolated positions must be
-    /// exact, not tolerance-based — the layouts share RNG-visible outputs.
-    trait BitsRepr {
-        fn to_bits_repr(self) -> (u64, u64);
-    }
-    impl BitsRepr for Vec2 {
-        fn to_bits_repr(self) -> (u64, u64) {
-            (self.x.to_bits(), self.y.to_bits())
-        }
+        // The other robot's columns are untouched.
+        assert!(table.is_idle(1));
+        assert_bits(table.base_positions()[1], Vec2::new(5.0, -5.0), "bystander");
     }
 }

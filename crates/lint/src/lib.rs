@@ -21,7 +21,7 @@
 //! Violations print rustc-style `file:line:col` diagnostics (or `--json`)
 //! and can be suppressed only through the checked-in `lint.toml` allowlist,
 //! where every entry requires a written justification. Runs as the
-//! standalone `cohesion-lint` binary and as `lab lint`.
+//! standalone `cohesion-lint` binary.
 //!
 //! The linter holds itself to its own rules: no dependencies, no threads,
 //! no clocks, `BTreeMap` only, and a deterministic (sorted) file walk.

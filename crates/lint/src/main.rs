@@ -1,4 +1,4 @@
-//! The standalone `cohesion-lint` binary (also reachable as `lab lint`).
+//! The standalone `cohesion-lint` binary.
 
 #![forbid(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
