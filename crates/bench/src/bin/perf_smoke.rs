@@ -60,6 +60,16 @@
 //! a session that copies every moving robot's position at every event —
 //! all of them under FSync — reads about 35×.
 //!
+//! A ninth check guards the hull sampler: at [`HULL_CANARY_N`] robots under
+//! FSync, the *default* session (a hull sample every 64 events) must stay
+//! within [`MAX_HULL_SAMPLER_RATIO`]× of the same session with
+//! `hull_check_every(0)` (Kirkpatrick on the look lattice, arms
+//! interleaved in pairs, median pair ratio). It reads 2.3–2.9× on a 2-vCPU
+//! host, so it fails when the hull samples cost about twice what they cost
+//! now. Rebuilding the hull at the samples that repeat their predecessor
+//! reads 3.1–3.4×, inside the bound: `crates/bench/tests/monitor_work.rs`
+//! pins that reuse exactly, as `HullMonitor::hulls_built`.
+//!
 //! Usage: `cargo run --release -p cohesion-bench --bin perf_smoke [-- --quick]`
 //! (`--quick` trims samples for CI).
 
@@ -129,6 +139,15 @@ const CANARY_SEED: u64 = 3;
 /// canary.
 const DIAMETER_CANARY_N: usize = 1024;
 const DIAMETER_CANARY_EVENTS: usize = 4 * 3 * DIAMETER_CANARY_N;
+
+/// The default session may be at most this many times slower than the
+/// same session without hull samples, at [`HULL_CANARY_N`] under FSync
+/// (median paired ratio).
+const MAX_HULL_SAMPLER_RATIO: f64 = 4.0;
+
+/// Swarm size and event budget (four FSync rounds) of the hull canary.
+const HULL_CANARY_N: usize = 1024;
+const HULL_CANARY_EVENTS: usize = 4 * 3 * HULL_CANARY_N;
 
 /// Swarm size of the Async-scheduling-overhead canary.
 const ASYNC_CANARY_N: usize = 1024;
@@ -258,7 +277,14 @@ fn main() {
         ));
     }
 
-    let diameter_ratio = diameter_sampler_ratio(samples);
+    let diameter_ratio = sampler_ratio(
+        samples,
+        DIAMETER_CANARY_N,
+        DIAMETER_CANARY_EVENTS,
+        4,
+        || AsyncScheduler::new(CANARY_SEED),
+        |b| b.diameter_sample_every(0),
+    );
     println!(
         "diameter canary at n={DIAMETER_CANARY_N}: default async session / same without \
          diameter samples = {diameter_ratio:.2}x (need ≤ {MAX_DIAMETER_SAMPLER_RATIO}x)"
@@ -268,6 +294,26 @@ fn main() {
             "the default Async session is {diameter_ratio:.2}x the same session without \
              diameter samples at n={DIAMETER_CANARY_N} (bound {MAX_DIAMETER_SAMPLER_RATIO}x) \
              — an all-pairs diameter per sample again?"
+        ));
+    }
+
+    let hull_ratio = sampler_ratio(
+        samples,
+        HULL_CANARY_N,
+        HULL_CANARY_EVENTS,
+        1,
+        FSyncScheduler::new,
+        |b| b.hull_check_every(0),
+    );
+    println!(
+        "hull canary at n={HULL_CANARY_N}: default fsync session / same without hull \
+         samples = {hull_ratio:.2}x (need ≤ {MAX_HULL_SAMPLER_RATIO}x)"
+    );
+    if hull_ratio > MAX_HULL_SAMPLER_RATIO {
+        failures.push(format!(
+            "the default FSync session is {hull_ratio:.2}x the same session without hull \
+             samples at n={HULL_CANARY_N} (bound {MAX_HULL_SAMPLER_RATIO}x) — a costlier \
+             hull per sample, or more hull samples per event?"
         ));
     }
 
@@ -412,29 +458,36 @@ fn median_paired_ratio(samples: usize, a: impl Fn() -> f64, b: impl Fn() -> f64)
     ratios[ratios.len() / 2]
 }
 
-/// Measures the diameter samples' share of the default session: an
-/// unbounded-Async Kirkpatrick session on the look lattice with the
-/// builder's default monitors, against the same session with
-/// `diameter_sample_every(0)`. Only `run_to_completion` is timed; the
-/// median pair ratio `defaults / without samples` is returned.
-fn diameter_sampler_ratio(samples: usize) -> f64 {
-    let config = look_lattice(DIAMETER_CANARY_N);
-    let run = |sample_every: Option<usize>| {
-        let mut builder = SimulationBuilder::new(config.clone(), KirkpatrickAlgorithm::new(4))
-            .scheduler(AsyncScheduler::new(CANARY_SEED))
+/// Measures one sampler's share of the default session: a Kirkpatrick
+/// (`k`) session on the `n`-robot look lattice with the builder's default
+/// monitors, against the same session with the sampler turned off by
+/// `without`. Only `run_to_completion` is timed; the median pair ratio
+/// `defaults / without the sampler` is returned.
+fn sampler_ratio<S: Scheduler + 'static>(
+    samples: usize,
+    n: usize,
+    events: usize,
+    k: u32,
+    scheduler: impl Fn() -> S,
+    without: impl Fn(SimulationBuilder) -> SimulationBuilder,
+) -> f64 {
+    let config = look_lattice(n);
+    let run = |defaults: bool| {
+        let mut builder = SimulationBuilder::new(config.clone(), KirkpatrickAlgorithm::new(k))
+            .scheduler(scheduler())
             .seed(CANARY_SEED)
-            .max_events(DIAMETER_CANARY_EVENTS);
-        if let Some(every) = sample_every {
-            builder = builder.diameter_sample_every(every);
+            .max_events(events);
+        if !defaults {
+            builder = without(builder);
         }
         let session = builder.build();
         let start = std::time::Instant::now();
         let report = session.run_to_completion();
         let secs = start.elapsed().as_secs_f64();
-        assert_eq!(report.events, DIAMETER_CANARY_EVENTS);
+        assert_eq!(report.events, events);
         secs
     };
-    median_paired_ratio(samples, || run(None), || run(Some(0)))
+    median_paired_ratio(samples, || run(true), || run(false))
 }
 
 /// Extracts `engine_look` medians from `BENCH_baseline.json` at the

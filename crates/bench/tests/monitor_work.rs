@@ -1,12 +1,12 @@
-//! Work counters of the pair monitors and the diameter, pinned exactly.
+//! Work counters of the pair monitors and the samplers, pinned exactly.
 //!
 //! The swarm session the benchmark of record times — `look_lattice(256)`,
 //! Kirkpatrick, `SimulationBuilder` defaults, 24 FSync rounds' worth of
 //! events — under FSync with `k = 1` and unbounded Async with `k = 4`. The
 //! counters are deterministic, so a change in how often either pair monitor
-//! measures a pair, or in how many `dist_sq` the diameter samples and round
-//! boundaries take, shows up here as an exact count, independent of the
-//! machine.
+//! measures a pair, in how many `dist_sq` the diameter samples and round
+//! boundaries take, or in how many hulls the hull samples build, shows up
+//! here as an exact count, independent of the machine.
 
 use cohesion_bench::lookbench::look_lattice;
 use cohesion_core::KirkpatrickAlgorithm;
@@ -14,11 +14,14 @@ use cohesion_engine::{EventView, Observer, SimulationBuilder};
 use cohesion_scheduler::{AsyncScheduler, FSyncScheduler, Scheduler};
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::OnceLock;
 
 const N: usize = 256;
 const EVENTS: usize = 24 * 3 * N;
 /// The builder's default diameter sampling cadence.
 const SAMPLE_EVERY: usize = 32;
+/// The builder's default hull sampling cadence.
+const HULL_EVERY: usize = 64;
 
 /// Σ|dirty| over the event stream.
 #[derive(Default)]
@@ -33,7 +36,7 @@ impl Observer for Tally {
 }
 
 /// The work counters after the session's event budget.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 struct Work {
     dirty: u64,
     cohesion_pairs: u64,
@@ -43,6 +46,17 @@ struct Work {
 }
 
 fn work(asynchronous: bool) -> Work {
+    run(asynchronous).0.clone()
+}
+
+/// The session's work counters and its hull sampler's `hulls_built`,
+/// computed once per arm for all the tests that read them.
+fn run(asynchronous: bool) -> &'static (Work, u64) {
+    static RUNS: [OnceLock<(Work, u64)>; 2] = [OnceLock::new(), OnceLock::new()];
+    RUNS[usize::from(asynchronous)].get_or_init(|| measure(asynchronous))
+}
+
+fn measure(asynchronous: bool) -> (Work, u64) {
     let (k, scheduler): (u32, Box<dyn Scheduler>) = if asynchronous {
         (4, Box::new(AsyncScheduler::new(0)))
     } else {
@@ -70,14 +84,16 @@ fn work(asynchronous: bool) -> Work {
     }
     assert_eq!(session.events(), EVENTS);
     let strong = session.strong_visibility().expect("tracked by default");
+    let hull = session.hull_monitor().expect("checked by default");
     let tally = tally.borrow();
-    Work {
+    let work = Work {
         dirty: tally.dirty,
         cohesion_pairs: session.cohesion().pairs_checked(),
         strong_pairs: strong.pairs_checked(),
         diameter_pairs: session.diameter_monitor().pairs_checked(),
         diameters,
-    }
+    };
+    (work, hull.hulls_built())
 }
 
 /// The all-pairs loop paid `n(n − 1)/2` `dist_sq` per diameter; the
@@ -100,7 +116,7 @@ fn fsync_pair_work_is_pinned() {
             dirty: 1_579_008,
             cohesion_pairs: 46_560,
             strong_pairs: 10_025,
-            diameter_pairs: 8_576,
+            diameter_pairs: 370,
             diameters: 576,
         }
     );
@@ -121,4 +137,16 @@ fn async_pair_work_is_pinned() {
         }
     );
     assert_far_below_all_pairs(&work);
+}
+
+/// Hull samples that built a hull, of the `EVENTS / HULL_EVERY` taken.
+/// Under FSync the third of the samples that fall in a round's MoveStart
+/// events, where no robot moves and no pending target changes, repeat the
+/// previous sample's input bit for bit and reuse its hull; under Async
+/// none repeat.
+#[test]
+fn hull_work_is_pinned() {
+    assert_eq!(EVENTS / HULL_EVERY, 288);
+    assert_eq!(run(false).1, 192);
+    assert_eq!(run(true).1, 288);
 }

@@ -61,6 +61,24 @@
 //! otherwise) and hand it to `sample` or `measure`. Round boundaries take
 //! their diameter from the same buffer.
 //!
+//! Each sampler remembers the input it last computed from: the hull sampler
+//! its planar projection, the diameter the bits of every coordinate. When
+//! the next input has the same length and the same `to_bits` in every
+//! coordinate, the sampler reuses its result instead of recomputing it.
+//! The hull and the diameter are functions of their input's bits, so the
+//! reuse is exact by construction: a repeated diameter is the stored one,
+//! and a repeated hull sample is the stored hull tested against itself,
+//! `prev.contains_hull(prev, tol)`, computed once per distinct hull. No
+//! float argument about self-containment is needed, and an input that
+//! differs only in the sign of a zero is simply recomputed. Repeats come
+//! from FSync: each round's events fall on three instants, and a Look or a
+//! MoveStart moves no robot (`lerp(from, to, 0)` is `from`), so a diameter
+//! with no MoveEnd since the previous one reads the same positions, and a
+//! hull sample with no Look or MoveEnd since the previous one the same
+//! positions and pending targets. Under Async the compare stops at the first robot that moved, and
+//! its `O(n)` worst case is small next to an `O(n log n)` hull or an
+//! 8-direction diameter pass.
+//!
 //! # The diameter
 //!
 //! [`DiameterMonitor`] samples, the session's round boundaries,
@@ -77,9 +95,11 @@
 //! `20·2⁻⁵³·(M + w)`, hundreds of times under a slack of `2⁻⁴⁰`, the
 //! pair monitors' `SLACK` factor. Smaller and non-planar swarms, non-finite or
 //! huge coordinates and sub-`10⁻¹³⁵` swarms take the all-pairs loop. A
-//! sample costs `O(n)` plus a handful of pairs: on the benchmark's
-//! 256-robot lattice session about 15 `dist_sq` per diameter under FSync
-//! and 3 under Async, where all pairs are 32,640.
+//! measured diameter costs `O(n)` plus a handful of pairs: on the
+//! benchmark's 256-robot lattice session about 15 `dist_sq` under FSync and
+//! 3 under Async, where all pairs are 32,640. Under FSync the reuse above
+//! leaves 25 of that session's 576 diameters to measure (370 `dist_sq` in
+//! all); under Async it leaves all 583.
 
 use crate::report::CohesionViolation;
 use cohesion_geometry::diameter::DiameterKernel;
@@ -683,9 +703,13 @@ pub struct HullMonitor {
     every: usize,
     tol: f64,
     prev: Option<ConvexHull>,
+    /// `prev.contains_hull(prev, tol)`, once a repeated sample asked for it.
+    prev_contains_itself: Option<bool>,
     nested: bool,
-    /// Pooled planar projection of the sampled vertex set.
-    scratch: Vec<Vec2>,
+    /// The planar projection of the last sampled vertex set: the input
+    /// `prev` was built from.
+    projection: Vec<Vec2>,
+    hulls_built: u64,
 }
 
 impl HullMonitor {
@@ -701,14 +725,22 @@ impl HullMonitor {
             every,
             tol,
             prev: None,
+            prev_contains_itself: None,
             nested: true,
-            scratch: Vec::new(),
+            projection: Vec::new(),
+            hulls_built: 0,
         }
     }
 
     /// `true` while every sampled hull contained its successor.
     pub fn nested(&self) -> bool {
         self.nested
+    }
+
+    /// How many samples have built a hull: every sample but those whose
+    /// projection repeated the previous one bit for bit.
+    pub fn hulls_built(&self) -> u64 {
+        self.hulls_built
     }
 
     /// `true` when the `events`-th event is on the sampling cadence.
@@ -718,19 +750,70 @@ impl HullMonitor {
 
     /// Samples the hull of `points` — positions ∪ pending targets, the
     /// vertex set of the paper's `CH_t`, projected on the plane — and tests
-    /// that the previous sample contains it.
+    /// that the previous sample contains it. A projection that repeats the
+    /// previous one bit for bit has the previous hull, so it is tested as
+    /// that hull against itself without being built.
     pub fn sample<P: Point>(&mut self, points: &[P]) {
-        self.scratch.clear();
-        self.scratch
-            .extend(points.iter().map(|p| Vec2::new(p.coord(0), p.coord(1))));
-        let hull = convex_hull(&self.scratch);
+        let repeat = remember(
+            &mut self.projection,
+            points.iter().map(|p| Vec2::new(p.coord(0), p.coord(1))),
+            |a, b| a.x.to_bits() == b.x.to_bits() && a.y.to_bits() == b.y.to_bits(),
+        );
+        if let (true, Some(prev)) = (repeat, &self.prev) {
+            let tol = self.tol;
+            self.nested &= *self
+                .prev_contains_itself
+                .get_or_insert_with(|| prev.contains_hull(prev, tol));
+            return;
+        }
+        let hull = convex_hull(&self.projection);
+        self.hulls_built += 1;
         if let Some(prev) = &self.prev {
             if !prev.contains_hull(&hull, self.tol) {
                 self.nested = false;
             }
         }
         self.prev = Some(hull);
+        self.prev_contains_itself = None;
     }
+}
+
+/// Makes `memo` a copy of `fresh` and returns whether it already was one:
+/// the same length, and `same` for every entry. Only the entries from the
+/// first difference on are written.
+fn remember<T: Copy>(
+    memo: &mut Vec<T>,
+    mut fresh: impl Iterator<Item = T>,
+    same: impl Fn(T, T) -> bool,
+) -> bool {
+    let mut len = 0;
+    while let Some(value) = fresh.next() {
+        match memo.get(len) {
+            Some(&kept) if same(kept, value) => len += 1,
+            _ => {
+                memo.truncate(len);
+                memo.push(value);
+                memo.extend(fresh);
+                return false;
+            }
+        }
+    }
+    let unchanged = len == memo.len();
+    memo.truncate(len);
+    unchanged
+}
+
+/// The `to_bits` of every coordinate of `p`, padded with zeros.
+fn coordinate_bits<P: Point>(p: P) -> [u64; 3] {
+    let mut bits = [0; 3];
+    assert!(
+        P::DIM <= bits.len(),
+        "points have at most three coordinates"
+    );
+    for (axis, slot) in bits.iter_mut().enumerate().take(P::DIM) {
+        *slot = p.coord(axis).to_bits();
+    }
+    bits
 }
 
 /// Samples the configuration diameter on a cadence and tests convergence
@@ -744,6 +827,10 @@ pub struct DiameterMonitor {
     series: Vec<(f64, f64)>,
     converged: bool,
     kernel: DiameterKernel,
+    /// The bits of the last measured positions, one entry per point.
+    measured_bits: Vec<[u64; 3]>,
+    /// The dimension and the diameter of the last measured positions.
+    measured: Option<(usize, f64)>,
 }
 
 impl DiameterMonitor {
@@ -757,18 +844,34 @@ impl DiameterMonitor {
             series: vec![initial],
             converged: false,
             kernel: DiameterKernel::new(),
+            measured_bits: Vec::new(),
+            measured: None,
         }
     }
 
-    /// The diameter of `positions`, bit for bit [`diameter_of`], measured
-    /// with the monitor's pooled kernel and counted in
+    /// The diameter of `positions`, bit for bit [`diameter_of`]. Positions
+    /// that repeat the last measured ones bit for bit, in the same
+    /// dimension, get the stored diameter; others are measured with the
+    /// monitor's pooled kernel and counted in
     /// [`DiameterMonitor::pairs_checked`].
     pub fn measure<P: Point>(&mut self, positions: &[P]) -> f64 {
-        self.kernel.diameter(positions)
+        let repeat = remember(
+            &mut self.measured_bits,
+            positions.iter().map(|&p| coordinate_bits(p)),
+            |a, b| a == b,
+        );
+        match self.measured {
+            Some((dim, d)) if repeat && dim == P::DIM => d,
+            _ => {
+                let d = self.kernel.diameter(positions);
+                self.measured = Some((P::DIM, d));
+                d
+            }
+        }
     }
 
     /// How many `dist_sq` evaluations [`DiameterMonitor::measure`] and the
-    /// samples have made so far.
+    /// samples have made so far; a repeated measure makes none.
     pub fn pairs_checked(&self) -> u64 {
         self.kernel.pairs_checked()
     }
@@ -1413,6 +1516,128 @@ mod tests {
             !sparse.due(3) && sparse.due(8),
             "samples every fourth event"
         );
+    }
+
+    /// Changes `buffer` by one step of a sampler input sequence: `kind`
+    /// picks an exact repeat, a one-ulp move of one coordinate, a sign flip
+    /// of a zero coordinate, a new point, or a longer or shorter buffer;
+    /// `at` picks the point and `code` the coordinate and the new values.
+    fn perturb(buffer: &mut Vec<Vec2>, (kind, at, code): (u8, usize, u32)) {
+        let fresh = Vec2::new(
+            f64::from(code % 7) * 0.5 - 1.5,
+            f64::from(code / 7 % 7) * 0.5 - 1.5,
+        );
+        if buffer.is_empty() || kind == 6 {
+            buffer.push(fresh);
+            return;
+        }
+        let i = at % buffer.len();
+        let point = &mut buffer[i];
+        let coord = if code % 2 == 0 {
+            &mut point.x
+        } else {
+            &mut point.y
+        };
+        match kind {
+            3 if code % 4 < 2 => *coord = coord.next_up(),
+            3 => *coord = coord.next_down(),
+            // −0.0 ↔ +0.0, or a fresh zero for a later flip.
+            4 => *coord = if *coord == 0.0 { -*coord } else { 0.0 },
+            5 => *point = fresh,
+            7 => {
+                buffer.swap_remove(i);
+            }
+            _ => {}
+        }
+    }
+
+    // Both samplers against a from-scratch reference at every sample:
+    // `convex_hull` + `contains_hull` for the nesting verdict, a fresh
+    // `DiameterKernel` for the diameter. About a third of the steps repeat
+    // the previous buffer exactly; the rest differ from it by as little as
+    // one ulp or the sign of a zero, and the buffers straddle the
+    // kernel's all-pairs cutoff. `tol = 0` makes every repeated sample
+    // test a hull against itself with no slack.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn samplers_match_a_from_scratch_reference(
+            start in proptest::collection::vec(any::<u32>(), 0..48),
+            steps in proptest::collection::vec((0u8..8, 0usize..64, any::<u32>()), 1..40),
+        ) {
+            for tol in [0.0, 1e-9] {
+                let mut buffer: Vec<Vec2> = Vec::new();
+                for &code in &start {
+                    perturb(&mut buffer, (6, 0, code));
+                }
+                let mut hull = HullMonitor::new(1, tol);
+                let mut diameter = DiameterMonitor::new(1, 0.0, (0.0, 0.0));
+                let (mut prev, mut nested): (Option<ConvexHull>, bool) = (None, true);
+                let (mut last, mut built, mut pairs) = (None, 0, 0);
+                for &step in &steps {
+                    perturb(&mut buffer, step);
+                    let bits: Vec<(u64, u64)> =
+                        buffer.iter().map(|p| (p.x.to_bits(), p.y.to_bits())).collect();
+                    let repeat = last.as_ref() == Some(&bits);
+                    last = Some(bits);
+
+                    hull.sample(&buffer);
+                    let fresh = convex_hull(&buffer);
+                    if let Some(prev) = &prev {
+                        nested &= prev.contains_hull(&fresh, tol);
+                    }
+                    prev = Some(fresh);
+                    built += u64::from(!repeat);
+                    prop_assert_eq!(hull.nested(), nested);
+                    prop_assert_eq!(hull.hulls_built(), built);
+
+                    let mut kernel = DiameterKernel::new();
+                    let expected = kernel.diameter(&buffer);
+                    if !repeat {
+                        pairs += kernel.pairs_checked();
+                    }
+                    prop_assert_eq!(diameter.measure(&buffer).to_bits(), expected.to_bits());
+                    prop_assert_eq!(diameter.pairs_checked(), pairs);
+                }
+            }
+        }
+    }
+
+    /// The samplers' memos compare every coordinate they read, and the
+    /// point dimension: a change in `z` alone is a new diameter but the
+    /// same planar hull, and three planar points are not two spatial ones
+    /// with the same six coordinates.
+    #[test]
+    fn samplers_reuse_only_what_their_input_determines() {
+        use cohesion_geometry::Vec3;
+        let flat = [Vec3::new(0.0, 0.0, 0.0), Vec3::new(3.0, 0.0, 0.0)];
+        let lifted = [Vec3::new(0.0, 0.0, 0.0), Vec3::new(3.0, 0.0, 4.0)];
+        let mut m = DiameterMonitor::new(1, 0.0, (0.0, 0.0));
+        assert_eq!(m.measure(&flat), 3.0);
+        let pairs = m.pairs_checked();
+        assert_eq!(m.measure(&flat), 3.0);
+        assert_eq!(m.pairs_checked(), pairs, "a repeat is not measured");
+        assert_eq!(m.measure(&lifted), 5.0, "a change in z alone is measured");
+        assert!(m.pairs_checked() > pairs);
+        let planar = [
+            Vec2::new(1.0, 0.0),
+            Vec2::new(0.0, 3.0),
+            Vec2::new(4.0, 0.0),
+        ];
+        let spatial = [Vec3::new(1.0, 0.0, 0.0), Vec3::new(3.0, 4.0, 0.0)];
+        assert_eq!(m.measure(&planar), 5.0);
+        assert_eq!(
+            m.measure(&spatial),
+            20.0_f64.sqrt(),
+            "same bits, other dimension"
+        );
+
+        let mut h = HullMonitor::new(1, 0.0);
+        h.sample(&flat);
+        h.sample(&lifted);
+        assert_eq!(h.hulls_built(), 1, "the planar projection repeated");
+        assert!(h.nested());
     }
 
     #[test]

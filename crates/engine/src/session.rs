@@ -49,7 +49,11 @@
 //! event costs no work per moving robot beyond the dirty-set upkeep at its
 //! breakpoints. The whole swarm is copied out of the engine only when a
 //! hull sample, a diameter sample or a round boundary fires, into one
-//! session buffer.
+//! session buffer. The samplers compare that buffer with the input they
+//! last computed from and reuse their result when it repeats bit for bit,
+//! as it does at the FSync instants with no MoveEnd in between (see
+//! [`crate::monitors`]), so the session fills the buffer at every sample
+//! and decides nothing about reuse itself.
 //!
 //! To read an observer's state *while the session still owns it*, register
 //! a shared handle: `Rc<RefCell<O>>` implements [`Observer`] whenever `O`
@@ -393,6 +397,13 @@ impl<P: Ambient> Simulation<P> {
     #[must_use]
     pub fn diameter_monitor(&self) -> &DiameterMonitor {
         &self.diameter
+    }
+
+    /// The hull monitor (read-only), when hull checking is on, e.g. for the
+    /// work counter of the hulls its samples built.
+    #[must_use]
+    pub fn hull_monitor(&self) -> Option<&HullMonitor> {
+        self.hull.as_ref()
     }
 
     /// A point-in-time progress view: events, rounds, simulated time, the
