@@ -1,17 +1,19 @@
 //! Criterion benches for the geometric kernels on the algorithms' hot path:
 //! smallest enclosing balls (Ando's Compute, congregation bookkeeping),
-//! convex hulls (metrics), the sector analysis (the paper's target rule),
+//! convex hulls and hull nesting (the hull sampler's traffic), the sector
+//! analysis (the paper's target rule),
 //! visibility-graph construction (grid vs brute-force builder), and the
 //! per-event monitor step (a breakpoint re-classification vs an event with
 //! every robot dirty).
 
+use cohesion_bench::lookbench::look_lattice;
 use cohesion_engine::monitors::{
     CohesionMonitor, Envelopes, Monitor, MonitorContext, StrongVisibilityMonitor,
 };
 use cohesion_geometry::ball::smallest_enclosing_ball;
 use cohesion_geometry::cone::sector_2d;
 use cohesion_geometry::hull::convex_hull;
-use cohesion_geometry::Vec2;
+use cohesion_geometry::{ConvexHull, Vec2};
 use cohesion_model::VisibilityGraph;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
@@ -35,12 +37,60 @@ fn bench_sec(c: &mut Criterion) {
     group.finish();
 }
 
+/// Distinct lattice samples per size in the sampler-traffic benches.
+const SAMPLES: u64 = 16;
+
+/// A hull sample's input on the look lattice: the `n` positions of
+/// `look_lattice(n)` followed by a target for each, displaced by up to
+/// `V/8` on each axis.
+fn lattice_sample(n: usize, seed: u64) -> Vec<Vec2> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let positions = look_lattice(n).positions().to_vec();
+    let targets: Vec<Vec2> = positions
+        .iter()
+        .map(|&p| p + Vec2::new(rng.gen_range(-0.125..0.125), rng.gen_range(-0.125..0.125)))
+        .collect();
+    [positions, targets].concat()
+}
+
 fn bench_hull(c: &mut Criterion) {
     let mut group = c.benchmark_group("convex_hull");
     for n in [8usize, 32, 128, 512] {
         let pts = points(n, 2);
         group.bench_with_input(BenchmarkId::from_parameter(n), &pts, |b, pts| {
             b.iter(|| convex_hull(black_box(pts)))
+        });
+    }
+    for n in [256usize, 1024] {
+        // Distinct samples in turn, as a sampler sees them: one input
+        // timed over and over lets the branch predictor learn its sort.
+        let samples: Vec<Vec<Vec2>> = (0..SAMPLES).map(|seed| lattice_sample(n, seed)).collect();
+        group.bench_with_input(
+            BenchmarkId::new("lattice_sample", n),
+            &samples,
+            |b, samples| {
+                let mut next = samples.iter().cycle();
+                b.iter(|| convex_hull(black_box(next.next().expect("cycle"))))
+            },
+        );
+    }
+    group.finish();
+}
+
+fn bench_contains_hull(c: &mut Criterion) {
+    // The hull sampler's nesting test on a lattice sample's hull against
+    // itself: every vertex inside, so every (edge, vertex) pair is tested.
+    let mut group = c.benchmark_group("contains_hull");
+    for n in [256usize, 1024] {
+        let hulls: Vec<ConvexHull> = (0..SAMPLES)
+            .map(|seed| convex_hull(&lattice_sample(n, seed)))
+            .collect();
+        group.bench_with_input(BenchmarkId::new("lattice_sample", n), &hulls, |b, hulls| {
+            let mut next = hulls.iter().cycle();
+            b.iter(|| {
+                let hull = black_box(next.next().expect("cycle"));
+                hull.contains_hull(hull, 1e-7)
+            })
         });
     }
     group.finish();
@@ -144,6 +194,7 @@ criterion_group!(
     benches,
     bench_sec,
     bench_hull,
+    bench_contains_hull,
     bench_sector,
     bench_visibility_graph,
     bench_monitor_step

@@ -5,8 +5,9 @@
 //! events — under FSync with `k = 1` and unbounded Async with `k = 4`. The
 //! counters are deterministic, so a change in how often either pair monitor
 //! measures a pair, in how many `dist_sq` the diameter samples and round
-//! boundaries take, or in how many hulls the hull samples build, shows up
-//! here as an exact count, independent of the machine.
+//! boundaries take, or in how many hulls the hull samples build and how
+//! many points reach their monotone chain, shows up here as an exact count,
+//! independent of the machine.
 
 use cohesion_bench::lookbench::look_lattice;
 use cohesion_core::KirkpatrickAlgorithm;
@@ -45,18 +46,25 @@ struct Work {
     diameters: u64,
 }
 
+/// The hull sampler's counters.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct HullWork {
+    hulls_built: u64,
+    points_chained: u64,
+}
+
 fn work(asynchronous: bool) -> Work {
     run(asynchronous).0.clone()
 }
 
-/// The session's work counters and its hull sampler's `hulls_built`,
-/// computed once per arm for all the tests that read them.
-fn run(asynchronous: bool) -> &'static (Work, u64) {
-    static RUNS: [OnceLock<(Work, u64)>; 2] = [OnceLock::new(), OnceLock::new()];
+/// The session's work counters and its hull sampler's, computed once per
+/// arm for all the tests that read them.
+fn run(asynchronous: bool) -> &'static (Work, HullWork) {
+    static RUNS: [OnceLock<(Work, HullWork)>; 2] = [OnceLock::new(), OnceLock::new()];
     RUNS[usize::from(asynchronous)].get_or_init(|| measure(asynchronous))
 }
 
-fn measure(asynchronous: bool) -> (Work, u64) {
+fn measure(asynchronous: bool) -> (Work, HullWork) {
     let (k, scheduler): (u32, Box<dyn Scheduler>) = if asynchronous {
         (4, Box::new(AsyncScheduler::new(0)))
     } else {
@@ -93,7 +101,11 @@ fn measure(asynchronous: bool) -> (Work, u64) {
         diameter_pairs: session.diameter_monitor().pairs_checked(),
         diameters,
     };
-    (work, hull.hulls_built())
+    let hull_work = HullWork {
+        hulls_built: hull.hulls_built(),
+        points_chained: hull.points_chained(),
+    };
+    (work, hull_work)
 }
 
 /// The all-pairs loop paid `n(n − 1)/2` `dist_sq` per diameter; the
@@ -139,14 +151,33 @@ fn async_pair_work_is_pinned() {
     assert_far_below_all_pairs(&work);
 }
 
-/// Hull samples that built a hull, of the `EVENTS / HULL_EVERY` taken.
-/// Under FSync the third of the samples that fall in a round's MoveStart
-/// events, where no robot moves and no pending target changes, repeat the
-/// previous sample's input bit for bit and reuse its hull; under Async
-/// none repeat.
+/// Hull samples that built a hull, of the `EVENTS / HULL_EVERY` taken,
+/// and the points that reached their monotone chain. Under FSync the third
+/// of the samples that fall in a round's MoveStart events, where no robot
+/// moves and no pending target changes, repeat the previous sample's input
+/// bit for bit and reuse its hull; under Async none repeat. Each sample
+/// reads at most `2n` points, positions and pending targets; the octagon
+/// prefilter passes fewer than a quarter of `2n` to the chain, where the
+/// unfiltered chain sorted every point.
 #[test]
 fn hull_work_is_pinned() {
     assert_eq!(EVENTS / HULL_EVERY, 288);
-    assert_eq!(run(false).1, 192);
-    assert_eq!(run(true).1, 288);
+    let (fsync, asynchronous) = (run(false).1, run(true).1);
+    assert_eq!(
+        fsync,
+        HullWork {
+            hulls_built: 192,
+            points_chained: 16_789,
+        }
+    );
+    assert_eq!(
+        asynchronous,
+        HullWork {
+            hulls_built: 288,
+            points_chained: 20_399,
+        }
+    );
+    for hull in [fsync, asynchronous] {
+        assert!(4 * hull.points_chained < hull.hulls_built * 2 * N as u64);
+    }
 }

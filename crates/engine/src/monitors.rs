@@ -75,9 +75,22 @@
 //! MoveStart moves no robot (`lerp(from, to, 0)` is `from`), so a diameter
 //! with no MoveEnd since the previous one reads the same positions, and a
 //! hull sample with no Look or MoveEnd since the previous one the same
-//! positions and pending targets. Under Async the compare stops at the first robot that moved, and
-//! its `O(n)` worst case is small next to an `O(n log n)` hull or an
-//! 8-direction diameter pass.
+//! positions and pending targets. Under Async the compare stops at the
+//! first robot that moved, and its `O(n)` worst case is small next to a
+//! hull or an 8-direction diameter pass.
+//!
+//! A hull sample that does build a hull runs the monitor's pooled
+//! [`HullKernel`] on the memo. The kernel drops the points strictly inside
+//! the octagon of the 8-direction extremes, decided by the exact
+//! orientation sign, then sorts and chains the rest into the buffer of the
+//! hull before `prev`. Its hull is bit for bit the unfiltered chain's (the
+//! argument is in the module docs of `cohesion_geometry::hull`). A sample
+//! thus copies its points once, into the memo, and allocates nothing once
+//! its buffers have grown. The nesting test `prev.contains_hull(next)`
+//! computes each edge's slack once, not once per vertex. On the
+//! benchmark's 256-robot lattice session, about 71 points per Async hull
+//! and 87 per FSync hull reach the chain, of at most `2n = 512`
+//! (`HullMonitor::points_chained`, pinned in `monitor_work.rs`).
 //!
 //! # The diameter
 //!
@@ -103,7 +116,7 @@
 
 use crate::report::CohesionViolation;
 use cohesion_geometry::diameter::DiameterKernel;
-use cohesion_geometry::hull::convex_hull;
+use cohesion_geometry::hull::HullKernel;
 use cohesion_geometry::point::Point;
 use cohesion_geometry::{ConvexHull, DynamicGrid, Vec2};
 use cohesion_model::frame::Ambient;
@@ -709,6 +722,10 @@ pub struct HullMonitor {
     /// The planar projection of the last sampled vertex set: the input
     /// `prev` was built from.
     projection: Vec<Vec2>,
+    /// The hull kernel's pooled scratch and its `points_chained` counter.
+    kernel: HullKernel,
+    /// The buffer the next hull is built in: the hull before `prev`.
+    next: ConvexHull,
     hulls_built: u64,
 }
 
@@ -728,6 +745,8 @@ impl HullMonitor {
             prev_contains_itself: None,
             nested: true,
             projection: Vec::new(),
+            kernel: HullKernel::new(),
+            next: ConvexHull::default(),
             hulls_built: 0,
         }
     }
@@ -741,6 +760,12 @@ impl HullMonitor {
     /// projection repeated the previous one bit for bit.
     pub fn hulls_built(&self) -> u64 {
         self.hulls_built
+    }
+
+    /// How many points have reached the hull kernel's monotone chain,
+    /// summed over the hulls built: the points its octagon prefilter kept.
+    pub fn points_chained(&self) -> u64 {
+        self.kernel.points_chained()
     }
 
     /// `true` when the `events`-th event is on the sampling cadence.
@@ -766,14 +791,17 @@ impl HullMonitor {
                 .get_or_insert_with(|| prev.contains_hull(prev, tol));
             return;
         }
-        let hull = convex_hull(&self.projection);
+        self.kernel.hull_into(&self.projection, &mut self.next);
         self.hulls_built += 1;
         if let Some(prev) = &self.prev {
-            if !prev.contains_hull(&hull, self.tol) {
+            if !prev.contains_hull(&self.next, self.tol) {
                 self.nested = false;
             }
         }
-        self.prev = Some(hull);
+        std::mem::swap(
+            self.prev.get_or_insert_with(ConvexHull::default),
+            &mut self.next,
+        );
         self.prev_contains_itself = None;
     }
 }
@@ -1552,12 +1580,12 @@ mod tests {
     }
 
     // Both samplers against a from-scratch reference at every sample:
-    // `convex_hull` + `contains_hull` for the nesting verdict, a fresh
-    // `DiameterKernel` for the diameter. About a third of the steps repeat
-    // the previous buffer exactly; the rest differ from it by as little as
-    // one ulp or the sign of a zero, and the buffers straddle the
-    // kernel's all-pairs cutoff. `tol = 0` makes every repeated sample
-    // test a hull against itself with no slack.
+    // a fresh `HullKernel` + `contains_hull` for the nesting verdict and
+    // the points chained, a fresh `DiameterKernel` for the diameter. About
+    // a third of the steps repeat the previous buffer exactly; the rest
+    // differ from it by as little as one ulp or the sign of a zero, and the
+    // buffers straddle both kernels' cutoffs. `tol = 0` makes every
+    // repeated sample test a hull against itself with no slack.
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -1574,7 +1602,7 @@ mod tests {
                 let mut hull = HullMonitor::new(1, tol);
                 let mut diameter = DiameterMonitor::new(1, 0.0, (0.0, 0.0));
                 let (mut prev, mut nested): (Option<ConvexHull>, bool) = (None, true);
-                let (mut last, mut built, mut pairs) = (None, 0, 0);
+                let (mut last, mut built, mut chained, mut pairs) = (None, 0, 0, 0);
                 for &step in &steps {
                     perturb(&mut buffer, step);
                     let bits: Vec<(u64, u64)> =
@@ -1583,14 +1611,19 @@ mod tests {
                     last = Some(bits);
 
                     hull.sample(&buffer);
-                    let fresh = convex_hull(&buffer);
+                    let mut kernel = HullKernel::new();
+                    let fresh = kernel.hull(&buffer);
                     if let Some(prev) = &prev {
                         nested &= prev.contains_hull(&fresh, tol);
                     }
                     prev = Some(fresh);
-                    built += u64::from(!repeat);
+                    if !repeat {
+                        built += 1;
+                        chained += kernel.points_chained();
+                    }
                     prop_assert_eq!(hull.nested(), nested);
                     prop_assert_eq!(hull.hulls_built(), built);
+                    prop_assert_eq!(hull.points_chained(), chained);
 
                     let mut kernel = DiameterKernel::new();
                     let expected = kernel.diameter(&buffer);
