@@ -23,10 +23,12 @@
 //! pairwise disjoint and all nested in `X_A`'s single interval, so no motion
 //! interpolation is needed — and reports the `k` that the resulting
 //! `k`-NestA schedule required, the per-robot radial drift (the paper bounds
-//! its construction's drift by `4ψ²`), and the final edge verdicts.
+//! its construction's drift by `4ψ²`), and the final edge verdicts. Each
+//! tail Look asks a [`DynamicGrid`] with cell edge `V` for the robots within
+//! `V`, so an activation costs `O(local density)`, not `O(n)`.
 
 use crate::spiral::{robots, SpiralConstruction};
-use cohesion_geometry::Vec2;
+use cohesion_geometry::{DynamicGrid, Vec2};
 use cohesion_model::{Algorithm, Snapshot};
 use serde::{Deserialize, Serialize};
 
@@ -65,68 +67,6 @@ pub struct ImpossibilityOutcome {
     /// within `X_A`'s one interval — the `k` a `k`-NestA scheduler would
     /// need. Unbounded asynchrony is exactly the licence to make this large.
     pub nesting_k: usize,
-}
-
-/// A uniform grid over the plane with cell size `V`: visible robots can only
-/// live in the 3×3 cell block around the query point, making per-activation
-/// snapshots `O(local density)` instead of `O(n)`. Exact, not heuristic.
-struct VisibilityGrid {
-    cell: f64,
-    // BTreeMap, not HashMap: only keyed lookups happen today, but this crate
-    // is on the deterministic surface (lint rule D1) and an ordered map
-    // keeps future iteration deterministic by construction.
-    map: std::collections::BTreeMap<(i64, i64), Vec<usize>>,
-}
-
-impl VisibilityGrid {
-    fn key(&self, p: Vec2) -> (i64, i64) {
-        (
-            (p.x / self.cell).floor() as i64,
-            (p.y / self.cell).floor() as i64,
-        )
-    }
-
-    fn build(positions: &[Vec2], cell: f64) -> Self {
-        let mut grid = VisibilityGrid {
-            cell,
-            map: Default::default(),
-        };
-        for (i, &p) in positions.iter().enumerate() {
-            let k = grid.key(p);
-            grid.map.entry(k).or_default().push(i);
-        }
-        grid
-    }
-
-    fn relocate(&mut self, idx: usize, old: Vec2, new: Vec2) {
-        let (ko, kn) = (self.key(old), self.key(new));
-        if ko == kn {
-            return;
-        }
-        if let Some(bucket) = self.map.get_mut(&ko) {
-            bucket.retain(|&i| i != idx);
-        }
-        self.map.entry(kn).or_default().push(idx);
-    }
-
-    /// Displacements of all robots within `V` of robot `j`.
-    fn visible_rel(&self, positions: &[Vec2], j: usize) -> Vec<Vec2> {
-        let here = positions[j];
-        let (kx, ky) = self.key(here);
-        let mut rel = Vec::new();
-        for dx in -1..=1 {
-            for dy in -1..=1 {
-                if let Some(bucket) = self.map.get(&(kx + dx, ky + dy)) {
-                    for &c in bucket {
-                        if c != j && positions[c].dist(here) <= V {
-                            rel.push(positions[c] - here);
-                        }
-                    }
-                }
-            }
-        }
-        rel
-    }
 }
 
 /// Runs the adversary. `max_sweeps` bounds the flattening effort (the driver
@@ -168,8 +108,14 @@ pub fn run_impossibility(
     let a_move = algorithm.compute(&a_snapshot);
     let zeta = a_move.norm();
 
-    // Step 2: flatten, X_A frozen.
-    let mut grid = VisibilityGrid::build(&positions, V);
+    // Step 2: flatten, X_A frozen. One index buffer and one snapshot serve
+    // every Look.
+    let mut grid = DynamicGrid::with_extent(n, V, &positions);
+    for (i, &p) in positions.iter().enumerate() {
+        grid.insert(i, p);
+    }
+    let mut visible = Vec::new();
+    let mut snapshot = Snapshot::default();
     let mut activations = 0usize;
     let mut per_robot_activations = vec![0usize; n];
     let mut sweeps = 0usize;
@@ -182,12 +128,19 @@ pub fn run_impossibility(
         for j in (b_idx..anchor).rev() {
             activations += 1;
             per_robot_activations[j] += 1;
-            let rel = grid.visible_rel(&positions, j);
-            let target = algorithm.compute(&Snapshot::from_positions(rel));
+            let here = positions[j];
+            visible.clear();
+            grid.query_within(here, V, &mut visible);
+            snapshot.refill(
+                visible
+                    .iter()
+                    .filter(|&&c| c != j)
+                    .map(|&c| positions[c] - here),
+            );
+            let target = algorithm.compute(&snapshot);
             if target.norm() > 0.0 {
-                let old = positions[j];
-                positions[j] = old + target;
-                grid.relocate(j, old, positions[j]);
+                positions[j] = here + target;
+                grid.relocate(j, positions[j]);
                 max_move = max_move.max(target.norm());
             }
         }

@@ -37,7 +37,7 @@ fn bench_sec(c: &mut Criterion) {
     group.finish();
 }
 
-/// Distinct lattice samples per size in the sampler-traffic benches.
+/// Distinct inputs per size in the hull benches.
 const SAMPLES: u64 = 16;
 
 /// A hull sample's input on the look lattice: the `n` positions of
@@ -54,16 +54,17 @@ fn lattice_sample(n: usize, seed: u64) -> Vec<Vec2> {
 }
 
 fn bench_hull(c: &mut Criterion) {
+    // Distinct inputs in turn, as a sampler sees them: one input timed over
+    // and over lets the branch predictor learn its sort.
     let mut group = c.benchmark_group("convex_hull");
     for n in [8usize, 32, 128, 512] {
-        let pts = points(n, 2);
-        group.bench_with_input(BenchmarkId::from_parameter(n), &pts, |b, pts| {
-            b.iter(|| convex_hull(black_box(pts)))
+        let inputs: Vec<Vec<Vec2>> = (0..SAMPLES).map(|seed| points(n, seed)).collect();
+        group.bench_with_input(BenchmarkId::from_parameter(n), &inputs, |b, inputs| {
+            let mut next = inputs.iter().cycle();
+            b.iter(|| convex_hull(black_box(next.next().expect("cycle"))))
         });
     }
     for n in [256usize, 1024] {
-        // Distinct samples in turn, as a sampler sees them: one input
-        // timed over and over lets the branch predictor learn its sort.
         let samples: Vec<Vec<Vec2>> = (0..SAMPLES).map(|seed| lattice_sample(n, seed)).collect();
         group.bench_with_input(
             BenchmarkId::new("lattice_sample", n),

@@ -19,7 +19,7 @@
 //!   [`SweepRunner`] contract lifted across processes;
 //! * JSONL sinks under `target/experiments/`.
 
-use crate::sweep::{Guarded, ScenarioSpec, SchedulerSpec, SweepRunner, WorkloadSpec};
+use crate::sweep::{timed, Guarded, ScenarioSpec, SchedulerSpec, SweepRunner, WorkloadSpec};
 use cohesion_adversary::{run_impossibility, ImpossibilityOutcome};
 use cohesion_engine::SimulationReport;
 use cohesion_geometry::{Vec2, Vec3};
@@ -558,6 +558,11 @@ pub struct RunSummary {
     pub cells: usize,
     /// Rows written.
     pub rows: usize,
+    /// Wall-clock seconds summed over the cells (on any worker).
+    pub seconds: f64,
+    /// The cell that took longest, when any ran: its index in the unsharded
+    /// grid, its [`ScenarioSpec::tag`] and its seconds.
+    pub slowest: Option<(usize, &'static str, f64)>,
     /// The JSONL file written.
     pub path: PathBuf,
 }
@@ -641,10 +646,13 @@ pub fn run_experiments(
             let progress =
                 CellProgress::new(plan.sink.as_ref().map(|(s, _)| s), plan.base + i, spec.tag);
             progress.start();
-            let outcome = plan.exp.run(spec, &progress);
-            let rows = plan.exp.reduce(spec, &outcome);
+            let ((outcome, rows), seconds) = timed(|| {
+                let outcome = plan.exp.run(spec, &progress);
+                let rows = plan.exp.reduce(spec, &outcome);
+                (outcome, rows)
+            });
             progress.done(&outcome, rows.len());
-            (outcome, rows)
+            (outcome, rows, seconds)
         })
         .into_iter();
 
@@ -663,16 +671,23 @@ pub fn run_experiments(
                 plan.total
             );
         }
+        let mut times = Vec::with_capacity(plan.specs.len());
         let cells: Vec<LabCell> = plan
             .specs
             .into_iter()
             .zip(results.by_ref())
-            .map(|(spec, (outcome, rows))| LabCell {
-                spec,
-                outcome,
-                rows,
+            .map(|(spec, (outcome, rows, seconds))| {
+                times.push(seconds);
+                LabCell {
+                    spec,
+                    outcome,
+                    rows,
+                }
             })
             .collect();
+        let slowest = (0..cells.len())
+            .max_by(|&a, &b| times[a].total_cmp(&times[b]))
+            .map(|i| (plan.base + i, cells[i].spec.tag, times[i]));
         let file = match opts.shard {
             Some(s) => s.file_name(exp.output_stem()),
             None => format!("{}.jsonl", exp.output_stem()),
@@ -692,6 +707,8 @@ pub fn run_experiments(
             name: exp.name(),
             cells: cells.len(),
             rows,
+            seconds: times.iter().sum(),
+            slowest,
             path,
         });
     }
@@ -933,11 +950,16 @@ pub fn lab_main(args: &[String]) -> Result<(), String> {
             let summaries = run_experiments(crate::experiments::REGISTRY, &parsed.opts)?;
             println!("=== lab all: {} experiments ===", summaries.len());
             for s in &summaries {
+                let slowest = s.slowest.map_or("-".to_string(), |(index, tag, seconds)| {
+                    format!("#{index} {tag:?} {seconds:.3} s")
+                });
                 println!(
-                    "  {:<20} {:>4} cells {:>5} rows  {}",
+                    "  {:<20} {:>4} cells {:>5} rows {:>7.3} s  slowest {:<26} {}",
                     s.name,
                     s.cells,
                     s.rows,
+                    s.seconds,
+                    slowest,
                     s.path.display()
                 );
             }

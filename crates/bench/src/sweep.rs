@@ -647,6 +647,15 @@ impl SweepRunner {
     }
 }
 
+/// Runs `f` and returns its result with the wall-clock seconds it took.
+/// The clock is read here, in the one module lint rule D2 lets read it, so
+/// `lab`'s row-emission code reports cell times without reading the clock.
+pub fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
+    let start = std::time::Instant::now();
+    let result = f();
+    (result, start.elapsed().as_secs_f64())
+}
+
 impl Default for SweepRunner {
     fn default() -> Self {
         SweepRunner::new()

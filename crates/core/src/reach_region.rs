@@ -7,8 +7,12 @@
 //! `S^r_{Y0}(X*)` over all `X* ∈ X0X1` — and a *bulge* capturing the extra
 //! slack when moves chase a moving neighbour.
 
-use cohesion_geometry::{Segment, Vec2};
+use cohesion_geometry::Vec2;
 use serde::{Deserialize, Serialize};
+
+/// [`ReachRegion::core_contains`] samples the neighbour trajectory `X0X1` at
+/// `CORE_SAMPLES + 1` evenly spaced points.
+const CORE_SAMPLES: usize = 128;
 
 /// The region `R^r_{Y0}(X0, X1)`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -54,45 +58,54 @@ impl ReachRegion {
             .map(|u| self.origin + u * self.radius)
     }
 
-    /// Membership in the core: some `X* ∈ X0X1` has `p ∈ S^r_{Y0}(X*)`.
-    ///
-    /// Evaluated by dense sampling plus local ternary refinement of the
-    /// smooth distance function `t ↦ |p − c(t)|` (documented numeric
-    /// substitution; the experiments use slack well above the refinement
-    /// error).
-    pub fn core_contains(&self, p: Vec2, eps: f64) -> bool {
-        let seg = Segment::new(self.x0, self.x1);
-        let dist_at = |t: f64| -> f64 {
-            match self.core_center(seg.point_at(t)) {
-                Some(c) => c.dist(p),
-                None => f64::INFINITY,
-            }
-        };
-        const SAMPLES: usize = 128;
-        let mut best_t = 0.0;
-        let mut best = f64::INFINITY;
-        for i in 0..=SAMPLES {
-            let t = i as f64 / SAMPLES as f64;
-            let d = dist_at(t);
-            if d < best {
-                best = d;
-                best_t = t;
-            }
-        }
-        // Local ternary refinement around the best sample.
-        let mut lo = (best_t - 1.0 / SAMPLES as f64).max(0.0);
-        let mut hi = (best_t + 1.0 / SAMPLES as f64).min(1.0);
+    /// `|p − c|` for the safe-disk centre `c` seen when the neighbour is at
+    /// `X0 + t·(X1 − X0)` (infinite when that point is `Y0`).
+    fn core_distance(&self, p: Vec2, t: f64) -> f64 {
+        self.core_center(self.x0.lerp(self.x1, t))
+            .map_or(f64::INFINITY, |c| c.dist(p))
+    }
+
+    /// [`Self::core_distance`] at its local ternary-refined minimum within
+    /// one sample step of `best_t`.
+    fn refined_core_distance(&self, p: Vec2, best_t: f64) -> f64 {
+        let mut lo = (best_t - 1.0 / CORE_SAMPLES as f64).max(0.0);
+        let mut hi = (best_t + 1.0 / CORE_SAMPLES as f64).min(1.0);
         for _ in 0..60 {
             let m1 = lo + (hi - lo) / 3.0;
             let m2 = hi - (hi - lo) / 3.0;
-            if dist_at(m1) <= dist_at(m2) {
+            if self.core_distance(p, m1) <= self.core_distance(p, m2) {
                 hi = m2;
             } else {
                 lo = m1;
             }
         }
-        best = best.min(dist_at(0.5 * (lo + hi)));
-        best <= self.radius + eps
+        self.core_distance(p, 0.5 * (lo + hi))
+    }
+
+    /// Membership in the core: some `X* ∈ X0X1` has `p ∈ S^r_{Y0}(X*)`.
+    ///
+    /// Evaluated by dense sampling plus local ternary refinement of the
+    /// smooth distance function `t ↦ |p − c(t)|` (documented numeric
+    /// substitution; the experiments use slack well above the refinement
+    /// error). The first sample within `radius + eps` decides membership;
+    /// the refinement runs, around the closest sample, only when none does.
+    /// Either way the verdict is `min(samples, refined) ≤ radius + eps`.
+    pub fn core_contains(&self, p: Vec2, eps: f64) -> bool {
+        let bound = self.radius + eps;
+        let mut best_t = 0.0;
+        let mut best = f64::INFINITY;
+        for i in 0..=CORE_SAMPLES {
+            let t = i as f64 / CORE_SAMPLES as f64;
+            let d = self.core_distance(p, t);
+            if d <= bound {
+                return true;
+            }
+            if d < best {
+                best = d;
+                best_t = t;
+            }
+        }
+        self.refined_core_distance(p, best_t) <= bound
     }
 
     /// The extremal boundary point `Y0⁺`: on the disk `S^r_{Y0}(X0)`, at
@@ -146,6 +159,66 @@ impl ReachRegion {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Membership as decided before the early exit: every sample is scanned,
+    /// then the closest is refined, and the verdict is the minimum of both.
+    fn reference_core_contains(region: &ReachRegion, p: Vec2, eps: f64) -> bool {
+        let mut best_t = 0.0;
+        let mut best = f64::INFINITY;
+        for i in 0..=CORE_SAMPLES {
+            let t = i as f64 / CORE_SAMPLES as f64;
+            let d = region.core_distance(p, t);
+            if d < best {
+                best = d;
+                best_t = t;
+            }
+        }
+        best.min(region.refined_core_distance(p, best_t)) <= region.radius + eps
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The early exit never changes a verdict. Probes: random points
+        /// around the region, points `radius + 1.5·eps` from a sample's
+        /// safe-disk centre (radially outward, where no other centre is
+        /// closer, or in a random direction), and far points; stationary
+        /// neighbours (`X0 == X1`, the `lemma1` shape) included.
+        #[test]
+        fn early_exit_keeps_the_reference_verdict(
+            origin in (-2.0..2.0f64, -2.0..2.0f64),
+            x0 in (0.0..std::f64::consts::TAU, 0.05..3.0f64),
+            x1 in (0u8..3, 0.0..std::f64::consts::TAU, 0.05..3.0f64),
+            radius in 0.01..1.0f64,
+            probe in (0u8..4, 0usize..=CORE_SAMPLES, 0.0..std::f64::consts::TAU, 0.0..2.5f64),
+            eps in (0usize..2).prop_map(|i| [0.0, 1e-7][i]),
+        ) {
+            let origin = Vec2::new(origin.0, origin.1);
+            let x0 = origin + Vec2::from_angle(x0.0) * x0.1;
+            let x1 = if x1.0 == 0 { x0 } else { origin + Vec2::from_angle(x1.1) * x1.2 };
+            let region = ReachRegion::new(origin, x0, x1, radius);
+            let (kind, sample, angle, scale) = probe;
+            let t = sample as f64 / CORE_SAMPLES as f64;
+            let centre = region
+                .core_center(x0.lerp(x1, t))
+                .expect("origin is off the trajectory");
+            let p = match kind {
+                0 => origin + Vec2::from_angle(angle) * (scale * radius),
+                1 => origin + (centre - origin) * ((2.0 * radius + 1.5 * eps) / radius),
+                2 => centre + Vec2::from_angle(angle) * (radius + 1.5 * eps),
+                _ => origin + Vec2::from_angle(angle) * (10.0 + scale),
+            };
+            let expected = reference_core_contains(&region, p, eps);
+            prop_assert_eq!(region.core_contains(p, eps), expected, "core at {}", p);
+            prop_assert_eq!(
+                region.contains(p, eps),
+                expected || region.bulge_contains(p, eps),
+                "region at {}",
+                p
+            );
+        }
+    }
 
     #[test]
     fn stationary_neighbor_reduces_to_safe_region() {
