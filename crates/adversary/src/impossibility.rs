@@ -110,10 +110,7 @@ pub fn run_impossibility(
 
     // Step 2: flatten, X_A frozen. One index buffer and one snapshot serve
     // every Look.
-    let mut grid = DynamicGrid::with_extent(n, V, &positions);
-    for (i, &p) in positions.iter().enumerate() {
-        grid.insert(i, p);
-    }
+    let mut grid = DynamicGrid::from_points(&positions, V);
     let mut visible = Vec::new();
     let mut snapshot = Snapshot::default();
     let mut activations = 0usize;

@@ -81,6 +81,7 @@
 use cohesion_bench::lookbench::{
     async_fsync_paired_ratio, look_lattice, median_ns_per_event, LOOK_BENCH_SIZES,
 };
+use cohesion_bench::sweep::timed;
 
 use cohesion_core::KirkpatrickAlgorithm;
 use cohesion_engine::{Budget, Engine, LookPath, SimulationBuilder};
@@ -348,11 +349,6 @@ fn session_overhead_ratio(samples: usize) -> f64 {
             .hull_check_every(0)
             .diameter_sample_every(0)
     };
-    let time = |f: &dyn Fn()| {
-        let start = std::time::Instant::now();
-        f();
-        start.elapsed().as_secs_f64()
-    };
     // Best-of-N rather than a median: session overhead, if real, is
     // systematic and shows in *every* sample, while scheduler preemptions
     // and frequency transients only ever inflate a ratio — so the minimum
@@ -361,11 +357,11 @@ fn session_overhead_ratio(samples: usize) -> f64 {
     // keep the minimum honest on loaded CI runners.
     (0..samples.max(5))
         .map(|_| {
-            let one_shot = time(&|| {
+            let ((), one_shot) = timed(|| {
                 let report = builder().run();
                 assert_eq!(report.events, SESSION_CANARY_EVENTS);
             });
-            let sliced = time(&|| {
+            let ((), sliced) = timed(|| {
                 let mut session = builder().build();
                 while !session
                     .run_for(Budget::events(SESSION_CANARY_SLICE))
@@ -393,9 +389,7 @@ fn strong_overhead_ratio(samples: usize) -> f64 {
             .hull_check_every(0)
             .diameter_sample_every(0)
             .build();
-        let start = std::time::Instant::now();
-        let report = session.run_to_completion();
-        let secs = start.elapsed().as_secs_f64();
+        let (report, secs) = timed(|| session.run_to_completion());
         assert_eq!(report.events, STRONG_CANARY_EVENTS);
         secs
     };
@@ -430,9 +424,7 @@ fn session_engine_ratio<S: Scheduler + 'static>(
             .hull_check_every(0)
             .diameter_sample_every(0)
             .build();
-        let start = std::time::Instant::now();
-        let report = session.run_to_completion();
-        let secs = start.elapsed().as_secs_f64();
+        let (report, secs) = timed(|| session.run_to_completion());
         assert_eq!(report.events, events);
         secs
     };
@@ -444,11 +436,12 @@ fn session_engine_ratio<S: Scheduler + 'static>(
             scheduler(),
             CANARY_SEED,
         );
-        let start = std::time::Instant::now();
-        for _ in 0..events {
-            engine.step();
-        }
-        start.elapsed().as_secs_f64()
+        timed(|| {
+            for _ in 0..events {
+                engine.step();
+            }
+        })
+        .1
     };
     median_paired_ratio(samples, session, engine)
 }
@@ -487,9 +480,7 @@ fn sampler_ratio<S: Scheduler + 'static>(
             builder = without(builder);
         }
         let session = builder.build();
-        let start = std::time::Instant::now();
-        let report = session.run_to_completion();
-        let secs = start.elapsed().as_secs_f64();
+        let (report, secs) = timed(|| session.run_to_completion());
         assert_eq!(report.events, events);
         secs
     };

@@ -1,4 +1,4 @@
-//! The experiment registry: one [`Experiment`](crate::lab::Experiment) per
+//! The experiment registry: one [`Experiment`] per
 //! paper figure/table family, in paper order. `lab list` prints this index;
 //! `lab run <name>` / `lab all` execute entries through the shared runtime.
 

@@ -9,6 +9,7 @@
 //! `O(deg)` grid path and the `O(n)` brute reference visible as a
 //! slope, not a constant.
 
+use crate::sweep::timed;
 use cohesion_core::KirkpatrickAlgorithm;
 use cohesion_engine::{Engine, LookPath};
 use cohesion_geometry::Vec2;
@@ -61,11 +62,7 @@ pub fn median_ns_per_event(n: usize, path: LookPath, samples: usize) -> f64 {
     let mut engine = look_engine(&config, path);
     run_events(&mut engine, events);
     let mut ns: Vec<f64> = (0..samples.max(2))
-        .map(|_| {
-            let start = std::time::Instant::now();
-            run_events(&mut engine, events);
-            start.elapsed().as_nanos() as f64 / events as f64
-        })
+        .map(|_| timed(|| run_events(&mut engine, events)).1 * 1e9 / events as f64)
         .collect();
     ns.sort_by(|a, b| a.total_cmp(b));
     if ns.len() % 2 == 1 {
@@ -82,19 +79,20 @@ pub fn median_ns_per_event(n: usize, path: LookPath, samples: usize) -> f64 {
 /// engine construction, exactly as the committed bench measures.
 pub fn throughput_run_ns_per_event(config: &Configuration, n: usize, async_arm: bool) -> f64 {
     let events = 3 * n;
-    let start = std::time::Instant::now();
-    let mut engine = if async_arm {
-        let sched: Box<dyn Scheduler> = Box::new(AsyncScheduler::new(3));
-        Engine::new(config, 1.0, KirkpatrickAlgorithm::new(4), sched, 1)
-    } else {
-        let sched: Box<dyn Scheduler> = Box::new(FSyncScheduler::new());
-        Engine::new(config, 1.0, KirkpatrickAlgorithm::new(1), sched, 1)
-    };
-    for _ in 0..events {
-        engine.step();
-    }
-    std::hint::black_box(engine.time());
-    start.elapsed().as_nanos() as f64 / events as f64
+    let ((), secs) = timed(|| {
+        let mut engine = if async_arm {
+            let sched: Box<dyn Scheduler> = Box::new(AsyncScheduler::new(3));
+            Engine::new(config, 1.0, KirkpatrickAlgorithm::new(4), sched, 1)
+        } else {
+            let sched: Box<dyn Scheduler> = Box::new(FSyncScheduler::new());
+            Engine::new(config, 1.0, KirkpatrickAlgorithm::new(1), sched, 1)
+        };
+        for _ in 0..events {
+            engine.step();
+        }
+        std::hint::black_box(engine.time());
+    });
+    secs * 1e9 / events as f64
 }
 
 /// The Async/FSync throughput ratio at size `n`: arms interleaved in pairs

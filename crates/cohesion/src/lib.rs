@@ -64,7 +64,7 @@ pub mod prelude {
         Budget, EventView, Monitor, MonitorContext, Observer, Progress, SessionStatus, Simulation,
         SimulationBuilder, SimulationReport, TraceRecorder,
     };
-    pub use crate::geometry::{SpatialGrid, Vec2, Vec3};
+    pub use crate::geometry::{Vec2, Vec3};
     pub use crate::model::{Configuration, RobotId, VisibilityGraph};
     pub use crate::scheduler::{
         AsyncScheduler, FSyncScheduler, KAsyncScheduler, NestAScheduler, SSyncScheduler,

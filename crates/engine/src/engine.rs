@@ -24,7 +24,7 @@
 //! * interpolations of motile robots are memoized per *tick* (exact
 //!   timestamp × motile epoch), so a same-timestamp Look burst — a whole
 //!   FSync round — interpolates each motile robot at most once;
-//! * all working sets live in pooled scratch buffers ([`LookScratch`]),
+//! * all working sets live in pooled scratch buffers (`LookScratch`),
 //!   including the [`Snapshot`] handed to the algorithm — the steady-state
 //!   Look performs no heap allocation.
 //!
@@ -231,11 +231,7 @@ where
         // Dense grid extent over the initial configuration: the paper's
         // hull-diminishing dynamics keep the swarm inside it, so probes stay
         // on the direct-addressed fast path (strays spill gracefully).
-        let mut grid =
-            DynamicGrid::with_extent(initial.len(), grid_cell(visibility), initial.positions());
-        for (i, &position) in initial.positions().iter().enumerate() {
-            grid.insert(i, position);
-        }
+        let grid = DynamicGrid::from_points(initial.positions(), grid_cell(visibility));
         Engine {
             states: RobotStates::new(initial.positions()),
             visibility,
@@ -313,7 +309,7 @@ where
     /// iff `|ij| ≤ radii[i]`.
     ///
     /// The observation grid is re-celled to the largest radius (see
-    /// [`grid_cell`]) so every per-robot range query stays a few-cell probe.
+    /// `grid_cell`) so every per-robot range query stays a few-cell probe.
     ///
     /// # Panics
     ///
@@ -330,7 +326,7 @@ where
     }
 
     /// The largest perception radius — the observation grid's cell edge is
-    /// derived from it (see [`grid_cell`]).
+    /// derived from it (see `grid_cell`).
     fn max_radius(&self) -> f64 {
         match &self.visibility_radii {
             Some(radii) => radii.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b)),
@@ -345,13 +341,15 @@ where
         // Every robot indexes at its base position (= Move origin while
         // motile); the displacement high-water mark stays valid across the
         // re-cell.
-        let positions = self.states.base_positions();
-        let mut grid =
-            DynamicGrid::with_extent(self.states.len(), grid_cell(self.max_radius()), positions);
-        for (i, &position) in positions.iter().enumerate() {
-            grid.insert(i, position);
-        }
-        self.grid = grid;
+        self.grid =
+            DynamicGrid::from_points(self.states.base_positions(), grid_cell(self.max_radius()));
+    }
+
+    /// The observation grid: every robot at its base position, cells half
+    /// the largest perception radius. Before the first event that is every
+    /// robot at its start.
+    pub(crate) fn grid(&self) -> &DynamicGrid<P> {
+        &self.grid
     }
 
     /// The perception radius of one robot.

@@ -339,6 +339,15 @@ impl CohesionMonitor {
         self.pairs_checked
     }
 
+    /// The initial edges `(a, b)`, `a < b`, ascending.
+    #[cfg(test)]
+    pub(crate) fn initial_edges(&self) -> Vec<(usize, usize)> {
+        let partners = |a: usize| self.adj[a].iter().filter(move |&&(b, _)| b > a);
+        (0..self.adj.len())
+            .flat_map(|a| partners(a).map(move |&(b, _)| (a, b)))
+            .collect()
+    }
+
     /// Whether an unreported edge with envelope bounds `bounds` belongs on
     /// the watch list: while they can exceed `threshold + tol`.
     fn qualifies(&mut self, bounds: Bounds, threshold: f64) -> bool {
@@ -469,14 +478,8 @@ impl<P: Point> StrongVisibilityMonitor<P> {
         );
         // Cells a hair wider than the acquisition radius keep the seeding
         // query below, padded by the pair slack, within one ring of cells.
-        let grid = (n >= GRID_THRESHOLD).then(|| {
-            let cell = radius * (1.0 + 1.0 / 65536.0);
-            let mut grid = DynamicGrid::with_extent(n, cell, initial_positions);
-            for (i, &p) in initial_positions.iter().enumerate() {
-                grid.insert(i, p);
-            }
-            grid
-        });
+        let grid = (n >= GRID_THRESHOLD)
+            .then(|| DynamicGrid::from_points(initial_positions, radius * (1.0 + 1.0 / 65536.0)));
         let mut monitor = StrongVisibilityMonitor {
             v,
             tol,

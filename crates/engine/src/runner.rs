@@ -9,8 +9,9 @@ use crate::engine::{Engine, LookPath};
 use crate::monitors::{CohesionMonitor, DiameterMonitor, HullMonitor, StrongVisibilityMonitor};
 use crate::report::SimulationReport;
 use crate::session::Simulation;
-use cohesion_geometry::{Point, SpatialGrid, Vec2};
+use cohesion_geometry::{DynamicGrid, Point, Vec2};
 use cohesion_model::frame::{Ambient, FrameMode};
+use cohesion_model::visibility::GRID_THRESHOLD;
 use cohesion_model::{
     Algorithm, Budget, Configuration, MotionModel, PerceptionModel, VisibilityGraph,
 };
@@ -198,21 +199,6 @@ impl<P: Ambient> SimulationBuilder<P> {
     /// measure only the few watched pairs whose envelopes can cross a
     /// threshold.
     pub fn build(self) -> Simulation<P> {
-        // Cohesion is judged on the mutual visibility graph: with a common
-        // radius that is the usual E(0); with per-robot radii, an edge needs
-        // distance ≤ min of the two radii (both endpoints see each other).
-        let initial_edges: Vec<(usize, usize)> = match &self.visibility_radii {
-            None => {
-                let g = VisibilityGraph::from_configuration(&self.initial, self.visibility);
-                g.edges()
-                    .iter()
-                    .map(|e| (e.a.index(), e.b.index()))
-                    .collect()
-            }
-            Some(radii) => mutual_edges(self.initial.positions(), radii),
-        };
-        let initial_diameter = self.initial.diameter();
-
         let mut engine = Engine::new(
             &self.initial,
             self.visibility,
@@ -220,6 +206,25 @@ impl<P: Ambient> SimulationBuilder<P> {
             self.scheduler,
             self.seed,
         );
+        // Cohesion is judged on the mutual visibility graph: with a common
+        // radius that is the usual E(0), read off the engine's grid (every
+        // robot is indexed at its start until the first event) once the
+        // swarm is large enough for a grid to pay; with per-robot radii, an
+        // edge needs distance ≤ min of the two radii (both endpoints see
+        // each other).
+        let initial_edges: Vec<(usize, usize)> = match &self.visibility_radii {
+            None if self.initial.len() >= GRID_THRESHOLD => {
+                engine.grid().pairs_within(self.visibility)
+            }
+            None => VisibilityGraph::from_configuration_brute(&self.initial, self.visibility)
+                .edges()
+                .iter()
+                .map(|e| (e.a.index(), e.b.index()))
+                .collect(),
+            Some(radii) => mutual_edges(self.initial.positions(), radii),
+        };
+        let initial_diameter = self.initial.diameter();
+
         engine.set_perception(self.perception);
         engine.set_motion(self.motion);
         engine.set_frame_mode(self.frame_mode);
@@ -279,13 +284,13 @@ impl<P: Ambient> SimulationBuilder<P> {
 /// The initial mutual visibility edges under per-robot radii: every pair
 /// `(i, j)`, `i < j`, with `dist ≤ min(rᵢ, rⱼ)`, in ascending order. The
 /// candidates are the pairs within the largest radius, drawn from a
-/// [`SpatialGrid`] at that radius in the same order; the test is the
+/// [`DynamicGrid`] at that radius in the same order; the test is the
 /// all-pairs loop's, on the same `dist`, so the edge list is too.
 fn mutual_edges<P: Point>(positions: &[P], radii: &[f64]) -> Vec<(usize, usize)> {
     let Some(reach) = radii.iter().copied().reduce(f64::max) else {
         return Vec::new();
     };
-    SpatialGrid::build(positions, reach)
+    DynamicGrid::from_points(positions, reach)
         .pairs_within(reach)
         .into_iter()
         .filter(|&(i, j)| positions[i].dist(positions[j]) <= radii[i].min(radii[j]))
@@ -366,6 +371,29 @@ mod tests {
                 report.final_diameter
             );
             assert!(report.cohesion_maintained, "{name}");
+        }
+    }
+
+    /// At and above `GRID_THRESHOLD` a session reads E(0) off the engine's
+    /// grid: on a lattice whose edges all lie at exactly `V`, plus a twin
+    /// coincident with one robot, that must be the all-pairs builder's
+    /// edge list.
+    #[test]
+    fn session_e0_matches_the_all_pairs_builder() {
+        for n in [32usize, 256] {
+            let mut pts: Vec<Vec2> = (0..n - 1)
+                .map(|i| Vec2::new((i % 16) as f64, (i / 16) as f64))
+                .collect();
+            pts.push(pts[n / 3]);
+            let config = Configuration::new(pts);
+            let brute: Vec<(usize, usize)> =
+                VisibilityGraph::from_configuration_brute(&config, 1.0)
+                    .edges()
+                    .iter()
+                    .map(|e| (e.a.index(), e.b.index()))
+                    .collect();
+            let session = SimulationBuilder::new(config, NilAlgorithm).build();
+            assert_eq!(session.cohesion().initial_edges(), brute, "n = {n}");
         }
     }
 

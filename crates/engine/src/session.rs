@@ -372,7 +372,7 @@ impl<P: Ambient> Simulation<P> {
     }
 
     /// The underlying engine (read-only), e.g. for its recorded
-    /// [`ScheduleTrace`](cohesion_scheduler::ScheduleTrace) or current
+    /// [`ScheduleTrace`] or current
     /// configuration.
     #[must_use]
     pub fn engine(&self) -> &Engine<P, Box<dyn Algorithm<P>>, Box<dyn Scheduler>> {

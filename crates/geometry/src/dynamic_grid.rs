@@ -1,34 +1,50 @@
-//! An incrementally-maintained uniform grid for point sets that change one
-//! point at a time.
+//! A uniform grid for "who is within `r` of whom", over a point set that
+//! changes one point at a time — the workspace's one spatial index.
 //!
-//! [`SpatialGrid`](crate::SpatialGrid) is built once over a frozen point set
-//! — perfect for visibility-graph construction, useless for the simulation
-//! engine, whose robot positions change at every `MoveEnd`. `DynamicGrid`
-//! supports O(1)-ish insert/remove of individual points while keeping the
-//! determinism contract of its static sibling: no hashing, no randomized
-//! iteration, each bucket holds point indices ascending, and probe
-//! traversal is cell-lexicographic — results are bit-for-bit reproducible
-//! across runs and platforms.
+//! The simulation engine's Look, the strong-visibility monitor and the §7
+//! adversary keep a `DynamicGrid` current as robots move: insert and remove
+//! of individual points are O(1)-ish. A frozen point set, such as the
+//! initial configuration whose visibility graph E(0) cohesion is judged
+//! against, is indexed with [`DynamicGrid::from_points`] and its edges read
+//! off with [`DynamicGrid::pairs_within`]. Determinism is part of the
+//! contract: no hashing, no randomized iteration, each bucket holds point
+//! indices ascending, and probe traversal is cell-lexicographic — results
+//! are bit-for-bit reproducible across runs and platforms.
 //!
-//! Storage mirrors `SpatialGrid`'s two regimes, but mutable: cells inside a
-//! caller-declared *dense extent* (the padded bounding box of the expected
-//! working area, e.g. a swarm's initial configuration — which the paper's
-//! hull-diminishing dynamics never leave) are direct-addressed, so a probe
-//! is pure arithmetic over contiguous rows; stray points outside the extent
-//! spill into a sorted `BTreeMap` that is empty in the common case and
-//! checked only when non-empty.
+//! Cells inside a caller-declared *dense extent* (the padded bounding box
+//! of the expected working area, e.g. a swarm's initial configuration —
+//! which the paper's hull-diminishing dynamics never leave) are
+//! direct-addressed, so a probe is pure arithmetic over contiguous rows;
+//! stray points outside the extent spill into a sorted `BTreeMap` that is
+//! empty in the common case and checked only when non-empty.
 //!
-//! Unlike `SpatialGrid`, query methods **append** to the caller's buffer
-//! without clearing or sorting: the engine merges grid hits with its motile
-//! side-list and sorts the union once, so sorting here would be wasted
-//! work. Buckets emptied by [`DynamicGrid::remove`] keep their allocation —
-//! a robot oscillating between two cells re-enters warm buckets without
-//! touching the allocator, which is what makes the engine's per-event grid
-//! maintenance allocation-free in the steady state.
+//! Range queries **append** to the caller's buffer without clearing or
+//! sorting: the engine merges grid hits with its motile side-list and sorts
+//! the union once, so sorting here would be wasted work. Buckets emptied by
+//! [`DynamicGrid::remove`] keep their allocation — a robot oscillating
+//! between two cells re-enters warm buckets without touching the allocator,
+//! which is what makes the engine's per-event grid maintenance
+//! allocation-free in the steady state.
 
-use crate::grid::{cell_key, CellKey, KEY_AXES};
 use crate::point::Point;
 use std::collections::BTreeMap;
+
+/// Number of key axes carried per cell (2D keys pad the third axis with 0).
+const KEY_AXES: usize = 3;
+
+type CellKey = [i64; KEY_AXES];
+
+/// The integer cell containing `p` at the given edge length. Coordinates on
+/// a cell boundary land in the higher cell (`floor` semantics); coverage of
+/// closed-radius queries is guaranteed because a probe always scans one full
+/// cell layer beyond the radius in every axis.
+fn cell_key<P: Point>(p: P, cell: f64) -> CellKey {
+    let mut key = [0i64; KEY_AXES];
+    for (axis, slot) in key.iter_mut().enumerate().take(P::DIM) {
+        *slot = (p.coord(axis) / cell).floor() as i64;
+    }
+    key
+}
 
 /// Direct addressing covers at most `max(DENSE_MIN_CELLS,
 /// DENSE_CELLS_PER_POINT · capacity)` cells; larger extents degrade
@@ -62,6 +78,8 @@ const DENSE_PAD_CELLS: i64 = 4;
 /// out.clear();
 /// grid.query_within(Vec2::new(0.1, 0.0), 1.0, &mut out);
 /// assert_eq!(out, vec![0]);
+/// let pts = [Vec2::new(0.0, 0.0), Vec2::new(0.5, 0.0), Vec2::new(3.0, 0.0)];
+/// assert_eq!(DynamicGrid::from_points(&pts, 1.0).pairs_within(1.0), vec![(0, 1)]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct DynamicGrid<P: Point> {
@@ -122,6 +140,20 @@ impl<P: Point> DynamicGrid<P> {
             entries: vec![None; capacity],
             len: 0,
         }
+    }
+
+    /// A grid over `points` with every index present at its point: the
+    /// dense extent covers them all, and `points[i]` is index `i`.
+    ///
+    /// # Panics
+    ///
+    /// As for [`DynamicGrid::new`].
+    pub fn from_points(points: &[P], cell: f64) -> Self {
+        let mut grid = Self::with_extent(points.len(), cell, points);
+        for (i, &p) in points.iter().enumerate() {
+            grid.insert(i, p);
+        }
+        grid
     }
 
     /// Number of present points.
@@ -241,14 +273,7 @@ impl<P: Point> DynamicGrid<P> {
     /// cells); `out` is neither cleared nor sorted — the caller owns the
     /// merge order.
     pub fn query_within(&self, q: P, radius: f64, out: &mut Vec<usize>) {
-        let key = cell_key(q, self.cell);
-        let reach = (radius / self.cell).ceil().max(1.0) as i64;
-        let mut lo = [0i64; KEY_AXES];
-        let mut hi = [0i64; KEY_AXES];
-        for a in 0..P::DIM {
-            lo[a] = key[a].saturating_sub(reach);
-            hi[a] = key[a].saturating_add(reach);
-        }
+        let (lo, hi) = self.key_box(cell_key(q, self.cell), radius);
         self.for_each_in_key_box(lo, hi, |j, p| {
             if (p - q).norm() <= radius {
                 out.push(j);
@@ -275,14 +300,7 @@ impl<P: Point> DynamicGrid<P> {
         fringe: &mut Vec<usize>,
     ) {
         let outer = radius + pad;
-        let key = cell_key(q, self.cell);
-        let reach = (outer / self.cell).ceil().max(1.0) as i64;
-        let mut lo = [0i64; KEY_AXES];
-        let mut hi = [0i64; KEY_AXES];
-        for a in 0..P::DIM {
-            lo[a] = key[a].saturating_sub(reach);
-            hi[a] = key[a].saturating_add(reach);
-        }
+        let (lo, hi) = self.key_box(cell_key(q, self.cell), outer);
         self.for_each_in_key_box(lo, hi, |j, p| {
             let d = (p - q).norm();
             if d <= radius {
@@ -291,6 +309,45 @@ impl<P: Point> DynamicGrid<P> {
                 fringe.push(j);
             }
         });
+    }
+
+    /// Every pair `(i, j)` of present indices with `i < j` and `dist ≤
+    /// radius` (closed, as [`Self::query_within`]), in ascending
+    /// lexicographic order — exactly the order of an all-pairs `i < j`
+    /// double loop, on the same distance bits. Each pair is measured once,
+    /// from its smaller index; `i` ascends by construction and each index's
+    /// handful of partners is sorted in a scratch buffer.
+    pub fn pairs_within(&self, radius: f64) -> Vec<(usize, usize)> {
+        let mut pairs = Vec::new();
+        let mut partners: Vec<usize> = Vec::new();
+        for (i, entry) in self.entries.iter().enumerate() {
+            let Some((key, p)) = *entry else { continue };
+            let (lo, hi) = self.key_box(key, radius);
+            partners.clear();
+            self.for_each_in_key_box(lo, hi, |j, q| {
+                if j > i && (q - p).norm() <= radius {
+                    partners.push(j);
+                }
+            });
+            partners.sort_unstable();
+            pairs.extend(partners.iter().map(|&j| (i, j)));
+        }
+        pairs
+    }
+
+    /// The inclusive key box a query of the given radius around a point in
+    /// cell `key` must scan: `ceil(radius / cell)` cells (at least one) on
+    /// every side.
+    #[inline]
+    fn key_box(&self, key: CellKey, radius: f64) -> (CellKey, CellKey) {
+        let reach = (radius / self.cell).ceil().max(1.0) as i64;
+        let mut lo = [0i64; KEY_AXES];
+        let mut hi = [0i64; KEY_AXES];
+        for a in 0..P::DIM {
+            lo[a] = key[a].saturating_sub(reach);
+            hi[a] = key[a].saturating_add(reach);
+        }
+        (lo, hi)
     }
 
     /// Visits `(index, position)` of every present point in the inclusive
@@ -410,6 +467,69 @@ mod tests {
             .collect()
     }
 
+    fn brute_pairs<P: Point>(pts: &[Option<P>], radius: f64) -> Vec<(usize, usize)> {
+        let mut pairs = Vec::new();
+        for i in 0..pts.len() {
+            for j in (i + 1)..pts.len() {
+                if let (Some(a), Some(b)) = (pts[i], pts[j]) {
+                    if a.dist(b) <= radius {
+                        pairs.push((i, j));
+                    }
+                }
+            }
+        }
+        pairs
+    }
+
+    /// `pairs_within` on frozen point sets: closed at the radius (across a
+    /// cell boundary too), coincident points paired at radius 0, negative
+    /// coordinates, no points at all, and a 3D helix against brute force.
+    #[test]
+    fn pairs_within_cases() {
+        let cases = [
+            (
+                vec![
+                    Vec2::new(0.0, 0.0),
+                    Vec2::new(1.0, 0.0),
+                    Vec2::new(2.0, 0.0),
+                    Vec2::new(2.0, 1.0 + 1e-9),
+                ],
+                1.0,
+                vec![(0, 1), (1, 2)],
+            ),
+            (vec![Vec2::new(1.0, 1.0); 2], 0.0, vec![(0, 1)]),
+            (
+                vec![
+                    Vec2::new(-2.3, -1.1),
+                    Vec2::new(-1.6, -1.0),
+                    Vec2::new(4.0, 4.0),
+                ],
+                1.0,
+                vec![(0, 1)],
+            ),
+            (vec![], 1.0, vec![]),
+        ];
+        for (pts, radius, expected) in cases {
+            let grid = DynamicGrid::from_points(&pts, 1.0);
+            assert_eq!(grid.pairs_within(radius), expected, "{pts:?} r={radius}");
+        }
+        let helix: Vec<Option<Vec3>> = (0..40)
+            .map(|i| {
+                let f = i as f64;
+                Some(Vec3::new(
+                    (f * 0.37).sin() * 3.0,
+                    (f * 0.61).cos() * 3.0,
+                    f * 0.11,
+                ))
+            })
+            .collect();
+        let pts: Vec<Vec3> = helix.iter().flatten().copied().collect();
+        assert_eq!(
+            DynamicGrid::from_points(&pts, 0.9).pairs_within(0.9),
+            brute_pairs(&helix, 0.9)
+        );
+    }
+
     #[test]
     fn insert_remove_roundtrip() {
         let mut grid = DynamicGrid::new(4, 1.0);
@@ -477,6 +597,7 @@ mod tests {
                     present[i] = Some(moved);
                 }
             }
+            assert_eq!(grid.pairs_within(1.2), brute_pairs(&present, 1.2));
             let mut out = Vec::new();
             for (q, r) in [
                 (Vec2::new(3.5, 3.5), 1.0),
@@ -509,11 +630,8 @@ mod tests {
     #[test]
     fn query_radius_larger_than_cell() {
         let pts = cloud(60, 5.0, 8);
-        let mut grid = DynamicGrid::with_extent(pts.len(), 0.5, &pts);
+        let grid = DynamicGrid::from_points(&pts, 0.5);
         let present: Vec<Option<Vec2>> = pts.iter().map(|&p| Some(p)).collect();
-        for (i, &p) in pts.iter().enumerate() {
-            grid.insert(i, p);
-        }
         let mut out = Vec::new();
         grid.query_within(Vec2::new(2.5, 2.5), 1.7, &mut out);
         out.sort_unstable();
@@ -564,10 +682,7 @@ mod tests {
                 Vec3::new((f * 0.37).sin() * 3.0, (f * 0.61).cos() * 3.0, f * 0.11)
             })
             .collect();
-        let mut grid = DynamicGrid::with_extent(pts.len(), 0.9, &pts);
-        for (i, &p) in pts.iter().enumerate() {
-            grid.insert(i, p);
-        }
+        let grid = DynamicGrid::from_points(&pts, 0.9);
         let q = Vec3::new(0.0, 0.0, 2.0);
         let mut out = Vec::new();
         grid.query_within(q, 1.5, &mut out);

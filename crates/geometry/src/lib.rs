@@ -55,7 +55,6 @@ pub mod circle;
 pub mod cone;
 pub mod diameter;
 pub mod dynamic_grid;
-pub mod grid;
 pub mod hull;
 pub mod point;
 pub mod predicates;
@@ -67,7 +66,6 @@ pub use ball::Ball;
 pub use bbox::Aabb;
 pub use circle::Circle;
 pub use dynamic_grid::DynamicGrid;
-pub use grid::SpatialGrid;
 pub use hull::ConvexHull;
 pub use point::Point;
 pub use segment::Segment;
@@ -100,7 +98,7 @@ pub(crate) mod test_util {
     use crate::vec2::Vec2;
 
     /// Deterministic LCG cloud (no dependency on the rand stub here) —
-    /// the common brute-force-comparison fixture of both grid modules.
+    /// the shared brute-force-comparison fixture of the unit tests.
     pub(crate) fn cloud(n: usize, span: f64, seed: u64) -> Vec<Vec2> {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         let mut next = move || {

@@ -8,8 +8,8 @@ use serde::{Deserialize, Serialize};
 /// ```
 /// use cohesion_geometry::{Segment, Vec2};
 /// let s = Segment::new(Vec2::ZERO, Vec2::new(2.0, 0.0));
-/// assert_eq!(s.len(), 2.0);
 /// assert_eq!(s.point_at(0.25), Vec2::new(0.5, 0.0));
+/// assert_eq!(s.dist_to_point(Vec2::new(3.0, 0.0)), 1.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Segment {
@@ -24,18 +24,6 @@ impl Segment {
     #[inline]
     pub const fn new(a: Vec2, b: Vec2) -> Self {
         Segment { a, b }
-    }
-
-    /// Length `|ab|`.
-    #[inline]
-    pub fn len(&self) -> f64 {
-        self.a.dist(self.b)
-    }
-
-    /// Returns `true` when the segment is degenerate (endpoints coincide).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.a == self.b
     }
 
     /// The point at parameter `t ∈ [0, 1]` along the segment (not clamped).
@@ -67,27 +55,6 @@ impl Segment {
     pub fn dist_to_point(&self, p: Vec2) -> f64 {
         self.closest_point(p).dist(p)
     }
-
-    /// The midpoint of the segment.
-    #[inline]
-    pub fn midpoint(&self) -> Vec2 {
-        self.point_at(0.5)
-    }
-
-    /// Uniformly samples `n` points including both endpoints (for `n ≥ 2`);
-    /// `n = 1` yields the midpoint; `n = 0` yields nothing.
-    ///
-    /// Used by the reach-region experiments, which quantify over all
-    /// `X* ∈ X0X1` (Lemma 2).
-    pub fn sample(&self, n: usize) -> Vec<Vec2> {
-        match n {
-            0 => Vec::new(),
-            1 => vec![self.midpoint()],
-            _ => (0..n)
-                .map(|i| self.point_at(i as f64 / (n - 1) as f64))
-                .collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -114,21 +81,7 @@ mod tests {
     #[test]
     fn degenerate_segment() {
         let s = Segment::new(Vec2::new(1.0, 1.0), Vec2::new(1.0, 1.0));
-        assert!(s.is_empty());
-        assert_eq!(s.len(), 0.0);
         assert_eq!(s.closest_point(Vec2::ZERO), Vec2::new(1.0, 1.0));
         assert_eq!(s.project(Vec2::ZERO), 0.0);
-    }
-
-    #[test]
-    fn sampling() {
-        let s = Segment::new(Vec2::ZERO, Vec2::new(1.0, 0.0));
-        assert!(s.sample(0).is_empty());
-        assert_eq!(s.sample(1), vec![Vec2::new(0.5, 0.0)]);
-        let pts = s.sample(5);
-        assert_eq!(pts.len(), 5);
-        assert_eq!(pts[0], s.a);
-        assert_eq!(pts[4], s.b);
-        assert_eq!(pts[2], Vec2::new(0.5, 0.0));
     }
 }

@@ -5,7 +5,7 @@ use cohesion_geometry::ball::{smallest_enclosing_ball, smallest_enclosing_ball_b
 use cohesion_geometry::cone::{sector_2d, SectorAnalysis};
 use cohesion_geometry::hull::convex_hull;
 use cohesion_geometry::point::Point as _;
-use cohesion_geometry::{Aabb, Circle, DynamicGrid, Segment, SpatialGrid, Vec2, Vec3};
+use cohesion_geometry::{Aabb, Circle, DynamicGrid, Segment, Vec2, Vec3};
 use proptest::prelude::*;
 
 fn vec2(range: f64) -> impl Strategy<Value = Vec2> {
@@ -161,14 +161,19 @@ proptest! {
     }
 
     #[test]
-    fn spatial_grid_pairs_match_brute_force(
-        pts in proptest::collection::vec(vec2(6.0), 0..90),
+    fn dynamic_grid_pairs_match_brute_force(
+        near in proptest::collection::vec(vec2(6.0), 0..90),
+        far in proptest::collection::vec(vec2(2.0), 0..12),
         cell in 0.2..2.0f64,
         radius in 0.0..2.5f64,
     ) {
         // The grid may be built at any positive cell edge, not just the
-        // query radius — candidate enumeration must stay exhaustive.
-        let grid = SpatialGrid::build(&pts, cell);
+        // query radius (a session's E(0) comes off a grid of cell V/2 at
+        // radius V) — candidate enumeration must stay exhaustive. A second
+        // cluster 1e6 away blows the dense-extent budget, so every cell
+        // then lives in the outlier map.
+        let mut pts = near;
+        pts.extend(far.iter().map(|&p| p + Vec2::new(1e6, -1e6)));
         let mut brute = Vec::new();
         for i in 0..pts.len() {
             for j in (i + 1)..pts.len() {
@@ -177,7 +182,7 @@ proptest! {
                 }
             }
         }
-        prop_assert_eq!(grid.pairs_within(radius), brute);
+        prop_assert_eq!(DynamicGrid::from_points(&pts, cell).pairs_within(radius), brute);
     }
 
     /// `relocate` leaves the grid exactly as remove + insert would: same
@@ -191,13 +196,7 @@ proptest! {
         moves in proptest::collection::vec((0usize..64, 0usize..5, vec2(3.0), -1.0..1.0f64), 1..40),
     ) {
         const CELL: f64 = 0.5;
-        let build = || {
-            let mut grid = DynamicGrid::with_extent(pts.len(), CELL, &pts);
-            for (i, &p) in pts.iter().enumerate() {
-                grid.insert(i, p);
-            }
-            grid
-        };
+        let build = || DynamicGrid::from_points(&pts, CELL);
         let (mut relocated, mut reinserted) = (build(), build());
         let mut current = pts.clone();
         let far = Vec2::new(500.0, 0.0);

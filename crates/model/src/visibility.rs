@@ -2,18 +2,19 @@
 //! connectivity machinery behind the Cohesive Convergence predicate.
 //!
 //! The graph is stored CSR-style: a sorted edge list plus per-vertex
-//! adjacency slices. Construction from a configuration goes through the
-//! [`SpatialGrid`] for near-linear cost on bounded-density clouds, with the
+//! adjacency slices. Construction from a configuration goes through a
+//! [`DynamicGrid`] for near-linear cost on bounded-density clouds, with the
 //! brute-force quadratic builder kept as the reference implementation (and
 //! the fast path for tiny clouds, where the grid's indexing overhead is not
 //! worth paying). Both builders produce byte-identical graphs: edges sorted
-//! lexicographically — exactly the iteration order of the old
-//! `BTreeSet<RobotPair>` representation — and neighbour lists ascending.
+//! lexicographically and neighbour lists ascending. A session reads its
+//! E(0) off the engine's own grid instead (see `SimulationBuilder::build`);
+//! this builder serves workload checks, tests and benches.
 
 use crate::configuration::Configuration;
 use crate::ids::{RobotId, RobotPair};
-use cohesion_geometry::grid::SpatialGrid;
 use cohesion_geometry::point::Point;
+use cohesion_geometry::DynamicGrid;
 use serde::{Deserialize, Serialize};
 
 /// Below this robot count, [`VisibilityGraph::from_configuration`] uses the
@@ -76,9 +77,10 @@ impl VisibilityGraph {
         Self::from_sorted_pairs(pos.len(), pairs)
     }
 
-    /// The grid-backed builder: indexes the cloud on a [`SpatialGrid`] with
-    /// cell edge `radius`, then answers each robot's neighbour query from the
-    /// `3^DIM` surrounding cells. `O(n · density)` instead of `O(n²)`.
+    /// The grid-backed builder: indexes the cloud on a [`DynamicGrid`] with
+    /// cell edge `radius` and reads its [`DynamicGrid::pairs_within`]
+    /// `radius`, each robot's partners drawn from the `3^DIM` surrounding
+    /// cells. `O(n · density)` instead of `O(n²)`.
     ///
     /// # Panics
     ///
@@ -86,8 +88,7 @@ impl VisibilityGraph {
     /// edge; use the brute builder for the degenerate `radius == 0` case).
     pub fn from_configuration_grid<P: Point>(config: &Configuration<P>, radius: f64) -> Self {
         let pos = config.positions();
-        let grid = SpatialGrid::build(pos, radius);
-        let pairs: Vec<RobotPair> = grid
+        let pairs: Vec<RobotPair> = DynamicGrid::from_points(pos, radius)
             .pairs_within(radius)
             .into_iter()
             .map(|(i, j)| RobotPair::new(RobotId::from(i), RobotId::from(j)))
@@ -95,29 +96,12 @@ impl VisibilityGraph {
         Self::from_sorted_pairs(pos.len(), pairs)
     }
 
-    /// Builds a visibility graph from an explicit edge list over `n` robots.
-    ///
-    /// # Panics
-    ///
-    /// Panics when any edge endpoint is out of range. Both endpoints are
-    /// validated: [`RobotPair`]'s fields are public, so an un-normalized pair
-    /// (`a > b`) can reach this constructor without going through
-    /// [`RobotPair::new`].
-    pub fn from_edges(n: usize, edges: impl IntoIterator<Item = RobotPair>) -> Self {
-        let edges: Vec<RobotPair> = edges.into_iter().collect();
-        for e in &edges {
-            assert!(e.a.index() < n, "edge endpoint {} out of range", e.a);
-            assert!(e.b.index() < n, "edge endpoint {} out of range", e.b);
-        }
-        Self::from_sorted_pairs(n, edges)
-    }
-
-    /// Finishes construction: sorts and deduplicates the edge list, then
-    /// lays out the CSR adjacency. Lexicographic edge order makes every
-    /// vertex's neighbour list ascending without a per-vertex sort.
-    fn from_sorted_pairs(n: usize, mut edges: Vec<RobotPair>) -> Self {
-        edges.sort_unstable();
-        edges.dedup();
+    /// Finishes construction from a strictly ascending edge list (both
+    /// builders emit one): lays out the CSR adjacency. Lexicographic edge
+    /// order makes every vertex's neighbour list ascending without a
+    /// per-vertex sort.
+    fn from_sorted_pairs(n: usize, edges: Vec<RobotPair>) -> Self {
+        debug_assert!(edges.windows(2).all(|w| w[0] < w[1]));
         assert!(
             u32::try_from(2 * edges.len()).is_ok(),
             "adjacency size fits in u32"
@@ -178,11 +162,6 @@ impl VisibilityGraph {
         &self.adj[lo..hi]
     }
 
-    /// The degree of `id`.
-    pub fn degree(&self, id: RobotId) -> usize {
-        (self.offsets[id.index() + 1] - self.offsets[id.index()]) as usize
-    }
-
     /// Connected components as sorted id lists (singletons included).
     pub fn components(&self) -> Vec<Vec<RobotId>> {
         let mut parent: Vec<usize> = (0..self.n).collect();
@@ -239,23 +218,6 @@ impl VisibilityGraph {
             return false;
         }
         true
-    }
-
-    /// The edges of `self` missing from `other` (witnesses of a cohesion
-    /// violation), sorted.
-    pub fn missing_in(&self, other: &VisibilityGraph) -> Vec<RobotPair> {
-        let mut missing = Vec::new();
-        let mut rest = other.edges.as_slice();
-        for e in &self.edges {
-            let cut = rest.partition_point(|o| o < e);
-            rest = &rest[cut..];
-            if rest.first() == Some(e) {
-                rest = &rest[1..];
-            } else {
-                missing.push(*e);
-            }
-        }
-        missing
     }
 }
 
@@ -324,8 +286,6 @@ mod tests {
         let g = VisibilityGraph::from_configuration(&chain(3, 1.0), 1.0);
         assert_eq!(g.neighbors(RobotId(1)), vec![RobotId(0), RobotId(2)]);
         assert_eq!(g.neighbors(RobotId(0)), vec![RobotId(1)]);
-        assert_eq!(g.degree(RobotId(1)), 2);
-        assert_eq!(g.degree(RobotId(0)), 1);
     }
 
     #[test]
@@ -334,38 +294,7 @@ mod tests {
         let dense = VisibilityGraph::from_configuration(&chain(3, 1.0), 2.0);
         assert!(sparse.subset_of(&dense));
         assert!(!dense.subset_of(&sparse));
-        let missing = dense.missing_in(&sparse);
-        assert_eq!(missing, vec![RobotPair::new(RobotId(0), RobotId(2))]);
-        assert!(sparse.missing_in(&dense).is_empty());
         assert!(sparse.subset_of(&sparse));
-    }
-
-    #[test]
-    fn from_edges_roundtrip_and_dedup() {
-        let e = |a: u32, b: u32| RobotPair::new(RobotId(a), RobotId(b));
-        let g = VisibilityGraph::from_edges(4, vec![e(2, 3), e(0, 1), e(1, 0), e(1, 2)]);
-        assert_eq!(g.edge_count(), 3);
-        assert_eq!(g.edges(), &[e(0, 1), e(1, 2), e(2, 3)]);
-        assert_eq!(g.neighbors(RobotId(1)), vec![RobotId(0), RobotId(2)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn from_edges_rejects_out_of_range_b() {
-        let _ = VisibilityGraph::from_edges(2, vec![RobotPair::new(RobotId(0), RobotId(5))]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn from_edges_rejects_out_of_range_a() {
-        // RobotPair's fields are public: an un-normalized pair whose *first*
-        // endpoint is out of range can bypass `RobotPair::new`. The historical
-        // bug validated only `e.b`, so this pair slipped through.
-        let bad = RobotPair {
-            a: RobotId(7),
-            b: RobotId(0),
-        };
-        let _ = VisibilityGraph::from_edges(2, vec![bad]);
     }
 
     #[test]
