@@ -156,6 +156,13 @@ impl<P: Point> DynamicGrid<P> {
         grid
     }
 
+    /// Whether any cell is direct-addressed (a probe of the dense-extent
+    /// budget for the unit tests).
+    #[cfg(test)]
+    pub(crate) fn has_dense_extent(&self) -> bool {
+        !self.dense.is_empty()
+    }
+
     /// Number of present points.
     pub fn len(&self) -> usize {
         self.len
@@ -479,55 +486,6 @@ mod tests {
             }
         }
         pairs
-    }
-
-    /// `pairs_within` on frozen point sets: closed at the radius (across a
-    /// cell boundary too), coincident points paired at radius 0, negative
-    /// coordinates, no points at all, and a 3D helix against brute force.
-    #[test]
-    fn pairs_within_cases() {
-        let cases = [
-            (
-                vec![
-                    Vec2::new(0.0, 0.0),
-                    Vec2::new(1.0, 0.0),
-                    Vec2::new(2.0, 0.0),
-                    Vec2::new(2.0, 1.0 + 1e-9),
-                ],
-                1.0,
-                vec![(0, 1), (1, 2)],
-            ),
-            (vec![Vec2::new(1.0, 1.0); 2], 0.0, vec![(0, 1)]),
-            (
-                vec![
-                    Vec2::new(-2.3, -1.1),
-                    Vec2::new(-1.6, -1.0),
-                    Vec2::new(4.0, 4.0),
-                ],
-                1.0,
-                vec![(0, 1)],
-            ),
-            (vec![], 1.0, vec![]),
-        ];
-        for (pts, radius, expected) in cases {
-            let grid = DynamicGrid::from_points(&pts, 1.0);
-            assert_eq!(grid.pairs_within(radius), expected, "{pts:?} r={radius}");
-        }
-        let helix: Vec<Option<Vec3>> = (0..40)
-            .map(|i| {
-                let f = i as f64;
-                Some(Vec3::new(
-                    (f * 0.37).sin() * 3.0,
-                    (f * 0.61).cos() * 3.0,
-                    f * 0.11,
-                ))
-            })
-            .collect();
-        let pts: Vec<Vec3> = helix.iter().flatten().copied().collect();
-        assert_eq!(
-            DynamicGrid::from_points(&pts, 0.9).pairs_within(0.9),
-            brute_pairs(&helix, 0.9)
-        );
     }
 
     #[test]

@@ -113,6 +113,135 @@ pub(crate) mod test_util {
     }
 }
 
+/// Unit cases of the pair query every E(0) builder runs,
+/// [`DynamicGrid::pairs_within`], on frozen point sets against brute force.
+#[cfg(test)]
+mod grid {
+    #[cfg(test)]
+    mod tests {
+        use crate::point::Point;
+        use crate::test_util::cloud;
+        use crate::{DynamicGrid, Vec2, Vec3};
+
+        fn brute_pairs<P: Point>(pts: &[P], radius: f64) -> Vec<(usize, usize)> {
+            let mut pairs = Vec::new();
+            for i in 0..pts.len() {
+                for j in (i + 1)..pts.len() {
+                    if pts[i].dist(pts[j]) <= radius {
+                        pairs.push((i, j));
+                    }
+                }
+            }
+            pairs
+        }
+
+        fn pairs<P: Point>(pts: &[P], cell: f64, radius: f64) -> Vec<(usize, usize)> {
+            DynamicGrid::from_points(pts, cell).pairs_within(radius)
+        }
+
+        #[test]
+        fn matches_brute_force_on_random_clouds() {
+            for (n, span, radius) in [
+                (1usize, 1.0, 1.0),
+                (7, 2.0, 0.8),
+                (64, 6.0, 1.0),
+                (200, 10.0, 1.3),
+            ] {
+                let pts = cloud(n, span, n as u64);
+                assert_eq!(
+                    pairs(&pts, radius, radius),
+                    brute_pairs(&pts, radius),
+                    "n={n} span={span} radius={radius}"
+                );
+            }
+        }
+
+        #[test]
+        fn boundary_distance_exactly_radius_counts() {
+            // Closed predicate: |ij| == radius is an edge, including across
+            // cell boundaries; anything measurably beyond is not.
+            let pts = [
+                Vec2::new(0.0, 0.0),
+                Vec2::new(1.0, 0.0),
+                Vec2::new(2.0, 0.0),
+                Vec2::new(2.0, 1.0 + 1e-9),
+            ];
+            assert_eq!(pairs(&pts, 1.0, 1.0), vec![(0, 1), (1, 2)]);
+        }
+
+        #[test]
+        fn query_radius_larger_than_cell() {
+            let pts = cloud(80, 8.0, 3);
+            assert_eq!(pairs(&pts, 0.5, 1.7), brute_pairs(&pts, 1.7));
+        }
+
+        #[test]
+        fn negative_coordinates_and_probe_queries() {
+            let pts = [
+                Vec2::new(-2.3, -1.1),
+                Vec2::new(-1.6, -1.0),
+                Vec2::new(4.0, 4.0),
+            ];
+            assert_eq!(pairs(&pts, 1.0, 1.0), vec![(0, 1)]);
+        }
+
+        #[test]
+        fn works_in_three_dimensions() {
+            let pts: Vec<Vec3> = (0..40)
+                .map(|i| {
+                    let f = i as f64;
+                    Vec3::new((f * 0.37).sin() * 3.0, (f * 0.61).cos() * 3.0, f * 0.11)
+                })
+                .collect();
+            assert_eq!(pairs(&pts, 0.9, 0.9), brute_pairs(&pts, 0.9));
+        }
+
+        #[test]
+        fn far_flung_cloud_falls_back_to_sparse_index() {
+            // Two tight clusters ~1e9 cells apart blow the dense-extent
+            // budget: every cell lives in the sorted outlier map, with
+            // identical results.
+            let mut pts = cloud(40, 3.0, 9);
+            pts.extend(
+                cloud(40, 3.0, 10)
+                    .into_iter()
+                    .map(|p| p + Vec2::new(1e9, 1e9)),
+            );
+            let grid = DynamicGrid::from_points(&pts, 1.0);
+            assert!(
+                !grid.has_dense_extent(),
+                "1e9-cell span must not be directly addressed"
+            );
+            assert_eq!(grid.pairs_within(1.0), brute_pairs(&pts, 1.0));
+        }
+
+        #[test]
+        fn compact_cloud_uses_dense_index() {
+            let pts = cloud(64, 6.0, 4);
+            let grid = DynamicGrid::from_points(&pts, 1.0);
+            assert!(grid.has_dense_extent());
+            assert_eq!(grid.pairs_within(1.0), brute_pairs(&pts, 1.0));
+        }
+
+        #[test]
+        fn coincident_points_are_mutual_neighbors() {
+            let pts = [Vec2::new(1.0, 1.0); 2];
+            assert_eq!(pairs(&pts, 1.0, 0.0), vec![(0, 1)]);
+        }
+
+        #[test]
+        fn empty_input() {
+            assert!(pairs::<Vec2>(&[], 1.0, 1.0).is_empty());
+        }
+
+        #[test]
+        #[should_panic(expected = "cell edge must be positive")]
+        fn zero_cell_panics() {
+            let _ = DynamicGrid::from_points(&[Vec2::ZERO], 0.0);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -161,7 +161,7 @@ proptest! {
     }
 
     #[test]
-    fn dynamic_grid_pairs_match_brute_force(
+    fn spatial_grid_pairs_match_brute_force(
         near in proptest::collection::vec(vec2(6.0), 0..90),
         far in proptest::collection::vec(vec2(2.0), 0..12),
         cell in 0.2..2.0f64,
