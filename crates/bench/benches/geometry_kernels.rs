@@ -26,19 +26,22 @@ fn points(n: usize, seed: u64) -> Vec<Vec2> {
         .collect()
 }
 
+/// Distinct inputs per size, timed in turn: one input timed over and over
+/// lets the branch predictor learn its control flow, which no caller's
+/// stream of inputs repeats.
+const SAMPLES: u64 = 16;
+
 fn bench_sec(c: &mut Criterion) {
     let mut group = c.benchmark_group("smallest_enclosing_ball");
     for n in [8usize, 32, 128, 512] {
-        let pts = points(n, 1);
-        group.bench_with_input(BenchmarkId::from_parameter(n), &pts, |b, pts| {
-            b.iter(|| smallest_enclosing_ball(black_box(pts)))
+        let inputs: Vec<Vec<Vec2>> = (0..SAMPLES).map(|seed| points(n, seed)).collect();
+        group.bench_with_input(BenchmarkId::from_parameter(n), &inputs, |b, inputs| {
+            let mut next = inputs.iter().cycle();
+            b.iter(|| smallest_enclosing_ball(black_box(next.next().expect("cycle"))))
         });
     }
     group.finish();
 }
-
-/// Distinct inputs per size in the hull benches.
-const SAMPLES: u64 = 16;
 
 /// A hull sample's input on the look lattice: the `n` positions of
 /// `look_lattice(n)` followed by a target for each, displaced by up to
@@ -54,8 +57,6 @@ fn lattice_sample(n: usize, seed: u64) -> Vec<Vec2> {
 }
 
 fn bench_hull(c: &mut Criterion) {
-    // Distinct inputs in turn, as a sampler sees them: one input timed over
-    // and over lets the branch predictor learn its sort.
     let mut group = c.benchmark_group("convex_hull");
     for n in [8usize, 32, 128, 512] {
         let inputs: Vec<Vec<Vec2>> = (0..SAMPLES).map(|seed| points(n, seed)).collect();
@@ -100,9 +101,10 @@ fn bench_contains_hull(c: &mut Criterion) {
 fn bench_sector(c: &mut Criterion) {
     let mut group = c.benchmark_group("sector_analysis");
     for n in [2usize, 4, 8, 16] {
-        let dirs = points(n, 3);
-        group.bench_with_input(BenchmarkId::from_parameter(n), &dirs, |b, dirs| {
-            b.iter(|| sector_2d(black_box(dirs), 1e-9))
+        let inputs: Vec<Vec<Vec2>> = (0..SAMPLES).map(|seed| points(n, seed)).collect();
+        group.bench_with_input(BenchmarkId::from_parameter(n), &inputs, |b, inputs| {
+            let mut next = inputs.iter().cycle();
+            b.iter(|| sector_2d(black_box(next.next().expect("cycle")), 1e-9))
         });
     }
     group.finish();

@@ -1,10 +1,13 @@
 //! T2 — convergence rates: rounds to halve the diameter vs swarm size.
 //!
-//! Reproduces the shape of the rate landscape the paper surveys (§1.2.2):
-//! CoG's halving time grows with `n` (the paper cites `O(n²)` rounds with an
-//! `Ω(n)` lower bound), GCM with axis agreement halves in `O(1)` rounds, and
-//! the limited-visibility cohesive algorithms sit in between, growing with
-//! the hop-diameter of the visibility graph.
+//! Reproduces the shape of the rate landscape the paper surveys (§1.2.2).
+//! Under FSync with unlimited visibility every robot jumps to the same
+//! global target, so CoG and GCM halve the diameter in one round at every
+//! `n` (at n = 48 they converge before the first round closes and read
+//! `-`); CoG's `O(n²)` worst case (with an `Ω(n)` lower bound) needs
+//! adversarial SSync subsets, which this grid does not realize. The
+//! limited-visibility cohesive algorithms' halving time grows with `n`, the
+//! hop-diameter of the line workload's visibility graph.
 //!
 //! Every `(algorithm, n)` cell is an independent [`ScenarioSpec`]; the lab
 //! runtime executes them in parallel and merges rows in spec order.

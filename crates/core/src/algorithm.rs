@@ -21,15 +21,20 @@
 //! (Theorems 3–4) consume.
 
 use crate::neighbors::{classify_neighbors, Neighborhood};
-use cohesion_geometry::cone::{enclosing_cone, sector_2d, Cone, SectorAnalysis};
+use cohesion_geometry::angle::normalize;
+use cohesion_geometry::cone::{enclosing_cone, Cone, SectorAnalysis};
 use cohesion_geometry::point::Point;
 use cohesion_geometry::{Vec2, Vec3};
 use cohesion_model::{Algorithm, Snapshot};
 use serde::{Deserialize, Serialize};
-use std::f64::consts::FRAC_PI_2;
+use std::f64::consts::{FRAC_PI_2, PI, TAU};
 
 /// Angular slack for the “positively spans” decision.
 const SECTOR_EPS: f64 = 1e-9;
+
+/// Distant directions the planar Compute sorts on the stack; larger
+/// snapshots spill to one heap buffer.
+const INLINE_DIRECTIONS: usize = 32;
 
 /// The paper's `k`-Async cohesive-convergence algorithm.
 ///
@@ -111,14 +116,21 @@ impl KirkpatrickAlgorithm {
     /// The classified neighbourhood this algorithm derives from a snapshot
     /// (exposed for the analysis experiments).
     pub fn neighborhood<P: Point>(&self, snapshot: &Snapshot<P>) -> Neighborhood<P> {
-        classify_neighbors(snapshot, 1.0 / (1.0 + self.distance_error))
+        classify_neighbors(snapshot, self.distance_rescale())
     }
 
-    /// Computes the step from a sector analysis of the distant directions.
+    /// The §6.1 rescale `1/(1+δ)` applied to every perceived distance.
+    fn distance_rescale(&self) -> f64 {
+        1.0 / (1.0 + self.distance_error)
+    }
+
+    /// Computes the step from a sector analysis of the distant directions
+    /// (`distant` is read only by the debug-build safe-region check).
     fn target_from_analysis<P: Point>(
         &self,
-        hood: &Neighborhood<P>,
+        v_z: f64,
         analysis: SectorAnalysis<P>,
+        distant: impl Iterator<Item = P>,
     ) -> P {
         let Cone {
             axis,
@@ -127,22 +139,31 @@ impl KirkpatrickAlgorithm {
             SectorAnalysis::Empty | SectorAnalysis::Surrounded => return P::zero(),
             SectorAnalysis::Cone(c) => c,
         };
-        let r = self.safe_radius(hood.v_z);
+        let r = self.safe_radius(v_z);
         // Worst-case true half-angle under skew λ: perceived relative angles
         // shrink by at most (1−λ), so true angles grow by at most 1/(1−λ).
         let gamma_eff = gamma / (1.0 - self.skew);
         if gamma_eff >= FRAC_PI_2 - SECTOR_EPS {
             return P::zero();
         }
-        let step = (r * gamma.cos()).min(2.0 * r * gamma_eff.cos());
+        let cos_gamma = gamma.cos();
+        // Without skew `gamma_eff` is `gamma` itself: one cosine serves both.
+        let cos_eff = if gamma_eff == gamma {
+            cos_gamma
+        } else {
+            gamma_eff.cos()
+        };
+        let step = (r * cos_gamma).min(2.0 * r * cos_eff);
         let target = axis * step;
+        #[cfg(not(debug_assertions))]
+        let _ = distant;
         #[cfg(debug_assertions)]
         {
             use crate::safe_region::SafeRegion;
             // The target must lie in every distant neighbour's (perceived)
             // 1/k-scaled safe region — the invariant Theorems 3–4 rely on.
-            for d in &hood.distant {
-                if let Some(region) = SafeRegion::new(P::zero(), *d, r) {
+            for d in distant {
+                if let Some(region) = SafeRegion::new(P::zero(), d, r) {
                     debug_assert!(
                         region.contains(target, 1e-9 * (1.0 + r)),
                         "target violates a distant safe region"
@@ -154,14 +175,93 @@ impl KirkpatrickAlgorithm {
     }
 }
 
-impl Algorithm<Vec2> for KirkpatrickAlgorithm {
-    fn compute(&self, snapshot: &Snapshot<Vec2>) -> Vec2 {
-        let hood = self.neighborhood(snapshot);
-        if hood.distant.is_empty() {
-            return Vec2::ZERO;
+/// Sorts ascending, keeping equal angles in input order (as the stable
+/// `sort_by` of [`cohesion_geometry::angle::largest_gap`] does).
+fn insertion_sort(angles: &mut [f64]) {
+    for i in 1..angles.len() {
+        let a = angles[i];
+        let mut j = i;
+        while j > 0 && angles[j - 1] > a {
+            angles[j] = angles[j - 1];
+            j -= 1;
         }
-        let analysis = sector_2d(&hood.distant, SECTOR_EPS);
-        self.target_from_analysis(&hood, analysis)
+        angles[j] = a;
+    }
+}
+
+/// [`cohesion_geometry::cone::sector_2d`] over directions given by their
+/// normalized angles, sorted ascending: the same largest-gap scan (first
+/// strict maximum wins, `+2π` on the wrap gap) and the same bisector.
+fn sector_of_sorted(angles: &[f64]) -> SectorAnalysis<Vec2> {
+    let Some(&first) = angles.first() else {
+        return SectorAnalysis::Empty;
+    };
+    let (mut width, mut after) = (TAU, first);
+    if angles.len() > 1 {
+        width = f64::NEG_INFINITY;
+        for (w, &before) in angles.iter().enumerate() {
+            let next = angles[(w + 1) % angles.len()];
+            let mut gap = next - before;
+            if w + 1 == angles.len() {
+                gap += TAU;
+            }
+            if gap > width {
+                width = gap;
+                after = next;
+            }
+        }
+    }
+    if width < PI - SECTOR_EPS {
+        return SectorAnalysis::Surrounded;
+    }
+    let span = (TAU - width).max(0.0);
+    if span / 2.0 >= FRAC_PI_2 - SECTOR_EPS {
+        return SectorAnalysis::Surrounded;
+    }
+    SectorAnalysis::Cone(Cone {
+        axis: Vec2::from_angle(after + span / 2.0),
+        half_angle: span / 2.0,
+    })
+}
+
+impl Algorithm<Vec2> for KirkpatrickAlgorithm {
+    /// `classify_neighbors` followed by `sector_2d`, fused into passes over
+    /// the snapshot that sort the distant directions' angles on the stack:
+    /// no heap allocation up to `INLINE_DIRECTIONS` (32) distant neighbours,
+    /// and the same target bits as the composition (a unit-test oracle).
+    fn compute(&self, snapshot: &Snapshot<Vec2>) -> Vec2 {
+        let rescale = self.distance_rescale();
+        let perceived = || {
+            snapshot
+                .positions()
+                .map(move |p| p * rescale)
+                .filter(|p| p.norm() > 1e-12)
+        };
+        let v_z = perceived().map(|p| p.norm()).fold(0.0, f64::max);
+        let distant = || perceived().filter(move |p| p.norm() > v_z / 2.0);
+        let mut inline = [0.0; INLINE_DIRECTIONS];
+        let mut spill = Vec::new();
+        let mut len = 0;
+        for d in distant() {
+            // `d.normalized(1e-12)`, whose norm test `perceived` passed.
+            let angle = normalize((d / d.norm()).angle());
+            if len < INLINE_DIRECTIONS {
+                inline[len] = angle;
+            } else {
+                if len == INLINE_DIRECTIONS {
+                    spill.extend_from_slice(&inline);
+                }
+                spill.push(angle);
+            }
+            len += 1;
+        }
+        let angles = if len <= INLINE_DIRECTIONS {
+            &mut inline[..len]
+        } else {
+            &mut spill[..]
+        };
+        insertion_sort(angles);
+        self.target_from_analysis(v_z, sector_of_sorted(angles), distant())
     }
 
     fn name(&self) -> &str {
@@ -176,7 +276,7 @@ impl Algorithm<Vec3> for KirkpatrickAlgorithm {
             return Vec3::ZERO;
         }
         let analysis = enclosing_cone(&hood.distant, SECTOR_EPS);
-        self.target_from_analysis(&hood, analysis)
+        self.target_from_analysis(hood.v_z, analysis, hood.distant.iter().copied())
     }
 
     fn name(&self) -> &str {
@@ -187,10 +287,94 @@ impl Algorithm<Vec3> for KirkpatrickAlgorithm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::f64::consts::PI;
+    use cohesion_geometry::cone::sector_2d;
+    use proptest::prelude::*;
 
     fn snap(pts: &[Vec2]) -> Snapshot<Vec2> {
         Snapshot::from_positions(pts.to_vec())
+    }
+
+    /// The planar Compute as `classify_neighbors` and `sector_2d` compose
+    /// it, allocating: the oracle the fused `compute` must match bit for bit.
+    fn reference_compute(alg: &KirkpatrickAlgorithm, snapshot: &Snapshot<Vec2>) -> Vec2 {
+        let hood = alg.neighborhood(snapshot);
+        if hood.distant.is_empty() {
+            return Vec2::ZERO;
+        }
+        let analysis = sector_2d(&hood.distant, SECTOR_EPS);
+        alg.target_from_analysis(hood.v_z, analysis, hood.distant.iter().copied())
+    }
+
+    /// What the observations of one hostile snapshot share: a base angle,
+    /// the arc its free directions spread over, and a radius floor (above
+    /// 0.5 every free observation is distant).
+    #[derive(Debug, Clone, Copy)]
+    struct Shape {
+        base: f64,
+        spread: f64,
+        floor: f64,
+    }
+
+    /// One observation of a hostile snapshot: `kind` picks its shape, `t`,
+    /// `r` and `m` its parameters.
+    fn observation(shape: Shape, (kind, t, r, m): (u32, f64, f64, u32)) -> Vec2 {
+        let sign = |pos: bool| if pos { 0.0 } else { -0.0 };
+        let r = shape.floor + (1.0 - shape.floor) * r;
+        let tiny = (t - 0.5) * 4e-9;
+        match kind {
+            // Co-located, in all four zero signs.
+            0 => Vec2::new(sign(t < 0.5), sign(m % 2 == 0)),
+            // Equal angles.
+            1 => Vec2::from_angle(shape.base) * r,
+            // Within 2e-9 of a quarter turn of the base: antipodal pairs
+            // and largest gaps within 1e-9 of π.
+            2 => Vec2::from_angle(shape.base + f64::from(m) * FRAC_PI_2 + tiny) * r,
+            // On the ±π seam, with either sign of zero, and straddling it.
+            3 => Vec2::new(-r, sign(m % 2 == 0)),
+            4 => Vec2::from_angle(PI + tiny * 250.0) * r,
+            // Exactly V_Z/2 from another, and at the 1e-12 floor.
+            5 => Vec2::from_angle(shape.base + t) * [1.0, 0.5, 1.0e-12, 1.05e-12][m as usize],
+            _ => Vec2::from_angle(shape.base + t * shape.spread) * r,
+        }
+    }
+
+    fn hostile_snapshot() -> impl Strategy<Value = Vec<Vec2>> {
+        let shape = (0u32..3, -PI..PI, 0u32..4, 0u32..2).prop_map(|(b, t, s, f)| Shape {
+            base: [0.0, PI, t][b as usize],
+            spread: [TAU, PI, FRAC_PI_2, 0.3][s as usize],
+            floor: [0.05, 0.55][f as usize],
+        });
+        let obs = (0u32..14, 0.0..1.0f64, 0.0..1.0f64, 0u32..4);
+        (shape, proptest::collection::vec(obs, 0..=40))
+            .prop_map(|(shape, obs)| obs.into_iter().map(|o| observation(shape, o)).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// The fused Compute returns the composition's target to the bit,
+        /// for every `k`, `δ`, `λ` the lab runs, on snapshots on both sides
+        /// of the inline capacity.
+        #[test]
+        fn fused_compute_matches_the_composition_bitwise(pts in hostile_snapshot()) {
+            let snapshot = snap(&pts);
+            for k in [1, 4] {
+                for delta in [0.0, 0.05] {
+                    for lambda in [0.0, 0.2] {
+                        let alg = KirkpatrickAlgorithm::with_error_tolerance(k, delta, lambda);
+                        let got = alg.compute(&snapshot);
+                        let want = reference_compute(&alg, &snapshot);
+                        prop_assert_eq!(
+                            (got.x.to_bits(), got.y.to_bits()),
+                            (want.x.to_bits(), want.y.to_bits()),
+                            "{alg:?}: fused {:?}, composition {:?}",
+                            got,
+                            want
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

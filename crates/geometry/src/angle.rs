@@ -21,7 +21,13 @@ use std::f64::consts::{PI, TAU};
 /// ```
 #[inline]
 pub fn normalize(theta: f64) -> f64 {
-    let mut t = theta % TAU;
+    // `%` returns its operand unchanged below one turn, so skip the `fmod`
+    // call there: every `atan2` result takes this path.
+    let mut t = if theta.abs() < TAU {
+        theta
+    } else {
+        theta % TAU
+    };
     if t <= -PI {
         t += TAU;
     } else if t > PI {
@@ -146,6 +152,7 @@ pub fn span(angles: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::f64::consts::FRAC_PI_4;
 
     #[test]
     fn normalize_range() {
@@ -155,6 +162,32 @@ mod tests {
         }
         assert!((normalize(PI) - PI).abs() < 1e-12);
         assert!((normalize(-PI) - PI).abs() < 1e-12);
+    }
+
+    #[test]
+    fn normalize_matches_the_remainder_form_bitwise() {
+        let reference = |theta: f64| {
+            let mut t = theta % TAU;
+            if t <= -PI {
+                t += TAU;
+            } else if t > PI {
+                t -= TAU;
+            }
+            t
+        };
+        let mut probes = vec![0.0, -0.0, PI, -PI, TAU, -TAU, 1e-300, -1e-300, 1e9, -7.5];
+        for k in -40..=40 {
+            let x = f64::from(k) * FRAC_PI_4;
+            probes.extend([x, x.next_up(), x.next_down()]);
+        }
+        for theta in probes {
+            assert_eq!(
+                normalize(theta).to_bits(),
+                reference(theta).to_bits(),
+                "normalize({theta:?})"
+            );
+        }
+        assert!(normalize(f64::NAN).is_nan() && normalize(f64::INFINITY).is_nan());
     }
 
     #[test]

@@ -48,9 +48,12 @@ fn cell_key<P: Point>(p: P, cell: f64) -> CellKey {
 
 /// Direct addressing covers at most `max(DENSE_MIN_CELLS,
 /// DENSE_CELLS_PER_POINT · capacity)` cells; larger extents degrade
-/// gracefully to the sorted-map representation for every cell.
+/// gracefully to the sorted-map representation for every cell. The floor
+/// is 384 KiB of empty bucket headers (24 bytes a cell), enough for a
+/// sparse spiral of a few hundred robots, such as §7's at ψ = 0.25
+/// (10,557 cells for 162 robots), to stay direct-addressed.
 const DENSE_CELLS_PER_POINT: i128 = 16;
-const DENSE_MIN_CELLS: i128 = 4096;
+const DENSE_MIN_CELLS: i128 = 16384;
 
 /// How many cells of slack the dense extent keeps around the declared
 /// working area, so bounded wandering (motion error, small hull growth)
@@ -630,6 +633,18 @@ mod tests {
         let mut out = Vec::new();
         grid.query_within(Vec2::new(1e9, 1e9), 2.0, &mut out);
         assert_eq!(out, vec![1]);
+    }
+
+    #[test]
+    fn dense_extent_budget_is_sixteen_thousand_cells_for_small_sets() {
+        // Cells 0..=119 per axis plus 4 cells of padding each side: 128²
+        // = 16,384 cells, the floor, is direct-addressed; one more row
+        // (128 × 129) is not.
+        let at = |x: f64, y: f64| [Vec2::new(0.5, 0.5), Vec2::new(x, y)];
+        assert!(DynamicGrid::with_extent(2, 1.0, &at(119.5, 119.5)).has_dense_extent());
+        assert!(!DynamicGrid::with_extent(2, 1.0, &at(119.5, 120.5)).has_dense_extent());
+        // Above 1,024 points the budget is 16 cells a point.
+        assert!(DynamicGrid::with_extent(1100, 1.0, &at(119.5, 120.5)).has_dense_extent());
     }
 
     #[test]
