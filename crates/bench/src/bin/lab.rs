@@ -4,8 +4,7 @@
 //! cargo run --release -p cohesion-bench --bin lab -- list
 //! cargo run --release -p cohesion-bench --bin lab -- run separation_matrix
 //! cargo run --release -p cohesion-bench --bin lab -- all --quick
-//! cargo run --release -p cohesion-bench --bin lab -- run k_scaling --shard 0/2
-//! cargo run --release -p cohesion-bench --bin lab -- merge k_scaling
+//! cargo run --release -p cohesion-bench --bin lab -- run k_scaling --progress
 //! ```
 
 fn main() {

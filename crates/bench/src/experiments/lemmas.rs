@@ -10,7 +10,7 @@
 //!   perimeter by at least `d³/(4 r_H²)`.
 //!
 //! Each lemma family is one analytic Monte-Carlo cell (seeded, independent),
-//! so the four families run in parallel and shard like any other grid.
+//! so the four families run in parallel like any other grid.
 
 use crate::lab::{CellProgress, Experiment, JsonRow, LabCell, Outcome, Profile};
 use crate::sweep::{AlgorithmSpec, ScenarioSpec, SchedulerSpec, WorkloadSpec};

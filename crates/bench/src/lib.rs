@@ -1,11 +1,11 @@
-//! The experiment lab: declarative experiment registry, sharded runtime,
-//! and shared harness utilities.
+//! The experiment lab: declarative experiment registry, its one-pool
+//! runtime, and shared harness utilities.
 //!
 //! Every paper figure/table family is an [`lab::Experiment`] registry entry
 //! (see [`experiments::REGISTRY`]), run through the single `lab` binary
-//! (`lab list` / `lab run <name>` / `lab all --quick` /
-//! `lab merge <name>`). Output goes to stdout as aligned text tables, and —
-//! for diffable regeneration — as JSON rows under `target/experiments/`.
+//! (`lab list` / `lab run <name>` / `lab all --quick`). Output goes to
+//! stdout as aligned text tables, and — for diffable regeneration — as JSON
+//! rows under `target/experiments/`.
 
 #![forbid(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]

@@ -27,8 +27,7 @@ use cohesion_engine::{Simulation, SimulationBuilder, SimulationReport};
 use cohesion_geometry::{Vec2, Vec3};
 use cohesion_model::frame::Ambient;
 use cohesion_model::{
-    Algorithm, Budget, Configuration, FrameMode, MotionModel, NilAlgorithm, PerceptionModel,
-    Progress,
+    Algorithm, Configuration, FrameMode, MotionModel, NilAlgorithm, PerceptionModel,
 };
 use cohesion_scheduler::{
     AsyncScheduler, FSyncScheduler, KAsyncScheduler, NestAScheduler, SSyncScheduler, Scheduler,
@@ -527,53 +526,6 @@ impl ScenarioSpec {
     pub fn run(&self) -> SimulationReport<Vec2> {
         self.session().run_to_completion()
     }
-
-    /// Runs a 3D scenario ([`WorkloadSpec::Ball3`]) to a full report.
-    ///
-    /// # Panics
-    ///
-    /// Panics for 2D workloads or algorithms without a 3D generalization.
-    #[must_use]
-    pub fn run3(&self) -> SimulationReport<Vec3> {
-        self.session3().run_to_completion()
-    }
-
-    /// Runs the 2D scenario in `every`-event slices, reporting a
-    /// [`Progress`] view between slices — the driver behind the lab's
-    /// per-cell heartbeats. Slicing is invisible in the report (the session
-    /// equivalence suite pins sliced ≡ uninterrupted byte-for-byte).
-    #[must_use]
-    pub fn run_with_heartbeat(
-        &self,
-        every: usize,
-        on_beat: impl FnMut(&Progress),
-    ) -> SimulationReport<Vec2> {
-        drive_with_heartbeat(self.session(), every, on_beat)
-    }
-
-    /// The 3D counterpart of [`ScenarioSpec::run_with_heartbeat`].
-    #[must_use]
-    pub fn run3_with_heartbeat(
-        &self,
-        every: usize,
-        on_beat: impl FnMut(&Progress),
-    ) -> SimulationReport<Vec3> {
-        drive_with_heartbeat(self.session3(), every, on_beat)
-    }
-}
-
-/// Drives a session to termination in `every`-event slices, invoking
-/// `on_beat` with a fresh progress view after each incomplete slice.
-fn drive_with_heartbeat<P: Ambient>(
-    mut session: Simulation<P>,
-    every: usize,
-    mut on_beat: impl FnMut(&Progress),
-) -> SimulationReport<P> {
-    assert!(every > 0, "heartbeat cadence must be positive");
-    while !session.run_for(Budget::events(every)).is_terminal() {
-        on_beat(&session.progress());
-    }
-    session.into_report()
 }
 
 /// Executes work items in parallel on a scoped thread pool and merges
@@ -585,8 +537,9 @@ pub struct SweepRunner {
 
 impl SweepRunner {
     /// A runner sized to the machine: the available parallelism (1 when
-    /// unknown).
-    pub fn new() -> Self {
+    /// unknown). The lab's default pool; other callers pick a thread count
+    /// with [`SweepRunner::with_threads`].
+    pub(crate) fn new() -> Self {
         let threads = std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1);
@@ -654,12 +607,6 @@ pub fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
     let start = std::time::Instant::now();
     let result = f();
     (result, start.elapsed().as_secs_f64())
-}
-
-impl Default for SweepRunner {
-    fn default() -> Self {
-        SweepRunner::new()
-    }
 }
 
 /// A mutex whose lock can only be used inside a closure: callers cannot
@@ -759,31 +706,6 @@ mod tests {
     #[should_panic(expected = "at least one worker")]
     fn zero_workers_rejected() {
         let _ = SweepRunner::with_threads(0);
-    }
-
-    #[test]
-    fn heartbeat_driver_beats_and_matches_the_plain_run() {
-        let spec = ScenarioSpec {
-            max_events: 1_000,
-            ..ScenarioSpec::new(
-                WorkloadSpec::Line { n: 3, spacing: 0.9 },
-                AlgorithmSpec::Nil,
-                SchedulerSpec::FSync,
-            )
-        };
-        let mut beats = 0usize;
-        let mut last_events = 0usize;
-        let observed = spec.run_with_heartbeat(100, |p| {
-            beats += 1;
-            assert!(p.events > last_events, "beats carry fresh progress");
-            last_events = p.events;
-            assert!(p.cohesion_ok && !p.converged);
-        });
-        assert!(
-            beats >= 9,
-            "a 1000-event run in 100-event slices beats ≥ 9×, got {beats}"
-        );
-        assert_eq!(observed, spec.run(), "slicing must not perturb the report");
     }
 
     #[test]

@@ -50,12 +50,6 @@ pub fn signed_diff(from: f64, to: f64) -> f64 {
     normalize(to - from)
 }
 
-/// The absolute smallest angle between two directions, in `[0, π]`.
-#[inline]
-pub fn abs_diff(a: f64, b: f64) -> f64 {
-    signed_diff(a, b).abs()
-}
-
 /// Result of the largest-angular-gap analysis of a set of directions.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AngularGap {
@@ -195,7 +189,6 @@ mod tests {
         let d = signed_diff(0.5, 1.7);
         assert!((d - 1.2).abs() < 1e-12);
         assert!((signed_diff(1.7, 0.5) + 1.2).abs() < 1e-12);
-        assert!((abs_diff(0.5, 1.7) - 1.2).abs() < 1e-12);
     }
 
     #[test]

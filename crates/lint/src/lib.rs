@@ -1,8 +1,8 @@
 //! `cohesion-lint` — determinism & concurrency invariant checker.
 //!
-//! Every headline result in this reproduction — byte-identical sharded
-//! merges, frozen-hash session equivalence, thread-count-independent rows
-//! — rests on invariants the compiler does not enforce: no wall clock
+//! Every headline result in this reproduction — frozen-hash session
+//! equivalence, experiment rows independent of the thread count — rests
+//! on invariants the compiler does not enforce: no wall clock
 //! or entropy in the deterministic crates, no unordered-map iteration
 //! feeding report output, all threading confined to one approved module.
 //! This crate enforces them statically, as named, individually-testable

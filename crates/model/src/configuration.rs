@@ -66,12 +66,6 @@ impl<P: Point> Configuration<P> {
         &self.positions
     }
 
-    /// Mutable access to a robot's position (simulator-side only).
-    pub fn set_position(&mut self, id: RobotId, p: P) {
-        assert!(p.is_finite(), "robot positions must be finite");
-        self.positions[id.index()] = p;
-    }
-
     /// Iterator over `(id, position)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (RobotId, P)> + '_ {
         self.positions
@@ -162,13 +156,6 @@ mod tests {
         let g = c.centroid().unwrap();
         assert!((g - Vec2::new(1.0, 4.0 / 3.0)).norm() < 1e-12);
         assert!(Configuration::<Vec2>::new(vec![]).centroid().is_none());
-    }
-
-    #[test]
-    fn set_position_updates() {
-        let mut c = config();
-        c.set_position(RobotId(0), Vec2::new(1.0, 1.0));
-        assert_eq!(c.position(RobotId(0)), Vec2::new(1.0, 1.0));
     }
 
     #[test]

@@ -50,11 +50,6 @@ impl PerceptionModel {
         }
     }
 
-    /// Returns `true` when perception is exact.
-    pub fn is_exact(&self) -> bool {
-        self.distance_error == 0.0 && self.skew == 0.0
-    }
-
     /// Samples a per-activation distortion within the skew bound.
     pub fn sample_distortion(&self, rng: &mut SmallRng) -> Distortion {
         if self.skew == 0.0 {
@@ -221,7 +216,6 @@ mod tests {
             let d = m.sample_distortion(&mut rng);
             assert!(d.skew() <= 0.2 + 1e-12);
         }
-        assert!(PerceptionModel::EXACT.is_exact());
     }
 
     #[test]

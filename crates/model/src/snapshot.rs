@@ -48,13 +48,6 @@ impl<P: Point> Snapshot<P> {
         snapshot
     }
 
-    /// Wraps an observation buffer directly (the inverse of
-    /// [`Snapshot::into_buffer`]): a pooled buffer filled by a caller that
-    /// perceives robots one at a time becomes a snapshot without copying.
-    pub fn from_buffer(observations: Vec<ObservedRobot<P>>) -> Self {
-        Snapshot { observations }
-    }
-
     /// Releases the observation buffer (capacity intact) so a caller-side
     /// pool can reuse it for the next Look.
     pub fn into_buffer(self) -> Vec<ObservedRobot<P>> {
@@ -218,7 +211,5 @@ mod tests {
         let s = Snapshot::from_positions(vec![Vec2::new(1.0, 0.0)]);
         let buf = s.into_buffer();
         assert_eq!(buf.len(), 1);
-        let s = Snapshot::from_buffer(buf);
-        assert_eq!(s.len(), 1);
     }
 }

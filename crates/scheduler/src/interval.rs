@@ -62,12 +62,6 @@ impl ActivationInterval {
         self.end - self.look
     }
 
-    /// Duration of the Move phase.
-    #[inline]
-    pub fn move_duration(&self) -> f64 {
-        self.end - self.move_start
-    }
-
     /// The phase at time `t`.
     pub fn phase_at(&self, t: f64) -> Phase {
         if t < self.look || t > self.end {
@@ -126,7 +120,6 @@ mod tests {
         assert_eq!(a.phase_at(3.0), Phase::Moving);
         assert_eq!(a.phase_at(3.1), Phase::Inactive);
         assert_eq!(a.duration(), 2.0);
-        assert_eq!(a.move_duration(), 1.0);
     }
 
     #[test]

@@ -66,18 +66,6 @@ impl ScheduleTrace {
             .collect()
     }
 
-    /// Number of activations per robot (indexed by robot id); robots never
-    /// activated report `0`.
-    pub fn activation_counts(&self, robot_count: usize) -> Vec<usize> {
-        let mut counts = vec![0usize; robot_count];
-        for iv in &self.intervals {
-            if iv.robot.index() < robot_count {
-                counts[iv.robot.index()] += 1;
-            }
-        }
-        counts
-    }
-
     /// Latest interval end time (`0` for an empty trace).
     pub fn horizon(&self) -> f64 {
         self.intervals.iter().map(|iv| iv.end).fold(0.0, f64::max)
@@ -126,7 +114,6 @@ mod tests {
         let t = ScheduleTrace::from_intervals(vec![iv(0, 0.0), iv(1, 1.0), iv(0, 2.0)]);
         assert_eq!(t.of_robot(RobotId(0)).len(), 2);
         assert_eq!(t.of_robot(RobotId(1)).len(), 1);
-        assert_eq!(t.activation_counts(3), vec![2, 1, 0]);
         assert_eq!(t.horizon(), 3.0);
     }
 }
