@@ -7,14 +7,14 @@
 //! every robot dirty).
 
 use cohesion_bench::lookbench::look_lattice;
-use cohesion_engine::monitors::{
-    CohesionMonitor, Envelopes, Monitor, MonitorContext, StrongVisibilityMonitor,
-};
+use cohesion_engine::monitors::{CohesionMonitor, MonitorContext, StrongVisibilityMonitor};
+use cohesion_engine::Engine;
 use cohesion_geometry::ball::smallest_enclosing_ball;
 use cohesion_geometry::cone::sector_2d;
 use cohesion_geometry::hull::convex_hull;
 use cohesion_geometry::{ConvexHull, Vec2};
-use cohesion_model::VisibilityGraph;
+use cohesion_model::{NilAlgorithm, VisibilityGraph};
+use cohesion_scheduler::FSyncScheduler;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -147,20 +147,11 @@ fn bench_monitor_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("monitor_step");
     let n = 256usize;
     let config = cohesion_workloads::random_connected(n, 1.0, 11);
-    let positions: Vec<Vec2> = config.positions().to_vec();
-    let reach = vec![0.0; n];
-    let envelopes = Envelopes {
-        origins: &positions,
-        reach: &reach,
-        max_reach: 0.0,
-    };
-    let graph = VisibilityGraph::from_configuration(&config, 1.0);
-    let initial_edges: Vec<(usize, usize)> = graph
-        .edges()
-        .iter()
-        .map(|e| (e.a.index(), e.b.index()))
-        .collect();
-    let position = |i: usize| positions[i];
+    // The envelopes of a still swarm, with the engine's grid of origins.
+    let engine = Engine::new(&config, 1.0, NilAlgorithm, FSyncScheduler::new(), 0);
+    let envelopes = engine.envelopes();
+    let initial_edges = envelopes.grid.pairs_within(1.0);
+    let position = |i: usize| config.positions()[i];
 
     let cases = [
         ("incremental_dirty1", vec![n / 2], Some(n / 2)),
@@ -174,8 +165,9 @@ fn bench_monitor_step(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new(id, n), &(), |b, ()| {
             // Positions never move, so the monitors record nothing and each
             // iteration measures the steady-state per-event check cost.
-            let mut cohesion = CohesionMonitor::new(&positions, &initial_edges, |_, _| 1.0, 1e-9);
-            let mut strong = StrongVisibilityMonitor::new(1.0, 1e-9, &positions);
+            let mut cohesion =
+                CohesionMonitor::new(config.positions(), &initial_edges, |_, _| 1.0, 1e-9);
+            let mut strong = StrongVisibilityMonitor::new(1.0, 1e-9, &envelopes);
             b.iter(|| {
                 let ctx = MonitorContext {
                     time: 1.0,
@@ -185,8 +177,8 @@ fn bench_monitor_step(c: &mut Criterion) {
                     breakpoint,
                     envelopes,
                 };
-                Monitor::<Vec2>::on_event(&mut cohesion, &ctx);
-                Monitor::<Vec2>::on_event(&mut strong, &ctx);
+                cohesion.on_event(&ctx);
+                strong.on_event(&ctx);
             })
         });
     }

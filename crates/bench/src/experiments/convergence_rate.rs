@@ -9,10 +9,14 @@
 //! limited-visibility cohesive algorithms' halving time grows with `n`, the
 //! hop-diameter of the line workload's visibility graph.
 //!
+//! [`Experiment::check`] holds both: `cog` and `gcm` halve in 1 round
+//! wherever measured, and every other algorithm's `rounds_to_halve` is
+//! measured and grows strictly with `n`.
+//!
 //! Every `(algorithm, n)` cell is an independent [`ScenarioSpec`]; the lab
 //! runtime executes them in parallel and merges rows in spec order.
 
-use crate::lab::{Experiment, JsonRow, LabCell, Outcome, Profile};
+use crate::lab::{check_rows, Experiment, JsonRow, LabCell, Outcome, Profile};
 use crate::sweep::{AlgorithmSpec, ScenarioSpec, SchedulerSpec, WorkloadSpec};
 use cohesion_model::FrameMode;
 use serde::Serialize;
@@ -64,6 +68,19 @@ fn row(spec: &ScenarioSpec, outcome: &Outcome) -> Row {
         rounds_to_halve: report.rounds_to_halve_diameter(),
         rounds_to_eps: report.rounds_to_reach(0.05),
         converged: report.converged,
+    }
+}
+
+/// The T2 claim for one row, given the same algorithm's row at the next
+/// smaller `n`: `cog` and `gcm` halve in one round wherever a halving was
+/// measured; every other algorithm halves, in more rounds than at the
+/// smaller `n` (a smaller row that did not halve fails on its own).
+fn holds(r: &Row, smaller: Option<&Row>) -> bool {
+    let before = smaller.and_then(|s| s.rounds_to_halve);
+    match (r.algorithm.as_str(), r.rounds_to_halve, before) {
+        ("cog" | "gcm", halve, _) => halve.map_or(true, |h| h == 1),
+        (_, Some(h), Some(before)) => h > before,
+        (_, halve, _) => halve.is_some(),
     }
 }
 
@@ -160,5 +177,53 @@ impl Experiment for ConvergenceRate {
         println!("  * limited-visibility algorithms grow with the hop diameter (≈ n on a line);");
         println!("  * ours is slower than Ando's by roughly the 1/8-vs-1/2 step-size ratio;");
         println!("  * '-' cells: the run converged before the measurement round completed.");
+    }
+
+    fn check(&self, cells: &[LabCell]) -> Result<(), String> {
+        let rows: Vec<Row> = cells.iter().map(|c| row(&c.spec, &c.outcome)).collect();
+        let smaller = |r: &Row| {
+            rows.iter()
+                .filter(|s| s.algorithm == r.algorithm && s.n < r.n)
+                .max_by_key(|s| s.n)
+        };
+        check_rows(
+            cells,
+            row,
+            "cog and gcm must halve in 1 round, and every other algorithm's rounds to \
+             halve must grow with n",
+            |r| holds(r, smaller(r)),
+            |r| {
+                let show = |c: Option<usize>| c.map_or("-".into(), |x: usize| x.to_string());
+                let before = show(smaller(r).and_then(|s| s.rounds_to_halve));
+                let halve = show(r.rounds_to_halve);
+                format!(
+                    "{} at n = {}: {halve} rounds to halve, {before} at the previous n",
+                    r.algorithm, r.n
+                )
+            },
+        )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{holds, Row};
+
+    #[test]
+    fn claim_pins_one_round_globals_and_growing_local_rates() {
+        let row = |algorithm: &str, n, rounds_to_halve| Row {
+            algorithm: algorithm.to_string(),
+            n,
+            rounds_to_halve,
+            rounds_to_eps: None,
+            converged: true,
+        };
+        let (one, two) = (row("gcm", 8, Some(1)), row("cog", 16, Some(2)));
+        assert!(holds(&one, None) && holds(&row("gcm", 48, None), Some(&one)));
+        assert!(!holds(&two, None));
+        let small = row("ando(V=1)", 8, Some(9));
+        assert!(holds(&small, None) && holds(&row("ando(V=1)", 16, Some(25)), Some(&small)));
+        assert!(!holds(&row("ando(V=1)", 16, Some(9)), Some(&small)));
+        assert!(!holds(&row("katreniak", 8, None), None));
     }
 }

@@ -61,7 +61,7 @@ pub mod prelude {
     pub use crate::algorithms::{AndoAlgorithm, CogAlgorithm, GcmAlgorithm, KatreniakAlgorithm};
     pub use crate::core::KirkpatrickAlgorithm;
     pub use crate::engine::{
-        Budget, EventView, Monitor, MonitorContext, Observer, Progress, SessionStatus, Simulation,
+        Budget, EventView, MonitorContext, Observer, Progress, SessionStatus, Simulation,
         SimulationBuilder, SimulationReport, TraceRecorder,
     };
     pub use crate::geometry::{Vec2, Vec3};

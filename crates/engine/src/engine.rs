@@ -321,35 +321,12 @@ where
             radii.iter().all(|r| *r > 0.0 && r.is_finite()),
             "radii must be positive and finite"
         );
-        self.visibility_radii = Some(radii);
-        self.rebuild_grid();
-    }
-
-    /// The largest perception radius — the observation grid's cell edge is
-    /// derived from it (see `grid_cell`).
-    fn max_radius(&self) -> f64 {
-        match &self.visibility_radii {
-            Some(radii) => radii.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b)),
-            None => self.visibility,
-        }
-    }
-
-    /// Rebuilds the observation grid from scratch (radius changes re-cell
-    /// it). Exactly the stationary robots are indexed; the dense extent is
-    /// re-anchored on the current positions.
-    fn rebuild_grid(&mut self) {
+        let largest = radii.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         // Every robot indexes at its base position (= Move origin while
-        // motile); the displacement high-water mark stays valid across the
-        // re-cell.
-        self.grid =
-            DynamicGrid::from_points(self.states.base_positions(), grid_cell(self.max_radius()));
-    }
-
-    /// The observation grid: every robot at its base position, cells half
-    /// the largest perception radius. Before the first event that is every
-    /// robot at its start.
-    pub(crate) fn grid(&self) -> &DynamicGrid<P> {
-        &self.grid
+        // motile), with the dense extent re-anchored there; the
+        // displacement pad stays valid across the re-cell.
+        self.grid = DynamicGrid::from_points(self.states.base_positions(), grid_cell(largest));
+        self.visibility_radii = Some(radii);
     }
 
     /// The perception radius of one robot.
@@ -415,14 +392,18 @@ where
 
     /// Every robot's motion envelope, read-only: its base position (the
     /// Move origin while motile) with radius `|to − from|` while motile and
-    /// `0` otherwise, plus the displacement pad as a bound on every radius.
-    /// Until a robot's next breakpoint (`MoveStart` or `MoveEnd`) every
-    /// position it takes lies in its envelope, up to interpolation rounding.
+    /// `0` otherwise, plus the displacement pad as a bound on every radius
+    /// and the observation grid (cells half the largest perception radius),
+    /// which indexes every robot at its base position: before the first
+    /// event, at its start. Until a robot's next breakpoint (`MoveStart` or
+    /// `MoveEnd`) every position it takes lies in its envelope, up to
+    /// interpolation rounding.
     pub fn envelopes(&self) -> Envelopes<'_, P> {
         Envelopes {
             origins: self.states.base_positions(),
             reach: &self.motile_disp,
             max_reach: self.motile_pad,
+            grid: &self.grid,
         }
     }
 
@@ -902,9 +883,9 @@ mod tests {
     /// Moves 0.001·(number of visible robots) along +x; test-only probe.
     #[derive(Debug)]
     struct CountingAlgorithm;
-    impl Algorithm<Vec2> for CountingAlgorithm {
-        fn compute(&self, snapshot: &Snapshot<Vec2>) -> Vec2 {
-            Vec2::new(0.001 * snapshot.len() as f64, 0.0)
+    impl<P: Ambient> Algorithm<P> for CountingAlgorithm {
+        fn compute(&self, snapshot: &Snapshot<P>) -> P {
+            P::from_coords(&[0.001 * snapshot.len() as f64, 0.0, 0.0][..P::DIM])
         }
         fn name(&self) -> &str {
             "counting"
@@ -1005,20 +986,29 @@ mod tests {
 
     #[test]
     fn grid_and_side_list_track_the_move_phase() {
-        // The lifecycle invariant after every event: every robot is indexed
-        // in the grid at its base position (true position while stationary,
-        // Move origin while motile), `collect_motile` yields exactly the
-        // motile set ascending, and every robot's motion envelope (centred
-        // at its base position, radius its displacement while motile and 0
-        // otherwise, bounded by the pad) holds its position.
-        let config = cohesion_workloads_stub(9);
-        let mut engine = Engine::new(
-            &config,
-            1.0,
-            CountingAlgorithm,
-            cohesion_scheduler::KAsyncScheduler::new(3, 5),
-            7,
-        );
+        // The strong-visibility monitor reads its candidates off the grid,
+        // so the invariant is pinned on the plane, on a grid re-celled to
+        // per-robot radii, and in space.
+        track_the_move_phase::<Vec2>(None);
+        track_the_move_phase::<Vec2>(Some((0..9).map(|i| 0.8 + 0.2 * (i % 3) as f64).collect()));
+        track_the_move_phase::<cohesion_geometry::Vec3>(None);
+    }
+
+    /// Steps an engine over nine robots, with per-robot `radii` if given,
+    /// and checks the lifecycle invariant after every event: every robot is
+    /// indexed in the envelopes' grid (the engine's) at its base position
+    /// (true position while stationary, Move origin while motile),
+    /// `collect_motile` yields exactly the motile set ascending, and every
+    /// robot's motion envelope (centred at its base position, radius its
+    /// displacement while motile and 0 otherwise, bounded by the pad) holds
+    /// its position.
+    fn track_the_move_phase<P: Ambient>(radii: Option<Vec<f64>>) {
+        let config = cohesion_workloads_stub::<P>(9);
+        let scheduler = cohesion_scheduler::KAsyncScheduler::new(3, 5);
+        let mut engine = Engine::new(&config, 1.0, CountingAlgorithm, scheduler, 7);
+        if let Some(radii) = radii {
+            engine.set_visibility_radii(radii);
+        }
         let mut motile = Vec::new();
         for _ in 0..300 {
             let Some(_) = engine.step() else { break };
@@ -1029,12 +1019,12 @@ mod tests {
             assert_eq!(motile, scan, "side-list diverged from a state scan");
             for i in 0..engine.states.len() {
                 let base = engine.states.base_positions()[i];
+                let envelopes = engine.envelopes();
                 assert_eq!(
-                    engine.grid.position(i),
+                    envelopes.grid.position(i),
                     Some(base),
                     "grid entry of robot {i} is not its base position"
                 );
-                let envelopes = engine.envelopes();
                 assert_eq!(envelopes.origins[i], base, "envelope centre of robot {i}");
                 assert!(envelopes.reach[i] <= envelopes.max_reach);
                 if engine.states.is_motile(i) {
@@ -1055,9 +1045,10 @@ mod tests {
         }
     }
 
-    /// A small connected line configuration (inline to avoid a circular
-    /// dev-dependency on cohesion-workloads).
-    fn cohesion_workloads_stub(n: usize) -> Configuration {
-        Configuration::new((0..n).map(|i| Vec2::new(i as f64 * 0.7, 0.0)).collect())
+    /// A small connected line configuration, zigzagging in `z` in space
+    /// (inline to avoid a circular dev-dependency on cohesion-workloads).
+    fn cohesion_workloads_stub<P: Ambient>(n: usize) -> Configuration<P> {
+        let at = |i: usize| [i as f64 * 0.7, 0.0, (i % 2) as f64 * 0.3];
+        Configuration::new((0..n).map(|i| P::from_coords(&at(i)[..P::DIM])).collect())
     }
 }

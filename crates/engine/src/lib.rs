@@ -41,7 +41,7 @@ pub mod state;
 
 pub use engine::{Engine, EngineEvent, EngineEventKind, LookPath};
 pub use monitors::{
-    CohesionMonitor, DiameterMonitor, Envelopes, HullMonitor, Monitor, MonitorContext,
+    CohesionMonitor, DiameterMonitor, Envelopes, HullMonitor, MonitorContext,
     StrongVisibilityMonitor,
 };
 pub use report::{fnv1a, SimulationReport};

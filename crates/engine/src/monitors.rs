@@ -16,16 +16,18 @@
 //! # Pair monitors
 //!
 //! [`CohesionMonitor`] and [`StrongVisibilityMonitor`] test pair distances
-//! against thresholds, but neither measures every pair with a dirty
-//! endpoint. At a breakpoint of robot `r`, each re-classifies the pairs
-//! incident to `r` from their envelope distance bounds `|o_a − o_b| ∓ (ρ_a +
-//! ρ_b)` (origins `o`, radii `ρ`), and keeps on an ascending watch list only
-//! the pairs whose bounds can cross one of its thresholds. At every event it
-//! measures the watched pairs with a dirty endpoint, at the event positions
-//! and with the same `dist` call the historical sweep over every pair made.
-//! The work is `O(watched pairs)` per event plus `O(local degree)` per
-//! breakpoint, where the sweep paid `O(local degree)` for every dirty robot
-//! at every event; only the two endpoints of a measured pair are looked up.
+//! against thresholds; the session calls their `on_event` at every event,
+//! but neither measures every pair with a dirty endpoint. At a breakpoint of
+//! robot `r`, each re-classifies the pairs incident to `r` from their
+//! envelope distance bounds `|o_a − o_b| ∓ (ρ_a + ρ_b)` (origins `o`, radii
+//! `ρ`), and keeps on an ascending watch list only the pairs whose bounds
+//! can cross one of its thresholds. At every event it measures the watched
+//! pairs with a dirty endpoint, at the event positions and with the same
+//! `dist` call the historical sweep over every pair made. The work is
+//! `O(watched pairs)` per event plus `O(local degree)` per breakpoint, where
+//! the sweep paid `O(local degree)` for every dirty robot at every event;
+//! only the two endpoints of a measured pair are looked up. Neither keeps a
+//! spatial index: the strong-visibility monitor queries the engine's.
 //!
 //! # Why an unwatched pair cannot change status
 //!
@@ -55,8 +57,8 @@
 //! # Samplers
 //!
 //! [`HullMonitor`] and [`DiameterMonitor`] read the whole swarm, so they run
-//! on a cadence instead: `due(events)` says whether an event is sampled, and
-//! only then does the session fill one buffer from the engine
+//! on a cadence, not at every event: `due(events)` says whether an event is
+//! sampled, and only then does the session fill one buffer from the engine
 //! (`positions_with_targets_into` for a hull sample, `positions_at_into`
 //! otherwise) and hand it to `sample` or `measure`. Round boundaries take
 //! their diameter from the same buffer.
@@ -94,8 +96,8 @@
 //!
 //! # The diameter
 //!
-//! [`DiameterMonitor`] samples, the session's round boundaries,
-//! [`diameter_of`] and `Configuration::diameter` all run one kernel,
+//! [`DiameterMonitor`] samples, the session's round boundaries and
+//! `Configuration::diameter` all run one kernel,
 //! [`cohesion_geometry::diameter`], which returns bit for bit the largest
 //! computed `dist_sq` over all pairs (then one square root) without
 //! measuring all pairs. For a planar swarm of 32 or more robots it projects
@@ -120,7 +122,6 @@ use cohesion_geometry::hull::HullKernel;
 use cohesion_geometry::point::Point;
 use cohesion_geometry::{ConvexHull, DynamicGrid, Vec2};
 use cohesion_model::frame::Ambient;
-use cohesion_model::visibility::GRID_THRESHOLD;
 use cohesion_model::RobotPair;
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
@@ -151,13 +152,16 @@ pub struct MonitorContext<'a, P: Ambient> {
 /// Every robot's motion envelope: until its next breakpoint, robot `i`
 /// stays within `reach[i]` of `origins[i]`, up to interpolation rounding.
 #[derive(Debug, Clone, Copy)]
-pub struct Envelopes<'a, P> {
+pub struct Envelopes<'a, P: Point> {
     /// The Move origin of a moving robot, the position of any other.
     pub origins: &'a [P],
     /// `|to − from|` for a moving robot, `0` for any other.
     pub reach: &'a [f64],
     /// An upper bound on every `reach` entry.
     pub max_reach: f64,
+    /// Every robot indexed at its origin (`grid.position(i) ==
+    /// Some(origins[i])`): in a session, the engine's observation grid.
+    pub grid: &'a DynamicGrid<P>,
 }
 
 /// The slack of a pair's envelope bounds relative to its magnitudes (see
@@ -228,29 +232,6 @@ fn watch_insert<T>(watch: &mut Vec<(usize, usize, T)>, a: usize, b: usize, tag: 
     let key = (a.min(b), a.max(b));
     let slot = watch.partition_point(|&(x, y, _)| (x, y) < key);
     watch.insert(slot, (key.0, key.1, tag));
-}
-
-/// A predicate checker driven once per engine event.
-///
-/// Monitors are deliberately small: state in, [`MonitorContext`] per event,
-/// typed results read off the concrete monitor after the run. The session
-/// drives the cohesion and strong-visibility monitors below through this
-/// trait, and the hull and diameter samplers through their own `due`
-/// cadence. A custom invariant rides on an
-/// [`Observer`](crate::Observer), which receives the same context as
-/// `EventView::monitors`.
-pub trait Monitor<P: Ambient> {
-    /// Observes one engine event.
-    fn on_event(&mut self, ctx: &MonitorContext<'_, P>);
-}
-
-/// The configuration diameter of a position set: maximum pairwise distance
-/// (`0` for fewer than two robots), bit for bit the largest `dist` over all
-/// pairs. Runs the pruned kernel of [`cohesion_geometry::diameter`] with
-/// fresh scratch; [`DiameterMonitor::measure`] is the pooled, counted form
-/// the session uses.
-pub fn diameter_of<P: Point>(positions: &[P]) -> f64 {
-    cohesion_geometry::diameter::diameter(positions)
 }
 
 /// Watches the Cohesive Convergence clause `E(0) ⊆ E(t)`: every initially
@@ -386,10 +367,9 @@ impl CohesionMonitor {
             }
         }
     }
-}
 
-impl<P: Ambient> Monitor<P> for CohesionMonitor {
-    fn on_event(&mut self, ctx: &MonitorContext<'_, P>) {
+    /// Observes one engine event (see the module docs).
+    pub fn on_event<P: Ambient>(&mut self, ctx: &MonitorContext<'_, P>) {
         if let Some(r) = ctx.breakpoint {
             self.reclassify(r, &ctx.envelopes);
         }
@@ -431,22 +411,18 @@ impl<P: Ambient> Monitor<P> for CohesionMonitor {
 /// * its acquired partners, walked from per-robot ascending partner lists,
 ///   and
 /// * the robots whose envelope can come within the acquisition radius of
-///   `r`'s, found by a range query on a grid of envelope origins, with the
-///   radius padded by `r`'s envelope radius and the largest one. An origin
-///   moves only at a `MoveEnd`, so that is the only time a grid entry
-///   relocates.
+///   `r`'s, found by a range query on [`Envelopes::grid`] around `r`'s
+///   origin, with the radius padded by `r`'s envelope radius and the
+///   largest one. The query filters by exact distance, so the candidates
+///   do not depend on the grid's cell size.
 ///
 /// Memory is `O(n + acquired + watched pairs)` instead of an `n × n`
-/// bitset. Below [`GRID_THRESHOLD`] robots a grid costs more than it
-/// prunes, so every robot is a candidate instead. The constructor seeds the set from the
-/// initial positions (equivalently, the positions at the first event —
-/// nothing moves before it).
-pub struct StrongVisibilityMonitor<P: Point> {
+/// bitset, and the monitor keeps no spatial index: it reads the engine's.
+/// The constructor seeds the set from the initial positions (equivalently,
+/// the positions at the first event — nothing moves before it).
+pub struct StrongVisibilityMonitor {
     v: f64,
     tol: f64,
-    /// Every robot at its envelope origin, cell edge a hair over the
-    /// acquisition radius; `None` below [`GRID_THRESHOLD`] robots.
-    grid: Option<DynamicGrid<P>>,
     /// `acquired[i]`: the ascending partners of robot `i` in acquired
     /// pairs. Each pair is listed at both endpoints.
     acquired: Vec<Vec<u32>>,
@@ -461,35 +437,31 @@ pub struct StrongVisibilityMonitor<P: Point> {
     fresh: Vec<usize>,
 }
 
-impl<P: Point> StrongVisibilityMonitor<P> {
-    /// Builds the monitor and seeds the acquired set from the initial
-    /// positions.
+impl StrongVisibilityMonitor {
+    /// Builds the monitor over the envelopes of a standing swarm (every
+    /// robot at its start, as before the first event) and seeds the
+    /// acquired set from those positions.
     ///
     /// # Panics
     ///
     /// Panics when the acquisition radius `v/2 + tol` is not positive and
     /// finite.
-    pub fn new(v: f64, tol: f64, initial_positions: &[P]) -> Self {
-        let n = initial_positions.len();
+    pub fn new<P: Point>(v: f64, tol: f64, initial: &Envelopes<'_, P>) -> Self {
+        let n = initial.origins.len();
         let radius = v / 2.0 + tol;
         assert!(
             radius > 0.0 && radius.is_finite(),
             "acquisition radius V/2 + tol must be positive and finite"
         );
-        // Cells a hair wider than the acquisition radius keep the seeding
-        // query below, padded by the pair slack, within one ring of cells.
-        let grid = (n >= GRID_THRESHOLD)
-            .then(|| DynamicGrid::from_points(initial_positions, radius * (1.0 + 1.0 / 65536.0)));
+        debug_assert_eq!(initial.max_reach, 0.0, "the swarm stands at its start");
         let mut monitor = StrongVisibilityMonitor {
             v,
             tol,
-            grid,
             acquired: vec![Vec::new(); n],
             ok: true,
-            // The watch list (below the grid threshold, for every pair) and
-            // the acquisition scratch are reserved up front, so that events
-            // do not allocate.
-            watch: Vec::with_capacity(if n < GRID_THRESHOLD { n * n / 2 } else { n }),
+            // The watch list and the acquisition scratch are reserved up
+            // front, so that most events do not allocate.
+            watch: Vec::with_capacity(n),
             pairs_checked: 0,
             near: Vec::new(),
             fresh: Vec::with_capacity(n),
@@ -497,23 +469,19 @@ impl<P: Point> StrongVisibilityMonitor<P> {
         // Every robot stands at its start, so a pair's envelope bounds are
         // its distance, and one pass over each robot's candidates above it
         // both seeds the acquired set and classifies the pairs.
-        let scale = monitor.limit();
-        for (a, &pa) in initial_positions.iter().enumerate() {
-            monitor.candidates(pa, 0.0);
+        for (a, &pa) in initial.origins.iter().enumerate() {
+            monitor.candidates(initial, a);
             for k in 0..monitor.near.len() {
                 let b = monitor.near[k];
                 if b <= a {
                     continue;
                 }
-                let pb = initial_positions[b];
-                let d = pa.dist(pb);
-                let acquired = d <= radius;
+                let acquired = pa.dist(initial.origins[b]) <= radius;
                 if acquired {
                     monitor.acquired[a].push(b as u32);
                     monitor.acquired[b].push(a as u32);
                 }
-                let bounds = Bounds::new(d, 0.0, magnitude(pa) + magnitude(pb), scale);
-                if monitor.qualifies(bounds, acquired) {
+                if monitor.qualifies(initial.bounds(a, b, monitor.limit()), acquired) {
                     monitor.watch.push((a, b, acquired));
                 }
             }
@@ -579,80 +547,51 @@ impl<P: Point> StrongVisibilityMonitor<P> {
     }
 
     /// Fills `near` with a superset of the robots whose envelope can come
-    /// within the acquisition radius of an envelope around `origin`;
-    /// `spread` bounds that envelope's radius plus any other's.
-    fn candidates(&mut self, origin: P, spread: f64) {
+    /// within the acquisition radius of robot `r`'s, from a range query on
+    /// the envelopes' grid padded by `r`'s envelope radius and the largest.
+    fn candidates<P: Point>(&mut self, envelopes: &Envelopes<'_, P>, r: usize) {
         self.near.clear();
-        match &self.grid {
-            Some(grid) => {
-                let reach = self.radius() + spread;
-                // A qualifying partner lies within `reach` plus its pair
-                // slack, which is less than half of this margin.
-                let margin = 2.0 * SLACK * (1.0 + 2.0 * (magnitude(origin) + reach) + self.limit());
-                grid.query_within(origin, reach + margin, &mut self.near);
-            }
-            None => self.near.extend(0..self.acquired.len()),
-        }
+        let origin = envelopes.origins[r];
+        let reach = self.radius() + (envelopes.reach[r] + envelopes.max_reach);
+        // A qualifying partner lies within `reach` plus its pair slack,
+        // which is less than half of this margin.
+        let margin = 2.0 * SLACK * (1.0 + 2.0 * (magnitude(origin) + reach) + self.limit());
+        let grid = envelopes.grid;
+        grid.query_within(origin, reach + margin, &mut self.near);
     }
 
-    /// Re-indexes the grid at the envelope origins and rebuilds the watch
-    /// list from scratch: every robot's acquired partners and candidates
-    /// above it. The test oracle for the incremental re-classification at
-    /// breakpoints.
+    /// Rebuilds the watch list from scratch, classifying each robot's pairs
+    /// with the robots above it: the test oracle for the incremental
+    /// re-classification at breakpoints.
     #[cfg(test)]
-    fn rebuild(&mut self, envelopes: &Envelopes<'_, P>) {
-        if let Some(grid) = &mut self.grid {
-            for (i, &o) in envelopes.origins.iter().enumerate() {
-                grid.relocate(i, o);
-            }
-        }
+    fn rebuild<P: Point>(&mut self, envelopes: &Envelopes<'_, P>) {
         self.watch.clear();
         for r in 0..self.acquired.len() {
-            for k in 0..self.acquired[r].len() {
-                let b = self.acquired[r][k] as usize;
-                if b > r && self.qualifies(envelopes.bounds(r, b, self.limit()), true) {
-                    self.watch.push((r, b, true));
-                }
-            }
-            self.candidates(
-                envelopes.origins[r],
-                envelopes.reach[r] + envelopes.max_reach,
-            );
-            for k in 0..self.near.len() {
-                let b = self.near[k];
-                if b > r
-                    && self.acquired[r].binary_search(&(b as u32)).is_err()
-                    && self.qualifies(envelopes.bounds(r, b, self.limit()), false)
-                {
-                    self.watch.push((r, b, false));
-                }
-            }
+            self.classify(r, r + 1, envelopes);
         }
-        self.watch.sort_unstable_by_key(|&(a, b, _)| (a, b));
     }
 
     /// Re-classifies every pair incident to breakpoint robot `r`.
-    fn reclassify(&mut self, r: usize, envelopes: &Envelopes<'_, P>) {
-        if let Some(grid) = &mut self.grid {
-            let o = envelopes.origins[r];
-            if grid.position(r) != Some(o) {
-                grid.relocate(r, o);
-            }
-        }
+    fn reclassify<P: Point>(&mut self, r: usize, envelopes: &Envelopes<'_, P>) {
+        debug_assert_eq!(envelopes.grid.position(r), Some(envelopes.origins[r]));
         self.watch.retain(|&(a, b, _)| a != r && b != r);
+        self.classify(r, 0, envelopes);
+    }
+
+    /// Inserts into the watch list every qualifying pair `(r, b)`, `b ≠ r`
+    /// and `b ≥ from`: `r`'s acquired partners, then its candidates.
+    fn classify<P: Point>(&mut self, r: usize, from: usize, envelopes: &Envelopes<'_, P>) {
         for k in 0..self.acquired[r].len() {
             let b = self.acquired[r][k] as usize;
-            if self.qualifies(envelopes.bounds(r, b, self.limit()), true) {
+            if b >= from && self.qualifies(envelopes.bounds(r, b, self.limit()), true) {
                 watch_insert(&mut self.watch, r, b, true);
             }
         }
-        self.candidates(
-            envelopes.origins[r],
-            envelopes.reach[r] + envelopes.max_reach,
-        );
+        self.candidates(envelopes, r);
         for k in 0..self.near.len() {
             let b = self.near[k];
             if b != r
+                && b >= from
                 && self.acquired[r].binary_search(&(b as u32)).is_err()
                 && self.qualifies(envelopes.bounds(r, b, self.limit()), false)
             {
@@ -671,10 +610,9 @@ impl<P: Point> StrongVisibilityMonitor<P> {
             partners.insert(slot, y as u32);
         }
     }
-}
 
-impl<P: Ambient> Monitor<P> for StrongVisibilityMonitor<P> {
-    fn on_event(&mut self, ctx: &MonitorContext<'_, P>) {
+    /// Observes one engine event (see the module docs).
+    pub fn on_event<P: Ambient>(&mut self, ctx: &MonitorContext<'_, P>) {
         if let Some(r) = ctx.breakpoint {
             self.reclassify(r, &ctx.envelopes);
         }
@@ -880,11 +818,11 @@ impl DiameterMonitor {
         }
     }
 
-    /// The diameter of `positions`, bit for bit [`diameter_of`]. Positions
-    /// that repeat the last measured ones bit for bit, in the same
-    /// dimension, get the stored diameter; others are measured with the
-    /// monitor's pooled kernel and counted in
-    /// [`DiameterMonitor::pairs_checked`].
+    /// The diameter of `positions`, bit for bit
+    /// [`cohesion_geometry::diameter::diameter`]'s. Positions that repeat
+    /// the last measured ones bit for bit, in the same dimension, get the
+    /// stored diameter; others are measured with the monitor's pooled
+    /// kernel and counted in [`DiameterMonitor::pairs_checked`].
     pub fn measure<P: Point>(&mut self, positions: &[P]) -> f64 {
         let repeat = remember(
             &mut self.measured_bits,
@@ -942,6 +880,7 @@ impl DiameterMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cohesion_geometry::diameter::diameter;
     use proptest::prelude::*;
 
     /// One engine event as the monitors see it.
@@ -958,9 +897,12 @@ mod tests {
     }
 
     /// A miniature engine: every robot stands, or travels the segment
-    /// `origin → target` with the engine's interpolation arithmetic.
-    struct Swarm<P> {
+    /// `origin → target` with the engine's interpolation arithmetic, and a
+    /// grid indexes every robot at its origin, relocated at `End` as the
+    /// engine relocates its grid at a MoveEnd.
+    struct Swarm<P: Point> {
         origins: Vec<P>,
+        grid: DynamicGrid<P>,
         targets: Vec<P>,
         reach: Vec<f64>,
         moving: Vec<bool>,
@@ -970,10 +912,13 @@ mod tests {
     }
 
     impl<P: Ambient> Swarm<P> {
-        fn new(start: &[P]) -> Self {
+        /// A standing swarm; its grid's cells are `v/2`, the engine's cell
+        /// for visibility `v`.
+        fn new(start: &[P], v: f64) -> Self {
             let n = start.len();
             Swarm {
                 origins: start.to_vec(),
+                grid: DynamicGrid::from_points(start, v / 2.0),
                 targets: start.to_vec(),
                 reach: vec![0.0; n],
                 moving: vec![false; n],
@@ -988,11 +933,12 @@ mod tests {
                 origins: &self.origins,
                 reach: &self.reach,
                 max_reach: self.reach.iter().fold(0.0, |m, &r| m.max(r)),
+                grid: &self.grid,
             }
         }
 
-        /// Applies `event` and hands the monitors its context.
-        fn apply(&mut self, event: &Event<P>, monitors: &mut [&mut dyn Monitor<P>]) {
+        /// Applies `event` and hands its context to `observe`.
+        fn apply(&mut self, event: &Event<P>, mut observe: impl FnMut(&MonitorContext<'_, P>)) {
             self.events += 1;
             let (breakpoint, stopped) = match *event {
                 Event::Start(i, to, instant) => {
@@ -1010,6 +956,7 @@ mod tests {
                     assert!(self.moving[i], "robot {i} is not moving");
                     self.positions[i] = self.targets[i];
                     self.origins[i] = self.targets[i];
+                    self.grid.relocate(i, self.targets[i]);
                     self.reach[i] = 0.0;
                     self.moving[i] = false;
                     (Some(i), Some(i))
@@ -1037,9 +984,7 @@ mod tests {
                 breakpoint,
                 envelopes: self.envelopes(),
             };
-            for m in monitors.iter_mut() {
-                m.on_event(&ctx);
-            }
+            observe(&ctx);
         }
     }
 
@@ -1121,19 +1066,21 @@ mod tests {
 
     /// Both pair monitors and the oracle over one start configuration.
     struct Pairs<P: Point> {
-        start: Vec<P>,
+        /// The swarm standing at the start, never moved.
+        start: Swarm<P>,
         cohesion: CohesionMonitor,
-        strong: StrongVisibilityMonitor<P>,
+        strong: StrongVisibilityMonitor,
         oracle: AllPairs,
     }
 
     impl<P: Ambient> Pairs<P> {
         fn new(v: f64, tol: f64, start: &[P]) -> Self {
             let oracle = AllPairs::new(v, tol, start);
+            let start = Swarm::new(start, v);
             Pairs {
-                start: start.to_vec(),
-                cohesion: CohesionMonitor::new(start, &oracle.edges, |_, _| v, tol),
-                strong: StrongVisibilityMonitor::new(v, tol, start),
+                cohesion: CohesionMonitor::new(&start.origins, &oracle.edges, |_, _| v, tol),
+                strong: StrongVisibilityMonitor::new(v, tol, &start.envelopes()),
+                start,
                 oracle,
             }
         }
@@ -1143,7 +1090,10 @@ mod tests {
         /// lists with the ones `rebuild` derives from scratch, given the
         /// same reported and acquired pairs and the same envelopes.
         fn step(&mut self, swarm: &mut Swarm<P>, event: &Event<P>) -> Result<(), TestCaseError> {
-            swarm.apply(event, &mut [&mut self.cohesion, &mut self.strong]);
+            swarm.apply(event, |ctx| {
+                self.cohesion.on_event(ctx);
+                self.strong.on_event(ctx);
+            });
             let at = swarm.events;
             self.oracle.observe(at as f64, &swarm.positions);
             prop_assert_eq!(
@@ -1171,10 +1121,11 @@ mod tests {
                 return Ok(());
             }
             let (v, tol) = (self.oracle.v, self.oracle.tol);
-            let mut cohesion = CohesionMonitor::new(&self.start, &self.oracle.edges, |_, _| v, tol);
+            let mut cohesion =
+                CohesionMonitor::new(&self.start.origins, &self.oracle.edges, |_, _| v, tol);
             cohesion.violated = self.cohesion.violated.clone();
             cohesion.rebuild(&swarm.envelopes());
-            let mut strong = StrongVisibilityMonitor::new(v, tol, &self.start);
+            let mut strong = StrongVisibilityMonitor::new(v, tol, &self.start.envelopes());
             strong.acquired = self.strong.acquired.clone();
             strong.rebuild(&swarm.envelopes());
             prop_assert_eq!(
@@ -1329,7 +1280,7 @@ mod tests {
         };
         let mut pairs = Pairs::new(v, tol, &start);
         prop_assert_eq!(pairs.strong.acquired_bits(), pairs.oracle.words.clone());
-        let mut swarm = Swarm::new(&start);
+        let mut swarm = Swarm::new(&start, v);
         for &op in ops {
             for event in decode(&swarm, offset, op) {
                 pairs.step(&mut swarm, &event)?;
@@ -1360,8 +1311,8 @@ mod tests {
     // Both pair monitors against the all-pairs oracle along piecewise-linear
     // motion, with coordinates offset by up to 1e6, thresholds hit exactly
     // on the lattice (or, in the rounding family, missed by one unit in the
-    // last place), and swarm sizes straddling GRID_THRESHOLD so both
-    // candidate sources run.
+    // last place), and swarms of 2 to 63 robots, far hops included, whose
+    // strong-visibility candidates come from the swarm's grid of origins.
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -1405,7 +1356,7 @@ mod tests {
         let start = [Vec2::new(1e6, -1e6), Vec2::new(1e6 + STEP, -1e6 + STEP)];
         let v = rounding_v();
         let mut pairs = Pairs::new(v, 0.0, &start);
-        let mut swarm = Swarm::new(&start);
+        let mut swarm = Swarm::new(&start, v);
         let away = start[1] + (start[1] - start[0]) * 3.0;
         for event in [
             Event::Start(1, away, false),
@@ -1421,15 +1372,15 @@ mod tests {
 
     #[test]
     fn a_moved_origin_relocates_in_the_grid() {
-        // A grid-sized swarm: robots 0 and 1 hop far away, 1.0 apart (not
-        // acquired), then robot 1 steps 0.5 toward robot 0. Its candidate
-        // query finds robot 0 only at the origin robot 0's MoveEnd moved it
-        // to.
-        let start: Vec<Vec2> = (0..GRID_THRESHOLD)
+        // Robots 0 and 1 hop far away, 1.0 apart (not acquired), then robot
+        // 1 steps 0.5 toward robot 0. Its candidate query finds robot 0 only
+        // at the origin robot 0's MoveEnd relocated it to in the swarm's
+        // grid.
+        let start: Vec<Vec2> = (0..32)
             .map(|i| Vec2::new((i % 8) as f64 * 0.9, (i / 8) as f64 * 0.9))
             .collect();
         let mut pairs = Pairs::new(1.0, TOL, &start);
-        let mut swarm = Swarm::new(&start);
+        let mut swarm = Swarm::new(&start, 1.0);
         let far = Vec2::new(40.0, 40.0);
         for event in [
             Event::Start(0, far, true),
@@ -1441,6 +1392,7 @@ mod tests {
         ] {
             pairs.step(&mut swarm, &event).unwrap();
         }
+        assert_eq!(swarm.grid.position(0), Some(far));
         assert_eq!(pairs.strong.acquired[1], [0]);
     }
 
@@ -1448,14 +1400,15 @@ mod tests {
     fn cohesion_monitor_flags_broken_edge_once() {
         let start = [Vec2::ZERO, Vec2::new(0.9, 0.0)];
         let mut m = CohesionMonitor::new(&start, &[(0, 1)], |_, _| 1.0, 1e-9);
-        let mut swarm = Swarm::new(&start);
-        swarm.apply(&Event::Start(1, Vec2::new(1.5, 0.0), false), &mut [&mut m]);
+        let mut swarm = Swarm::new(&start, 1.0);
+        let away = Event::Start(1, Vec2::new(1.5, 0.0), false);
+        swarm.apply(&away, |ctx| m.on_event(ctx));
         assert!(m.maintained());
         assert_eq!(m.watched().collect::<Vec<_>>(), [(0, 1)]);
-        swarm.apply(&Event::Tick(vec![1.0]), &mut [&mut m]);
+        swarm.apply(&Event::Tick(vec![1.0]), |ctx| m.on_event(ctx));
         assert!(!m.maintained());
         assert_eq!(m.watched().count(), 0, "a reported edge leaves the list");
-        swarm.apply(&Event::End(1), &mut [&mut m]);
+        swarm.apply(&Event::End(1), |ctx| m.on_event(ctx));
         let violations = m.into_violations();
         assert_eq!(violations.len(), 1, "first observation only");
         assert_eq!(violations[0].time, 2.0);
@@ -1468,10 +1421,12 @@ mod tests {
         // robot 1's short step keeps its edge off the watch list.
         let start = [Vec2::ZERO, Vec2::new(0.5, 0.0), Vec2::new(0.9, 0.0)];
         let mut m = CohesionMonitor::new(&start, &[(0, 1)], |_, _| 1.0, 1e-9);
-        let mut swarm = Swarm::new(&start);
-        swarm.apply(&Event::Start(2, Vec2::new(9.0, 0.0), false), &mut [&mut m]);
-        swarm.apply(&Event::Start(1, Vec2::new(0.6, 0.0), false), &mut [&mut m]);
-        swarm.apply(&Event::Tick(vec![1.0]), &mut [&mut m]);
+        let mut swarm = Swarm::new(&start, 1.0);
+        let (drift, step) = (Vec2::new(9.0, 0.0), Vec2::new(0.6, 0.0));
+        for event in [Event::Start(2, drift, false), Event::Start(1, step, false)] {
+            swarm.apply(&event, |ctx| m.on_event(ctx));
+        }
+        swarm.apply(&Event::Tick(vec![1.0]), |ctx| m.on_event(ctx));
         assert!(m.maintained());
         assert_eq!(m.watched().count(), 0);
         assert_eq!(
@@ -1487,19 +1442,21 @@ mod tests {
         // then separates beyond V in one zero-duration Move: the violation
         // must register.
         let start = [Vec2::ZERO, Vec2::new(0.4, 0.0)];
-        let mut m = StrongVisibilityMonitor::new(1.0, 1e-9, &start);
-        let mut swarm = Swarm::new(&start);
-        swarm.apply(&Event::Start(1, Vec2::new(1.2, 0.0), true), &mut [&mut m]);
+        let mut swarm = Swarm::new(&start, 1.0);
+        let mut m = StrongVisibilityMonitor::new(1.0, 1e-9, &swarm.envelopes());
+        let hop = Event::Start(1, Vec2::new(1.2, 0.0), true);
+        swarm.apply(&hop, |ctx| m.on_event(ctx));
         assert!(!m.ok());
     }
 
     #[test]
     fn strong_visibility_never_acquired_pair_may_separate() {
         let start = [Vec2::ZERO, Vec2::new(0.9, 0.0)];
-        let mut m = StrongVisibilityMonitor::new(1.0, 1e-9, &start);
-        let mut swarm = Swarm::new(&start);
-        swarm.apply(&Event::Start(1, Vec2::new(1.2, 0.0), true), &mut [&mut m]);
-        swarm.apply(&Event::End(1), &mut [&mut m]);
+        let mut swarm = Swarm::new(&start, 1.0);
+        let mut m = StrongVisibilityMonitor::new(1.0, 1e-9, &swarm.envelopes());
+        for event in [Event::Start(1, Vec2::new(1.2, 0.0), true), Event::End(1)] {
+            swarm.apply(&event, |ctx| m.on_event(ctx));
+        }
         assert!(m.ok(), "0.9 > V/2: visibility was never acquired");
         assert_eq!(m.watched().count(), 0, "moving away cannot acquire");
     }
@@ -1681,8 +1638,8 @@ mod tests {
         use cohesion_model::Configuration;
         let pts = vec![Vec2::ZERO, Vec2::new(3.0, 4.0), Vec2::new(1.0, 1.0)];
         let c = Configuration::new(pts.clone());
-        assert_eq!(diameter_of(&pts), c.diameter());
-        assert_eq!(diameter_of::<Vec2>(&[]), 0.0);
+        assert_eq!(diameter(&pts), c.diameter());
+        assert_eq!(diameter::<Vec2>(&[]), 0.0);
     }
 
     /// The historical diameter loop, the oracle: the largest `dist`.
@@ -1696,11 +1653,11 @@ mod tests {
         best
     }
 
-    /// The bits of `(diameter_of, Configuration::diameter, the oracle)`.
+    /// The bits of `(diameter, Configuration::diameter, the oracle)`.
     fn diameter_bits<P: Point>(positions: &[P]) -> (u64, u64, u64) {
         let config = cohesion_model::Configuration::new(positions.to_vec());
         (
-            diameter_of(positions).to_bits(),
+            diameter(positions).to_bits(),
             config.diameter().to_bits(),
             largest_dist(positions).to_bits(),
         )
@@ -1708,7 +1665,7 @@ mod tests {
 
     fn assert_bitwise_oracle<P: Point>(positions: &[P], what: &str) {
         let (of, config, oracle) = diameter_bits(positions);
-        assert_eq!(of, oracle, "diameter_of, {what}");
+        assert_eq!(of, oracle, "diameter, {what}");
         assert_eq!(config, oracle, "Configuration::diameter, {what}");
     }
 

@@ -9,7 +9,7 @@ use crate::engine::{Engine, LookPath};
 use crate::monitors::{CohesionMonitor, DiameterMonitor, HullMonitor, StrongVisibilityMonitor};
 use crate::report::SimulationReport;
 use crate::session::Simulation;
-use cohesion_geometry::{DynamicGrid, Point, Vec2};
+use cohesion_geometry::Vec2;
 use cohesion_model::frame::{Ambient, FrameMode};
 use cohesion_model::visibility::GRID_THRESHOLD;
 use cohesion_model::{
@@ -165,9 +165,9 @@ impl<P: Ambient> SimulationBuilder<P> {
     }
 
     /// Enables/disables strong-visibility tracking (the acquired-visibility
-    /// clause of Theorems 3–4). It costs a grid range query plus an
-    /// acquired-partner walk per breakpoint, and a walk of its watch list
-    /// per event; see [`StrongVisibilityMonitor`].
+    /// clause of Theorems 3–4). It costs a range query on the engine's grid
+    /// plus an acquired-partner walk per breakpoint, and a walk of its watch
+    /// list per event; see [`StrongVisibilityMonitor`].
     pub fn track_strong_visibility(mut self, enabled: bool) -> Self {
         self.track_strong_visibility = enabled;
         self
@@ -206,25 +206,6 @@ impl<P: Ambient> SimulationBuilder<P> {
             self.scheduler,
             self.seed,
         );
-        // Cohesion is judged on the mutual visibility graph: with a common
-        // radius that is the usual E(0), read off the engine's grid (every
-        // robot is indexed at its start until the first event) once the
-        // swarm is large enough for a grid to pay; with per-robot radii, an
-        // edge needs distance ≤ min of the two radii (both endpoints see
-        // each other).
-        let initial_edges: Vec<(usize, usize)> = match &self.visibility_radii {
-            None if self.initial.len() >= GRID_THRESHOLD => {
-                engine.grid().pairs_within(self.visibility)
-            }
-            None => VisibilityGraph::from_configuration_brute(&self.initial, self.visibility)
-                .edges()
-                .iter()
-                .map(|e| (e.a.index(), e.b.index()))
-                .collect(),
-            Some(radii) => mutual_edges(self.initial.positions(), radii),
-        };
-        let initial_diameter = self.initial.diameter();
-
         engine.set_perception(self.perception);
         engine.set_motion(self.motion);
         engine.set_frame_mode(self.frame_mode);
@@ -233,10 +214,32 @@ impl<P: Ambient> SimulationBuilder<P> {
         }
         engine.set_look_path(self.look_path);
 
+        // Cohesion is judged on the mutual visibility graph: with a common
+        // radius that is the usual E(0), read off the engine's grid (every
+        // robot is indexed at its start until the first event) once the
+        // swarm is large enough for a grid to pay; with per-robot radii, an
+        // edge needs distance ≤ min of the two radii (both endpoints see
+        // each other), tested on the pairs within the largest radius from
+        // the same grid, re-celled to it, in the all-pairs loop's order.
+        let positions = self.initial.positions();
+        let grid = engine.envelopes().grid;
+        let initial_edges: Vec<(usize, usize)> = match &self.visibility_radii {
+            None if self.initial.len() >= GRID_THRESHOLD => grid.pairs_within(self.visibility),
+            None => VisibilityGraph::from_configuration_brute(&self.initial, self.visibility)
+                .edges()
+                .iter()
+                .map(|e| (e.a.index(), e.b.index()))
+                .collect(),
+            Some(radii) => grid
+                .pairs_within(radii.iter().copied().fold(0.0, f64::max))
+                .into_iter()
+                .filter(|&(i, j)| positions[i].dist(positions[j]) <= radii[i].min(radii[j]))
+                .collect(),
+        };
+        let initial_diameter = self.initial.diameter();
+
         let v = self.visibility;
         let cohesion_tol = 1e-9 * (1.0 + v);
-
-        let positions = self.initial.positions();
         let cohesion = match &self.visibility_radii {
             None => CohesionMonitor::new(positions, &initial_edges, |_, _| v, cohesion_tol),
             Some(radii) => CohesionMonitor::new(
@@ -248,7 +251,7 @@ impl<P: Ambient> SimulationBuilder<P> {
         };
         let strong = self
             .track_strong_visibility
-            .then(|| StrongVisibilityMonitor::new(v, cohesion_tol, positions));
+            .then(|| StrongVisibilityMonitor::new(v, cohesion_tol, &engine.envelopes()));
         // 2D-only hull checks: the ConvexHull type is planar. For other
         // dimensions the check is skipped (reported as None).
         let hull_checks_possible = P::DIM == 2;
@@ -279,22 +282,6 @@ impl<P: Ambient> SimulationBuilder<P> {
     pub fn run(self) -> SimulationReport<P> {
         self.build().run_to_completion()
     }
-}
-
-/// The initial mutual visibility edges under per-robot radii: every pair
-/// `(i, j)`, `i < j`, with `dist ≤ min(rᵢ, rⱼ)`, in ascending order. The
-/// candidates are the pairs within the largest radius, drawn from a
-/// [`DynamicGrid`] at that radius in the same order; the test is the
-/// all-pairs loop's, on the same `dist`, so the edge list is too.
-fn mutual_edges<P: Point>(positions: &[P], radii: &[f64]) -> Vec<(usize, usize)> {
-    let Some(reach) = radii.iter().copied().reduce(f64::max) else {
-        return Vec::new();
-    };
-    DynamicGrid::from_points(positions, reach)
-        .pairs_within(reach)
-        .into_iter()
-        .filter(|&(i, j)| positions[i].dist(positions[j]) <= radii[i].min(radii[j]))
-        .collect()
 }
 
 impl<P: Ambient> std::fmt::Debug for SimulationBuilder<P> {
@@ -397,6 +384,9 @@ mod tests {
         }
     }
 
+    /// Under per-robot radii a session reads its mutual E(0) off the
+    /// engine's grid, re-celled to the largest radius: that must be the
+    /// all-pairs loop's edge list.
     #[test]
     fn mutual_edges_match_the_all_pairs_loop() {
         let mut state = 0x9e37_79b9_7f4a_7c15_u64;
@@ -410,7 +400,6 @@ mod tests {
             .into_iter()
             .map(|n| cohesion_workloads::random_connected(n, 1.0, n as u64))
             .collect();
-        configs.push(Configuration::new(Vec::new()));
         // Exact ties: lattice neighbours at exactly the smaller radius.
         configs.push(cohesion_workloads::grid(12, 12, 0.5));
         for config in &configs {
@@ -433,7 +422,10 @@ mod tests {
                         }
                     }
                 }
-                assert_eq!(mutual_edges(pos, &radii), brute, "n = {}", pos.len());
+                let builder = SimulationBuilder::new(config.clone(), NilAlgorithm);
+                let session = builder.visibility_radii(radii).build();
+                let edges = session.cohesion().initial_edges();
+                assert_eq!(edges, brute, "n = {}", pos.len());
             }
         }
     }

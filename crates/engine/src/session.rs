@@ -35,10 +35,11 @@
 //! session's monitors read — the same stream the report is computed from.
 //! Rounds, violations and diameter samples are not streamed separately:
 //! [`Simulation::progress`] and the finished [`SimulationReport`] carry
-//! them. The session drives the pair monitors of [`crate::monitors`]
-//! through [`Monitor::on_event`], and the hull and diameter samplers
-//! through their `due` cadence, so that a sample on a round boundary reuses
-//! the boundary's diameter.
+//! them. The session calls the pair monitors of [`crate::monitors`] at every
+//! event ([`CohesionMonitor::on_event`],
+//! [`StrongVisibilityMonitor::on_event`]), and the hull and diameter
+//! samplers through their `due` cadence, so that a sample on a round
+//! boundary reuses the boundary's diameter.
 //!
 //! # Positions
 //!
@@ -61,7 +62,7 @@
 
 use crate::engine::{Engine, EngineEvent, EngineEventKind};
 use crate::monitors::{
-    CohesionMonitor, DiameterMonitor, HullMonitor, Monitor, MonitorContext, StrongVisibilityMonitor,
+    CohesionMonitor, DiameterMonitor, HullMonitor, MonitorContext, StrongVisibilityMonitor,
 };
 use crate::report::SimulationReport;
 use cohesion_geometry::Vec2;
@@ -281,7 +282,7 @@ pub struct Simulation<P: Ambient = Vec2> {
     pub(crate) dirty: Vec<usize>,
     pub(crate) dirty_mask: Vec<bool>,
     pub(crate) cohesion: CohesionMonitor,
-    pub(crate) strong: Option<StrongVisibilityMonitor<P>>,
+    pub(crate) strong: Option<StrongVisibilityMonitor>,
     pub(crate) hull: Option<HullMonitor>,
     pub(crate) diameter: DiameterMonitor,
     pub(crate) round_diameters: Vec<(usize, f64)>,
@@ -298,9 +299,9 @@ pub struct Simulation<P: Ambient = Vec2> {
 
 /// The four standard monitors a session is built around, bundled for
 /// construction (the builder materializes them, the session owns them).
-pub(crate) struct MonitorPipeline<P: Ambient> {
+pub(crate) struct MonitorPipeline {
     pub(crate) cohesion: CohesionMonitor,
-    pub(crate) strong: Option<StrongVisibilityMonitor<P>>,
+    pub(crate) strong: Option<StrongVisibilityMonitor>,
     pub(crate) hull: Option<HullMonitor>,
     pub(crate) diameter: DiameterMonitor,
 }
@@ -311,7 +312,7 @@ impl<P: Ambient> Simulation<P> {
         epsilon: f64,
         budget: Budget,
         initial_diameter: f64,
-        monitors: MonitorPipeline<P>,
+        monitors: MonitorPipeline,
     ) -> Self {
         let MonitorPipeline {
             cohesion,
@@ -388,7 +389,7 @@ impl<P: Ambient> Simulation<P> {
 
     /// The strong-visibility monitor (read-only), when tracking is on.
     #[must_use]
-    pub fn strong_visibility(&self) -> Option<&StrongVisibilityMonitor<P>> {
+    pub fn strong_visibility(&self) -> Option<&StrongVisibilityMonitor> {
         self.strong.as_ref()
     }
 

@@ -1,9 +1,9 @@
 //! A uniform grid for "who is within `r` of whom", over a point set that
 //! changes one point at a time — the workspace's one spatial index.
 //!
-//! The simulation engine's Look, the strong-visibility monitor and the §7
-//! adversary keep a `DynamicGrid` current as robots move: insert and remove
-//! of individual points are O(1)-ish. A frozen point set, such as the
+//! The simulation engine (whose grid its Look and the strong-visibility
+//! monitor both query) and the §7 adversary keep a `DynamicGrid` current as
+//! robots move: insert and remove of individual points are O(1)-ish. A frozen point set, such as the
 //! initial configuration whose visibility graph E(0) cohesion is judged
 //! against, is indexed with [`DynamicGrid::from_points`] and its edges read
 //! off with [`DynamicGrid::pairs_within`]. Determinism is part of the
@@ -65,7 +65,7 @@ const DENSE_PAD_CELLS: i64 = 4;
 /// Points are addressed by a caller-chosen dense index in `0..capacity`;
 /// each index is either *present* (indexed at some position) or *absent*.
 /// The engine maps robot indices straight onto grid indices and keeps
-/// exactly the stationary robots present.
+/// every robot present, at its Move origin while it moves.
 ///
 /// ```
 /// use cohesion_geometry::{DynamicGrid, Vec2};

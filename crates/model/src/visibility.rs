@@ -19,8 +19,9 @@ use serde::{Deserialize, Serialize};
 
 /// Below this robot count, [`VisibilityGraph::from_configuration`] uses the
 /// quadratic builder: for tiny clouds the all-pairs sweep is cheaper than
-/// building a grid index. The engine's strong-visibility monitor picks its
-/// candidate source by the same rule.
+/// building a grid index. A simulation session with a common radius picks
+/// its E(0) source by the same rule: the all-pairs loop below it, the
+/// engine's grid at and above it.
 pub const GRID_THRESHOLD: usize = 32;
 
 /// The undirected visibility graph `G(t) = (R, E(t))` where
