@@ -5,9 +5,9 @@
 //! angle: otherwise a regular polygon with unit sides — where every robot
 //! perceives exactly that situation — would freeze forever and the algorithm
 //! would fail to converge. This module provides the *frozen* straw-man
-//! algorithm and the polygon witness, so the experiment binary can
-//! demonstrate both horns of the dilemma: move (and be defeated by the
-//! sliver adversary) or freeze (and be defeated by the polygon).
+//! algorithm, and its tests the polygon witness, demonstrating both horns
+//! of the dilemma: move (and be defeated by the sliver adversary) or freeze
+//! (and be defeated by the polygon).
 
 use cohesion_geometry::{predicates::angle_at, Vec2};
 use cohesion_model::{Algorithm, Snapshot};
@@ -63,22 +63,6 @@ impl<A: Algorithm<Vec2>> Algorithm<Vec2> for FrozenNearCollinear<A> {
     }
 }
 
-/// The interior angle at each vertex of a regular `m`-gon.
-pub fn regular_polygon_interior_angle(m: usize) -> f64 {
-    std::f64::consts::PI * (1.0 - 2.0 / m as f64)
-}
-
-/// The smallest polygon size whose interior angle defeats a freeze tolerance
-/// `tol`: every robot of a regular `m`-gon with unit sides then perceives its
-/// neighbours at an angle `≥ π − tol` and the frozen algorithm never moves.
-pub fn polygon_size_defeating(tol: f64) -> usize {
-    let mut m = 3;
-    while regular_polygon_interior_angle(m) < std::f64::consts::PI - tol {
-        m += 1;
-    }
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,24 +71,12 @@ mod tests {
     use cohesion_scheduler::FSyncScheduler;
 
     #[test]
-    fn interior_angle_formula() {
-        assert!((regular_polygon_interior_angle(4) - std::f64::consts::FRAC_PI_2).abs() < 1e-12);
-        assert!(
-            (regular_polygon_interior_angle(6) - 2.0 * std::f64::consts::PI / 3.0).abs() < 1e-12
-        );
-    }
-
-    #[test]
-    fn polygon_size_grows_as_tolerance_shrinks() {
-        assert!(polygon_size_defeating(0.1) > polygon_size_defeating(0.5));
-        let m = polygon_size_defeating(0.2);
-        assert!(regular_polygon_interior_angle(m) >= std::f64::consts::PI - 0.2);
-    }
-
-    #[test]
     fn frozen_algorithm_freezes_on_the_polygon() {
         let tol = 0.3;
-        let m = polygon_size_defeating(tol);
+        // The smallest regular polygon whose interior angle π(1 − 2/m)
+        // reaches π − tol: every robot perceives its neighbours at an angle
+        // the frozen algorithm refuses to move at.
+        let m = (std::f64::consts::TAU / tol).ceil() as usize;
         let config = cohesion_workloads_ring(m);
         let frozen = FrozenNearCollinear::new(KirkpatrickAlgorithm::new(1), tol);
         let report = SimulationBuilder::new(config.clone(), frozen)

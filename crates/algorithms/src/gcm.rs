@@ -26,21 +26,6 @@ impl GcmAlgorithm {
     pub fn new() -> Self {
         GcmAlgorithm { step_fraction: 1.0 }
     }
-
-    /// A damped variant (`fraction ∈ (0, 1]`).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `fraction ∉ (0, 1]`.
-    pub fn damped(fraction: f64) -> Self {
-        assert!(
-            fraction > 0.0 && fraction <= 1.0,
-            "step fraction must be in (0, 1]"
-        );
-        GcmAlgorithm {
-            step_fraction: fraction,
-        }
-    }
 }
 
 impl Algorithm<Vec2> for GcmAlgorithm {
@@ -77,14 +62,6 @@ mod tests {
         let alg = GcmAlgorithm::new();
         let snap = Snapshot::from_positions(vec![Vec2::new(2.0, 2.0)]);
         assert!((alg.compute(&snap) - Vec2::new(1.0, 1.0)).norm() < 1e-12);
-    }
-
-    #[test]
-    fn damped_scales() {
-        let snap = Snapshot::from_positions(vec![Vec2::new(2.0, 0.0)]);
-        let full = GcmAlgorithm::new().compute(&snap);
-        let half = GcmAlgorithm::damped(0.5).compute(&snap);
-        assert!((full * 0.5 - half).norm() < 1e-12);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! The scripted schedules are first-class [`SchedulerSpec`] variants, so
 //! each `(figure, algorithm)` cell is a plain [`ScenarioSpec`] replay.
 
-use crate::lab::{check_rows, Experiment, JsonRow, LabCell, Outcome, Profile};
+use crate::lab::{Declared, Outcome, Profile};
 use crate::mark;
 use crate::sweep::{AlgorithmSpec, ScenarioSpec, SchedulerSpec};
 use cohesion_adversary::ando_counterexample::{
@@ -14,9 +14,10 @@ use cohesion_adversary::ando_counterexample::{
 use cohesion_scheduler::render::render_timeline;
 use cohesion_scheduler::{ActivationInterval, ScheduleTrace};
 use serde::Serialize;
+use std::fmt::Write;
 
 #[derive(Serialize)]
-struct Row {
+pub struct Row {
     figure: String,
     algorithm: String,
     xy_separation: f64,
@@ -56,23 +57,11 @@ fn holds(r: &Row) -> bool {
     }
 }
 
-fn row(spec: &ScenarioSpec, outcome: &Outcome) -> Row {
-    let report = outcome.report();
-    let (figure, script) = schedule(spec.scheduler);
-    let (k, nested) = schedule_properties(&script);
-    Row {
-        figure: figure.to_string(),
-        algorithm: algorithm_label(spec.algorithm),
-        xy_separation: xy_separation(report),
-        cohesive: report.cohesion_maintained,
-        schedule_k: k,
-        schedule_nested: nested,
-    }
-}
-
 pub struct AndoSeparation;
 
-impl Experiment for AndoSeparation {
+impl Declared for AndoSeparation {
+    type Row = Row;
+
     fn name(&self) -> &'static str {
         "ando_separation"
     }
@@ -113,55 +102,55 @@ impl Experiment for AndoSeparation {
             .collect()
     }
 
-    fn reduce(&self, spec: &ScenarioSpec, outcome: &Outcome) -> Vec<JsonRow> {
-        vec![JsonRow::of(&row(spec, outcome))]
+    fn row(&self, spec: &ScenarioSpec, outcome: &Outcome) -> Row {
+        let report = outcome.report();
+        let (figure, script) = schedule(spec.scheduler);
+        let (k, nested) = schedule_properties(&script);
+        Row {
+            figure: figure.to_string(),
+            algorithm: algorithm_label(spec.algorithm),
+            xy_separation: xy_separation(report),
+            cohesive: report.cohesion_maintained,
+            schedule_k: k,
+            schedule_nested: nested,
+        }
     }
 
-    fn render(&self, cells: &[LabCell]) {
-        let config = figure4_configuration();
-        println!("configuration (V = {V}):");
-        for (id, p) in config.iter() {
-            println!("  {id} at {p}");
-        }
-        let mut last_figure = String::new();
-        for cell in cells {
-            let r = row(&cell.spec, &cell.outcome);
-            if r.figure != last_figure {
-                let (_, script) = schedule(cell.spec.scheduler);
-                println!(
-                    "\n--- Figure {}: minimal k = {}, nested = {} ---",
-                    r.figure, r.schedule_k, r.schedule_nested
-                );
-                println!(
-                    "{}",
-                    render_timeline(&ScheduleTrace::from_intervals(script), 2, 64)
-                );
-                println!(
-                    "{:<22} {:>12} {:>10}",
-                    "algorithm", "|XY| final", "cohesive"
-                );
-                last_figure = r.figure.clone();
-            }
-            println!(
-                "{:<22} {:>12.4} {:>10}",
-                r.algorithm,
-                r.xy_separation,
-                mark(r.cohesive)
-            );
-        }
-        println!(
-            "\npaper: Figure 4 — Ando separates (>V = {V}) in both models; Katreniak survives"
-        );
-        println!("1-Async (its home model); the paper's algorithm survives both (Theorems 3–4).");
+    fn holds(&self, r: &Row, _rows: &[Row]) -> bool {
+        holds(r)
     }
 
-    fn check(&self, cells: &[LabCell]) -> Result<(), String> {
-        check_rows(cells, row, self.claim(), holds, |r| {
-            format!(
-                "{} under {}: |XY| {:.4}",
-                r.algorithm, r.figure, r.xy_separation
+    fn table(&self, r: &Row) -> Vec<(&'static str, String)> {
+        vec![
+            ("figure", r.figure.clone()),
+            ("algorithm", r.algorithm.clone()),
+            ("|XY| final", format!("{:.4}", r.xy_separation)),
+            ("cohesive", mark(r.cohesive).to_string()),
+        ]
+    }
+
+    fn notes(&self) -> String {
+        let mut out = format!("configuration (V = {V}):\n");
+        for (id, p) in figure4_configuration().iter() {
+            writeln!(out, "  {id} at {p}").expect("write to a String");
+        }
+        for scheduler in [SchedulerSpec::Figure4a, SchedulerSpec::Figure4b] {
+            let (figure, script) = schedule(scheduler);
+            let (k, nested) = schedule_properties(&script);
+            writeln!(
+                out,
+                "\n--- Figure {figure}: minimal k = {k}, nested = {nested} ---\n{}",
+                render_timeline(&ScheduleTrace::from_intervals(script), 2, 64)
             )
-        })
+            .expect("write to a String");
+        }
+        writeln!(
+            out,
+            "paper: Figure 4 — Ando separates (>V = {V}) in both models; Katreniak survives\n\
+             1-Async (its home model); the paper's algorithm survives both (Theorems 3–4)."
+        )
+        .expect("write to a String");
+        out
     }
 }
 

@@ -13,7 +13,7 @@
 //! scripts come from the spec types (`WorkloadSpec::EngagementPair`,
 //! `cohesion_scheduler::interleaved_engagement`).
 
-use crate::lab::{CellProgress, Experiment, JsonRow, LabCell, Outcome, Profile};
+use crate::lab::{CellProgress, Declared, Outcome, Profile};
 use crate::sweep::{AlgorithmSpec, ScenarioSpec, SchedulerSpec, WorkloadSpec};
 use cohesion_core::analysis::lemma5::{verify_chain, COS_THETA_MIN};
 use cohesion_engine::Engine;
@@ -22,7 +22,7 @@ use cohesion_scheduler::{interleaved_engagement, ScriptedScheduler};
 use serde::Serialize;
 
 #[derive(Serialize)]
-struct SearchRow {
+pub struct SearchRow {
     k: u32,
     engagements: usize,
     worst_separation: f64,
@@ -72,20 +72,11 @@ fn cell_k(spec: &ScenarioSpec) -> u32 {
     k
 }
 
-fn row(spec: &ScenarioSpec, outcome: &Outcome) -> SearchRow {
-    let s = outcome.stats();
-    SearchRow {
-        k: cell_k(spec),
-        engagements: spec.trials,
-        worst_separation: s[0],
-        min_cos_turn_seen: s[1],
-        violations: s[2] as usize,
-    }
-}
-
 pub struct ChainInvariant;
 
-impl Experiment for ChainInvariant {
+impl Declared for ChainInvariant {
+    type Row = SearchRow;
+
     fn name(&self) -> &'static str {
         "chain_invariant"
     }
@@ -145,41 +136,37 @@ impl Experiment for ChainInvariant {
         Outcome::Stats(vec![worst, min_cos, violations as f64])
     }
 
-    fn reduce(&self, spec: &ScenarioSpec, outcome: &Outcome) -> Vec<JsonRow> {
-        vec![JsonRow::of(&row(spec, outcome))]
+    fn row(&self, spec: &ScenarioSpec, outcome: &Outcome) -> SearchRow {
+        let s = outcome.stats();
+        SearchRow {
+            k: cell_k(spec),
+            engagements: spec.trials,
+            worst_separation: s[0],
+            min_cos_turn_seen: s[1],
+            violations: s[2] as usize,
+        }
     }
 
-    fn render(&self, cells: &[LabCell]) {
-        println!("Lemma 5 constant: cos θ ≥ √((2+√3)/4) = {COS_THETA_MIN:.6} (= cos 15°)");
-        println!();
-        println!(
-            "{:>3} {:>12} {:>18} {:>18} {:>12}",
-            "k", "engagements", "worst |XY| seen", "min cosθ (chains)", "separations"
-        );
-        for cell in cells {
-            let r = row(&cell.spec, &cell.outcome);
-            println!(
-                "{:>3} {:>12} {:>18.6} {:>18.6} {:>12}",
-                r.k, r.engagements, r.worst_separation, r.min_cos_turn_seen, r.violations
-            );
-        }
-        println!("\npaper: Theorem 4 — no legal k-Async schedule separates the pair; worst |XY| stays ≤ V = 1.");
-        println!(
-            "(The min-cosθ column describes realized checkpoint chains; Lemma 5's bound constrains"
-        );
-        println!(
-            "only *separating* chains, whose nonexistence is exactly the 0 in the last column.)"
-        );
+    fn holds(&self, r: &SearchRow, _rows: &[SearchRow]) -> bool {
+        r.violations == 0
     }
 
-    fn check(&self, cells: &[LabCell]) -> Result<(), String> {
-        let total: usize = cells.iter().map(|c| c.outcome.stats()[2] as usize).sum();
-        if total == 0 {
-            Ok(())
-        } else {
-            Err(format!(
-                "found {total} separating k-Async engagement(s) — contradicting Theorem 4"
-            ))
-        }
+    fn table(&self, r: &SearchRow) -> Vec<(&'static str, String)> {
+        vec![
+            ("k", r.k.to_string()),
+            ("engagements", r.engagements.to_string()),
+            ("worst |XY| seen", format!("{:.6}", r.worst_separation)),
+            ("min cosθ (chains)", format!("{:.6}", r.min_cos_turn_seen)),
+            ("separations", r.violations.to_string()),
+        ]
+    }
+
+    fn notes(&self) -> String {
+        format!(
+            "Lemma 5 constant: cos θ ≥ √((2+√3)/4) = {COS_THETA_MIN:.6} (= cos 15°)\n\n\
+             paper: Theorem 4 — no legal k-Async schedule separates the pair; worst |XY| stays ≤ V = 1.\n\
+             (The min-cosθ column describes realized checkpoint chains; Lemma 5's bound constrains\n\
+             only *separating* chains, whose nonexistence is exactly the 0 in the last column.)"
+        )
     }
 }

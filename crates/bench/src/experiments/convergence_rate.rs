@@ -9,20 +9,20 @@
 //! limited-visibility cohesive algorithms' halving time grows with `n`, the
 //! hop-diameter of the line workload's visibility graph.
 //!
-//! [`Experiment::check`] holds both: `cog` and `gcm` halve in 1 round
-//! wherever measured, and every other algorithm's `rounds_to_halve` is
-//! measured and grows strictly with `n`.
+//! The claim holds both: `cog` and `gcm` halve in 1 round wherever
+//! measured, and every other algorithm's `rounds_to_halve` is measured and
+//! grows strictly with `n`.
 //!
 //! Every `(algorithm, n)` cell is an independent [`ScenarioSpec`]; the lab
 //! runtime executes them in parallel and merges rows in spec order.
 
-use crate::lab::{check_rows, Experiment, JsonRow, LabCell, Outcome, Profile};
+use crate::lab::{Declared, Outcome, Profile};
 use crate::sweep::{AlgorithmSpec, ScenarioSpec, SchedulerSpec, WorkloadSpec};
 use cohesion_model::FrameMode;
 use serde::Serialize;
 
 #[derive(Serialize)]
-struct Row {
+pub struct Row {
     algorithm: String,
     n: usize,
     rounds_to_halve: Option<usize>,
@@ -31,9 +31,6 @@ struct Row {
 }
 
 const BIG_V: f64 = 1e6; // "unlimited" visibility for the global baselines
-
-/// Algorithms per `n` group (sets the blank-line cadence of the table).
-const PER_N: usize = 5;
 
 fn spec(
     algorithm: AlgorithmSpec,
@@ -57,20 +54,6 @@ fn spec(
     }
 }
 
-fn row(spec: &ScenarioSpec, outcome: &Outcome) -> Row {
-    let report = outcome.report();
-    let WorkloadSpec::Line { n, .. } = spec.workload else {
-        unreachable!("every T2 workload is a line")
-    };
-    Row {
-        algorithm: report.algorithm.clone(),
-        n,
-        rounds_to_halve: report.rounds_to_halve_diameter(),
-        rounds_to_eps: report.rounds_to_reach(0.05),
-        converged: report.converged,
-    }
-}
-
 /// The T2 claim for one row, given the same algorithm's row at the next
 /// smaller `n`: `cog` and `gcm` halve in one round wherever a halving was
 /// measured; every other algorithm halves, in more rounds than at the
@@ -86,7 +69,9 @@ fn holds(r: &Row, smaller: Option<&Row>) -> bool {
 
 pub struct ConvergenceRate;
 
-impl Experiment for ConvergenceRate {
+impl Declared for ConvergenceRate {
+    type Row = Row;
+
     fn name(&self) -> &'static str {
         "convergence_rate"
     }
@@ -147,61 +132,48 @@ impl Experiment for ConvergenceRate {
             .collect()
     }
 
-    fn reduce(&self, spec: &ScenarioSpec, outcome: &Outcome) -> Vec<JsonRow> {
-        vec![JsonRow::of(&row(spec, outcome))]
-    }
-
-    fn render(&self, cells: &[LabCell]) {
-        println!(
-            "{:<22} {:>4} {:>14} {:>12} {:>10}",
-            "algorithm", "n", "halve rounds", "eps rounds", "converged"
-        );
-        for (i, cell) in cells.iter().enumerate() {
-            let r = row(&cell.spec, &cell.outcome);
-            println!(
-                "{:<22} {:>4} {:>14} {:>12} {:>10}",
-                r.algorithm,
-                r.n,
-                r.rounds_to_halve.map_or("-".into(), |x| x.to_string()),
-                r.rounds_to_eps.map_or("-".into(), |x| x.to_string()),
-                r.converged
-            );
-            if (i + 1) % PER_N == 0 {
-                println!();
-            }
-        }
-        println!("shape to check against the paper's survey (§1.2.2):");
-        println!("  * under FSync with unlimited visibility, cog and gcm collapse in O(1) rounds");
-        println!("    (every robot jumps to the same global target; cog's O(n²) worst case needs");
-        println!("    adversarial SSync subsets, which random rounds do not realize);");
-        println!("  * limited-visibility algorithms grow with the hop diameter (≈ n on a line);");
-        println!("  * ours is slower than Ando's by roughly the 1/8-vs-1/2 step-size ratio;");
-        println!("  * '-' cells: the run converged before the measurement round completed.");
-    }
-
-    fn check(&self, cells: &[LabCell]) -> Result<(), String> {
-        let rows: Vec<Row> = cells.iter().map(|c| row(&c.spec, &c.outcome)).collect();
-        let smaller = |r: &Row| {
-            rows.iter()
-                .filter(|s| s.algorithm == r.algorithm && s.n < r.n)
-                .max_by_key(|s| s.n)
+    fn row(&self, spec: &ScenarioSpec, outcome: &Outcome) -> Row {
+        let report = outcome.report();
+        let WorkloadSpec::Line { n, .. } = spec.workload else {
+            unreachable!("every T2 workload is a line")
         };
-        check_rows(
-            cells,
-            row,
-            "cog and gcm must halve in 1 round, and every other algorithm's rounds to \
-             halve must grow with n",
-            |r| holds(r, smaller(r)),
-            |r| {
-                let show = |c: Option<usize>| c.map_or("-".into(), |x: usize| x.to_string());
-                let before = show(smaller(r).and_then(|s| s.rounds_to_halve));
-                let halve = show(r.rounds_to_halve);
-                format!(
-                    "{} at n = {}: {halve} rounds to halve, {before} at the previous n",
-                    r.algorithm, r.n
-                )
-            },
-        )
+        Row {
+            algorithm: report.algorithm.clone(),
+            n,
+            rounds_to_halve: report.rounds_to_halve_diameter(),
+            rounds_to_eps: report.rounds_to_reach(0.05),
+            converged: report.converged,
+        }
+    }
+
+    fn holds(&self, r: &Row, rows: &[Row]) -> bool {
+        let smaller = rows
+            .iter()
+            .filter(|s| s.algorithm == r.algorithm && s.n < r.n)
+            .max_by_key(|s| s.n);
+        holds(r, smaller)
+    }
+
+    fn table(&self, r: &Row) -> Vec<(&'static str, String)> {
+        let show = |c: Option<usize>| c.map_or("-".into(), |x| x.to_string());
+        vec![
+            ("algorithm", r.algorithm.clone()),
+            ("n", r.n.to_string()),
+            ("halve rounds", show(r.rounds_to_halve)),
+            ("eps rounds", show(r.rounds_to_eps)),
+            ("converged", r.converged.to_string()),
+        ]
+    }
+
+    fn notes(&self) -> String {
+        "shape to check against the paper's survey (§1.2.2):\n  \
+         * under FSync with unlimited visibility, cog and gcm collapse in O(1) rounds\n    \
+         (every robot jumps to the same global target; cog's O(n²) worst case needs\n    \
+         adversarial SSync subsets, which random rounds do not realize);\n  \
+         * limited-visibility algorithms grow with the hop diameter (≈ n on a line);\n  \
+         * ours is slower than Ando's by roughly the 1/8-vs-1/2 step-size ratio;\n  \
+         * '-' cells: the run converged before the measurement round completed."
+            .to_string()
     }
 }
 

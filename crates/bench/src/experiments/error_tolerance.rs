@@ -13,13 +13,13 @@
 //! perception/motion models and tolerance-parameterized algorithm, and the
 //! cell driver re-runs the spec across its seed batch.
 
-use crate::lab::{check_rows, CellProgress, Experiment, JsonRow, LabCell, Outcome, Profile};
+use crate::lab::{CellProgress, Declared, Outcome, Profile};
 use crate::sweep::{AlgorithmSpec, ScenarioSpec, SchedulerSpec, WorkloadSpec};
 use cohesion_model::{MotionError, MotionModel, PerceptionModel};
 use serde::Serialize;
 
 #[derive(Serialize)]
-struct Row {
+pub struct Row {
     knob: String,
     value: f64,
     runs: usize,
@@ -106,20 +106,11 @@ fn holds(r: &Row) -> bool {
     r.knob == KNOB_LINEAR || r.cohesive_converged == r.runs
 }
 
-fn row(spec: &ScenarioSpec, outcome: &Outcome) -> Row {
-    let s = outcome.stats();
-    Row {
-        knob: spec.tag.to_string(),
-        value: knob_value(spec),
-        runs: spec.trials,
-        cohesive_converged: s[0] as usize,
-        cohesion_failures: s[1] as usize,
-    }
-}
-
 pub struct ErrorTolerance;
 
-impl Experiment for ErrorTolerance {
+impl Declared for ErrorTolerance {
+    type Row = Row;
+
     fn name(&self) -> &'static str {
         "error_tolerance"
     }
@@ -219,45 +210,37 @@ impl Experiment for ErrorTolerance {
         Outcome::Stats(vec![ok as f64, broken as f64])
     }
 
-    fn reduce(&self, spec: &ScenarioSpec, outcome: &Outcome) -> Vec<JsonRow> {
-        vec![JsonRow::of(&row(spec, outcome))]
-    }
-
-    fn render(&self, cells: &[LabCell]) {
-        println!(
-            "{:<28} {:>8} {:>10} {:>12} {:>12}",
-            "knob", "value", "runs", "cohesive+ε", "edge breaks"
-        );
-        let mut runs = 0;
-        for cell in cells {
-            let r = row(&cell.spec, &cell.outcome);
-            println!(
-                "{:<28} {:>8.3} {:>10} {:>12} {:>12}",
-                r.knob, r.value, r.runs, r.cohesive_converged, r.cohesion_failures
-            );
-            runs = r.runs;
+    fn row(&self, spec: &ScenarioSpec, outcome: &Outcome) -> Row {
+        let s = outcome.stats();
+        Row {
+            knob: spec.tag.to_string(),
+            value: knob_value(spec),
+            runs: spec.trials,
+            cohesive_converged: s[0] as usize,
+            cohesion_failures: s[1] as usize,
         }
-        println!(
-            "\npaper (§6.1): all tolerated knobs keep 'cohesive+ε' at {runs}/{runs}; linear motion"
-        );
-        println!("error breaks only in Figure 18's geometric worst case — random linear noise");
-        println!("may still let runs through, so its row is diagnostic, not a guarantee; the");
-        println!("worst-case geometric break is asserted in tests/error_tolerance.rs.");
     }
 
-    fn check(&self, cells: &[LabCell]) -> Result<(), String> {
-        check_rows(
-            cells,
-            row,
-            "every run of a tolerated knob must converge cohesively",
-            holds,
-            |r| {
-                format!(
-                    "{} = {:?}: cohesive+ε {}/{}",
-                    r.knob, r.value, r.cohesive_converged, r.runs
-                )
-            },
-        )
+    fn holds(&self, r: &Row, _rows: &[Row]) -> bool {
+        holds(r)
+    }
+
+    fn table(&self, r: &Row) -> Vec<(&'static str, String)> {
+        vec![
+            ("knob", r.knob.clone()),
+            ("value", format!("{:.3}", r.value)),
+            ("runs", r.runs.to_string()),
+            ("cohesive+ε", r.cohesive_converged.to_string()),
+            ("edge breaks", r.cohesion_failures.to_string()),
+        ]
+    }
+
+    fn notes(&self) -> String {
+        "paper (§6.1): all tolerated knobs keep 'cohesive+ε' equal to 'runs'; linear motion\n\
+         error breaks only in Figure 18's geometric worst case — random linear noise\n\
+         may still let runs through, so its row is diagnostic, not a guarantee; the\n\
+         worst-case geometric break is asserted in tests/error_tolerance.rs."
+            .to_string()
     }
 }
 

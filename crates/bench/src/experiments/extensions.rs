@@ -5,14 +5,14 @@
 //! [`WorkloadSpec::TwoClusters`] workload, the 3D ball a
 //! [`WorkloadSpec::Ball3`] one (dispatched to the `Vec3` engine).
 
-use crate::lab::{check_rows, Experiment, JsonRow, LabCell, Outcome, Profile};
+use crate::lab::{Declared, Outcome, Profile};
 use crate::mark;
 use crate::sweep::{AlgorithmSpec, ScenarioSpec, SchedulerSpec, WorkloadSpec};
 use cohesion_geometry::diameter::diameter;
 use serde::Serialize;
 
 #[derive(Serialize)]
-struct Row {
+pub struct Row {
     experiment: String,
     converged: bool,
     cohesive: bool,
@@ -33,46 +33,11 @@ fn table_label(tag: &str) -> &'static str {
     }
 }
 
-fn row(spec: &ScenarioSpec, outcome: &Outcome) -> Row {
-    match (spec.tag, outcome) {
-        (TAG_DISCONNECTED, Outcome::Report(report)) => {
-            // Convergence is per connected component: each cluster must
-            // collapse below ε on its own.
-            let WorkloadSpec::TwoClusters { per_cluster, .. } = spec.workload else {
-                unreachable!("the disconnected cell is a TwoClusters workload")
-            };
-            let pos = report.final_configuration.positions();
-            let comp = |r: std::ops::Range<usize>| diameter(&pos[r]);
-            let (a, b) = (comp(0..per_cluster), comp(per_cluster..2 * per_cluster));
-            Row {
-                experiment: spec.tag.to_string(),
-                converged: a < 0.05 && b < 0.05,
-                cohesive: report.cohesion_maintained,
-                final_diameter: a.max(b),
-                events: report.events,
-            }
-        }
-        (_, Outcome::Report(report)) => Row {
-            experiment: spec.tag.to_string(),
-            converged: report.converged,
-            cohesive: report.cohesion_maintained,
-            final_diameter: report.final_diameter,
-            events: report.events,
-        },
-        (_, Outcome::Report3(report)) => Row {
-            experiment: spec.tag.to_string(),
-            converged: report.converged,
-            cohesive: report.cohesion_maintained,
-            final_diameter: report.final_diameter,
-            events: report.events,
-        },
-        (tag, other) => panic!("unexpected outcome for extension cell '{tag}': {other:?}"),
-    }
-}
-
 pub struct Extensions;
 
-impl Experiment for Extensions {
+impl Declared for Extensions {
+    type Row = Row;
+
     fn name(&self) -> &'static str {
         "extensions"
     }
@@ -151,41 +116,58 @@ impl Experiment for Extensions {
         vec![unlimited, disconnected, ball]
     }
 
-    fn reduce(&self, spec: &ScenarioSpec, outcome: &Outcome) -> Vec<JsonRow> {
-        vec![JsonRow::of(&row(spec, outcome))]
-    }
-
-    fn render(&self, cells: &[LabCell]) {
-        println!(
-            "{:<38} {:>10} {:>9} {:>12} {:>9}",
-            "experiment", "converged", "cohesive", "final diam", "events"
-        );
-        for cell in cells {
-            let r = row(&cell.spec, &cell.outcome);
-            println!(
-                "{:<38} {:>10} {:>9} {:>12.4} {:>9}",
-                table_label(cell.spec.tag),
-                mark(r.converged),
-                mark(r.cohesive),
-                r.final_diameter,
-                r.events
-            );
-        }
-        println!("\npaper (§6.2-§6.3): all three rows converge cohesively.");
-    }
-
-    fn check(&self, cells: &[LabCell]) -> Result<(), String> {
-        check_rows(
-            cells,
-            row,
-            "every extension must converge cohesively",
-            |r| r.converged && r.cohesive,
-            |r| {
-                format!(
-                    "{}: converged {}, cohesive {}",
-                    r.experiment, r.converged, r.cohesive
-                )
+    fn row(&self, spec: &ScenarioSpec, outcome: &Outcome) -> Row {
+        match (spec.tag, outcome) {
+            (TAG_DISCONNECTED, Outcome::Report(report)) => {
+                // Convergence is per connected component: each cluster must
+                // collapse below ε on its own.
+                let WorkloadSpec::TwoClusters { per_cluster, .. } = spec.workload else {
+                    unreachable!("the disconnected cell is a TwoClusters workload")
+                };
+                let pos = report.final_configuration.positions();
+                let comp = |r: std::ops::Range<usize>| diameter(&pos[r]);
+                let (a, b) = (comp(0..per_cluster), comp(per_cluster..2 * per_cluster));
+                Row {
+                    experiment: spec.tag.to_string(),
+                    converged: a < 0.05 && b < 0.05,
+                    cohesive: report.cohesion_maintained,
+                    final_diameter: a.max(b),
+                    events: report.events,
+                }
+            }
+            (_, Outcome::Report(report)) => Row {
+                experiment: spec.tag.to_string(),
+                converged: report.converged,
+                cohesive: report.cohesion_maintained,
+                final_diameter: report.final_diameter,
+                events: report.events,
             },
-        )
+            (_, Outcome::Report3(report)) => Row {
+                experiment: spec.tag.to_string(),
+                converged: report.converged,
+                cohesive: report.cohesion_maintained,
+                final_diameter: report.final_diameter,
+                events: report.events,
+            },
+            (tag, other) => panic!("unexpected outcome for extension cell '{tag}': {other:?}"),
+        }
+    }
+
+    fn holds(&self, r: &Row, _rows: &[Row]) -> bool {
+        r.converged && r.cohesive
+    }
+
+    fn table(&self, r: &Row) -> Vec<(&'static str, String)> {
+        vec![
+            ("experiment", table_label(&r.experiment).to_string()),
+            ("converged", mark(r.converged).to_string()),
+            ("cohesive", mark(r.cohesive).to_string()),
+            ("final diam", format!("{:.4}", r.final_diameter)),
+            ("events", r.events.to_string()),
+        ]
+    }
+
+    fn notes(&self) -> String {
+        "paper (§6.2-§6.3): all three rows converge cohesively.".to_string()
     }
 }

@@ -9,14 +9,15 @@
 //! Each `(ψ, victim)` cell is a [`ScenarioSpec`] whose workload is the
 //! spiral tail and whose scheduler is the unbounded-nesting adversary.
 
-use crate::lab::{check_rows, Experiment, JsonRow, LabCell, Outcome, Profile};
+use crate::lab::{Declared, Outcome, Profile};
 use crate::mark;
 use crate::sweep::{AlgorithmSpec, ScenarioSpec, SchedulerSpec, WorkloadSpec};
 use cohesion_adversary::SpiralConstruction;
 use serde::Serialize;
+use std::fmt::Write;
 
 #[derive(Serialize)]
-struct Row {
+pub struct Row {
     algorithm: String,
     psi: f64,
     robots: usize,
@@ -42,26 +43,11 @@ fn cell_psi(spec: &ScenarioSpec) -> f64 {
     psi
 }
 
-fn row(spec: &ScenarioSpec, outcome: &Outcome) -> Row {
-    let o = outcome.adversary();
-    let psi = cell_psi(spec);
-    Row {
-        algorithm: o.algorithm.clone(),
-        psi,
-        robots: o.robots,
-        zeta: o.zeta,
-        separated: o.separated,
-        final_ab: o.final_ab_distance,
-        nesting_k: o.nesting_k,
-        sweeps: o.sweeps,
-        max_radial_drift: o.max_radial_drift,
-        drift_bound_4psi2: 4.0 * psi * psi,
-    }
-}
-
 pub struct Impossibility;
 
-impl Experiment for Impossibility {
+impl Declared for Impossibility {
+    type Row = Row;
+
     fn name(&self) -> &'static str {
         "impossibility"
     }
@@ -98,55 +84,59 @@ impl Experiment for Impossibility {
             .collect()
     }
 
-    fn reduce(&self, spec: &ScenarioSpec, outcome: &Outcome) -> Vec<JsonRow> {
-        vec![JsonRow::of(&row(spec, outcome))]
+    fn row(&self, spec: &ScenarioSpec, outcome: &Outcome) -> Row {
+        let o = outcome.adversary();
+        let psi = cell_psi(spec);
+        Row {
+            algorithm: o.algorithm.clone(),
+            psi,
+            robots: o.robots,
+            zeta: o.zeta,
+            separated: o.separated,
+            final_ab: o.final_ab_distance,
+            nesting_k: o.nesting_k,
+            sweeps: o.sweeps,
+            max_radial_drift: o.max_radial_drift,
+            drift_bound_4psi2: 4.0 * psi * psi,
+        }
     }
 
-    fn render(&self, cells: &[LabCell]) {
-        println!(
-            "{:<22} {:>5} {:>6} {:>8} {:>10} {:>9} {:>9} {:>8} {:>9} {:>9}",
-            "victim", "ψ", "n", "ζ", "separated", "|AB| end", "nest k", "sweeps", "drift", "4ψ²"
-        );
-        for group in cells.chunks(VICTIMS.len()) {
-            for cell in group {
-                let r = row(&cell.spec, &cell.outcome);
-                println!(
-                    "{:<22} {:>5.2} {:>6} {:>8.4} {:>10} {:>9.4} {:>9} {:>8} {:>9.4} {:>9.4}",
-                    r.algorithm,
-                    r.psi,
-                    r.robots,
-                    r.zeta,
-                    mark(r.separated),
-                    r.final_ab,
-                    r.nesting_k,
-                    r.sweeps,
-                    r.max_radial_drift,
-                    r.drift_bound_4psi2
-                );
-            }
-            println!();
-        }
-        println!("spiral sizes follow n ≈ 3 + e^{{3π/(8 sin ψ)}}:");
-        for &psi in &[0.35, 0.3, 0.25, 0.2] {
+    fn holds(&self, r: &Row, _rows: &[Row]) -> bool {
+        r.separated
+    }
+
+    fn table(&self, r: &Row) -> Vec<(&'static str, String)> {
+        vec![
+            ("victim", r.algorithm.clone()),
+            ("ψ", format!("{:.2}", r.psi)),
+            ("n", r.robots.to_string()),
+            ("ζ", format!("{:.4}", r.zeta)),
+            ("separated", mark(r.separated).to_string()),
+            ("|AB| end", format!("{:.4}", r.final_ab)),
+            ("nest k", r.nesting_k.to_string()),
+            ("sweeps", r.sweeps.to_string()),
+            ("drift", format!("{:.4}", r.max_radial_drift)),
+            ("4ψ²", format!("{:.4}", r.drift_bound_4psi2)),
+        ]
+    }
+
+    fn notes(&self) -> String {
+        let mut out = String::from("spiral sizes follow n ≈ 3 + e^{3π/(8 sin ψ)}:\n");
+        for psi in [0.35, 0.3, 0.25, 0.2] {
             let built = SpiralConstruction::paper(psi).robot_count();
-            println!(
+            writeln!(
+                out,
                 "  ψ = {psi:?}: built n = {built} (estimate {:.0})",
                 SpiralConstruction::paper_size_estimate(psi)
-            );
+            )
+            .expect("write to a String");
         }
-        println!("\npaper (§7): every error-tolerant algorithm is separated by unbounded nesting.");
-        println!("Shape reproduced: larger ζ ⇒ shallower nesting suffices (Ando breaks in a few");
-        println!("sweeps, matching its 2-NestA failure); smaller ζ ⇒ the adversary needs deeper");
-        println!("nesting and smaller ψ — the paper's 'ψ sufficiently small relative to ζ'.");
-    }
-
-    fn check(&self, cells: &[LabCell]) -> Result<(), String> {
-        check_rows(
-            cells,
-            row,
-            "unbounded nesting must separate every victim",
-            |r| r.separated,
-            |r| format!("{} at ψ {:?}", r.algorithm, r.psi),
-        )
+        out.push_str(
+            "\npaper (§7): every error-tolerant algorithm is separated by unbounded nesting.\n\
+             Shape reproduced: larger ζ ⇒ shallower nesting suffices (Ando breaks in a few\n\
+             sweeps, matching its 2-NestA failure); smaller ζ ⇒ the adversary needs deeper\n\
+             nesting and smaller ψ — the paper's 'ψ sufficiently small relative to ζ'.",
+        );
+        out
     }
 }

@@ -11,12 +11,12 @@
 //! Every `(alg k, sched k)` cell is an independent [`ScenarioSpec`]; the
 //! lab runtime executes them in parallel and merges rows in spec order.
 
-use crate::lab::{check_rows, Experiment, JsonRow, LabCell, Outcome, Profile};
+use crate::lab::{Declared, Outcome, Profile};
 use crate::sweep::{AlgorithmSpec, ScenarioSpec, SchedulerSpec, WorkloadSpec};
 use serde::Serialize;
 
 #[derive(Serialize)]
-struct Row {
+pub struct Row {
     algorithm_k: u32,
     scheduler_k: u32,
     converged: bool,
@@ -24,10 +24,6 @@ struct Row {
     rounds: usize,
     end_time: f64,
 }
-
-/// Matched-provisioning cells before the safety-margin cells (sets the
-/// blank-line cadence of the table).
-const MATCHED: usize = 4;
 
 fn spec(algorithm_k: u32, scheduler_k: u32, seed: u64, profile: Profile) -> ScenarioSpec {
     ScenarioSpec {
@@ -54,27 +50,11 @@ fn holds(r: &Row) -> bool {
     r.algorithm_k < r.scheduler_k || (r.converged && r.cohesive)
 }
 
-fn row(spec: &ScenarioSpec, outcome: &Outcome) -> Row {
-    let report = outcome.report();
-    let AlgorithmSpec::Kirkpatrick { k: algorithm_k } = spec.algorithm else {
-        unreachable!("every T4 cell runs the paper's algorithm")
-    };
-    let SchedulerSpec::KAsync { k: scheduler_k, .. } = spec.scheduler else {
-        unreachable!("every T4 cell runs under k-Async")
-    };
-    Row {
-        algorithm_k,
-        scheduler_k,
-        converged: report.converged,
-        cohesive: report.cohesion_maintained,
-        rounds: report.rounds,
-        end_time: report.end_time,
-    }
-}
-
 pub struct KScaling;
 
-impl Experiment for KScaling {
+impl Declared for KScaling {
+    type Row = Row;
+
     fn name(&self) -> &'static str {
         "k_scaling"
     }
@@ -98,8 +78,7 @@ impl Experiment for KScaling {
 
     fn grid(&self, profile: Profile) -> Vec<ScenarioSpec> {
         // Cost of k (matched provisioning), then safety margins (over- and
-        // under-provisioning). One flat spec grid; the blank line in the
-        // table separates the two families.
+        // under-provisioning), as one flat spec grid.
         let matched = [1u32, 2, 4, 8].map(|k| (k, k, u64::from(k)));
         let margins = [(8u32, 2u32), (4, 1), (1, 4), (2, 8)]
             .map(|(ak, sk)| (ak, sk, u64::from(ak * 10 + sk)));
@@ -110,47 +89,46 @@ impl Experiment for KScaling {
             .collect()
     }
 
-    fn reduce(&self, spec: &ScenarioSpec, outcome: &Outcome) -> Vec<JsonRow> {
-        vec![JsonRow::of(&row(spec, outcome))]
-    }
-
-    fn render(&self, cells: &[LabCell]) {
-        println!(
-            "{:>6} {:>6} {:>10} {:>9} {:>8} {:>10}",
-            "alg k", "sched k", "converged", "cohesive", "rounds", "end time"
-        );
-        for (i, cell) in cells.iter().enumerate() {
-            if i == MATCHED {
-                println!();
-            }
-            let r = row(&cell.spec, &cell.outcome);
-            println!(
-                "{:>6} {:>6} {:>10} {:>9} {:>8} {:>10.1}",
-                r.algorithm_k, r.scheduler_k, r.converged, r.cohesive, r.rounds, r.end_time
-            );
+    fn row(&self, spec: &ScenarioSpec, outcome: &Outcome) -> Row {
+        let report = outcome.report();
+        let AlgorithmSpec::Kirkpatrick { k: algorithm_k } = spec.algorithm else {
+            unreachable!("every T4 cell runs the paper's algorithm")
+        };
+        let SchedulerSpec::KAsync { k: scheduler_k, .. } = spec.scheduler else {
+            unreachable!("every T4 cell runs under k-Async")
+        };
+        Row {
+            algorithm_k,
+            scheduler_k,
+            converged: report.converged,
+            cohesive: report.cohesion_maintained,
+            rounds: report.rounds,
+            end_time: report.end_time,
         }
-        println!(
-            "\npaper (§3.2.1, Theorems 3-4): matched and over-provisioned rows keep cohesion;"
-        );
-        println!("rounds grow with k (the 1/k step). Under-provisioned rows (alg k < sched k) are");
-        println!("*not* covered by the theorem — random schedulers rarely realize the worst case,");
-        println!("so their 'cohesive' cells may still read yes; the guaranteed break needs the");
-        println!("scripted adversaries (see ando_separation, impossibility).");
     }
 
-    fn check(&self, cells: &[LabCell]) -> Result<(), String> {
-        check_rows(
-            cells,
-            row,
-            "alg k ≥ sched k must converge cohesively",
-            holds,
-            |r| {
-                format!(
-                    "alg k {}, sched k {}: converged {}, cohesive {}",
-                    r.algorithm_k, r.scheduler_k, r.converged, r.cohesive
-                )
-            },
-        )
+    fn holds(&self, r: &Row, _rows: &[Row]) -> bool {
+        holds(r)
+    }
+
+    fn table(&self, r: &Row) -> Vec<(&'static str, String)> {
+        vec![
+            ("alg k", r.algorithm_k.to_string()),
+            ("sched k", r.scheduler_k.to_string()),
+            ("converged", r.converged.to_string()),
+            ("cohesive", r.cohesive.to_string()),
+            ("rounds", r.rounds.to_string()),
+            ("end time", format!("{:.1}", r.end_time)),
+        ]
+    }
+
+    fn notes(&self) -> String {
+        "paper (§3.2.1, Theorems 3-4): matched and over-provisioned rows keep cohesion;\n\
+         rounds grow with k (the 1/k step). Under-provisioned rows (alg k < sched k) are\n\
+         *not* covered by the theorem — random schedulers rarely realize the worst case,\n\
+         so their 'cohesive' cells may still read yes; the guaranteed break needs the\n\
+         scripted adversaries (see ando_separation, impossibility)."
+            .to_string()
     }
 }
 

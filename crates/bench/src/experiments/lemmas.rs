@@ -12,7 +12,7 @@
 //! Each lemma family is one analytic Monte-Carlo cell (seeded, independent),
 //! so the four families run in parallel like any other grid.
 
-use crate::lab::{CellProgress, Experiment, JsonRow, LabCell, Outcome, Profile};
+use crate::lab::{CellProgress, Declared, Outcome, Profile};
 use crate::sweep::{AlgorithmSpec, ScenarioSpec, SchedulerSpec, WorkloadSpec};
 use cohesion_core::analysis::congregation::{
     hull_radius_and_critical_points, lemma6_bound, lemma7_bound, lemma8_perimeter_drop,
@@ -26,7 +26,7 @@ use rand::{Rng, SeedableRng};
 use serde::Serialize;
 
 #[derive(Serialize)]
-struct LemmaRow {
+pub struct LemmaRow {
     lemma: String,
     trials: usize,
     violations: usize,
@@ -155,7 +155,9 @@ fn violations(spec: &ScenarioSpec) -> usize {
 
 pub struct Lemmas;
 
-impl Experiment for Lemmas {
+impl Declared for Lemmas {
+    type Row = LemmaRow;
+
     fn name(&self) -> &'static str {
         "lemmas"
     }
@@ -210,48 +212,37 @@ impl Experiment for Lemmas {
         Outcome::Stats(vec![violations(spec) as f64])
     }
 
-    fn reduce(&self, spec: &ScenarioSpec, outcome: &Outcome) -> Vec<JsonRow> {
-        vec![JsonRow::of(&LemmaRow {
+    fn row(&self, spec: &ScenarioSpec, outcome: &Outcome) -> LemmaRow {
+        LemmaRow {
             lemma: spec.tag.to_string(),
             trials: spec.trials,
             violations: outcome.stats()[0] as usize,
-        })]
+        }
     }
 
-    fn render(&self, cells: &[LabCell]) {
-        for cell in cells {
-            let v = cell.outcome.stats()[0] as usize;
-            let t = cell.spec.trials;
-            match cell.spec.tag {
-                "lemma1" => println!("Lemma 1 (stationary neighbour): {t} chains, {v} escapes"),
-                "lemma2" => println!("Lemma 2 (moving neighbour):     {t} chains, {v} escapes"),
-                "lemma6" => {
-                    println!("Lemma 6 (critical-point clearance): {t} moves, {v} below bound");
-                    println!(
-                        "  bound examples: ζ=0.5,ξ=1 → {:.3e}·r_H ; ζ=0.5,ξ=0.25 → {:.3e}·r_H ; lemma7(µ=0.5) → {:.3e}·r_H",
-                        lemma6_bound(0.5, 1.0, 1.0),
-                        lemma6_bound(0.5, 0.25, 1.0),
-                        lemma7_bound(0.5, 1.0, 1.0),
-                    );
-                }
-                "lemma8" => {
-                    println!("Lemma 8 (perimeter drop):       {t} hulls, {v} below d³/(4r_H²)");
-                }
-                _ => {}
-            }
-        }
-        let total: usize = cells.iter().map(|c| c.outcome.stats()[0] as usize).sum();
-        println!("\nverdict: {total} violations across all lemma checks (paper predicts 0)");
+    fn holds(&self, r: &LemmaRow, _rows: &[LemmaRow]) -> bool {
+        r.violations == 0
     }
 
-    fn check(&self, cells: &[LabCell]) -> Result<(), String> {
-        let total: usize = cells.iter().map(|c| c.outcome.stats()[0] as usize).sum();
-        if total == 0 {
-            Ok(())
-        } else {
-            Err(format!(
-                "{total} proof-geometry violations (paper predicts 0)"
-            ))
-        }
+    fn table(&self, r: &LemmaRow) -> Vec<(&'static str, String)> {
+        vec![
+            ("lemma", r.lemma.clone()),
+            ("trials", r.trials.to_string()),
+            ("violations", r.violations.to_string()),
+        ]
+    }
+
+    fn notes(&self) -> String {
+        format!(
+            "lemma1: Lemma 1 (stationary neighbour) — chains escaping the reach region\n\
+             lemma2: Lemma 2 (moving neighbour) — chains escaping the reach region\n\
+             lemma6: Lemma 6 (critical-point clearance) — moves below the bound\n  \
+             bound examples: ζ=0.5,ξ=1 → {:.3e}·r_H ; ζ=0.5,ξ=0.25 → {:.3e}·r_H ; lemma7(µ=0.5) → {:.3e}·r_H\n\
+             lemma8: Lemma 8 (perimeter drop) — hulls below d³/(4r_H²)\n\n\
+             verdict: the paper predicts 0 violations in every row, so 0 across all lemma checks.",
+            lemma6_bound(0.5, 1.0, 1.0),
+            lemma6_bound(0.5, 0.25, 1.0),
+            lemma7_bound(0.5, 1.0, 1.0),
+        )
     }
 }

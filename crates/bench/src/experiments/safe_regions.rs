@@ -5,18 +5,19 @@
 //! `d` (with `V_Y = V = 1`): Ando's disk (radius `V/2` at the midpoint),
 //! Katreniak's two-disk union, and the paper's direction-only disk
 //! (radius `V_Y/8` at distance `V_Y/8` toward `X`). We tabulate region area
-//! and the maximal admissible step toward the neighbour, and verify the
+//! and the maximal admissible step toward the neighbour, and check the
 //! paper's observations: its region depends only on direction, is the
-//! smallest, and bounds every step by `V_Y/8`.
+//! smallest, and admits steps up to its diameter `V/4`.
 //!
-//! Figure 15 checks the target rule on the wedge workloads: the step is
-//! `r·cosγ` along the bisector, nil when surrounded.
+//! Figure 15's target rule — the step is `r·cosγ` along the bisector, with
+//! `r = V/8`, and nil when surrounded — is pinned by `cohesion-core`'s
+//! algorithm tests; the notes print its steps on the `Wedge`/`Star`
+//! workloads.
 //!
 //! All cells are analytic — pure geometry, no engine runs. The region cells
-//! are literally two-robot `Line` workloads at distance `d`; the target-rule
-//! cells are `Wedge`/`Star` workloads.
+//! are literally two-robot `Line` workloads at distance `d`.
 
-use crate::lab::{CellProgress, Experiment, JsonRow, LabCell, Outcome, Profile};
+use crate::lab::{CellProgress, Declared, Outcome, Profile};
 use crate::sweep::{AlgorithmSpec, ScenarioSpec, SchedulerSpec, WorkloadSpec};
 use cohesion_algorithms::{AndoAlgorithm, KatreniakAlgorithm};
 use cohesion_core::SafeRegion;
@@ -24,9 +25,10 @@ use cohesion_geometry::{Circle, Vec2};
 use cohesion_model::{Algorithm, Snapshot};
 use serde::Serialize;
 use std::f64::consts::PI;
+use std::fmt::Write;
 
 #[derive(Serialize)]
-struct Row {
+pub struct Row {
     distance: f64,
     ando_area: f64,
     katreniak_area: f64,
@@ -54,7 +56,8 @@ fn region_row(d: f64) -> Row {
     let u = Vec2::new(1.0, 0.0);
     let ando_step = ando.limit_toward(u, x).unwrap_or(0.0).min(d);
     let kat_step = kat.limit_toward(u, x, V);
-    let ours_step = 2.0 * V / 8.0; // diameter of the direction disk
+    // The disk's far point along the neighbour direction.
+    let ours_step = ours.center().dot(ours.direction) + ours.radius;
     Row {
         distance: d,
         ando_area,
@@ -66,22 +69,24 @@ fn region_row(d: f64) -> Row {
     }
 }
 
-/// The Figure 15 target-rule step for a cell's workload: the computed step
-/// length for the observer (robot 0).
-fn target_step(spec: &ScenarioSpec) -> f64 {
-    let config = spec.workload.build();
+/// The Figure 15 target-rule step for a workload: the computed step
+/// length for the observer (robot 0) running the paper's algorithm.
+fn target_step(workload: WorkloadSpec) -> f64 {
+    let config = workload.build();
     let origin = config.positions()[0];
     let neighbours: Vec<Vec2> = config.positions()[1..]
         .iter()
         .map(|&p| p - origin)
         .collect();
-    let alg = spec.algorithm.build();
+    let alg = AlgorithmSpec::Kirkpatrick { k: 1 }.build();
     alg.compute(&Snapshot::from_positions(neighbours)).norm()
 }
 
 pub struct SafeRegions;
 
-impl Experiment for SafeRegions {
+impl Declared for SafeRegions {
+    type Row = Row;
+
     fn name(&self) -> &'static str {
         "safe_regions"
     }
@@ -95,8 +100,8 @@ impl Experiment for SafeRegions {
     }
 
     fn claim(&self) -> &'static str {
-        "§3.2.1/§5: the paper's region is direction-only and smallest, \
-         bounding every step by V/8; the target rule is r·cosγ on the bisector"
+        "§3.2.1: the paper's region is direction-only and the smallest, and \
+         admits steps up to its diameter V/4"
     }
 
     fn output_stem(&self) -> &'static str {
@@ -104,10 +109,8 @@ impl Experiment for SafeRegions {
     }
 
     fn grid(&self, _profile: Profile) -> Vec<ScenarioSpec> {
-        // Instant geometry — the quick grid is the full grid. Region cells
-        // first (they carry the JSON rows), then the target-rule wedges and
-        // the surrounded case.
-        let mut cells: Vec<ScenarioSpec> = [0.3, 0.5, 0.7, 0.9, 1.0]
+        // Instant geometry — the quick grid is the full grid.
+        [0.3, 0.5, 0.7, 0.9, 1.0]
             .into_iter()
             .map(|d| {
                 ScenarioSpec::tagged(
@@ -117,109 +120,71 @@ impl Experiment for SafeRegions {
                     SchedulerSpec::FSync,
                 )
             })
-            .collect();
-        cells.extend([10.0f64, 30.0, 60.0, 80.0, 89.0].into_iter().map(|deg| {
-            ScenarioSpec::tagged(
-                "target_rule",
-                WorkloadSpec::Wedge {
-                    half_angle: deg.to_radians(),
-                },
-                AlgorithmSpec::Kirkpatrick { k: 1 },
-                SchedulerSpec::FSync,
-            )
-        }));
-        cells.push(ScenarioSpec::tagged(
-            "surround",
-            WorkloadSpec::Star { arms: 3 },
-            AlgorithmSpec::Kirkpatrick { k: 1 },
-            SchedulerSpec::FSync,
-        ));
-        cells
+            .collect()
     }
 
     fn engine_driven(&self) -> bool {
-        false // bespoke geometric driver below
+        false // the cell is analytic (geometry computed in row)
     }
 
-    fn run(&self, spec: &ScenarioSpec, _progress: &CellProgress<'_>) -> Outcome {
-        match spec.tag {
-            "region" => {
-                let WorkloadSpec::Line { spacing: d, .. } = spec.workload else {
-                    unreachable!("region cells are two-robot lines")
-                };
-                let r = region_row(d);
-                Outcome::Stats(vec![
-                    r.ando_area,
-                    r.katreniak_area,
-                    r.ours_area,
-                    r.ando_step,
-                    r.katreniak_step,
-                    r.ours_step,
-                ])
-            }
-            _ => Outcome::Stats(vec![target_step(spec)]),
-        }
+    fn run(&self, _spec: &ScenarioSpec, _progress: &CellProgress<'_>) -> Outcome {
+        Outcome::Analytic
     }
 
-    fn reduce(&self, spec: &ScenarioSpec, outcome: &Outcome) -> Vec<JsonRow> {
-        // Only the Figure 3 region cells contribute JSON rows; the
-        // target-rule cells are rendered diagnostics. Rows come from the
-        // outcome the driver computed, so the JSONL and the rendered table
-        // can never diverge.
-        match spec.workload {
-            WorkloadSpec::Line { spacing: d, .. } => {
-                let s = outcome.stats();
-                vec![JsonRow::of(&Row {
-                    distance: d,
-                    ando_area: s[0],
-                    katreniak_area: s[1],
-                    ours_area: s[2],
-                    ando_step: s[3],
-                    katreniak_step: s[4],
-                    ours_step: s[5],
-                })]
-            }
-            _ => Vec::new(),
-        }
+    fn row(&self, spec: &ScenarioSpec, _outcome: &Outcome) -> Row {
+        let WorkloadSpec::Line { spacing: d, .. } = spec.workload else {
+            unreachable!("region cells are two-robot lines")
+        };
+        region_row(d)
     }
 
-    fn render(&self, cells: &[LabCell]) {
-        println!(
-            "{:>6} | {:>10} {:>10} {:>10} | {:>10} {:>10} {:>10}",
-            "d", "area:ando", "katreniak", "ours", "step:ando", "katreniak", "ours"
+    /// Ours is strictly the smallest region, its area does not depend on
+    /// the distance (it equals the first row's), and its step is its
+    /// diameter V/4 at every distance.
+    fn holds(&self, r: &Row, rows: &[Row]) -> bool {
+        r.ours_area < r.ando_area
+            && r.ours_area < r.katreniak_area
+            && r.ours_area == rows[0].ours_area
+            && r.ours_step == V / 4.0
+    }
+
+    fn table(&self, r: &Row) -> Vec<(&'static str, String)> {
+        vec![
+            ("d", format!("{:.2}", r.distance)),
+            ("area:ando", format!("{:.4}", r.ando_area)),
+            ("area:katreniak", format!("{:.4}", r.katreniak_area)),
+            ("area:ours", format!("{:.4}", r.ours_area)),
+            ("step:ando", format!("{:.4}", r.ando_step)),
+            ("step:katreniak", format!("{:.4}", r.katreniak_step)),
+            ("step:ours", format!("{:.4}", r.ours_step)),
+        ]
+    }
+
+    fn notes(&self) -> String {
+        let mut out = String::from(
+            "observations reproduced:\n  \
+             * ours is independent of d (direction-only, §3.2.1) and by far the smallest;\n  \
+             * Ando's region (V/2-disk at the midpoint) allows the longest steps;\n  \
+             * Katreniak's union shrinks as d → V (own-disk radius (V−d)/4 → 0).\n\n\
+             F15 — target rule checks (γ = half-sector angle, r = V_Z/8):\n",
         );
-        for cell in cells.iter().filter(|c| c.spec.tag == "region") {
-            let s = cell.outcome.stats();
-            let WorkloadSpec::Line { spacing: d, .. } = cell.spec.workload else {
-                continue;
-            };
-            println!(
-                "{:>6.2} | {:>10.4} {:>10.4} {:>10.4} | {:>10.4} {:>10.4} {:>10.4}",
-                d, s[0], s[1], s[2], s[3], s[4], s[5]
-            );
-        }
-        println!("\nobservations reproduced:");
-        println!("  * ours is independent of d (direction-only, §3.2.1) and by far the smallest;");
-        println!("  * Ando's region (V/2-disk at the midpoint) allows the longest steps;");
-        println!("  * Katreniak's union shrinks as d → V (own-disk radius (V−d)/4 → 0).");
-
-        println!("\nF15 — target rule checks (γ = half-sector angle, r = V_Z/8):");
-        for cell in cells.iter().filter(|c| c.spec.tag == "target_rule") {
-            let WorkloadSpec::Wedge { half_angle: g } = cell.spec.workload else {
-                continue;
-            };
-            println!(
+        for deg in [10.0f64, 30.0, 60.0, 80.0, 89.0] {
+            let g = deg.to_radians();
+            writeln!(
+                out,
                 "  γ = {:>4}°: step = {:.4} (= r·cosγ = {:.4}), direction = bisector",
-                g.to_degrees().round(),
-                cell.outcome.stats()[0],
+                deg,
+                target_step(WorkloadSpec::Wedge { half_angle: g }),
                 (1.0 / 8.0) * g.cos()
-            );
+            )
+            .expect("write to a String");
         }
-        for cell in cells.iter().filter(|c| c.spec.tag == "surround") {
-            println!(
-                "  surrounded (three 120°-spread distant neighbours): step = {:.4} (nil, §5)",
-                cell.outcome.stats()[0]
-            );
-        }
+        writeln!(
+            out,
+            "  surrounded (three 120°-spread distant neighbours): step = {:.4} (nil, §5)",
+            target_step(WorkloadSpec::Star { arms: 3 })
+        )
+        .expect("write to a String");
+        out
     }
 }

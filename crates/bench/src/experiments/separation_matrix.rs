@@ -17,13 +17,13 @@
 //! 18-cell grid in parallel and merges rows in cell order, so the JSON is
 //! identical to a serial run.
 
-use crate::lab::{check_rows, Experiment, JsonRow, LabCell, Outcome, Profile};
+use crate::lab::{Declared, Outcome, Profile};
 use crate::mark;
 use crate::sweep::{AlgorithmSpec, ScenarioSpec, SchedulerSpec, WorkloadSpec};
 use serde::Serialize;
 
 #[derive(Serialize)]
-struct Row {
+pub struct Row {
     algorithm: String,
     scheduler: String,
     converged: bool,
@@ -47,8 +47,6 @@ const ROWS: [(AlgorithmSpec, AlgorithmSpec); 3] = [
     ),
     (AlgorithmSpec::Katreniak, AlgorithmSpec::Katreniak),
 ];
-
-const COLUMNS: usize = 6;
 
 fn random_spec(
     alg: AlgorithmSpec,
@@ -91,16 +89,6 @@ fn verdict(outcome: &Outcome) -> (bool, bool) {
     }
 }
 
-fn row(spec: &ScenarioSpec, outcome: &Outcome) -> Row {
-    let (converged, cohesive) = verdict(outcome);
-    Row {
-        algorithm: spec.algorithm.family().to_string(),
-        scheduler: column_label(spec.scheduler),
-        converged,
-        cohesive,
-    }
-}
-
 /// The T1 claim for one cell: the §7 spiral separates every victim, the
 /// paper's algorithm keeps cohesion in every other column, and the
 /// scripted 1-Async schedule separates Ando. The remaining baseline cells
@@ -115,7 +103,9 @@ fn holds(r: &Row) -> bool {
 
 pub struct SeparationMatrix;
 
-impl Experiment for SeparationMatrix {
+impl Declared for SeparationMatrix {
+    type Row = Row;
+
     fn name(&self) -> &'static str {
         "separation_matrix"
     }
@@ -159,52 +149,35 @@ impl Experiment for SeparationMatrix {
             .collect()
     }
 
-    fn reduce(&self, spec: &ScenarioSpec, outcome: &Outcome) -> Vec<JsonRow> {
-        vec![JsonRow::of(&row(spec, outcome))]
+    fn row(&self, spec: &ScenarioSpec, outcome: &Outcome) -> Row {
+        let (converged, cohesive) = verdict(outcome);
+        Row {
+            algorithm: spec.algorithm.family().to_string(),
+            scheduler: column_label(spec.scheduler),
+            converged,
+            cohesive,
+        }
     }
 
-    fn render(&self, cells: &[LabCell]) {
-        let mut header = format!("{:<18}", "algorithm");
-        for cell in cells.iter().take(COLUMNS) {
-            let label = column_label(cell.spec.scheduler);
-            let width = if label.len() > 10 { 16 } else { 14 };
-            header.push_str(&format!(" {label:>width$}"));
-        }
-        println!("{header}");
-        for row in cells.chunks(COLUMNS) {
-            print!("{:<18}", row[0].spec.algorithm.family());
-            for cell in row {
-                let label = column_label(cell.spec.scheduler);
-                let width = if label.len() > 10 { 16 } else { 14 };
-                let (_, cohesive) = verdict(&cell.outcome);
-                print!(" {:>width$}", mark(cohesive));
-            }
-            println!();
-        }
-        println!("\ncell = cohesion maintained? (\"NO\" marks a lost initial visibility edge)");
-        println!(
-            "kirkpatrick runs with k = 8 (covers every bounded column; scripted 1-Async uses k≥1)."
-        );
-        println!(
-            "paper: Theorems 3–4 (bounded columns yes), §3.1/Fig. 4 (Ando loses the 1-Async script),"
-        );
-        println!("       §7 (everyone loses the Async spiral column).");
+    fn holds(&self, r: &Row, _rows: &[Row]) -> bool {
+        holds(r)
     }
 
-    fn check(&self, cells: &[LabCell]) -> Result<(), String> {
-        check_rows(
-            cells,
-            row,
-            "the spiral must separate every victim, kirkpatrick must keep cohesion \
-             elsewhere, and the 1-Async script must separate ando",
-            holds,
-            |r| {
-                format!(
-                    "{} under {}: cohesive {}",
-                    r.algorithm, r.scheduler, r.cohesive
-                )
-            },
-        )
+    fn table(&self, r: &Row) -> Vec<(&'static str, String)> {
+        vec![
+            ("algorithm", r.algorithm.clone()),
+            ("scheduler", r.scheduler.clone()),
+            ("converged", mark(r.converged).to_string()),
+            ("cohesive", mark(r.cohesive).to_string()),
+        ]
+    }
+
+    fn notes(&self) -> String {
+        "cohesive = cohesion maintained? (\"NO\" marks a lost initial visibility edge)\n\
+         kirkpatrick runs with k = 8 (covers every bounded column; scripted 1-Async uses k≥1).\n\
+         paper: Theorems 3–4 (bounded columns yes), §3.1/Fig. 4 (Ando loses the 1-Async script),\n       \
+         §7 (everyone loses the Async spiral column)."
+            .to_string()
     }
 }
 

@@ -12,7 +12,7 @@
 //! regression test below pins that both produce the identical trace, so
 //! the rows are byte-for-byte what they were.
 
-use crate::lab::{CellProgress, Experiment, JsonRow, LabCell, Outcome, Profile};
+use crate::lab::{CellProgress, Declared, Outcome, Profile};
 use crate::sweep::{AlgorithmSpec, ScenarioSpec, SchedulerSpec, WorkloadSpec};
 use cohesion_engine::TraceRecorder;
 use cohesion_scheduler::render::render_timeline;
@@ -23,10 +23,11 @@ use cohesion_scheduler::validate::{
 use cohesion_scheduler::ScheduleTrace;
 use serde::Serialize;
 use std::cell::RefCell;
+use std::fmt::Write;
 use std::rc::Rc;
 
 #[derive(Serialize)]
-struct Row {
+pub struct Row {
     model: String,
     intervals: usize,
     rounds: Option<usize>,
@@ -36,6 +37,9 @@ struct Row {
 }
 
 const ROBOTS: usize = 3;
+
+/// The unbounded model: the one row whose minimal k the claim leaves free.
+const ASYNC: &str = "Async";
 
 /// The first `count` activation intervals of the spec's schedule, rebuilt
 /// from a live session's event stream by a [`TraceRecorder`] observer.
@@ -56,45 +60,39 @@ fn collect(spec: &ScenarioSpec, count: usize) -> ScheduleTrace {
     trace
 }
 
-fn model_label(scheduler: SchedulerSpec) -> &'static str {
+/// The model's row label, its figure, and what its timeline shows.
+fn model(scheduler: SchedulerSpec) -> (&'static str, &'static str, &'static str) {
     match scheduler {
-        SchedulerSpec::FSync => "FSync",
-        SchedulerSpec::SSync { .. } => "SSync",
-        SchedulerSpec::Async { .. } => "Async",
-        SchedulerSpec::NestA { .. } => "1-NestA",
-        SchedulerSpec::KAsync { .. } => "1-Async",
+        SchedulerSpec::FSync => (
+            "FSync",
+            "Figure 1 top",
+            "rounds validated; fairness checked",
+        ),
+        SchedulerSpec::SSync { .. } => ("SSync", "Figure 1 middle", "rounds validated"),
+        SchedulerSpec::Async { .. } => (
+            ASYNC,
+            "Figure 1 bottom",
+            "minimal k over this prefix (unbounded in the limit)",
+        ),
+        SchedulerSpec::NestA { .. } => (
+            "1-NestA",
+            "Figure 2 top",
+            "nesting validated; minimal k and max nesting depth",
+        ),
+        SchedulerSpec::KAsync { .. } => (
+            "1-Async",
+            "Figure 2 bottom",
+            "minimal k ≤ 1 by construction; nested pairs not required",
+        ),
         other => panic!("unexpected timeline scheduler {other:?}"),
     }
 }
 
-fn cell_row(spec: &ScenarioSpec) -> (ScheduleTrace, Row) {
-    let trace = collect(spec, spec.trials);
-    let (rounds, validated) = match spec.scheduler {
-        SchedulerSpec::FSync => {
-            let r = validate_fsync(&trace, ROBOTS).expect("FSync trace validates");
-            (Some(r), validate_fairness(&trace, ROBOTS, 2.0).is_ok())
-        }
-        SchedulerSpec::SSync { .. } => {
-            let r = validate_ssync(&trace).expect("SSync trace validates");
-            (Some(r), true)
-        }
-        SchedulerSpec::NestA { .. } => (None, validate_nested(&trace).is_ok()),
-        _ => (None, true),
-    };
-    let row = Row {
-        model: model_label(spec.scheduler).to_string(),
-        intervals: trace.intervals().len(),
-        rounds,
-        minimal_k: minimal_async_k(&trace),
-        max_nesting_depth: max_nesting_depth(&trace),
-        validated,
-    };
-    (trace, row)
-}
-
 pub struct Timelines;
 
-impl Experiment for Timelines {
+impl Declared for Timelines {
+    type Row = Row;
+
     fn name(&self) -> &'static str {
         "timelines"
     }
@@ -109,7 +107,7 @@ impl Experiment for Timelines {
 
     fn claim(&self) -> &'static str {
         "§2.3.1: the five synchronization models produce structurally \
-         valid timelines (rounds, overlap bound k, nesting)"
+         valid timelines, and every bounded model's minimal k is at most 1"
     }
 
     fn output_stem(&self) -> &'static str {
@@ -139,55 +137,64 @@ impl Experiment for Timelines {
     }
 
     fn engine_driven(&self) -> bool {
-        false // the cell is analytic (trace collected in reduce)
+        false // the cell is analytic (trace collected in row)
     }
 
     fn run(&self, _spec: &ScenarioSpec, _progress: &CellProgress<'_>) -> Outcome {
-        // The trace is collected in reduce; the cell itself is analytic.
+        // The trace is collected in row; the cell itself is analytic.
         Outcome::Analytic
     }
 
-    fn reduce(&self, spec: &ScenarioSpec, _outcome: &Outcome) -> Vec<JsonRow> {
-        let (_, row) = cell_row(spec);
-        vec![JsonRow::of(&row)]
+    fn row(&self, spec: &ScenarioSpec, _outcome: &Outcome) -> Row {
+        let trace = collect(spec, spec.trials);
+        let (rounds, validated) = match spec.scheduler {
+            SchedulerSpec::FSync => {
+                let r = validate_fsync(&trace, ROBOTS).expect("FSync trace validates");
+                (Some(r), validate_fairness(&trace, ROBOTS, 2.0).is_ok())
+            }
+            SchedulerSpec::SSync { .. } => {
+                let r = validate_ssync(&trace).expect("SSync trace validates");
+                (Some(r), true)
+            }
+            SchedulerSpec::NestA { .. } => (None, validate_nested(&trace).is_ok()),
+            _ => (None, true),
+        };
+        Row {
+            model: model(spec.scheduler).0.to_string(),
+            intervals: trace.intervals().len(),
+            rounds,
+            minimal_k: minimal_async_k(&trace),
+            max_nesting_depth: max_nesting_depth(&trace),
+            validated,
+        }
     }
 
-    fn render(&self, cells: &[LabCell]) {
-        for cell in cells {
-            let (trace, row) = cell_row(&cell.spec);
-            let figure = match cell.spec.scheduler {
-                SchedulerSpec::FSync => "Figure 1 top",
-                SchedulerSpec::SSync { .. } => "Figure 1 middle",
-                SchedulerSpec::Async { .. } => "Figure 1 bottom",
-                SchedulerSpec::NestA { .. } => "Figure 2 top",
-                _ => "Figure 2 bottom",
-            };
-            println!("\n{} ({figure}):", row.model);
-            print!("{}", render_timeline(&trace, ROBOTS, 68));
-            match cell.spec.scheduler {
-                SchedulerSpec::FSync => println!(
-                    "  validated FSync: {} rounds; fairness ok: {}",
-                    row.rounds.expect("validated"),
-                    row.validated
-                ),
-                SchedulerSpec::SSync { .. } => println!(
-                    "  validated SSync: {} rounds",
-                    row.rounds.expect("validated")
-                ),
-                SchedulerSpec::Async { .. } => println!(
-                    "  minimal k over this prefix: {} (unbounded in the limit)",
-                    row.minimal_k
-                ),
-                SchedulerSpec::NestA { .. } => println!(
-                    "  validated nested; minimal k = {}, max nesting depth = {}",
-                    row.minimal_k, row.max_nesting_depth
-                ),
-                _ => println!(
-                    "  minimal k = {} (≤ 1 by construction); nested pairs not required",
-                    row.minimal_k
-                ),
-            }
+    /// Every row validates, and every bounded model (all but Async) keeps
+    /// its overlap bound of 1.
+    fn holds(&self, r: &Row, _rows: &[Row]) -> bool {
+        r.validated && (r.model == ASYNC || r.minimal_k <= 1)
+    }
+
+    fn table(&self, r: &Row) -> Vec<(&'static str, String)> {
+        vec![
+            ("model", r.model.clone()),
+            ("intervals", r.intervals.to_string()),
+            ("rounds", r.rounds.map_or("-".into(), |x| x.to_string())),
+            ("minimal k", r.minimal_k.to_string()),
+            ("max nesting depth", r.max_nesting_depth.to_string()),
+            ("validated", r.validated.to_string()),
+        ]
+    }
+
+    fn notes(&self) -> String {
+        let mut out = String::new();
+        for spec in self.grid(Profile::Full) {
+            let (label, figure, shows) = model(spec.scheduler);
+            let trace = collect(&spec, spec.trials);
+            writeln!(out, "{label} ({figure}): {shows}").expect("write to a String");
+            writeln!(out, "{}", render_timeline(&trace, ROBOTS, 68)).expect("write to a String");
         }
+        out
     }
 }
 
@@ -195,6 +202,23 @@ impl Experiment for Timelines {
 mod tests {
     use super::*;
     use cohesion_scheduler::{ScheduleContext, Scheduler};
+
+    #[test]
+    fn claim_leaves_only_the_async_overlap_unbounded() {
+        let row = |model: &str, minimal_k, validated| Row {
+            model: model.to_string(),
+            intervals: 12,
+            rounds: None,
+            minimal_k,
+            max_nesting_depth: 1,
+            validated,
+        };
+        assert!(Timelines.holds(&row("1-Async", 1, true), &[]));
+        assert!(!Timelines.holds(&row("1-NestA", 2, true), &[]));
+        assert!(!Timelines.holds(&row("FSync", 1, false), &[]));
+        assert!(Timelines.holds(&row(ASYNC, 5, true), &[]));
+        assert!(!Timelines.holds(&row(ASYNC, 5, false), &[]));
+    }
 
     /// The historical bespoke recorder: pull `count` activations straight
     /// off the scheduler. Kept only as the reference for the pin below.

@@ -1,9 +1,14 @@
 //! The declarative experiment layer and its `lab` CLI.
 //!
-//! Every paper figure/table family is an [`Experiment`]: a registry entry
-//! that *declares* its parameter grid as [`ScenarioSpec`]s and *reduces*
-//! each cell's outcome to JSONL rows, instead of hand-rolling its own loop,
-//! arg parsing, and file emission. One shared runtime owns:
+//! Every paper figure/table family is a [`Declared`] registry entry: it
+//! declares its parameter grid as [`ScenarioSpec`]s, the one typed row each
+//! cell yields, the predicate every row must satisfy, the row's table line
+//! and the paper notes. The blanket [`Experiment`] impl derives the rest
+//! from that row: the JSONL line ([`Experiment::reduce`]), the table
+//! ([`Experiment::render`]) and the check ([`Experiment::check`]), whose
+//! failure names the claim `lab list` prints and every rejected cell. No
+//! experiment writes rows, tables or checks by hand. One shared runtime
+//! owns:
 //!
 //! * CLI parsing (`--quick`, `--threads`, `--out`, `--progress`) behind the
 //!   single `lab` binary (`lab list`, `lab run <name>...`, `lab all`);
@@ -359,38 +364,15 @@ pub struct LabCell {
     pub rows: Vec<JsonRow>,
 }
 
-/// A claim checked row by row, for [`Experiment::check`]: an error states
-/// `claim` and names each cell whose row `holds` rejects by its index in
-/// `cells` and its `describe`d key fields.
-pub(crate) fn check_rows<R>(
-    cells: &[LabCell],
-    row: impl Fn(&ScenarioSpec, &Outcome) -> R,
-    claim: &str,
-    holds: impl Fn(&R) -> bool,
-    describe: impl Fn(&R) -> String,
-) -> Result<(), String> {
-    let failing: Vec<String> = cells
-        .iter()
-        .enumerate()
-        .filter_map(|(i, cell)| {
-            let r = row(&cell.spec, &cell.outcome);
-            (!holds(&r)).then(|| format!("cell {i} ({})", describe(&r)))
-        })
-        .collect();
-    if failing.is_empty() {
-        Ok(())
-    } else {
-        Err(format!("{claim}; fails at {}", failing.join(", ")))
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The Experiment trait
 // ---------------------------------------------------------------------------
 
-/// A declarative experiment: a named parameter grid plus a per-cell
-/// reduction to JSONL rows. The shared runtime owns everything else —
-/// parallel execution ([`SweepRunner`]), sinks, and the CLI.
+/// The lab's object-safe view of an experiment: what [`run_experiments`]
+/// (and any external harness) drives through `&dyn Experiment`. Every
+/// registry entry gets it from the blanket impl over [`Declared`], which
+/// derives [`Experiment::reduce`], [`Experiment::render`] and
+/// [`Experiment::check`] from one typed row.
 ///
 /// The contract: [`Experiment::run`] and [`Experiment::reduce`] must be
 /// pure functions of the spec (every port in this workspace is), so the
@@ -405,8 +387,56 @@ pub trait Experiment: Sync {
     /// One-line banner title.
     fn title(&self) -> &'static str;
 
-    /// The paper claim the experiment demonstrates (for `lab list` and the
+    /// The paper claim the experiment checks (for `lab list` and the
     /// README experiments table).
+    fn claim(&self) -> &'static str;
+
+    /// Stem of the JSONL output file under the experiments directory.
+    fn output_stem(&self) -> &'static str;
+
+    /// The parameter grid for a profile. Order is the output order.
+    fn grid(&self, profile: Profile) -> Vec<ScenarioSpec>;
+
+    /// Runs one cell.
+    fn run(&self, spec: &ScenarioSpec, progress: &CellProgress<'_>) -> Outcome;
+
+    /// `true` when cells run through [`Outcome::compute_with`], so a
+    /// harness may rebuild a cell's session (or §7 adversary run) from the
+    /// spec's public fields — the benchmark's traced run does, to time
+    /// Compute. Otherwise such harnesses call [`Experiment::run`] as is.
+    fn engine_driven(&self) -> bool;
+
+    /// Reduces one cell's outcome to its JSONL rows.
+    fn reduce(&self, spec: &ScenarioSpec, outcome: &Outcome) -> Vec<JsonRow>;
+
+    /// Prints the human-readable table and paper notes after a run.
+    fn render(&self, cells: &[LabCell]);
+
+    /// Checks the experiment's claim over the executed cells. A failure
+    /// makes the run exit non-zero after the rows are written.
+    fn check(&self, cells: &[LabCell]) -> Result<(), String>;
+}
+
+/// A declarative experiment: a named parameter grid plus one typed row per
+/// cell, and the claim each row must satisfy. The row's JSONL line, its
+/// table line and its check all derive from [`Declared::row`], so they
+/// cannot disagree; the runtime owns everything else — parallel execution
+/// ([`SweepRunner`]), sinks, and the CLI.
+pub trait Declared: Sync {
+    /// One cell's result, serialized as one JSONL line in field order.
+    type Row: Serialize;
+
+    /// The registry name (`lab run <name>`).
+    fn name(&self) -> &'static str;
+
+    /// The paper figure/table family this reproduces (e.g. `"T1"`).
+    fn id(&self) -> &'static str;
+
+    /// One-line banner title.
+    fn title(&self) -> &'static str;
+
+    /// The paper claim [`Declared::holds`] checks (for `lab list`, the
+    /// README experiments table, and a failed check's message).
     fn claim(&self) -> &'static str;
 
     /// Stem of the JSONL output file under the experiments directory.
@@ -424,30 +454,133 @@ pub trait Experiment: Sync {
         Outcome::compute_with(spec, progress)
     }
 
-    /// `true` when cells run through the default engine dispatch above, so
-    /// a harness may rebuild a cell's session (or §7 adversary run) from
-    /// the spec's public fields — the benchmark's traced run does, to time
-    /// Compute. Experiments that override [`Experiment::run`] with a
-    /// bespoke driver (Monte-Carlo trials, schedule searches, pure
-    /// geometry) must also override this to `false`; such harnesses then
-    /// call [`Experiment::run`] as is.
+    /// `true` when cells run through the default engine dispatch above.
+    /// Experiments that override [`Declared::run`] with a bespoke driver
+    /// must also override this to `false`.
     fn engine_driven(&self) -> bool {
         true
     }
 
-    /// Reduces one cell's outcome to its JSONL rows (possibly none).
-    fn reduce(&self, spec: &ScenarioSpec, outcome: &Outcome) -> Vec<JsonRow>;
+    /// The one row a cell contributes — a pure function of the spec and
+    /// its outcome.
+    fn row(&self, spec: &ScenarioSpec, outcome: &Outcome) -> Self::Row;
 
-    /// Renders the human-readable tables and paper notes after a run.
-    fn render(&self, cells: &[LabCell]) {
-        let _ = cells;
+    /// Whether `row` satisfies the claim. `rows` is every row of the run,
+    /// in grid order, for claims that compare a row with its neighbours.
+    fn holds(&self, row: &Self::Row, rows: &[Self::Row]) -> bool;
+
+    /// The row's table line as `(header, cell)` pairs, in column order.
+    fn table(&self, row: &Self::Row) -> Vec<(&'static str, String)>;
+
+    /// Paper notes printed under the table: text that does not depend on
+    /// the run.
+    fn notes(&self) -> String;
+}
+
+/// Every cell's row, rebuilt from its spec and outcome.
+fn rows_of<T: Declared>(exp: &T, cells: &[LabCell]) -> Vec<T::Row> {
+    cells.iter().map(|c| exp.row(&c.spec, &c.outcome)).collect()
+}
+
+/// Lays out table lines (`(header, cell)` pairs, one list per line, the
+/// same headers in each) as a header line plus one line per row, every
+/// column padded to its widest entry: the first left-aligned, the rest
+/// right-aligned.
+fn layout_table(lines: &[Vec<(&'static str, String)>]) -> String {
+    let Some(first) = lines.first() else {
+        return String::new();
+    };
+    let widths: Vec<usize> = (0..first.len())
+        .map(|c| {
+            lines
+                .iter()
+                .map(|l| l[c].1.chars().count())
+                .fold(first[c].0.chars().count(), usize::max)
+        })
+        .collect();
+    let line = |cells: Vec<&str>| {
+        let mut out = String::new();
+        for (c, (cell, &w)) in cells.into_iter().zip(&widths).enumerate() {
+            if c == 0 {
+                out.push_str(&format!("{cell:<w$}"));
+            } else {
+                out.push_str(&format!("  {cell:>w$}"));
+            }
+        }
+        out.trim_end().to_string() + "\n"
+    };
+    let mut out = line(first.iter().map(|(header, _)| *header).collect());
+    for l in lines {
+        out.push_str(&line(l.iter().map(|(_, cell)| cell.as_str()).collect()));
+    }
+    out
+}
+
+impl<T: Declared> Experiment for T {
+    fn name(&self) -> &'static str {
+        Declared::name(self)
     }
 
-    /// Post-run invariant checks (e.g. "zero lemma violations"). A failure
-    /// makes the run exit non-zero after the rows are written.
+    fn id(&self) -> &'static str {
+        Declared::id(self)
+    }
+
+    fn title(&self) -> &'static str {
+        Declared::title(self)
+    }
+
+    fn claim(&self) -> &'static str {
+        Declared::claim(self)
+    }
+
+    fn output_stem(&self) -> &'static str {
+        Declared::output_stem(self)
+    }
+
+    fn grid(&self, profile: Profile) -> Vec<ScenarioSpec> {
+        Declared::grid(self, profile)
+    }
+
+    fn run(&self, spec: &ScenarioSpec, progress: &CellProgress<'_>) -> Outcome {
+        Declared::run(self, spec, progress)
+    }
+
+    fn engine_driven(&self) -> bool {
+        Declared::engine_driven(self)
+    }
+
+    fn reduce(&self, spec: &ScenarioSpec, outcome: &Outcome) -> Vec<JsonRow> {
+        vec![JsonRow::of(&self.row(spec, outcome))]
+    }
+
+    fn render(&self, cells: &[LabCell]) {
+        let lines: Vec<_> = rows_of(self, cells).iter().map(|r| self.table(r)).collect();
+        print!("{}", layout_table(&lines));
+        println!("\n{}", self.notes().trim_end());
+    }
+
+    /// Fails with the claim and every cell whose row it rejects, named by
+    /// its index in `cells` and its table line.
     fn check(&self, cells: &[LabCell]) -> Result<(), String> {
-        let _ = cells;
-        Ok(())
+        let rows = rows_of(self, cells);
+        let failing: Vec<String> = rows
+            .iter()
+            .enumerate()
+            .filter(|&(_, r)| !self.holds(r, &rows))
+            .map(|(i, r)| {
+                let fields: Vec<String> = self
+                    .table(r)
+                    .into_iter()
+                    .map(|(header, cell)| format!("{header} = {cell}"))
+                    .collect();
+                format!("cell {i} ({})", fields.join(", "))
+            })
+            .collect();
+        if failing.is_empty() {
+            Ok(())
+        } else {
+            Err(format!("{}; fails at {}", self.claim(), failing.join(", ")))
+        }
     }
 }
 

@@ -9,8 +9,8 @@
 
 use cohesion_bench::experiments::REGISTRY;
 use cohesion_bench::lab::{
-    find_experiment, lab_main, progress_file_name, run_experiments, CellProgress, Experiment,
-    JsonRow, LabCell, LabOptions, Outcome, Profile,
+    find_experiment, lab_main, progress_file_name, run_experiments, CellProgress, Declared,
+    Experiment, LabOptions, Outcome, Profile,
 };
 use cohesion_bench::{AlgorithmSpec, ScenarioSpec, SchedulerSpec, WorkloadSpec};
 use serde::Serialize;
@@ -19,13 +19,13 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// A synthetic experiment with a configurable cell count: each cell is
 /// analytic and reduces to a row that depends only on its spec, like every
-/// real registry entry. Its `check` counts its calls and fails when `fail`
-/// is set.
+/// real registry entry. Its `holds` counts its calls and rejects every row
+/// when `fail` is set.
 struct SyntheticGrid {
     name: &'static str,
     cells: usize,
     fail: bool,
-    checks: AtomicUsize,
+    holds: AtomicUsize,
 }
 
 impl SyntheticGrid {
@@ -34,7 +34,7 @@ impl SyntheticGrid {
             name,
             cells,
             fail,
-            checks: AtomicUsize::new(0),
+            holds: AtomicUsize::new(0),
         }
     }
 }
@@ -45,7 +45,9 @@ struct SyntheticRow {
     mixed: u64,
 }
 
-impl Experiment for SyntheticGrid {
+impl Declared for SyntheticGrid {
+    type Row = SyntheticRow;
+
     fn name(&self) -> &'static str {
         self.name
     }
@@ -84,20 +86,24 @@ impl Experiment for SyntheticGrid {
         Outcome::Analytic
     }
 
-    fn reduce(&self, spec: &ScenarioSpec, _outcome: &Outcome) -> Vec<JsonRow> {
-        vec![JsonRow::of(&SyntheticRow {
+    fn row(&self, spec: &ScenarioSpec, _outcome: &Outcome) -> SyntheticRow {
+        SyntheticRow {
             cell: spec.seed,
             mixed: spec.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        })]
+        }
     }
 
-    fn check(&self, cells: &[LabCell]) -> Result<(), String> {
-        self.checks.fetch_add(1, Ordering::Relaxed);
-        if self.fail {
-            Err(format!("{} cells, all rejected", cells.len()))
-        } else {
-            Ok(())
-        }
+    fn holds(&self, _row: &SyntheticRow, _rows: &[SyntheticRow]) -> bool {
+        self.holds.fetch_add(1, Ordering::Relaxed);
+        !self.fail
+    }
+
+    fn table(&self, row: &SyntheticRow) -> Vec<(&'static str, String)> {
+        vec![("cell", row.cell.to_string())]
+    }
+
+    fn notes(&self) -> String {
+        String::new()
     }
 }
 
@@ -150,8 +156,8 @@ fn pool_rows_are_independent_of_the_thread_count() {
 }
 
 /// A failing check between real experiments fails the run, naming only
-/// the failing experiment — after every row file is written and every
-/// other check has run.
+/// the failing experiment and each cell its claim rejects — after every
+/// row file is written and every other check has run.
 #[test]
 fn a_failed_check_still_writes_every_file_and_runs_every_check() {
     let dir = scratch_dir("pool-check");
@@ -162,15 +168,17 @@ fn a_failed_check_still_writes_every_file_and_runs_every_check() {
     let exps: [&dyn Experiment; 4] = [safe_regions, &failing, k_scaling, &last];
     let err = run_experiments(&exps, &quick(2, &dir)).unwrap_err();
     assert_eq!(
-        err, "failing_check: invariant check failed: 4 cells, all rejected",
-        "the error names the failing experiment only"
+        err,
+        "failing_check: invariant check failed: test fixture; fails at cell 0 (cell = 0), \
+         cell 1 (cell = 1), cell 2 (cell = 2), cell 3 (cell = 3)",
+        "the error names the failing experiment and its rejected cells only"
     );
     for exp in exps {
         let path = dir.join(format!("{}.jsonl", exp.output_stem()));
         assert!(path.exists(), "{} was not written", path.display());
     }
-    assert_eq!(failing.checks.load(Ordering::Relaxed), 1);
-    assert_eq!(last.checks.load(Ordering::Relaxed), 1, "later checks run");
+    assert_eq!(failing.holds.load(Ordering::Relaxed), 4, "one call per row");
+    assert_eq!(last.holds.load(Ordering::Relaxed), 3, "later checks run");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -68,11 +68,6 @@ impl Aabb {
             max: self.max.max(other.max),
         }
     }
-
-    /// Returns `true` when `other` fits inside `self` with slack `eps`.
-    pub fn contains_box(&self, other: &Aabb, eps: f64) -> bool {
-        self.contains(other.min, eps) && self.contains(other.max, eps)
-    }
 }
 
 #[cfg(test)]
@@ -98,9 +93,6 @@ mod tests {
     #[test]
     fn containment_and_union() {
         let a = Aabb::from_points(&[Vec2::ZERO, Vec2::new(1.0, 1.0)]).unwrap();
-        let b = Aabb::from_points(&[Vec2::new(0.25, 0.25), Vec2::new(0.5, 0.5)]).unwrap();
-        assert!(a.contains_box(&b, 0.0));
-        assert!(!b.contains_box(&a, 0.0));
         let c = Aabb::from_points(&[Vec2::new(2.0, -1.0)]).unwrap();
         let u = a.union(&c);
         assert_eq!(u.min, Vec2::new(0.0, -1.0));

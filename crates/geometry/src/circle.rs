@@ -38,12 +38,6 @@ impl Circle {
         self.center.dist(p) <= self.radius + eps
     }
 
-    /// Returns `true` when `other` is entirely contained in this closed disk,
-    /// with slack `eps`.
-    pub fn contains_circle(&self, other: &Circle, eps: f64) -> bool {
-        self.center.dist(other.center) + other.radius <= self.radius + eps
-    }
-
     /// The largest `t ≥ 0` such that `origin + t·dir` lies in the closed disk,
     /// or `None` when the ray misses the disk entirely (`dir` need not be
     /// normalized; the result is in units of `|dir|`).
@@ -82,29 +76,6 @@ impl Circle {
         } else {
             Some(t_hi)
         }
-    }
-
-    /// Intersection points of two circle *boundaries*: zero, one (tangency,
-    /// reported once), or two points. Coincident circles return an empty set.
-    pub fn intersect(&self, other: &Circle) -> Vec<Vec2> {
-        let d = self.center.dist(other.center);
-        let (r0, r1) = (self.radius, other.radius);
-        if d == 0.0 {
-            return Vec::new(); // concentric: none or infinitely many
-        }
-        if d > r0 + r1 || d < (r0 - r1).abs() {
-            return Vec::new();
-        }
-        let a = (r0 * r0 - r1 * r1 + d * d) / (2.0 * d);
-        let h_sq = r0 * r0 - a * a;
-        let u = (other.center - self.center) / d;
-        let base = self.center + u * a;
-        if h_sq <= 0.0 {
-            return vec![base];
-        }
-        let h = h_sq.sqrt();
-        let off = u.perp() * h;
-        vec![base + off, base - off]
     }
 
     /// Area of the disk.
@@ -148,8 +119,6 @@ mod tests {
         assert!(c.contains(Vec2::new(1.0, 0.0), 0.0));
         assert!(c.contains(Vec2::new(0.5, 0.5), 0.0));
         assert!(!c.contains(Vec2::new(1.1, 0.0), 1e-9));
-        assert!(c.contains_circle(&Circle::new(Vec2::new(0.5, 0.0), 0.5), 1e-12));
-        assert!(!c.contains_circle(&Circle::new(Vec2::new(0.6, 0.0), 0.5), 1e-12));
     }
 
     #[test]
@@ -178,27 +147,6 @@ mod tests {
         let c = Circle::new(Vec2::new(2.0, 0.0), 1.0);
         let t = c.ray_exit(Vec2::ZERO, Vec2::new(2.0, 0.0)).unwrap();
         assert!((t - 1.5).abs() < 1e-12, "t in units of |dir| = 2");
-    }
-
-    #[test]
-    fn intersections() {
-        let a = Circle::new(Vec2::ZERO, 1.0);
-        let b = Circle::new(Vec2::new(1.0, 0.0), 1.0);
-        let pts = a.intersect(&b);
-        assert_eq!(pts.len(), 2);
-        for p in pts {
-            assert!((a.center.dist(p) - 1.0).abs() < 1e-12);
-            assert!((b.center.dist(p) - 1.0).abs() < 1e-12);
-        }
-        // Tangent circles.
-        let c = Circle::new(Vec2::new(2.0, 0.0), 1.0);
-        let pts = a.intersect(&c);
-        assert_eq!(pts.len(), 1);
-        assert!((pts[0] - Vec2::new(1.0, 0.0)).norm() < 1e-9);
-        // Disjoint.
-        assert!(a
-            .intersect(&Circle::new(Vec2::new(5.0, 0.0), 1.0))
-            .is_empty());
     }
 
     #[test]

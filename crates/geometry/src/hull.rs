@@ -415,15 +415,6 @@ impl ConvexHull {
             }),
         }
     }
-
-    /// The vertex farthest from `p` (useful for hull-radius style measures);
-    /// `None` for an empty hull.
-    pub fn farthest_vertex(&self, p: Vec2) -> Option<Vec2> {
-        self.vertices
-            .iter()
-            .copied()
-            .max_by(|a, b| a.dist_sq(p).partial_cmp(&b.dist_sq(p)).expect("finite"))
-    }
 }
 
 #[cfg(test)]
@@ -717,13 +708,5 @@ mod tests {
                 pts
             );
         }
-    }
-
-    #[test]
-    fn farthest_vertex() {
-        let h = convex_hull(&square());
-        let f = h.farthest_vertex(Vec2::ZERO).unwrap();
-        assert_eq!(f, Vec2::new(2.0, 2.0));
-        assert!(convex_hull(&[]).farthest_vertex(Vec2::ZERO).is_none());
     }
 }

@@ -103,18 +103,6 @@ impl<P: Point> Configuration<P> {
         }
         Some(acc * (1.0 / self.positions.len() as f64))
     }
-
-    /// Minimum pairwise distance (`∞` for fewer than two robots) — useful for
-    /// collision diagnostics.
-    pub fn min_pairwise_distance(&self) -> f64 {
-        let mut best = f64::INFINITY;
-        for i in 0..self.positions.len() {
-            for j in (i + 1)..self.positions.len() {
-                best = best.min(self.positions[i].dist(self.positions[j]));
-            }
-        }
-        best
-    }
 }
 
 impl<P: Point> FromIterator<P> for Configuration<P> {
@@ -144,10 +132,8 @@ mod tests {
     fn diameter_and_min_distance() {
         let c = config();
         assert!((c.diameter() - 5.0).abs() < 1e-12);
-        assert!((c.min_pairwise_distance() - 3.0).abs() < 1e-12);
         let single = Configuration::new(vec![Vec2::ZERO]);
         assert_eq!(single.diameter(), 0.0);
-        assert_eq!(single.min_pairwise_distance(), f64::INFINITY);
     }
 
     #[test]

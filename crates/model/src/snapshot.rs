@@ -127,14 +127,6 @@ impl<P: Point> Snapshot<P> {
             .fold(0.0, f64::max)
     }
 
-    /// Distance to the closest perceived robot; `∞` for an empty snapshot.
-    pub fn closest_distance(&self) -> f64 {
-        self.observations
-            .iter()
-            .map(|o| o.position.norm())
-            .fold(f64::INFINITY, f64::min)
-    }
-
     /// Applies a transformation to every observation (used by the engine to
     /// move between frames and by error models to perturb perception).
     pub fn map(&self, mut f: impl FnMut(P) -> P) -> Snapshot<P> {
@@ -161,7 +153,6 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert!(!s.is_empty());
         assert_eq!(s.furthest_distance(), 5.0);
-        assert_eq!(s.closest_distance(), 1.0);
     }
 
     #[test]
@@ -169,7 +160,6 @@ mod tests {
         let s = Snapshot::<Vec2>::from_positions(vec![]);
         assert!(s.is_empty());
         assert_eq!(s.furthest_distance(), 0.0);
-        assert_eq!(s.closest_distance(), f64::INFINITY);
     }
 
     #[test]
