@@ -13,9 +13,12 @@ use cohesion_geometry::ball::smallest_enclosing_ball;
 use cohesion_geometry::cone::sector_2d;
 use cohesion_geometry::hull::convex_hull;
 use cohesion_geometry::{ConvexHull, Vec2};
-use cohesion_model::{NilAlgorithm, VisibilityGraph};
+use cohesion_model::frame::Ambient;
+use cohesion_model::{Configuration, NilAlgorithm, VisibilityGraph};
 use cohesion_scheduler::FSyncScheduler;
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{
+    black_box, criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -139,50 +142,75 @@ fn bench_visibility_graph(c: &mut Criterion) {
 }
 
 fn bench_monitor_step(c: &mut Criterion) {
-    // One engine event's worth of predicate checking at n = 256 on a still
-    // swarm: a breakpoint of one robot re-classifies its pairs from the
-    // motion envelopes, and an event with every robot dirty but no
-    // breakpoint walks only the watch lists. The historical monitors paid
-    // for every pair of every dirty robot at every event instead.
+    // One engine event's worth of predicate checking on a still swarm: a
+    // breakpoint of one robot re-classifies its pairs from the motion
+    // envelopes, and an event with every robot dirty but no breakpoint
+    // walks only the watch lists. The historical monitors paid for every
+    // pair of every dirty robot at every event instead. In space the
+    // strong-visibility monitor's grid query visits 125 cells (27 in the
+    // plane), measured on a ball of robots at two sizes.
     let mut group = c.benchmark_group("monitor_step");
     let n = 256usize;
     let config = cohesion_workloads::random_connected(n, 1.0, 11);
+    monitor_step(
+        &mut group,
+        "incremental_dirty1",
+        &config,
+        vec![n / 2],
+        Some(n / 2),
+    );
+    monitor_step(&mut group, "full_sweep", &config, (0..n).collect(), None);
+    for n in [256usize, 1024] {
+        let ball = cohesion_workloads::ball3(n, 1.0, 11);
+        monitor_step(
+            &mut group,
+            "incremental_dirty1_3d",
+            &ball,
+            vec![n / 2],
+            Some(n / 2),
+        );
+    }
+    group.finish();
+}
+
+/// Times both pair monitors' `on_event` on `config` held still, with
+/// `dirty` robots and an optional breakpoint robot.
+fn monitor_step<P: Ambient>(
+    group: &mut BenchmarkGroup<'_>,
+    id: &str,
+    config: &Configuration<P>,
+    dirty: Vec<usize>,
+    breakpoint: Option<usize>,
+) {
+    let n = config.len();
     // The envelopes of a still swarm, with the engine's grid of origins.
-    let engine = Engine::new(&config, 1.0, NilAlgorithm, FSyncScheduler::new(), 0);
+    let engine = Engine::new(config, 1.0, NilAlgorithm, FSyncScheduler::new(), 0);
     let envelopes = engine.envelopes();
     let initial_edges = envelopes.grid.pairs_within(1.0);
     let position = |i: usize| config.positions()[i];
-
-    let cases = [
-        ("incremental_dirty1", vec![n / 2], Some(n / 2)),
-        ("full_sweep", (0..n).collect::<Vec<_>>(), None),
-    ];
-    for (id, dirty, breakpoint) in cases {
-        let mut dirty_mask = vec![false; n];
-        for &i in &dirty {
-            dirty_mask[i] = true;
-        }
-        group.bench_with_input(BenchmarkId::new(id, n), &(), |b, ()| {
-            // Positions never move, so the monitors record nothing and each
-            // iteration measures the steady-state per-event check cost.
-            let mut cohesion =
-                CohesionMonitor::new(config.positions(), &initial_edges, |_, _| 1.0, 1e-9);
-            let mut strong = StrongVisibilityMonitor::new(1.0, 1e-9, &envelopes);
-            b.iter(|| {
-                let ctx = MonitorContext {
-                    time: 1.0,
-                    position: &position,
-                    dirty: &dirty,
-                    dirty_mask: &dirty_mask,
-                    breakpoint,
-                    envelopes,
-                };
-                cohesion.on_event(&ctx);
-                strong.on_event(&ctx);
-            })
-        });
+    let mut dirty_mask = vec![false; n];
+    for &i in &dirty {
+        dirty_mask[i] = true;
     }
-    group.finish();
+    group.bench_with_input(BenchmarkId::new(id, n), &(), |b, ()| {
+        // Positions never move, so the monitors record nothing and each
+        // iteration measures the steady-state per-event check cost.
+        let mut cohesion =
+            CohesionMonitor::new(config.positions(), &initial_edges, |_, _| 1.0, 1e-9);
+        let mut strong = StrongVisibilityMonitor::new(1.0, 1e-9, &envelopes);
+        b.iter(|| {
+            let ctx = MonitorContext {
+                time: 1.0,
+                position: &position,
+                dirty: &dirty,
+                dirty_mask: &dirty_mask,
+                breakpoint,
+                envelopes,
+            };
+            cohesion.on_event(&ctx);
+            strong.on_event(&ctx);
+        })
+    });
 }
 
 criterion_group!(

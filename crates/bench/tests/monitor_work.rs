@@ -6,8 +6,9 @@
 //! counters are deterministic, so a change in how often either pair monitor
 //! measures a pair, in how many `dist_sq` the diameter samples and round
 //! boundaries take, or in how many hulls the hull samples build and how
-//! many points reach their monotone chain, shows up here as an exact count,
-//! independent of the machine.
+//! many points reach their monotone chain, in how many orientations the
+//! nesting tests evaluate and how many directions the diameter band passes
+//! scan, shows up here as an exact count, independent of the machine.
 
 use cohesion_bench::lookbench::look_lattice;
 use cohesion_core::KirkpatrickAlgorithm;
@@ -53,18 +54,28 @@ struct HullWork {
     points_chained: u64,
 }
 
+/// The work of the samplers' kernels that skip what cannot change their
+/// answer: the nesting test's `orient2d_value` evaluations and full edge
+/// scans, and the diameter band pass's directions.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct KernelWork {
+    nesting_orientations: u64,
+    nesting_full_scans: u64,
+    band_directions: u64,
+}
+
 fn work(asynchronous: bool) -> Work {
     run(asynchronous).0.clone()
 }
 
-/// The session's work counters and its hull sampler's, computed once per
-/// arm for all the tests that read them.
-fn run(asynchronous: bool) -> &'static (Work, HullWork) {
-    static RUNS: [OnceLock<(Work, HullWork)>; 2] = [OnceLock::new(), OnceLock::new()];
+/// The session's work counters, its hull sampler's and its samplers'
+/// kernels', computed once per arm for all the tests that read them.
+fn run(asynchronous: bool) -> &'static (Work, HullWork, KernelWork) {
+    static RUNS: [OnceLock<(Work, HullWork, KernelWork)>; 2] = [OnceLock::new(), OnceLock::new()];
     RUNS[usize::from(asynchronous)].get_or_init(|| measure(asynchronous))
 }
 
-fn measure(asynchronous: bool) -> (Work, HullWork) {
+fn measure(asynchronous: bool) -> (Work, HullWork, KernelWork) {
     let (k, scheduler): (u32, Box<dyn Scheduler>) = if asynchronous {
         (4, Box::new(AsyncScheduler::new(0)))
     } else {
@@ -105,7 +116,13 @@ fn measure(asynchronous: bool) -> (Work, HullWork) {
         hulls_built: hull.hulls_built(),
         points_chained: hull.points_chained(),
     };
-    (work, hull_work)
+    let nesting = hull.nesting_work();
+    let kernel_work = KernelWork {
+        nesting_orientations: nesting.orientations,
+        nesting_full_scans: nesting.full_scans,
+        band_directions: session.diameter_monitor().directions_scanned(),
+    };
+    (work, hull_work, kernel_work)
 }
 
 /// The all-pairs loop paid `n(n − 1)/2` `dist_sq` per diameter; the
@@ -179,5 +196,41 @@ fn hull_work_is_pinned() {
     );
     for hull in [fsync, asynchronous] {
         assert!(4 * hull.points_chained < hull.hulls_built * 2 * N as u64);
+    }
+}
+
+/// The nesting test walks both hulls once per sample, `O(h_prev + h_next)`,
+/// where the full scan tested every vertex of the new hull against every
+/// edge of the old one; only pairs of hulls with fewer than
+/// `WALK_MIN_PAIRS` vertex pairs, early in the run, are still scanned in
+/// full (one scan per edge of the old hull). The diameter band pass scans
+/// only the directions whose extent reaches its threshold, the lattice's
+/// two diagonals, where it scanned all eight.
+#[test]
+fn sampler_kernel_work_is_pinned() {
+    let (fsync, asynchronous) = (run(false).2, run(true).2);
+    assert_eq!(
+        fsync,
+        KernelWork {
+            nesting_orientations: 25_734,
+            nesting_full_scans: 308,
+            band_directions: 50,
+        }
+    );
+    assert_eq!(
+        asynchronous,
+        KernelWork {
+            nesting_orientations: 31_928,
+            nesting_full_scans: 432,
+            band_directions: 1_166,
+        }
+    );
+    for (arm, kernel) in [(false, fsync), (true, asynchronous)] {
+        let (work, hull) = (&run(arm).0, run(arm).1);
+        // Fewer than the points chained twice over; the full scan of every
+        // pair made about 50 per edge of a hull of about 50 vertices.
+        assert!(kernel.nesting_orientations < 2 * hull.points_chained);
+        // Fewer than three directions per measured diameter, of eight.
+        assert!(kernel.band_directions < 3 * work.diameters);
     }
 }

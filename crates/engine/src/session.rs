@@ -276,15 +276,12 @@ pub struct Simulation<P: Ambient = Vec2> {
     /// The session's overall event budget (the builder's `max_events`).
     pub(crate) budget: Budget,
     pub(crate) initial_diameter: f64,
-    /// The samplers' buffer: filled from the engine only at an event where a
-    /// hull sample, a diameter sample or a round boundary fires.
-    samples: Vec<P>,
     pub(crate) dirty: Vec<usize>,
     pub(crate) dirty_mask: Vec<bool>,
     pub(crate) cohesion: CohesionMonitor,
     pub(crate) strong: Option<StrongVisibilityMonitor>,
-    pub(crate) hull: Option<HullMonitor>,
-    pub(crate) diameter: DiameterMonitor,
+    pub(crate) hull: Option<HullMonitor<P>>,
+    pub(crate) diameter: DiameterMonitor<P>,
     pub(crate) round_diameters: Vec<(usize, f64)>,
     pub(crate) rounds: usize,
     pub(crate) round_base: Vec<u64>,
@@ -299,11 +296,11 @@ pub struct Simulation<P: Ambient = Vec2> {
 
 /// The four standard monitors a session is built around, bundled for
 /// construction (the builder materializes them, the session owns them).
-pub(crate) struct MonitorPipeline {
+pub(crate) struct MonitorPipeline<P: Ambient> {
     pub(crate) cohesion: CohesionMonitor,
     pub(crate) strong: Option<StrongVisibilityMonitor>,
-    pub(crate) hull: Option<HullMonitor>,
-    pub(crate) diameter: DiameterMonitor,
+    pub(crate) hull: Option<HullMonitor<P>>,
+    pub(crate) diameter: DiameterMonitor<P>,
 }
 
 impl<P: Ambient> Simulation<P> {
@@ -312,7 +309,7 @@ impl<P: Ambient> Simulation<P> {
         epsilon: f64,
         budget: Budget,
         initial_diameter: f64,
-        monitors: MonitorPipeline,
+        monitors: MonitorPipeline<P>,
     ) -> Self {
         let MonitorPipeline {
             cohesion,
@@ -326,7 +323,6 @@ impl<P: Ambient> Simulation<P> {
             epsilon,
             budget,
             initial_diameter,
-            samples: Vec::new(),
             dirty: Vec::with_capacity(n),
             dirty_mask: vec![false; n],
             cohesion,
@@ -396,14 +392,14 @@ impl<P: Ambient> Simulation<P> {
     /// The diameter monitor (read-only), e.g. for its sample series or the
     /// work counter of every diameter the session has taken.
     #[must_use]
-    pub fn diameter_monitor(&self) -> &DiameterMonitor {
+    pub fn diameter_monitor(&self) -> &DiameterMonitor<P> {
         &self.diameter
     }
 
     /// The hull monitor (read-only), when hull checking is on, e.g. for the
     /// work counter of the hulls its samples built.
     #[must_use]
-    pub fn hull_monitor(&self) -> Option<&HullMonitor> {
+    pub fn hull_monitor(&self) -> Option<&HullMonitor<P>> {
         self.hull.as_ref()
     }
 
@@ -506,15 +502,17 @@ impl<P: Ambient> Simulation<P> {
         let round_closed = self.round_pending == 0;
         let diameter_due = self.diameter.due(self.events);
 
-        // The samples read the whole swarm, so the buffer is filled only
-        // when one fires: with the pending targets appended for a hull
-        // sample, and cut back to the positions for the diameters.
+        // The samples read the whole swarm, so the engine writes it into a
+        // sampler's buffer only when one fires. A hull sample reads the
+        // positions at the engine's clock, and the diameters of its event
+        // read them there too; other diameters read them at the event time.
+        // (A Look the scheduler places up to 1e-9 before the clock leaves
+        // the clock where it was.)
+        let engine = &self.engine;
+        let mut at = event.time;
         if let Some(hull) = self.hull.as_mut().filter(|m| m.due(self.events)) {
-            self.engine.positions_with_targets_into(&mut self.samples);
-            hull.sample(&self.samples);
-            self.samples.truncate(n);
-        } else if round_closed || diameter_due {
-            self.engine.positions_at_into(event.time, &mut self.samples);
+            at = engine.time();
+            hull.sample(|points| engine.positions_with_targets_into(points));
         }
 
         // The configuration diameter at this event, computed at most once:
@@ -525,13 +523,19 @@ impl<P: Ambient> Simulation<P> {
             self.round_base
                 .copy_from_slice(self.engine.completed_cycles());
             self.round_pending = n;
-            let d = *diameter.get_or_insert_with(|| self.diameter.measure(&self.samples));
+            let d = *diameter.get_or_insert_with(|| {
+                self.diameter
+                    .measure(|points| engine.positions_at_into(at, points))
+            });
             self.round_diameters.push((self.rounds, d));
         }
 
         // Diameter sampling + convergence test.
         if diameter_due {
-            let d = diameter.unwrap_or_else(|| self.diameter.measure(&self.samples));
+            let d = diameter.unwrap_or_else(|| {
+                self.diameter
+                    .measure(|points| engine.positions_at_into(at, points))
+            });
             self.diameter.record(event.time, d);
         }
 

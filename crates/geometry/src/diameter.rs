@@ -15,7 +15,9 @@
 //! 2. **Filter.** Point `p` joins direction `k`'s *low band* when
 //!    `hi_k − q_k(p) ≥ T` and its *high band* when `q_k(p) − lo_k ≥ T`,
 //!    where `q_k` is the computed projection and
-//!    `T = w·cos(π/2K) − 2⁻⁴⁰·(M + w)`.
+//!    `T = w·cos(π/2K) − 2⁻⁴⁰·(M + w)`. Only the *active* directions,
+//!    those with `hi_k − lo_k ≥ T`, are scanned: the others have empty
+//!    bands (below).
 //! 3. **Finish.** The result is the largest `dist_sq` over the pairs of a
 //!    low-band and a high-band point of one direction.
 //!
@@ -39,6 +41,20 @@
 //! times that error and covers the rounding of `T` itself, so `b` is in the
 //! high band of `k`. By the mirror argument `a` is in its low band, and `D`
 //! is a candidate.
+//!
+//! # Empty bands
+//!
+//! A direction with a computed extent `hi_k − lo_k < T` has no point in
+//! either band. Both passes compute `q_k(p)` by the same expression, and
+//! `lo_k` and `hi_k` are the least and the largest of those values, so
+//! `lo_k ≤ q_k(p) ≤ hi_k`. Rounding is monotone, so the computed
+//! `hi_k − q_k(p)` is at most the computed `hi_k − lo_k`, which is below
+//! `T`: `p` is not in the low band; by the mirror argument it is not in the
+//! high band. Skipping the direction therefore drops no candidate pair and
+//! no count from [`DiameterKernel::pairs_checked`]. The widest direction is
+//! always active (`T < w` while `w > 0`), and on a lattice only its two
+//! diagonals are, so the second pass scans 2 directions of 8
+//! ([`DiameterKernel::directions_scanned`]).
 //!
 //! The error bounds hold while no product overflows and no rounding error
 //! near `T` falls into the subnormal range. The kernel therefore keeps the
@@ -111,6 +127,7 @@ pub struct DiameterKernel {
     /// Band memberships beyond the [`INLINE_MEMBERS`] kept on the stack.
     spill: Vec<(u32, u32)>,
     pairs_checked: u64,
+    directions_scanned: u64,
 }
 
 impl DiameterKernel {
@@ -122,6 +139,12 @@ impl DiameterKernel {
     /// How many `dist_sq` evaluations the kernel has made so far.
     pub fn pairs_checked(&self) -> u64 {
         self.pairs_checked
+    }
+
+    /// How many directions the band pass has scanned so far: those whose
+    /// extent reached the threshold, at most `K = 8` per filtered diameter.
+    pub fn directions_scanned(&self) -> u64 {
+        self.directions_scanned
     }
 
     /// The diameter of `points` (`0` for fewer than two): bit for bit the
@@ -146,10 +169,19 @@ impl DiameterKernel {
             return self.all_pairs(points);
         }
 
+        let threshold = width * COS_HALF_STEP - SLACK * (magnitude + width);
+        // Only a direction whose extent reaches the threshold can have a
+        // point in a band (module docs, “Empty bands”).
+        let (mut active, mut active_len) = ([0; K], 0);
+        for k in (0..K).filter(|&k| hi[k] - lo[k] >= threshold) {
+            active[active_len] = k;
+            active_len += 1;
+        }
+        self.directions_scanned += active_len as u64;
+
         // `(band, point)` memberships, band `2k` / `2k + 1` being direction
         // `k`'s low / high band, in the stack buffer until it overflows.
         // Indices are `u32` to keep the buffer small.
-        let threshold = width * COS_HALF_STEP - SLACK * (magnitude + width);
         let mut inline = [(0, 0); INLINE_MEMBERS];
         let mut count = 0;
         let mut join = |member: (u32, u32)| {
@@ -164,21 +196,15 @@ impl DiameterKernel {
             }
             count += 1;
         };
-        for (i, p) in points.iter().enumerate() {
-            let q = projections(*p);
-            // One branch per point: most points lie in no band.
-            let mut outside = true;
-            for k in 0..K {
-                outside &= (hi[k] - q[k] < threshold) & (q[k] - lo[k] < threshold);
-            }
-            if outside {
-                continue;
-            }
-            for k in 0..K {
-                if hi[k] - q[k] >= threshold {
+        for &k in &active[..active_len] {
+            let (ux, uy, lo, hi) = (UX[k], UY[k], lo[k], hi[k]);
+            for (i, p) in points.iter().enumerate() {
+                // `projections(p)[k]`, the same expression.
+                let q = p.coord(0) * ux + p.coord(1) * uy;
+                if hi - q >= threshold {
                     join((2 * k as u32, i as u32));
                 }
-                if q[k] - lo[k] >= threshold {
+                if q - lo >= threshold {
                     join((2 * k as u32 + 1, i as u32));
                 }
             }
@@ -303,6 +329,108 @@ mod tests {
     /// The all-pairs loop through a fresh kernel: the oracle.
     fn all_pairs<P: Point>(points: &[P]) -> f64 {
         DiameterKernel::new().all_pairs(points).sqrt()
+    }
+
+    /// The band pass over all eight directions, the kernel's pass before it
+    /// skipped the directions that cannot reach the threshold: the largest
+    /// `dist_sq` over band pairs and the pairs measured, for a set the
+    /// kernel filters.
+    fn eight_direction_bands(points: &[Vec2]) -> (f64, u64) {
+        let Extents { lo, hi, magnitude } = Extents::of(points).expect("in range");
+        let width = (0..K).fold(0.0, |w, k| f64::max(w, hi[k] - lo[k]));
+        let threshold = width * COS_HALF_STEP - SLACK * (magnitude + width);
+        let (mut best, mut pairs) = (0.0_f64, 0);
+        for k in 0..K {
+            let q = |p: &Vec2| projections(*p)[k];
+            let low: Vec<&Vec2> = points
+                .iter()
+                .filter(|p| hi[k] - q(p) >= threshold)
+                .collect();
+            let high: Vec<&Vec2> = points
+                .iter()
+                .filter(|p| q(p) - lo[k] >= threshold)
+                .collect();
+            for a in &low {
+                for b in &high {
+                    best = best.max(a.dist_sq(**b));
+                }
+            }
+            pairs += (low.len() * high.len()) as u64;
+        }
+        (best, pairs)
+    }
+
+    /// Asserts that the kernel measures the pairs the eight-direction pass
+    /// measured, to the same bits as the all-pairs loop, and returns the
+    /// directions it scanned.
+    fn scanned_directions(points: &[Vec2]) -> u64 {
+        let mut kernel = DiameterKernel::new();
+        let d = kernel.diameter(points);
+        assert_eq!(d.to_bits(), all_pairs(points).to_bits(), "{points:?}");
+        let (best, pairs) = eight_direction_bands(points);
+        assert_eq!(best.sqrt().to_bits(), d.to_bits());
+        assert_eq!(kernel.pairs_checked(), pairs);
+        assert!((1..=K as u64).contains(&kernel.directions_scanned()));
+        kernel.directions_scanned()
+    }
+
+    #[test]
+    fn bands_scan_only_the_directions_that_reach_the_threshold() {
+        // A square lattice: only the two diagonals are within `cos(π/16)`
+        // of the widest extent.
+        let lattice: Vec<Vec2> = (0..256)
+            .map(|i| Vec2::new(f64::from(i % 16) * 0.9, f64::from(i / 16) * 0.9))
+            .collect();
+        assert_eq!(scanned_directions(&lattice), 2);
+        // A row: only the direction along it.
+        let row: Vec<Vec2> = (0..40).map(|i| Vec2::new(f64::from(i), -2.0)).collect();
+        assert_eq!(scanned_directions(&row), 1);
+        // Signed-zero twins and coincident copies along a column.
+        let mut twins: Vec<Vec2> = (0..40)
+            .map(|i| Vec2::new(if i % 2 == 0 { 0.0 } else { -0.0 }, f64::from(i % 20)))
+            .collect();
+        twins.extend([Vec2::new(-0.0, -0.0), Vec2::new(0.0, 19.0)]);
+        assert_eq!(scanned_directions(&twins), 1);
+        // Coincident points take the all-pairs loop: no band pass.
+        let mut kernel = DiameterKernel::new();
+        kernel.diameter(&[Vec2::new(-0.0, 0.0); 40]);
+        assert_eq!(kernel.directions_scanned(), 0);
+        // A circle keeps every direction.
+        let circle: Vec<Vec2> = (0..64)
+            .map(|i| Vec2::from_angle(f64::from(i) * std::f64::consts::TAU / 64.0))
+            .collect();
+        assert_eq!(scanned_directions(&circle), K as u64);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Lattice points, some repeated, some with a zero's sign flipped,
+        /// some moved by an ulp, stretched on either axis.
+        #[test]
+        fn the_band_pass_measures_the_eight_direction_pairs(
+            cells in proptest::collection::vec((-8i32..9, -8i32..9, 0u8..4), 32..120),
+            stretch in (0.01..3.0f64, 0.01..3.0f64),
+        ) {
+            let points: Vec<Vec2> = cells
+                .iter()
+                .map(|&(i, j, jitter)| {
+                    let mut p = Vec2::new(f64::from(i) * stretch.0, f64::from(j) * stretch.1);
+                    match jitter {
+                        1 if p.x == 0.0 => p.x = -p.x,
+                        2 => p.y = p.y.next_up(),
+                        _ => {}
+                    }
+                    p
+                })
+                .collect();
+            let mut kernel = DiameterKernel::new();
+            let d = kernel.diameter(&points);
+            proptest::prop_assert_eq!(d.to_bits(), all_pairs(&points).to_bits());
+            if kernel.directions_scanned() > 0 {
+                scanned_directions(&points);
+            }
+        }
     }
 
     #[test]

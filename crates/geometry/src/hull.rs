@@ -40,8 +40,58 @@
 //! float [`orient2d_value`] against an error bound, one per edge in the
 //! filter, so the filter costs two passes of float arithmetic. A lattice
 //! keeps its rim, a round cloud a thin annulus.
+//!
+//! # The nesting walk
+//!
+//! [`ConvexHull::contains_hull`] asks whether every vertex `p` of an inner
+//! hull has, on every edge `a → b` of an outer one, a computed
+//! `orient2d_value(a, b, p)` at least the edge's threshold
+//! `−eps·|ab|`. The full scan evaluates all `h_outer · h_inner` values.
+//! [`HullKernel::contains_hull`] returns the same verdict from a walk that
+//! evaluates about one value per edge, for two polygons of at least three
+//! vertices, coordinates in the exact range and at least
+//! [`WALK_MIN_PAIRS`] vertex pairs; other pairs take the full scan.
+//!
+//! For the edge `a → b` let `d` be the computed `b − a` and
+//! `g(p) = d × (p − a)` in exact arithmetic; the computed value `v(p)`
+//! rounds `g(p)`. Along the inner hull's vertices `g` changes by
+//! `d × (q_{j+1} − q_j)`, whose sign the float test of `orient2d_exact`
+//! certifies when it can (falling, rising) and leaves undecided otherwise.
+//! The inner hull is strictly convex and counterclockwise (exact
+//! orientation signs, step 1), so its edge directions turn once around:
+//! the exact steps fall along one run of vertices and rise along the other,
+//! with at most one level step between. A *window* of consecutive vertices
+//! entered by a certainly falling step, left by a certainly rising one and
+//! joined by steps that are neither therefore holds a vertex `s` that
+//! minimises `g` over the whole inner hull. The walk keeps a pointer that
+//! moves forward as the outer edges turn counterclockwise, finds each
+//! edge's window from it, and evaluates `v` on the window's vertices
+//! (usually one or two):
+//!
+//! - **Reject** when some window value is below the threshold: the full
+//!   scan evaluates that same value, so it rejects too.
+//! - **Accept** when the lowest window value clears the threshold by twice
+//!   the rounding bound `E = 2⁻⁵⁰·(|d.x|·H + |d.y|·W)`, with `W` and `H`
+//!   the computed spans of both hulls' vertices on each axis. Each of the
+//!   three roundings in `v(p)` is relative to a product bounded by
+//!   `|d.x|·H + |d.y|·W`, so `|v(p) − g(p)| < 4·2⁻⁵³·(|d.x|·H + |d.y|·W)`
+//!   (no product overflows or underflows in the exact range), under `E/2`.
+//!   Then for every vertex `p`, `v(p) > g(p) − E/2 ≥ g(s) − E/2 >
+//!   v(s) − E`, which clears the threshold.
+//! - **Fall back** to the full scan of that edge in every other case: a
+//!   value too close to call, a NaN threshold, or a window the walk cannot
+//!   bound within one turn around the inner hull.
+//!
+//! Each pointer move and each window needs a certified step, so the walk
+//! makes `O(h_outer + h_inner)` step tests and evaluations for a nested
+//! pair; [`NestingWork`] counts its evaluations and its full scans. The
+//! walk relies on both hulls being what the chain returns; a
+//! [`ConvexHull`] deserialized from other vertices is outside its contract.
 
-use crate::predicates::{ccw_margin, in_exact_range, orient2d_exact, orient2d_value, Orientation};
+use crate::point::Point;
+use crate::predicates::{
+    ccw_margin, in_exact_range, orient2d_exact, orient2d_value, step_sign, Orientation,
+};
 use crate::vec2::Vec2;
 use serde::{Deserialize, Serialize};
 
@@ -97,6 +147,19 @@ pub struct HullKernel {
     /// The points that reach the chain, sorted in place.
     chained: Vec<Vec2>,
     points_chained: u64,
+    nesting: NestingWork,
+}
+
+/// The work counters of [`HullKernel::contains_hull`], summed over its
+/// calls.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NestingWork {
+    /// `orient2d_value` evaluations: one per edge the walk decides, plus
+    /// one per vertex of every full scan.
+    pub orientations: u64,
+    /// Edges tested against every vertex of the inner hull: the walk's
+    /// fallbacks, and every edge of the hulls it does not take.
+    pub full_scans: u64,
 }
 
 impl HullKernel {
@@ -110,28 +173,61 @@ impl HullKernel {
         self.points_chained
     }
 
-    /// The convex hull of `points`.
-    pub fn hull(&mut self, points: &[Vec2]) -> ConvexHull {
+    /// The convex hull of `points`, projected on the plane.
+    pub fn hull<P: Point>(&mut self, points: &[P]) -> ConvexHull {
         let mut hull = ConvexHull::default();
         self.hull_into(points, &mut hull);
         hull
     }
 
-    /// Writes the convex hull of `points` into `hull`, reusing its buffer:
-    /// bit for bit the unfiltered monotone chain's hull (module docs).
+    /// The work counters of the nesting tests so far.
+    pub fn nesting_work(&self) -> NestingWork {
+        self.nesting
+    }
+
+    /// `true` when `outer` contains `inner` with slack `eps`: bit for bit
+    /// the verdict of testing every vertex of `inner` against every edge of
+    /// `outer`, [`ConvexHull::contains`]'s test, in `O(h_outer + h_inner)`
+    /// for two polygons (module docs, “The nesting walk”). Hulls of at most
+    /// two vertices, coordinates outside the exact range and pairs with
+    /// fewer than [`WALK_MIN_PAIRS`] vertex–edge pairs take the full scan.
+    pub fn contains_hull(&mut self, outer: &ConvexHull, inner: &ConvexHull, eps: f64) -> bool {
+        let (o, i) = (&outer.vertices, &inner.vertices);
+        let walkable = o.len() >= 3
+            && i.len() >= 3
+            && o.len() * i.len() >= WALK_MIN_PAIRS
+            && o.iter()
+                .chain(i)
+                .all(|p| in_exact_range(p.x) & in_exact_range(p.y));
+        if !walkable {
+            return outer.contains_all(i, eps, &mut self.nesting);
+        }
+        nesting_walk(o, i, eps, &mut self.nesting)
+    }
+
+    /// Writes the convex hull of `points`, projected on the plane, into
+    /// `hull`, reusing its buffer: bit for bit the unfiltered monotone
+    /// chain's hull of the projections (module docs). Only the points that
+    /// reach the chain are projected into its buffer.
     ///
     /// # Panics
     ///
     /// Panics when the sort meets a NaN coordinate.
-    pub fn hull_into(&mut self, points: &[Vec2], hull: &mut ConvexHull) {
+    pub fn hull_into<P: Point>(&mut self, points: &[P], hull: &mut ConvexHull) {
         self.chained.clear();
         match Octagon::of(points) {
             Some(octagon) => octagon.keep_outside(points, &mut self.chained),
-            None => self.chained.extend_from_slice(points),
+            None => self.chained.extend(points.iter().map(|&p| planar(p))),
         }
         self.points_chained += self.chained.len() as u64;
         monotone_chain(&mut self.chained, &mut hull.vertices);
     }
+}
+
+/// The projection of `p` on the plane of its first two coordinates.
+#[inline]
+fn planar<P: Point>(p: P) -> Vec2 {
+    Vec2::new(p.coord(0), p.coord(1))
 }
 
 /// Sorts `points` and writes the strict vertices of their hull into
@@ -175,6 +271,108 @@ fn monotone_chain(points: &mut Vec<Vec2>, vertices: &mut Vec<Vec2>) {
     vertices.pop();
 }
 
+/// Vertex pairs `h_outer · h_inner` below which [`HullKernel::contains_hull`]
+/// scans every vertex against every edge. The walk costs about 30 ns per
+/// edge of the outer hull, the scan about 1.2 ns per pair: on rings of `h`
+/// vertices inside rings of `h` they break even near `h = 24…28` (2-vCPU
+/// x86-64 host).
+pub const WALK_MIN_PAIRS: usize = 768;
+
+/// `2⁻⁵⁰`: the walk's rounding bound per unit of `|d.x|·H + |d.y|·W`
+/// (module docs).
+const WALK_ROUNDING: f64 = 1.0 / (1u64 << 50) as f64;
+
+/// The nesting walk over two strictly convex counterclockwise polygons
+/// with coordinates in the exact range (module docs, “The nesting walk”).
+fn nesting_walk(outer: &[Vec2], inner: &[Vec2], eps: f64, work: &mut NestingWork) -> bool {
+    // Every coordinate difference of a vertex of `inner` and one of `outer`
+    // is at most the computed span of both on its axis.
+    let (mut lo, mut hi) = (inner[0], inner[0]);
+    for p in outer.iter().chain(inner) {
+        (lo.x, lo.y) = (lo.x.min(p.x), lo.y.min(p.y));
+        (hi.x, hi.y) = (hi.x.max(p.x), hi.y.max(p.y));
+    }
+    let (width, height) = (hi.x - lo.x, hi.y - lo.y);
+    let m = inner.len();
+    let after = |j: usize| if j + 1 == m { 0 } else { j + 1 };
+    let before = |j: usize| if j == 0 { m - 1 } else { j - 1 };
+    // The certified sign of `g(inner[j + 1]) − g(inner[j])`, `g(p) = d × p`.
+    let step = |d: Vec2, j: usize| step_sign(d, inner[j], inner[after(j)]);
+    const FALLING: i8 = -1;
+    const RISING: i8 = 1;
+    let mut j = 0;
+    for (a, b) in outer
+        .iter()
+        .copied()
+        .zip(outer[1..].iter().chain(&outer[..1]).copied())
+    {
+        let d = b - a;
+        let threshold = edge_threshold(a, b, eps);
+        // The window `first..=last` of vertices between a certainly falling
+        // step and a certainly rising one, every step inside uncertain or
+        // level, holds a minimum of `g`. Back up while `g` certainly falls
+        // backwards and over uncertain steps to a certainly falling one,
+        // then run forward to the first certainly rising step, restarting
+        // the window after every certainly falling step. Each phase takes
+        // at most `m` steps; a phase that does not end takes the full scan.
+        let mut window = None;
+        let mut into = step(d, before(j));
+        for _ in 0..m {
+            if into == FALLING {
+                break;
+            }
+            j = before(j);
+            into = step(d, before(j));
+        }
+        if into == FALLING {
+            let (mut first, mut last) = (j, j);
+            for _ in 0..m {
+                match step(d, last) {
+                    RISING => {
+                        window = Some((first, last));
+                        break;
+                    }
+                    FALLING => first = after(last),
+                    _ => {}
+                }
+                last = after(last);
+            }
+        }
+        let Some((first, last)) = window else {
+            work.full_scans += 1;
+            if !scan_edge(a, b, threshold, inner, work) {
+                return false;
+            }
+            continue;
+        };
+        j = first;
+        let mut lowest = f64::INFINITY;
+        let mut k = first;
+        loop {
+            let value = orient2d_value(a, b, inner[k]);
+            work.orientations += 1;
+            if value < threshold {
+                return false;
+            }
+            lowest = lowest.min(value);
+            if k == last {
+                break;
+            }
+            k = after(k);
+        }
+        let rounding = WALK_ROUNDING * (d.x.abs() * height + d.y.abs() * width);
+        if lowest - threshold >= 2.0 * rounding {
+            continue;
+        }
+        // Too close to call, or a NaN threshold: the full scan decides.
+        work.full_scans += 1;
+        if !scan_edge(a, b, threshold, inner, work) {
+            return false;
+        }
+    }
+    true
+}
+
 /// The octagon's edges, padded to eight by repeating the first, as
 /// coordinate arrays: edge `k` runs from `(ax, ay)` by `(dx, dy)`, the
 /// computed `b − a` of [`orient2d_value`].
@@ -196,7 +394,7 @@ impl Octagon {
     /// The octagon of `points`, or `None` for fewer than
     /// [`FILTER_MIN_POINTS`] points, a coordinate outside the exact range,
     /// or fewer than three distinct vertices.
-    fn of(points: &[Vec2]) -> Option<Self> {
+    fn of<P: Point>(points: &[P]) -> Option<Self> {
         if points.len() < FILTER_MIN_POINTS {
             return None;
         }
@@ -207,7 +405,8 @@ impl Octagon {
         let mut lo = [f64::INFINITY; 4];
         let mut at = [0; 8];
         let mut in_range = true;
-        for (i, p) in points.iter().enumerate() {
+        for (i, &p) in points.iter().enumerate() {
+            let p = planar(p);
             in_range &= in_exact_range(p.x) & in_exact_range(p.y);
             let keys = [p.x, p.x + p.y, p.y, p.y - p.x];
             // One branch per point: few points set a new extreme.
@@ -235,7 +434,7 @@ impl Octagon {
         let mut vertices = [Vec2::ZERO; 8];
         let mut len = 0;
         for i in at {
-            let v = points[i];
+            let v = planar(points[i]);
             if len == 0 || vertices[len - 1] != v {
                 vertices[len] = v;
                 len += 1;
@@ -271,8 +470,9 @@ impl Octagon {
 
     /// Appends to `kept`, in input order, the points of `points` that are
     /// not strictly left of every edge.
-    fn keep_outside(&self, points: &[Vec2], kept: &mut Vec<Vec2>) {
+    fn keep_outside<P: Point>(&self, points: &[P], kept: &mut Vec<Vec2>) {
         for &p in points {
+            let p = planar(p);
             // Most points are certainly inside, most of the rest certainly
             // outside: only points within a margin of an edge take the
             // exact sign.
@@ -324,58 +524,6 @@ impl ConvexHull {
         }
     }
 
-    /// Area enclosed by the hull (shoelace formula; `0` for degenerate hulls).
-    pub fn area(&self) -> f64 {
-        let n = self.vertices.len();
-        if n < 3 {
-            return 0.0;
-        }
-        let mut s = 0.0;
-        for (a, b) in self.edges() {
-            s += a.cross(b);
-        }
-        s / 2.0
-    }
-
-    /// Diameter: the maximum distance between two vertices, via rotating
-    /// calipers (`O(h)` for hulls with at least three vertices; degenerate
-    /// hulls fall back to the direct computation).
-    pub fn diameter(&self) -> f64 {
-        let n = self.vertices.len();
-        if n < 3 {
-            return self.diameter_brute();
-        }
-        // Rotating calipers: walk antipodal pairs around the CCW hull.
-        let area2 = |a: Vec2, b: Vec2, c: Vec2| (b - a).cross(c - a).abs();
-        let mut best = 0.0_f64;
-        let mut j = 1;
-        for i in 0..n {
-            let a = self.vertices[i];
-            let b = self.vertices[(i + 1) % n];
-            // Advance j while the triangle area (≈ distance from the edge)
-            // keeps growing: j ends at the vertex antipodal to edge (a, b).
-            while area2(a, b, self.vertices[(j + 1) % n]) > area2(a, b, self.vertices[j]) {
-                j = (j + 1) % n;
-            }
-            best = best
-                .max(a.dist(self.vertices[j]))
-                .max(b.dist(self.vertices[j]));
-        }
-        best
-    }
-
-    /// Brute-force diameter (`O(h²)`); used by degenerate hulls and as a
-    /// cross-check oracle in tests.
-    pub fn diameter_brute(&self) -> f64 {
-        let mut best = 0.0_f64;
-        for i in 0..self.vertices.len() {
-            for j in (i + 1)..self.vertices.len() {
-                best = best.max(self.vertices[i].dist(self.vertices[j]));
-            }
-        }
-        best
-    }
-
     /// The directed edges `(a, b)` of the boundary, counterclockwise from
     /// the first vertex.
     fn edges(&self) -> impl Iterator<Item = (Vec2, Vec2)> + '_ {
@@ -386,19 +534,21 @@ impl ConvexHull {
     /// Returns `true` when `p` lies inside or on the hull, with slack `eps`
     /// (distance to the hull boundary for outside points).
     pub fn contains(&self, p: Vec2, eps: f64) -> bool {
-        self.contains_all(std::slice::from_ref(&p), eps)
+        self.contains_all(std::slice::from_ref(&p), eps, &mut NestingWork::default())
     }
 
     /// Returns `true` when `other` is contained in `self` (every vertex of
     /// `other` inside, with slack `eps`). For convex polygons this is exact
-    /// containment. This is the nested-hull check `CH_{t⁺} ⊆ CH_t` of §5.
+    /// containment. This is the nested-hull check `CH_{t⁺} ⊆ CH_t` of §5,
+    /// through a fresh [`HullKernel`]; see [`HullKernel::contains_hull`].
     pub fn contains_hull(&self, other: &ConvexHull, eps: f64) -> bool {
-        self.contains_all(&other.vertices, eps)
+        HullKernel::new().contains_hull(self, other, eps)
     }
 
-    /// [`ConvexHull::contains`] for every point of `points`. A polygon's
-    /// edge threshold is computed once per edge, not once per point.
-    fn contains_all(&self, points: &[Vec2], eps: f64) -> bool {
+    /// [`ConvexHull::contains`] for every point of `points`: for a polygon,
+    /// every edge against every point, with the edge's threshold computed
+    /// once per edge. Counts its `orient2d_value` evaluations in `work`.
+    fn contains_all(&self, points: &[Vec2], eps: f64, work: &mut NestingWork) -> bool {
         match self.vertices.len() {
             0 => points.is_empty(),
             1 => points.iter().all(|&p| self.vertices[0].dist(p) <= eps),
@@ -407,12 +557,37 @@ impl ConvexHull {
                 points.iter().all(|&p| segment.dist_to_point(p) <= eps)
             }
             _ => self.edges().all(|(a, b)| {
-                // For a CCW polygon, interior points are on the left of
-                // every edge. Allow eps slack scaled by edge length (the
-                // cross product is distance × |ab|).
-                let threshold = -eps * a.dist(b).max(1e-300);
-                !points.iter().any(|&p| orient2d_value(a, b, p) < threshold)
+                work.full_scans += 1;
+                scan_edge(a, b, edge_threshold(a, b, eps), points, work)
             }),
+        }
+    }
+}
+
+/// The threshold of edge `a → b`: a point is inside the edge's half-plane,
+/// with slack `eps`, when its `orient2d_value` is at least this. For a CCW
+/// polygon interior points are on the left of every edge; the cross product
+/// is distance × `|ab|`, so the slack is scaled by the edge length.
+#[inline]
+fn edge_threshold(a: Vec2, b: Vec2, eps: f64) -> f64 {
+    -eps * a.dist(b).max(1e-300)
+}
+
+/// `true` when no point of `points` has an `orient2d_value` on edge
+/// `a → b` below `threshold`: one edge of the full scan.
+#[inline]
+fn scan_edge(a: Vec2, b: Vec2, threshold: f64, points: &[Vec2], work: &mut NestingWork) -> bool {
+    match points
+        .iter()
+        .position(|&p| orient2d_value(a, b, p) < threshold)
+    {
+        Some(at) => {
+            work.orientations += at as u64 + 1;
+            false
+        }
+        None => {
+            work.orientations += points.len() as u64;
+            true
         }
     }
 }
@@ -641,14 +816,24 @@ mod tests {
         let h = convex_hull(&square());
         assert_eq!(h.len(), 4);
         assert!((h.perimeter() - 8.0).abs() < 1e-12);
-        assert!((h.area() - 4.0).abs() < 1e-12);
-        assert!((h.diameter() - 8f64.sqrt()).abs() < 1e-12);
+    }
+
+    /// Every turn of the boundary is counterclockwise by the exact sign:
+    /// the order the nesting walk relies on.
+    fn assert_ccw(h: &ConvexHull) {
+        let v = h.vertices();
+        for k in 0..v.len() {
+            let turn = orient2d_exact(v[k], v[(k + 1) % v.len()], v[(k + 2) % v.len()]);
+            assert_eq!(turn, Orientation::CounterClockwise, "{v:?}");
+        }
     }
 
     #[test]
     fn hull_is_ccw() {
-        let h = convex_hull(&square());
-        assert!(h.area() > 0.0, "shoelace area positive ⇒ CCW");
+        assert_ccw(&convex_hull(&square()));
+        for seed in 0..20 {
+            assert_ccw(&convex_hull(&cloud(50, 1.0, seed)));
+        }
     }
 
     #[test]
@@ -659,8 +844,8 @@ mod tests {
         let h = convex_hull(&[Vec2::new(1.0, 1.0), Vec2::new(1.0, 1.0)]);
         assert_eq!(h.len(), 1);
         let h = convex_hull(&[Vec2::ZERO, Vec2::new(1.0, 0.0), Vec2::new(3.0, 0.0)]);
-        assert_eq!(h.len(), 2);
-        assert!((h.diameter() - 3.0).abs() < 1e-12);
+        assert_eq!(h.vertices(), [Vec2::ZERO, Vec2::new(3.0, 0.0)]);
+        assert!((h.perimeter() - 6.0).abs() < 1e-12);
     }
 
     #[test]
@@ -689,24 +874,194 @@ mod tests {
         assert!(!inner.contains_hull(&outer, 1e-9));
     }
 
+    /// Today's full scan, every vertex of `inner` against every edge of
+    /// `outer`: the oracle.
+    fn scanned(outer: &ConvexHull, inner: &ConvexHull, eps: f64) -> bool {
+        outer.contains_all(inner.vertices(), eps, &mut NestingWork::default())
+    }
+
+    /// Asserts that the kernel's verdict, and the walk's on any two
+    /// polygons whatever their size, is the full scan's, and that the walk
+    /// made `O(h_outer + h_inner)` evaluations outside its full scans;
+    /// returns the verdict and the walk's counters (the kernel's for
+    /// hulls of at most two vertices).
+    fn nested(outer: &ConvexHull, inner: &ConvexHull, eps: f64) -> (bool, NestingWork) {
+        let mut kernel = HullKernel::new();
+        let verdict = kernel.contains_hull(outer, inner, eps);
+        assert_eq!(
+            verdict,
+            scanned(outer, inner, eps),
+            "{outer:?} ⊇ {inner:?}, eps {eps}"
+        );
+        if outer.len() < 3 || inner.len() < 3 {
+            return (verdict, kernel.nesting_work());
+        }
+        let mut work = NestingWork::default();
+        let walked = nesting_walk(outer.vertices(), inner.vertices(), eps, &mut work);
+        assert_eq!(walked, verdict, "{outer:?} ⊇ {inner:?}, eps {eps}");
+        let (scans, walk) = (work.full_scans, 2 * (outer.len() + inner.len()) as u64);
+        assert!(
+            work.orientations <= walk + scans * inner.len() as u64,
+            "{work:?}"
+        );
+        (verdict, work)
+    }
+
+    /// Both orders and the self-test of each, at several slacks.
+    fn all_nestings(a: &ConvexHull, b: &ConvexHull) {
+        for eps in [0.0, -0.0, 1e-12, 1e-7, 0.5] {
+            for (outer, inner) in [(a, b), (b, a), (a, a), (b, b)] {
+                nested(outer, inner, eps);
+            }
+        }
+    }
+
     #[test]
-    fn calipers_match_brute_force() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(99);
-        for _ in 0..50 {
-            let n = rng.gen_range(3..40);
-            let pts: Vec<Vec2> = (0..n)
-                .map(|_| Vec2::new(rng.gen_range(-5.0..5.0), rng.gen_range(-5.0..5.0)))
+    fn nesting_on_degenerate_sets() {
+        let point = convex_hull(&[Vec2::new(1.0, 1.0); 5]);
+        let segment = convex_hull(&[Vec2::ZERO, Vec2::new(1.0, 0.0), Vec2::new(3.0, 0.0)]);
+        let triangle = convex_hull(&[Vec2::ZERO, Vec2::new(3.0, 0.0), Vec2::new(0.0, 3.0)]);
+        let square = convex_hull(&square());
+        let empty = ConvexHull::default();
+        let hulls = [empty, point, segment, triangle, square];
+        for a in &hulls {
+            for b in &hulls {
+                all_nestings(a, b);
+            }
+        }
+    }
+
+    #[test]
+    fn nesting_with_signed_zero_twins_and_shared_vertices() {
+        let outer = convex_hull(&[
+            Vec2::new(-0.0, 0.0),
+            Vec2::new(4.0, -0.0),
+            Vec2::new(4.0, 4.0),
+            Vec2::new(0.0, 4.0),
+        ]);
+        // The same square with every zero's sign flipped, and one with a
+        // corner cut: both share vertices and edges with `outer`.
+        let twin = convex_hull(&[
+            Vec2::new(0.0, -0.0),
+            Vec2::new(4.0, 0.0),
+            Vec2::new(4.0, 4.0),
+            Vec2::new(-0.0, 4.0),
+        ]);
+        let cut = convex_hull(&[
+            Vec2::new(0.0, 0.0),
+            Vec2::new(4.0, 0.0),
+            Vec2::new(4.0, 3.0),
+            Vec2::new(3.0, 4.0),
+            Vec2::new(0.0, 4.0),
+        ]);
+        all_nestings(&outer, &twin);
+        all_nestings(&outer, &cut);
+        assert!(nested(&outer, &cut, 0.0).0);
+        assert!(!nested(&cut, &outer, 1e-9).0);
+    }
+
+    #[test]
+    fn nesting_of_near_parallel_edges() {
+        let ulp = f64::EPSILON;
+        let outer = convex_hull(&[
+            Vec2::new(0.1, 0.1),
+            Vec2::new(10.3, 0.1),
+            Vec2::new(10.3, 7.7),
+            Vec2::new(0.1, 7.7),
+        ]);
+        // Each edge of `inner` lies a few ulps off an edge of `outer`,
+        // turned by a few ulps, inside or out.
+        for tilt in [-4.0, -1.0, 0.0, 1.0, 4.0] {
+            let inner = convex_hull(&[
+                Vec2::new(0.1, 0.1 * (1.0 + tilt * ulp)),
+                Vec2::new(10.3 * (1.0 - tilt * ulp), 0.1),
+                Vec2::new(10.3, 7.7 * (1.0 + tilt * ulp)),
+                Vec2::new(0.1 * (1.0 - tilt * ulp), 7.7),
+            ]);
+            all_nestings(&outer, &inner);
+        }
+    }
+
+    /// Robots and their pending targets one ulp apart, every one a strict
+    /// vertex: the inner hull has edges one ulp long, whose direction no
+    /// float evaluation decides.
+    #[test]
+    fn nesting_with_targets_one_ulp_from_their_robots() {
+        let mut points = Vec::new();
+        for k in 0..24 {
+            let p = Vec2::from_angle(f64::from(k) * std::f64::consts::TAU / 24.0) * 3.0;
+            points.push(p);
+            points.push(Vec2::new(p.x.next_up(), p.y.next_up()));
+        }
+        let inner = convex_hull(&points);
+        assert!(inner.len() > 24, "{}", inner.len());
+        let outer = convex_hull(&points[..points.len() - 2]);
+        all_nestings(&outer, &inner);
+    }
+
+    #[test]
+    fn a_hull_tested_against_itself_without_slack_falls_back() {
+        let hull = convex_hull(&cloud(200, 1.0, 7));
+        let (verdict, work) = nested(&hull, &hull, 0.0);
+        assert!(verdict);
+        assert!(work.full_scans > 0, "{work:?}");
+        let (verdict, work) = nested(&hull, &hull, 1e-9);
+        assert!(verdict);
+        assert_eq!(work.full_scans, 0, "{work:?}");
+        assert!(work.orientations <= 2 * hull.len() as u64, "{work:?}");
+    }
+
+    /// The kernel scans small pairs in full and walks large ones.
+    #[test]
+    fn the_kernel_walks_only_pairs_of_walk_min_pairs_or_more() {
+        let ring = |n: u32, r: f64| {
+            let points: Vec<Vec2> = (0..n)
+                .map(|i| Vec2::from_angle(f64::from(i) * std::f64::consts::TAU / f64::from(n)) * r)
                 .collect();
-            let h = convex_hull(&pts);
-            assert!(
-                (h.diameter() - h.diameter_brute()).abs() < 1e-9,
-                "calipers {} vs brute {} on {:?}",
-                h.diameter(),
-                h.diameter_brute(),
-                pts
-            );
+            convex_hull(&points)
+        };
+        for (n, walked) in [(8, false), (27, false), (28, true), (64, true)] {
+            let (outer, inner) = (ring(n, 1.0), ring(n, 0.5));
+            assert_eq!(outer.len() * inner.len() >= WALK_MIN_PAIRS, walked, "{n}");
+            let mut kernel = HullKernel::new();
+            assert!(kernel.contains_hull(&outer, &inner, 1e-9));
+            let full_scans = if walked { 0 } else { u64::from(n) };
+            assert_eq!(kernel.nesting_work().full_scans, full_scans, "{n}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Two clouds on a coarse lattice, the second shrunk toward a point
+        /// or moved by a few ulps: nested, touching, crossing and disjoint
+        /// pairs, with shared vertices and parallel edges.
+        #[test]
+        fn the_walk_never_changes_the_verdict(
+            cells in proptest::collection::vec((-6i32..7, -6i32..7), 1..60),
+            moves in proptest::collection::vec((0usize..60, 0u8..4), 0..20),
+            frame in (0usize..3, -1.0..1.0f64, -1.0..1.0f64, 0.0..1.2f64),
+        ) {
+            let (step, ox, oy, shrink) = frame;
+            let step = [1.0, 0.7, 0.1][step];
+            let origin = Vec2::new(ox * 10.0, oy * 10.0);
+            let first: Vec<Vec2> = cells
+                .iter()
+                .map(|&(i, j)| origin + Vec2::new(f64::from(i), f64::from(j)) * step)
+                .collect();
+            let centre = first[0];
+            let mut second: Vec<Vec2> =
+                first.iter().map(|&p| centre + (p - centre) * shrink).collect();
+            for &(at, kind) in &moves {
+                let p = &mut second[at % first.len()];
+                match kind {
+                    0 => p.x = p.x.next_up(),
+                    1 => p.y = p.y.next_down(),
+                    2 => *p = first[at % first.len()],
+                    _ => p.x = -p.x,
+                }
+            }
+            all_nestings(&convex_hull(&first), &convex_hull(&second));
         }
     }
 }

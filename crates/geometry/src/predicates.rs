@@ -109,6 +109,28 @@ pub fn orient2d_exact(a: Vec2, b: Vec2, c: Vec2) -> Orientation {
     }
 }
 
+/// The sign of `d × (q − p)`, the cross product of the float vector `d` and
+/// the step `p → q`, when the float evaluation certifies it: `1` when the
+/// step certainly turns counterclockwise from `d`, `−1` when it certainly
+/// turns clockwise, and `0` when it is parallel or undecided. The
+/// hull-nesting walk reads it as the sign of `g(q) − g(p)` for the linear
+/// function `g(x) = d × x`.
+///
+/// The test is [`orient2d_exact`]'s fast path, without branches: a value
+/// that clears Shewchuk's error bound, or products of different signs, has
+/// the exact sign. Each product here carries one rounded difference where
+/// the orientation's carries two, so the bound holds a fortiori. Like the
+/// orientation, it needs coordinates within the exact range.
+#[inline]
+pub(crate) fn step_sign(d: Vec2, p: Vec2, q: Vec2) -> i8 {
+    let e = q - p;
+    let (left, right) = (d.x * e.y, d.y * e.x);
+    let det = left - right;
+    let same_sign = ((left > 0.0) & (right > 0.0)) | ((left < 0.0) & (right < 0.0));
+    let certain = !same_sign | (det.abs() >= ORIENT_ERROR * (left.abs() + right.abs()));
+    i8::from(certain & (det > 0.0)) - i8::from(certain & (det < 0.0))
+}
+
 /// A margin that certifies counterclockwise turns for many triples at
 /// once, for loops that vectorise and send the rest to [`orient2d_exact`].
 /// When `bound` is at least the computed `|l| + |r|` of a triple's

@@ -66,18 +66,6 @@ proptest! {
     }
 
     #[test]
-    fn hull_diameter_equals_point_diameter(pts in proptest::collection::vec(vec2(10.0), 2..20)) {
-        let hull = convex_hull(&pts);
-        let mut brute = 0.0_f64;
-        for i in 0..pts.len() {
-            for j in (i + 1)..pts.len() {
-                brute = brute.max(pts[i].dist(pts[j]));
-            }
-        }
-        prop_assert!((hull.diameter() - brute).abs() < 1e-9);
-    }
-
-    #[test]
     fn hull_perimeter_at_most_sec_circumference(
         pts in proptest::collection::vec(vec2(10.0), 3..20)
     ) {
