@@ -85,18 +85,10 @@ pub fn run_impossibility(
     let anchor = n - 1;
     let initial_radii: Vec<f64> = positions.iter().map(|p| p.norm()).collect();
 
-    // Initial visibility edges (the cohesion predicate's E(0)).
-    let initial_edges: Vec<(usize, usize)> = {
-        let mut e = Vec::new();
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if positions[i].dist(positions[j]) <= V {
-                    e.push((i, j));
-                }
-            }
-        }
-        e
-    };
+    // One grid of cell edge V serves E(0), the cohesion predicate's initial
+    // visibility edges, and every tail Look.
+    let mut grid = DynamicGrid::from_points(&positions, V);
+    let initial_edges = grid.pairs_within(V);
 
     // Step 1: X_A's stale plan.
     let a_snapshot = Snapshot::from_positions(
@@ -110,7 +102,6 @@ pub fn run_impossibility(
 
     // Step 2: flatten, X_A frozen. One index buffer and one snapshot serve
     // every Look.
-    let mut grid = DynamicGrid::from_points(&positions, V);
     let mut visible = Vec::new();
     let mut snapshot = Snapshot::default();
     let mut activations = 0usize;

@@ -122,7 +122,7 @@ fn bench_visibility_graph(c: &mut Criterion) {
         let n = side * side;
         let config = cohesion_workloads::grid(side, side, 0.9);
         group.bench_with_input(BenchmarkId::new("grid", n), &config, |b, cfg| {
-            b.iter(|| VisibilityGraph::from_configuration_grid(black_box(cfg), 1.0))
+            b.iter(|| VisibilityGraph::from_configuration(black_box(cfg), 1.0))
         });
         group.bench_with_input(BenchmarkId::new("brute", n), &config, |b, cfg| {
             b.iter(|| VisibilityGraph::from_configuration_brute(black_box(cfg), 1.0))
@@ -133,7 +133,7 @@ fn bench_visibility_graph(c: &mut Criterion) {
     // overhead does not pay off.
     let dense = cohesion_workloads::random_connected(256, 1.0, 7);
     group.bench_with_input(BenchmarkId::new("grid_dense", 256), &dense, |b, cfg| {
-        b.iter(|| VisibilityGraph::from_configuration_grid(black_box(cfg), 1.0))
+        b.iter(|| VisibilityGraph::from_configuration(black_box(cfg), 1.0))
     });
     group.bench_with_input(BenchmarkId::new("brute_dense", 256), &dense, |b, cfg| {
         b.iter(|| VisibilityGraph::from_configuration_brute(black_box(cfg), 1.0))

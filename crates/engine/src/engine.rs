@@ -1022,7 +1022,7 @@ mod tests {
                 let envelopes = engine.envelopes();
                 assert_eq!(
                     envelopes.grid.position(i),
-                    Some(base),
+                    base,
                     "grid entry of robot {i} is not its base position"
                 );
                 assert_eq!(envelopes.origins[i], base, "envelope centre of robot {i}");

@@ -173,7 +173,7 @@ pub struct Envelopes<'a, P: Point> {
     /// An upper bound on every `reach` entry.
     pub max_reach: f64,
     /// Every robot indexed at its origin (`grid.position(i) ==
-    /// Some(origins[i])`): in a session, the engine's observation grid.
+    /// origins[i]`): in a session, the engine's observation grid.
     pub grid: &'a DynamicGrid<P>,
 }
 
@@ -586,7 +586,7 @@ impl StrongVisibilityMonitor {
 
     /// Re-classifies every pair incident to breakpoint robot `r`.
     fn reclassify<P: Point>(&mut self, r: usize, envelopes: &Envelopes<'_, P>) {
-        debug_assert_eq!(envelopes.grid.position(r), Some(envelopes.origins[r]));
+        debug_assert_eq!(envelopes.grid.position(r), envelopes.origins[r]);
         self.watch.retain(|&(a, b, _)| a != r && b != r);
         self.classify(r, 0, envelopes);
     }
@@ -1404,7 +1404,7 @@ mod tests {
         ] {
             pairs.step(&mut swarm, &event).unwrap();
         }
-        assert_eq!(swarm.grid.position(0), Some(far));
+        assert_eq!(swarm.grid.position(0), far);
         assert_eq!(pairs.strong.acquired[1], [0]);
     }
 

@@ -11,10 +11,7 @@ use crate::report::SimulationReport;
 use crate::session::Simulation;
 use cohesion_geometry::Vec2;
 use cohesion_model::frame::{Ambient, FrameMode};
-use cohesion_model::visibility::GRID_THRESHOLD;
-use cohesion_model::{
-    Algorithm, Budget, Configuration, MotionModel, PerceptionModel, VisibilityGraph,
-};
+use cohesion_model::{Algorithm, Budget, Configuration, MotionModel, PerceptionModel};
 use cohesion_scheduler::Scheduler;
 
 /// Configures one simulation. [`SimulationBuilder::build`] yields a
@@ -214,22 +211,16 @@ impl<P: Ambient> SimulationBuilder<P> {
         }
         engine.set_look_path(self.look_path);
 
-        // Cohesion is judged on the mutual visibility graph: with a common
-        // radius that is the usual E(0), read off the engine's grid (every
-        // robot is indexed at its start until the first event) once the
-        // swarm is large enough for a grid to pay; with per-robot radii, an
-        // edge needs distance ≤ min of the two radii (both endpoints see
-        // each other), tested on the pairs within the largest radius from
-        // the same grid, re-celled to it, in the all-pairs loop's order.
+        // Cohesion is judged on the mutual visibility graph, read off the
+        // engine's grid (every robot is indexed at its start until the first
+        // event) in the all-pairs loop's order: with a common radius that is
+        // the usual E(0); with per-robot radii, an edge needs distance ≤ min
+        // of the two radii (both endpoints see each other), tested on the
+        // pairs within the largest radius, to which the grid is re-celled.
         let positions = self.initial.positions();
         let grid = engine.envelopes().grid;
         let initial_edges: Vec<(usize, usize)> = match &self.visibility_radii {
-            None if self.initial.len() >= GRID_THRESHOLD => grid.pairs_within(self.visibility),
-            None => VisibilityGraph::from_configuration_brute(&self.initial, self.visibility)
-                .edges()
-                .iter()
-                .map(|e| (e.a.index(), e.b.index()))
-                .collect(),
+            None => grid.pairs_within(self.visibility),
             Some(radii) => grid
                 .pairs_within(radii.iter().copied().fold(0.0, f64::max))
                 .into_iter()
@@ -299,7 +290,7 @@ impl<P: Ambient> std::fmt::Debug for SimulationBuilder<P> {
 mod tests {
     use super::*;
     use cohesion_core::KirkpatrickAlgorithm;
-    use cohesion_model::NilAlgorithm;
+    use cohesion_model::{NilAlgorithm, VisibilityGraph};
     use cohesion_scheduler::{FSyncScheduler, KAsyncScheduler, SSyncScheduler};
 
     fn line(n: usize, spacing: f64) -> Configuration {
@@ -361,17 +352,16 @@ mod tests {
         }
     }
 
-    /// At and above `GRID_THRESHOLD` a session reads E(0) off the engine's
-    /// grid: on a lattice whose edges all lie at exactly `V`, plus a twin
-    /// coincident with one robot, that must be the all-pairs builder's
-    /// edge list.
+    /// A session reads E(0) off the engine's grid at every n: on a lattice
+    /// whose edges all lie at exactly `V`, plus a twin coincident with one
+    /// robot, that must be the all-pairs builder's edge list.
     #[test]
     fn session_e0_matches_the_all_pairs_builder() {
-        for n in [32usize, 256] {
+        for n in [1usize, 2, 5, 16, 31, 32, 256] {
             let mut pts: Vec<Vec2> = (0..n - 1)
                 .map(|i| Vec2::new((i % 16) as f64, (i / 16) as f64))
                 .collect();
-            pts.push(pts[n / 3]);
+            pts.push(pts.get(n / 3).copied().unwrap_or(Vec2::ZERO));
             let config = Configuration::new(pts);
             let brute: Vec<(usize, usize)> =
                 VisibilityGraph::from_configuration_brute(&config, 1.0)
@@ -401,6 +391,7 @@ mod tests {
             .map(|n| cohesion_workloads::random_connected(n, 1.0, n as u64))
             .collect();
         // Exact ties: lattice neighbours at exactly the smaller radius.
+        configs.push(cohesion_workloads::grid(4, 5, 0.5));
         configs.push(cohesion_workloads::grid(12, 12, 0.5));
         for config in &configs {
             let pos = config.positions();

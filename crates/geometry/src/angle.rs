@@ -120,20 +120,6 @@ pub fn largest_gap(angles: &[f64]) -> Option<AngularGap> {
     })
 }
 
-/// Returns `true` when the given directions positively span the plane, i.e.
-/// when the origin lies in the interior of the convex hull of the unit
-/// vectors at those angles. Equivalent to “largest gap `< π`” up to `eps`.
-///
-/// In the paper's algorithm this is the condition under which the activated
-/// robot performs the nil movement (§5: “the distant neighbours are not
-/// properly contained in any halfspace”).
-pub fn positively_spans(angles: &[f64], eps: f64) -> bool {
-    match largest_gap(angles) {
-        None => false,
-        Some(g) => g.width < PI - eps,
-    }
-}
-
 /// The angular span of a set of directions: the width of the smallest sector
 /// containing all of them, `2π − largest_gap`. Returns `0` for empty input.
 pub fn span(angles: &[f64]) -> f64 {
@@ -210,16 +196,6 @@ mod tests {
     fn single_direction_full_circle() {
         let g = largest_gap(&[1.0]).unwrap();
         assert_eq!(g.width, TAU);
-    }
-
-    #[test]
-    fn spanning_detection() {
-        // Three directions 120° apart positively span.
-        assert!(positively_spans(&[0.0, TAU / 3.0, 2.0 * TAU / 3.0], 1e-9));
-        // Two opposite directions do not (gap exactly π).
-        assert!(!positively_spans(&[0.0, PI], 1e-9));
-        // A half-plane cluster does not.
-        assert!(!positively_spans(&[0.0, 0.5, 1.0], 1e-9));
     }
 
     #[test]

@@ -1,30 +1,31 @@
-//! A uniform grid for "who is within `r` of whom", over a point set that
-//! changes one point at a time — the workspace's one spatial index.
+//! A uniform grid for "who is within `r` of whom", over a fixed set of `n`
+//! points that move one at a time — the workspace's one spatial index.
 //!
-//! The simulation engine (whose grid its Look and the strong-visibility
-//! monitor both query) and the §7 adversary keep a `DynamicGrid` current as
-//! robots move: insert and remove of individual points are O(1)-ish. A frozen point set, such as the
-//! initial configuration whose visibility graph E(0) cohesion is judged
-//! against, is indexed with [`DynamicGrid::from_points`] and its edges read
-//! off with [`DynamicGrid::pairs_within`]. Determinism is part of the
-//! contract: no hashing, no randomized iteration, each bucket holds point
-//! indices ascending, and probe traversal is cell-lexicographic — results
-//! are bit-for-bit reproducible across runs and platforms.
+//! A grid is built once over a point set with [`DynamicGrid::from_points`]:
+//! `points[i]` is index `i`, and every index stays indexed for the grid's
+//! lifetime. [`DynamicGrid::relocate`] is the one mutator: the simulation
+//! engine (whose grid its Look and the strong-visibility monitor both
+//! query) and the §7 adversary call it as robots move. Every E(0) in the
+//! workspace is read off such a grid with [`DynamicGrid::pairs_within`].
+//! Determinism is part of the contract: no hashing, no randomized
+//! iteration, each bucket holds point indices ascending, and probe
+//! traversal is cell-lexicographic — results are bit-for-bit reproducible
+//! across runs and platforms.
 //!
-//! Cells inside a caller-declared *dense extent* (the padded bounding box
-//! of the expected working area, e.g. a swarm's initial configuration —
-//! which the paper's hull-diminishing dynamics never leave) are
-//! direct-addressed, so a probe is pure arithmetic over contiguous rows;
-//! stray points outside the extent spill into a sorted `BTreeMap` that is
-//! empty in the common case and checked only when non-empty.
+//! Cells inside the *dense extent* (the padded bounding box of the points
+//! the grid was built over — a swarm's initial configuration, which the
+//! paper's hull-diminishing dynamics never leave) are direct-addressed, so
+//! a probe is pure arithmetic over contiguous rows; points relocated
+//! outside the extent spill into a sorted `BTreeMap` that is empty in the
+//! common case and checked only when non-empty.
 //!
 //! Range queries **append** to the caller's buffer without clearing or
 //! sorting: the engine merges grid hits with its motile side-list and sorts
-//! the union once, so sorting here would be wasted work. Buckets emptied by
-//! [`DynamicGrid::remove`] keep their allocation — a robot oscillating
-//! between two cells re-enters warm buckets without touching the allocator,
-//! which is what makes the engine's per-event grid maintenance
-//! allocation-free in the steady state.
+//! the union once, so sorting here would be wasted work. A bucket a point
+//! leaves keeps its allocation — a robot oscillating between two cells
+//! re-enters warm buckets without touching the allocator, which is what
+//! makes the engine's per-event grid maintenance allocation-free in the
+//! steady state.
 
 use crate::point::Point;
 use std::collections::BTreeMap;
@@ -47,7 +48,7 @@ fn cell_key<P: Point>(p: P, cell: f64) -> CellKey {
 }
 
 /// Direct addressing covers at most `max(DENSE_MIN_CELLS,
-/// DENSE_CELLS_PER_POINT · capacity)` cells; larger extents degrade
+/// DENSE_CELLS_PER_POINT · n)` cells for `n` points; larger extents degrade
 /// gracefully to the sorted-map representation for every cell. The floor
 /// is 384 KiB of empty bucket headers (24 bytes a cell), enough for a
 /// sparse spiral of a few hundred robots, such as §7's at ψ = 0.25
@@ -55,34 +56,31 @@ fn cell_key<P: Point>(p: P, cell: f64) -> CellKey {
 const DENSE_CELLS_PER_POINT: i128 = 16;
 const DENSE_MIN_CELLS: i128 = 16384;
 
-/// How many cells of slack the dense extent keeps around the declared
-/// working area, so bounded wandering (motion error, small hull growth)
+/// How many cells of slack the dense extent keeps around the points the
+/// grid is built over, so bounded wandering (motion error, small hull growth)
 /// stays on the fast path.
 const DENSE_PAD_CELLS: i64 = 4;
 
-/// A uniform grid over a mutable point set with stable integer identities.
+/// A uniform grid over `n` points with stable integer identities.
 ///
-/// Points are addressed by a caller-chosen dense index in `0..capacity`;
-/// each index is either *present* (indexed at some position) or *absent*.
-/// The engine maps robot indices straight onto grid indices and keeps
-/// every robot present, at its Move origin while it moves.
+/// Point `i` is the `i`-th point the grid was built over, and stays indexed
+/// at its latest position. The engine maps robot indices straight onto grid
+/// indices, each robot at its Move origin while it moves.
 ///
 /// ```
 /// use cohesion_geometry::{DynamicGrid, Vec2};
-/// let mut grid = DynamicGrid::new(3, 1.0);
-/// grid.insert(0, Vec2::new(0.0, 0.0));
-/// grid.insert(1, Vec2::new(0.5, 0.0));
-/// grid.insert(2, Vec2::new(3.0, 0.0));
+/// let pts = [Vec2::new(0.0, 0.0), Vec2::new(0.5, 0.0), Vec2::new(3.0, 0.0)];
+/// let mut grid = DynamicGrid::from_points(&pts, 1.0);
+/// assert_eq!(grid.pairs_within(1.0), vec![(0, 1)]);
 /// let mut out = Vec::new();
 /// grid.query_within(Vec2::new(0.1, 0.0), 1.0, &mut out);
 /// out.sort_unstable();
 /// assert_eq!(out, vec![0, 1]);
-/// grid.remove(1);
+/// grid.relocate(1, Vec2::new(2.5, 0.0));
 /// out.clear();
 /// grid.query_within(Vec2::new(0.1, 0.0), 1.0, &mut out);
 /// assert_eq!(out, vec![0]);
-/// let pts = [Vec2::new(0.0, 0.0), Vec2::new(0.5, 0.0), Vec2::new(3.0, 0.0)];
-/// assert_eq!(DynamicGrid::from_points(&pts, 1.0).pairs_within(1.0), vec![(0, 1)]);
+/// assert_eq!(grid.pairs_within(1.0), vec![(1, 2)]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct DynamicGrid<P: Point> {
@@ -98,63 +96,52 @@ pub struct DynamicGrid<P: Point> {
     dense: Vec<Vec<(u32, P)>>,
     /// Cells outside the dense extent (empty in the common case).
     outliers: BTreeMap<CellKey, Vec<(u32, P)>>,
-    /// Per-index presence: the cell key and position of each present point.
-    entries: Vec<Option<(CellKey, P)>>,
-    /// Number of present points.
-    len: usize,
+    /// The cell key and position of each point.
+    entries: Vec<(CellKey, P)>,
+    /// Low and high corners of every key ever indexed. No point lies
+    /// outside them, so a probe clamps its key box to them: a small swarm
+    /// is mostly padding, and a line of robots fills one row of cells.
+    occupied: (CellKey, CellKey),
 }
 
 impl<P: Point> DynamicGrid<P> {
-    /// An empty grid for indices `0..capacity` with the given cell edge and
-    /// no dense extent (every cell lives in the sorted map). Prefer
-    /// [`DynamicGrid::with_extent`] when the working area is known.
+    /// A grid of cell edge `cell` over `points`, `points[i]` indexed as
+    /// `i`. The dense extent covers the points' padded bounding box, unless
+    /// that box is too large to address directly within the cell budget.
     ///
     /// # Panics
     ///
-    /// Panics when `cell` is not positive and finite, when `capacity`
+    /// Panics when `cell` is not positive and finite, when `points.len()`
     /// overflows `u32`, or when `P::DIM` exceeds the supported 3 axes.
-    pub fn new(capacity: usize, cell: f64) -> Self {
-        Self::with_extent(capacity, cell, &[])
+    pub fn from_points(points: &[P], cell: f64) -> Self {
+        Self::over_extent(points, cell, points)
     }
 
-    /// An empty grid whose dense (direct-addressed) extent covers the
-    /// bounding box of `working_area`, padded by a few cells of slack.
-    /// Points may still be inserted anywhere — cells outside the extent
-    /// just take the slower sorted-map path. An oversized or empty working
-    /// area yields no dense extent at all.
-    ///
-    /// # Panics
-    ///
-    /// As for [`DynamicGrid::new`].
-    pub fn with_extent(capacity: usize, cell: f64, working_area: &[P]) -> Self {
+    /// [`Self::from_points`] with the dense extent laid over `working_area`
+    /// rather than over `points`. Points are bucketed in index order, so
+    /// every bucket is index-ascending without a search.
+    fn over_extent(points: &[P], cell: f64, working_area: &[P]) -> Self {
         assert!(cell > 0.0 && cell.is_finite(), "cell edge must be positive");
         assert!(
             P::DIM <= KEY_AXES,
             "DynamicGrid supports up to {KEY_AXES} dimensions"
         );
-        assert!(u32::try_from(capacity).is_ok(), "capacity fits in u32");
-        let (dense_min, dense_dims, cells) = dense_extent::<P>(working_area, cell, capacity);
-        DynamicGrid {
+        assert!(u32::try_from(points.len()).is_ok(), "capacity fits in u32");
+        let (dense_min, dense_dims, cells) = dense_extent::<P>(working_area, cell, points.len());
+        let mut grid = DynamicGrid {
             cell,
             dense_min,
             dense_dims,
             dense: vec![Vec::new(); cells],
             outliers: BTreeMap::new(),
-            entries: vec![None; capacity],
-            len: 0,
-        }
-    }
-
-    /// A grid over `points` with every index present at its point: the
-    /// dense extent covers them all, and `points[i]` is index `i`.
-    ///
-    /// # Panics
-    ///
-    /// As for [`DynamicGrid::new`].
-    pub fn from_points(points: &[P], cell: f64) -> Self {
-        let mut grid = Self::with_extent(points.len(), cell, points);
+            entries: Vec::with_capacity(points.len()),
+            occupied: ([i64::MAX; KEY_AXES], [i64::MIN; KEY_AXES]),
+        };
         for (i, &p) in points.iter().enumerate() {
-            grid.insert(i, p);
+            let key = cell_key(p, cell);
+            grid.bucket_mut(key).push((i as u32, p));
+            grid.entries.push((key, p));
+            grid.cover(key);
         }
         grid
     }
@@ -166,24 +153,9 @@ impl<P: Point> DynamicGrid<P> {
         !self.dense.is_empty()
     }
 
-    /// Number of present points.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when no point is present.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// `true` when index `i` is present.
-    pub fn contains(&self, i: usize) -> bool {
-        self.entries[i].is_some()
-    }
-
-    /// The indexed position of `i`, when present.
-    pub fn position(&self, i: usize) -> Option<P> {
-        self.entries[i].map(|(_, p)| p)
+    /// The indexed position of point `i`.
+    pub fn position(&self, i: usize) -> P {
+        self.entries[i].1
     }
 
     /// Row-major slot of `key` inside the dense extent, or `None` when the
@@ -202,81 +174,53 @@ impl<P: Point> DynamicGrid<P> {
         )
     }
 
-    /// Indexes point `i` at position `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i` is already present (a lifecycle bug in the caller —
-    /// move a point with [`Self::relocate`]).
-    pub fn insert(&mut self, i: usize, p: P) {
-        assert!(
-            self.entries[i].is_none(),
-            "point {i} inserted while already present"
-        );
-        let key = cell_key(p, self.cell);
-        let bucket = match self.dense_slot(key) {
+    /// Grows the occupied corners to take in `key`.
+    #[inline]
+    fn cover(&mut self, key: CellKey) {
+        let (lo, hi) = &mut self.occupied;
+        for ((l, h), k) in lo.iter_mut().zip(hi.iter_mut()).zip(key) {
+            *l = (*l).min(k);
+            *h = (*h).max(k);
+        }
+    }
+
+    /// The bucket of cell `key`, created empty in the outlier map when the
+    /// cell lies outside the dense extent.
+    fn bucket_mut(&mut self, key: CellKey) -> &mut Vec<(u32, P)> {
+        match self.dense_slot(key) {
             Some(slot) => &mut self.dense[slot],
             None => self.outliers.entry(key).or_default(),
-        };
-        let slot = bucket
-            .binary_search_by_key(&(i as u32), |&(j, _)| j)
-            .expect_err("absent index cannot be bucketed");
-        bucket.insert(slot, (i as u32, p));
-        self.entries[i] = Some((key, p));
-        self.len += 1;
+        }
     }
 
-    /// Removes point `i` from the index. Its bucket keeps its allocation so
-    /// a later insert into the same cell is allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i` is not present.
-    pub fn remove(&mut self, i: usize) {
-        let (key, _) = self.entries[i]
-            .take()
-            .unwrap_or_else(|| panic!("point {i} removed while absent"));
-        let bucket = match self.dense_slot(key) {
-            Some(slot) => &mut self.dense[slot],
-            None => self.outliers.get_mut(&key).expect("present point's cell"),
-        };
-        let slot = bucket
-            .binary_search_by_key(&(i as u32), |&(j, _)| j)
-            .expect("present index is bucketed");
-        bucket.remove(slot);
-        self.len -= 1;
-    }
-
-    /// Moves present point `i` to `p`. When `p` keys to the same cell the
-    /// bucket entry is rewritten in place (bucket order is by index, so it
-    /// is unchanged); otherwise this is [`Self::remove`] then
-    /// [`Self::insert`]. Either way the grid ends up exactly as remove +
-    /// insert would leave it.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i` is not present.
+    /// Moves point `i` to `p`. When `p` keys to the same cell the bucket
+    /// entry is rewritten in place; otherwise the entry leaves its old
+    /// bucket (which keeps its allocation) for its index-ascending slot in
+    /// the new one. Either way the grid answers every query exactly as a
+    /// grid built afresh over the current positions with the same dense
+    /// extent would, hits in the same order.
     pub fn relocate(&mut self, i: usize, p: P) {
-        let (old_key, _) =
-            self.entries[i].unwrap_or_else(|| panic!("point {i} relocated while absent"));
         let key = cell_key(p, self.cell);
-        if key != old_key {
-            self.remove(i);
-            self.insert(i, p);
+        let (old_key, _) = std::mem::replace(&mut self.entries[i], (key, p));
+        self.cover(key);
+        let index = i as u32;
+        let bucket = self.bucket_mut(old_key);
+        let slot = bucket
+            .binary_search_by_key(&index, |&(j, _)| j)
+            .expect("an indexed point is bucketed");
+        if key == old_key {
+            bucket[slot].1 = p;
             return;
         }
-        let bucket = match self.dense_slot(key) {
-            Some(slot) => &mut self.dense[slot],
-            None => self.outliers.get_mut(&key).expect("present point's cell"),
-        };
+        bucket.remove(slot);
+        let bucket = self.bucket_mut(key);
         let slot = bucket
-            .binary_search_by_key(&(i as u32), |&(j, _)| j)
-            .expect("present index is bucketed");
-        bucket[slot].1 = p;
-        self.entries[i] = Some((key, p));
+            .binary_search_by_key(&index, |&(j, _)| j)
+            .expect_err("a point is bucketed once");
+        bucket.insert(slot, (index, p));
     }
 
-    /// Appends to `out` every present index `j` with `dist(points[j], q) ≤
+    /// Appends to `out` every index `j` with `dist(points[j], q) ≤
     /// radius` (closed predicate, matching §2.1's visibility definition),
     /// **including** any point coincident with `q`. Traversal is
     /// deterministic (dense cells in lexicographic order, then outlier
@@ -291,7 +235,7 @@ impl<P: Point> DynamicGrid<P> {
         });
     }
 
-    /// Two-band range query: appends to `inner` every present index within
+    /// Two-band range query: appends to `inner` every index within
     /// `radius` of `q`, and to `fringe` every index in the open band
     /// `(radius, radius + pad]`. One traversal, one distance computation per
     /// visited point. Callers whose points may have drifted up to `pad` from
@@ -321,17 +265,17 @@ impl<P: Point> DynamicGrid<P> {
         });
     }
 
-    /// Every pair `(i, j)` of present indices with `i < j` and `dist ≤
+    /// Every pair `(i, j)` of indices with `i < j` and `dist ≤
     /// radius` (closed, as [`Self::query_within`]), in ascending
     /// lexicographic order — exactly the order of an all-pairs `i < j`
     /// double loop, on the same distance bits. Each pair is measured once,
     /// from its smaller index; `i` ascends by construction and each index's
     /// handful of partners is sorted in a scratch buffer.
     pub fn pairs_within(&self, radius: f64) -> Vec<(usize, usize)> {
-        let mut pairs = Vec::new();
+        // A connected swarm has at least n − 1 edges.
+        let mut pairs = Vec::with_capacity(self.entries.len());
         let mut partners: Vec<usize> = Vec::new();
-        for (i, entry) in self.entries.iter().enumerate() {
-            let Some((key, p)) = *entry else { continue };
+        for (i, &(key, p)) in self.entries.iter().enumerate() {
             let (lo, hi) = self.key_box(key, radius);
             partners.clear();
             self.for_each_in_key_box(lo, hi, |j, q| {
@@ -360,11 +304,21 @@ impl<P: Point> DynamicGrid<P> {
         (lo, hi)
     }
 
-    /// Visits `(index, position)` of every present point in the inclusive
+    /// Visits `(index, position)` of every point in the inclusive
     /// key box `lo..=hi`: dense rows first (contiguous bucket runs — in 2D
     /// a whole `y` span of cells is one slice scan), then — only when any
     /// exist — outlier cells via sorted-map ranges.
     fn for_each_in_key_box(&self, lo: CellKey, hi: CellKey, mut visit: impl FnMut(usize, P)) {
+        // Cells outside the occupied corners are empty: skipping them
+        // leaves the visiting order of every point unchanged.
+        let (mut lo, mut hi) = (lo, hi);
+        for a in 0..KEY_AXES {
+            lo[a] = lo[a].max(self.occupied.0[a]);
+            hi[a] = hi[a].min(self.occupied.1[a]);
+            if lo[a] > hi[a] {
+                return;
+            }
+        }
         let (min, dims) = (self.dense_min, self.dense_dims);
         if !self.dense.is_empty() {
             // Clamp the probe box to the dense extent.
@@ -401,8 +355,8 @@ impl<P: Point> DynamicGrid<P> {
             }
         }
         if !self.outliers.is_empty() {
-            // Rare path: points that wandered off the declared extent (or a
-            // grid built with no extent at all). Keys inside the dense
+            // Rare path: points that wandered off the dense extent (or a
+            // grid too spread out for one). Keys inside the dense
             // extent are never stored here, so no cell is visited twice.
             for x in lo[0]..=hi[0] {
                 if P::DIM < 3 {
@@ -468,63 +422,26 @@ mod tests {
     use super::*;
     use crate::vec2::Vec2;
     use crate::vec3::Vec3;
+    use proptest::prelude::*;
 
     use crate::test_util::cloud;
 
-    fn brute_within(pts: &[Option<Vec2>], q: Vec2, radius: f64) -> Vec<usize> {
+    fn brute_within(pts: &[Vec2], q: Vec2, radius: f64) -> Vec<usize> {
         (0..pts.len())
-            .filter(|&j| pts[j].is_some_and(|p| (p - q).norm() <= radius))
+            .filter(|&j| (pts[j] - q).norm() <= radius)
             .collect()
     }
 
-    fn brute_pairs<P: Point>(pts: &[Option<P>], radius: f64) -> Vec<(usize, usize)> {
+    fn brute_pairs<P: Point>(pts: &[P], radius: f64) -> Vec<(usize, usize)> {
         let mut pairs = Vec::new();
         for i in 0..pts.len() {
             for j in (i + 1)..pts.len() {
-                if let (Some(a), Some(b)) = (pts[i], pts[j]) {
-                    if a.dist(b) <= radius {
-                        pairs.push((i, j));
-                    }
+                if pts[i].dist(pts[j]) <= radius {
+                    pairs.push((i, j));
                 }
             }
         }
         pairs
-    }
-
-    #[test]
-    fn insert_remove_roundtrip() {
-        let mut grid = DynamicGrid::new(4, 1.0);
-        assert!(grid.is_empty());
-        grid.insert(2, Vec2::new(1.0, 1.0));
-        assert_eq!(grid.len(), 1);
-        assert!(grid.contains(2));
-        assert_eq!(grid.position(2), Some(Vec2::new(1.0, 1.0)));
-        assert!(!grid.contains(0));
-        grid.remove(2);
-        assert!(grid.is_empty());
-        assert_eq!(grid.position(2), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "inserted while already present")]
-    fn double_insert_panics() {
-        let mut grid = DynamicGrid::new(2, 1.0);
-        grid.insert(0, Vec2::ZERO);
-        grid.insert(0, Vec2::new(1.0, 0.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "removed while absent")]
-    fn absent_remove_panics() {
-        let mut grid: DynamicGrid<Vec2> = DynamicGrid::new(2, 1.0);
-        grid.remove(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "relocated while absent")]
-    fn absent_relocate_panics() {
-        let mut grid = DynamicGrid::new(2, 1.0);
-        grid.relocate(0, Vec2::ZERO);
     }
 
     /// Both representations under churn: a grid with a dense extent over
@@ -534,36 +451,26 @@ mod tests {
     fn query_matches_brute_force_under_churn() {
         let pts = cloud(120, 7.0, 5);
         for with_extent in [true, false] {
-            let mut grid = if with_extent {
-                DynamicGrid::with_extent(pts.len(), 1.0, &pts)
-            } else {
-                DynamicGrid::new(pts.len(), 1.0)
-            };
-            let mut present: Vec<Option<Vec2>> = vec![None; pts.len()];
-            for (i, &p) in pts.iter().enumerate() {
-                grid.insert(i, p);
-                present[i] = Some(p);
-            }
-            // Churn: remove every third point, move every fifth — some far
-            // outside the declared extent.
+            let area: &[Vec2] = if with_extent { &pts } else { &[] };
+            let mut grid = DynamicGrid::over_extent(&pts, 1.0, area);
+            let mut current = pts.clone();
+            // Churn: send every third point far outside the extent, shift
+            // every fifth — some twice.
             for i in (0..pts.len()).step_by(3) {
-                grid.remove(i);
-                present[i] = None;
+                current[i] = pts[i] + Vec2::new(-90.0, 13.7);
+                grid.relocate(i, current[i]);
             }
             for i in (0..pts.len()).step_by(5) {
-                if present[i].is_some() {
-                    let moved = pts[i] + Vec2::new(40.0, -0.61);
-                    grid.remove(i);
-                    grid.insert(i, moved);
-                    present[i] = Some(moved);
-                }
+                current[i] += Vec2::new(40.0, -0.61);
+                grid.relocate(i, current[i]);
             }
-            assert_eq!(grid.pairs_within(1.2), brute_pairs(&present, 1.2));
+            assert_eq!(grid.pairs_within(1.2), brute_pairs(&current, 1.2));
             let mut out = Vec::new();
             for (q, r) in [
                 (Vec2::new(3.5, 3.5), 1.0),
                 (Vec2::new(0.0, 0.0), 2.5),
                 (Vec2::new(43.5, 2.9), 1.5),
+                (Vec2::new(-86.5, 16.0), 1.5),
                 (Vec2::new(6.9, 0.1), 0.8),
             ] {
                 out.clear();
@@ -571,7 +478,7 @@ mod tests {
                 out.sort_unstable();
                 assert_eq!(
                     out,
-                    brute_within(&present, q, r),
+                    brute_within(&current, q, r),
                     "q={q} r={r} extent={with_extent}"
                 );
             }
@@ -580,9 +487,8 @@ mod tests {
 
     #[test]
     fn query_radius_exactly_on_boundary_counts() {
-        let mut grid = DynamicGrid::new(2, 1.0);
-        grid.insert(0, Vec2::new(1.0, 0.0));
-        grid.insert(1, Vec2::new(1.0 + 1e-9, 0.0));
+        let grid =
+            DynamicGrid::from_points(&[Vec2::new(1.0, 0.0), Vec2::new(1.0 + 1e-9, 0.0)], 1.0);
         let mut out = Vec::new();
         grid.query_within(Vec2::ZERO, 1.0, &mut out);
         assert_eq!(out, vec![0], "closed at the radius, open beyond");
@@ -592,11 +498,10 @@ mod tests {
     fn query_radius_larger_than_cell() {
         let pts = cloud(60, 5.0, 8);
         let grid = DynamicGrid::from_points(&pts, 0.5);
-        let present: Vec<Option<Vec2>> = pts.iter().map(|&p| Some(p)).collect();
         let mut out = Vec::new();
         grid.query_within(Vec2::new(2.5, 2.5), 1.7, &mut out);
         out.sort_unstable();
-        assert_eq!(out, brute_within(&present, Vec2::new(2.5, 2.5), 1.7));
+        assert_eq!(out, brute_within(&pts, Vec2::new(2.5, 2.5), 1.7));
     }
 
     #[test]
@@ -604,20 +509,19 @@ mod tests {
         // A point oscillating between a dense-extent cell and an outlier
         // cell: queries stay exact, and warm buckets left behind on either
         // side never produce stale hits.
-        let anchor = [Vec2::new(0.5, 0.5)];
-        let mut grid = DynamicGrid::with_extent(1, 1.0, &anchor);
         let (inside, outside) = (Vec2::new(0.5, 0.5), Vec2::new(500.5, 0.5));
+        let mut grid = DynamicGrid::from_points(&[inside], 1.0);
         let mut out = Vec::new();
         for round in 0..10 {
             let here = if round % 2 == 0 { inside } else { outside };
-            grid.insert(0, here);
+            grid.relocate(0, here);
+            assert_eq!(grid.position(0), here);
             out.clear();
             grid.query_within(inside, 1.0, &mut out);
             assert_eq!(out.as_slice(), if round % 2 == 0 { &[0][..] } else { &[] });
             out.clear();
             grid.query_within(outside, 1.0, &mut out);
             assert_eq!(out.as_slice(), if round % 2 == 0 { &[] } else { &[0][..] });
-            grid.remove(0);
         }
     }
 
@@ -626,10 +530,11 @@ mod tests {
         // Two points ~1e9 cells apart: the extent budget is blown, the grid
         // must still answer exactly (all cells in the sorted map).
         let pts = [Vec2::new(0.0, 0.0), Vec2::new(1e9, 1e9)];
-        let mut grid = DynamicGrid::with_extent(2, 1.0, &pts);
-        assert!(grid.dense.is_empty(), "no direct addressing at 1e18 cells");
-        grid.insert(0, pts[0]);
-        grid.insert(1, pts[1]);
+        let grid = DynamicGrid::from_points(&pts, 1.0);
+        assert!(
+            !grid.has_dense_extent(),
+            "no direct addressing at 1e18 cells"
+        );
         let mut out = Vec::new();
         grid.query_within(Vec2::new(1e9, 1e9), 2.0, &mut out);
         assert_eq!(out, vec![1]);
@@ -640,11 +545,15 @@ mod tests {
         // Cells 0..=119 per axis plus 4 cells of padding each side: 128²
         // = 16,384 cells, the floor, is direct-addressed; one more row
         // (128 × 129) is not.
-        let at = |x: f64, y: f64| [Vec2::new(0.5, 0.5), Vec2::new(x, y)];
-        assert!(DynamicGrid::with_extent(2, 1.0, &at(119.5, 119.5)).has_dense_extent());
-        assert!(!DynamicGrid::with_extent(2, 1.0, &at(119.5, 120.5)).has_dense_extent());
+        let at = |n: usize, x: f64, y: f64| {
+            let mut pts = vec![Vec2::new(0.5, 0.5); n - 1];
+            pts.push(Vec2::new(x, y));
+            DynamicGrid::from_points(&pts, 1.0).has_dense_extent()
+        };
+        assert!(at(2, 119.5, 119.5));
+        assert!(!at(2, 119.5, 120.5));
         // Above 1,024 points the budget is 16 cells a point.
-        assert!(DynamicGrid::with_extent(1100, 1.0, &at(119.5, 120.5)).has_dense_extent());
+        assert!(at(1100, 119.5, 120.5));
     }
 
     #[test]
@@ -669,6 +578,56 @@ mod tests {
     #[test]
     #[should_panic(expected = "cell edge must be positive")]
     fn zero_cell_panics() {
-        let _ = DynamicGrid::<Vec2>::new(1, 0.0);
+        let _ = DynamicGrid::from_points(&[Vec2::ZERO], 0.0);
+    }
+
+    fn vec2(range: f64) -> impl Strategy<Value = Vec2> {
+        (-range..range, -range..range).prop_map(|(x, y)| Vec2::new(x, y))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// After any sequence of relocates the grid is the grid built
+        /// afresh over the current positions with the same dense extent:
+        /// same positions, same hits in the same traversal order. Moves
+        /// nudge a point within its cell, snap it onto a cell boundary,
+        /// stack it on another point, or send it into (and back from)
+        /// spill-map cells far outside the dense extent.
+        #[test]
+        fn relocate_matches_a_fresh_build(
+            pts in proptest::collection::vec(vec2(2.0), 1..40),
+            moves in proptest::collection::vec((0usize..64, 0usize..5, vec2(3.0), -1.0..1.0f64), 1..40),
+        ) {
+            const CELL: f64 = 0.5;
+            let mut relocated = DynamicGrid::from_points(&pts, CELL);
+            let mut current = pts.clone();
+            let far = Vec2::new(500.0, 0.0);
+            for &(i, kind, target, jitter) in &moves {
+                let i = i % pts.len();
+                let p = match kind {
+                    0 => current[i] + Vec2::new(jitter, -jitter) * 1e-3,
+                    1 => Vec2::new((target.x / CELL).round() * CELL, (target.y / CELL).floor() * CELL),
+                    2 => current[(i + 1 + (jitter.abs() * 64.0) as usize) % pts.len()],
+                    3 => far + target,
+                    _ => target,
+                };
+                relocated.relocate(i, p);
+                current[i] = p;
+                let fresh = DynamicGrid::over_extent(&current, CELL, &pts);
+                for (j, &q) in current.iter().enumerate() {
+                    prop_assert_eq!(relocated.position(j), q);
+                }
+                // A zero radius around the target finds exactly the points
+                // indexed there, so a stale bucket position shows.
+                for (probe, radius) in [(p, 0.0), (p, 0.7), (Vec2::ZERO, 1.3), (far, 4.0)] {
+                    let (mut a, mut b) = (Vec::new(), Vec::new());
+                    relocated.query_within(probe, radius, &mut a);
+                    fresh.query_within(probe, radius, &mut b);
+                    prop_assert_eq!(a, b);
+                }
+                prop_assert_eq!(relocated.pairs_within(0.6), fresh.pairs_within(0.6));
+            }
+        }
     }
 }

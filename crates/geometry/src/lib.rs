@@ -81,17 +81,6 @@ pub use vec3::Vec3;
 /// `cos θ ≥ 0.9659` chain constant of Lemma 5).
 pub const EPS: f64 = 1e-9;
 
-/// Returns `true` when two floats are within `eps` of each other.
-///
-/// ```
-/// assert!(cohesion_geometry::approx_eq(1.0, 1.0 + 1e-12, 1e-9));
-/// assert!(!cohesion_geometry::approx_eq(1.0, 1.1, 1e-9));
-/// ```
-#[inline]
-pub fn approx_eq(a: f64, b: f64, eps: f64) -> bool {
-    (a - b).abs() <= eps
-}
-
 /// Shared fixtures for the crate's unit tests (kept out of the public API).
 #[cfg(test)]
 pub(crate) mod test_util {
@@ -239,16 +228,5 @@ mod grid {
         fn zero_cell_panics() {
             let _ = DynamicGrid::from_points(&[Vec2::ZERO], 0.0);
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn approx_eq_basic() {
-        assert!(approx_eq(0.1 + 0.2, 0.3, EPS));
-        assert!(!approx_eq(0.1, 0.2, EPS));
     }
 }

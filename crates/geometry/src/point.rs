@@ -111,14 +111,17 @@ pub trait Point:
 impl Point for Vec2 {
     const DIM: usize = 2;
 
+    #[inline]
     fn zero() -> Self {
         Vec2::ZERO
     }
 
+    #[inline]
     fn dot(self, other: Self) -> f64 {
         Vec2::dot(self, other)
     }
 
+    #[inline]
     fn is_finite(self) -> bool {
         Vec2::is_finite(self)
     }
@@ -140,6 +143,7 @@ impl Point for Vec2 {
         vec![self.x, self.y]
     }
 
+    #[inline]
     fn coord(self, axis: usize) -> f64 {
         match axis {
             0 => self.x,
@@ -148,6 +152,7 @@ impl Point for Vec2 {
         }
     }
 
+    #[inline]
     fn from_coords(coords: &[f64]) -> Self {
         assert_eq!(coords.len(), 2, "Vec2 needs exactly two coordinates");
         Vec2::new(coords[0], coords[1])
@@ -157,14 +162,17 @@ impl Point for Vec2 {
 impl Point for Vec3 {
     const DIM: usize = 3;
 
+    #[inline]
     fn zero() -> Self {
         Vec3::ZERO
     }
 
+    #[inline]
     fn dot(self, other: Self) -> f64 {
         Vec3::dot(self, other)
     }
 
+    #[inline]
     fn is_finite(self) -> bool {
         Vec3::is_finite(self)
     }
@@ -187,6 +195,7 @@ impl Point for Vec3 {
         vec![self.x, self.y, self.z]
     }
 
+    #[inline]
     fn coord(self, axis: usize) -> f64 {
         match axis {
             0 => self.x,
@@ -196,6 +205,7 @@ impl Point for Vec3 {
         }
     }
 
+    #[inline]
     fn from_coords(coords: &[f64]) -> Self {
         assert_eq!(coords.len(), 3, "Vec3 needs exactly three coordinates");
         Vec3::new(coords[0], coords[1], coords[2])

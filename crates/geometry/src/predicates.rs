@@ -258,11 +258,6 @@ pub fn angle_at(q: Vec2, p: Vec2, r: Vec2) -> f64 {
     c.acos()
 }
 
-/// Returns `true` when `p` lies within distance `eps` of the segment `ab`.
-pub fn on_segment(p: Vec2, a: Vec2, b: Vec2, eps: f64) -> bool {
-    crate::segment::Segment::new(a, b).dist_to_point(p) <= eps
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -399,15 +394,5 @@ mod tests {
         assert!((angle_at(q, Vec2::new(1.0, 0.0), Vec2::new(0.0, 1.0)) - FRAC_PI_2).abs() < 1e-12);
         assert!((angle_at(q, Vec2::new(1.0, 0.0), Vec2::new(-1.0, 0.0)) - PI).abs() < 1e-12);
         assert_eq!(angle_at(q, q, Vec2::new(1.0, 0.0)), 0.0);
-    }
-
-    #[test]
-    fn on_segment_tolerance() {
-        let a = Vec2::ZERO;
-        let b = Vec2::new(2.0, 0.0);
-        assert!(on_segment(Vec2::new(1.0, 0.0), a, b, 1e-9));
-        assert!(on_segment(Vec2::new(1.0, 1e-10), a, b, 1e-9));
-        assert!(!on_segment(Vec2::new(1.0, 0.1), a, b, 1e-9));
-        assert!(!on_segment(Vec2::new(3.0, 0.0), a, b, 1e-9));
     }
 }

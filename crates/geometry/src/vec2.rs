@@ -85,12 +85,6 @@ impl Vec2 {
         (self - other).norm_sq()
     }
 
-    /// The vector rotated 90° counterclockwise.
-    #[inline]
-    pub fn perp(self) -> Vec2 {
-        Vec2::new(-self.y, self.x)
-    }
-
     /// The counterclockwise angle of this vector from the `+x` axis, in
     /// `(-π, π]`. The zero vector maps to `0`.
     #[inline]
@@ -280,13 +274,6 @@ mod tests {
         assert_eq!(a.lerp(b, 0.0), a);
         assert_eq!(a.lerp(b, 1.0), b);
         assert_eq!(a.lerp(b, 0.5), Vec2::new(2.0, 3.0));
-    }
-
-    #[test]
-    fn perp_is_ccw() {
-        let a = Vec2::new(1.0, 0.0);
-        assert_eq!(a.perp(), Vec2::new(0.0, 1.0));
-        assert!(a.cross(a.perp()) > 0.0);
     }
 
     #[test]

@@ -172,46 +172,4 @@ proptest! {
         }
         prop_assert_eq!(DynamicGrid::from_points(&pts, cell).pairs_within(radius), brute);
     }
-
-    /// `relocate` leaves the grid exactly as remove + insert would: same
-    /// positions, same hits in the same traversal order. Moves nudge a
-    /// point within its cell, snap it onto a cell boundary, stack it on
-    /// another point, or send it into (and back from) spill-map cells far
-    /// outside the dense extent.
-    #[test]
-    fn dynamic_grid_relocate_matches_remove_insert(
-        pts in proptest::collection::vec(vec2(2.0), 1..40),
-        moves in proptest::collection::vec((0usize..64, 0usize..5, vec2(3.0), -1.0..1.0f64), 1..40),
-    ) {
-        const CELL: f64 = 0.5;
-        let build = || DynamicGrid::from_points(&pts, CELL);
-        let (mut relocated, mut reinserted) = (build(), build());
-        let mut current = pts.clone();
-        let far = Vec2::new(500.0, 0.0);
-        for &(i, kind, target, jitter) in &moves {
-            let i = i % pts.len();
-            let p = match kind {
-                0 => current[i] + Vec2::new(jitter, -jitter) * 1e-3,
-                1 => Vec2::new((target.x / CELL).round() * CELL, (target.y / CELL).floor() * CELL),
-                2 => current[(i + 1 + (jitter.abs() * 64.0) as usize) % pts.len()],
-                3 => far + target,
-                _ => target,
-            };
-            relocated.relocate(i, p);
-            reinserted.remove(i);
-            reinserted.insert(i, p);
-            current[i] = p;
-            prop_assert_eq!(relocated.len(), reinserted.len());
-            for (j, &q) in current.iter().enumerate() {
-                prop_assert_eq!(relocated.position(j), Some(q));
-                prop_assert_eq!(reinserted.position(j), Some(q));
-            }
-            for (probe, radius) in [(p, 0.7), (Vec2::ZERO, 1.3), (far, 4.0)] {
-                let (mut a, mut b) = (Vec::new(), Vec::new());
-                relocated.query_within(probe, radius, &mut a);
-                reinserted.query_within(probe, radius, &mut b);
-                prop_assert_eq!(a, b);
-            }
-        }
-    }
 }

@@ -90,19 +90,6 @@ impl<P: Point> Configuration<P> {
     pub fn diameter(&self) -> f64 {
         cohesion_geometry::diameter::diameter(&self.positions)
     }
-
-    /// The centre of gravity (arithmetic mean) of the configuration — the
-    /// target of the CoG baseline. `None` when empty.
-    pub fn centroid(&self) -> Option<P> {
-        if self.positions.is_empty() {
-            return None;
-        }
-        let mut acc = P::zero();
-        for &p in &self.positions {
-            acc = acc + p;
-        }
-        Some(acc * (1.0 / self.positions.len() as f64))
-    }
 }
 
 impl<P: Point> FromIterator<P> for Configuration<P> {
@@ -134,14 +121,6 @@ mod tests {
         assert!((c.diameter() - 5.0).abs() < 1e-12);
         let single = Configuration::new(vec![Vec2::ZERO]);
         assert_eq!(single.diameter(), 0.0);
-    }
-
-    #[test]
-    fn centroid() {
-        let c = config();
-        let g = c.centroid().unwrap();
-        assert!((g - Vec2::new(1.0, 4.0 / 3.0)).norm() < 1e-12);
-        assert!(Configuration::<Vec2>::new(vec![]).centroid().is_none());
     }
 
     #[test]

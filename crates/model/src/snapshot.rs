@@ -48,12 +48,6 @@ impl<P: Point> Snapshot<P> {
         snapshot
     }
 
-    /// Releases the observation buffer (capacity intact) so a caller-side
-    /// pool can reuse it for the next Look.
-    pub fn into_buffer(self) -> Vec<ObservedRobot<P>> {
-        self.observations
-    }
-
     /// Drops all observations, keeping the buffer's capacity — the reset
     /// half of the engine's pooled-snapshot protocol.
     pub fn clear(&mut self) {
@@ -194,12 +188,5 @@ mod tests {
         assert_eq!(s.len(), 1);
         assert_eq!(s.observations.capacity(), cap, "capacity survives clear");
         assert_eq!(s.furthest_distance(), 3.0);
-    }
-
-    #[test]
-    fn buffer_roundtrip() {
-        let s = Snapshot::from_positions(vec![Vec2::new(1.0, 0.0)]);
-        let buf = s.into_buffer();
-        assert_eq!(buf.len(), 1);
     }
 }

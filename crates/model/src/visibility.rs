@@ -2,27 +2,21 @@
 //! connectivity machinery behind the Cohesive Convergence predicate.
 //!
 //! The graph is stored CSR-style: a sorted edge list plus per-vertex
-//! adjacency slices. Construction from a configuration goes through a
-//! [`DynamicGrid`] for near-linear cost on bounded-density clouds, with the
-//! brute-force quadratic builder kept as the reference implementation (and
-//! the fast path for tiny clouds, where the grid's indexing overhead is not
-//! worth paying). Both builders produce byte-identical graphs: edges sorted
-//! lexicographically and neighbour lists ascending. A session reads its
-//! E(0) off the engine's own grid instead (see `SimulationBuilder::build`);
-//! this builder serves workload checks, tests and benches.
+//! adjacency slices. [`VisibilityGraph::from_configuration`] indexes the
+//! cloud on a [`DynamicGrid`] and reads its edges off
+//! [`DynamicGrid::pairs_within`], near-linear on bounded-density clouds;
+//! [`VisibilityGraph::from_configuration_brute`] is the all-pairs
+//! reference it is tested against. Both produce byte-identical graphs:
+//! edges sorted lexicographically and neighbour lists ascending. A session
+//! reads its E(0) off the engine's own grid instead (see
+//! `SimulationBuilder::build`); this builder serves workload checks, tests
+//! and benches.
 
 use crate::configuration::Configuration;
 use crate::ids::{RobotId, RobotPair};
 use cohesion_geometry::point::Point;
 use cohesion_geometry::DynamicGrid;
 use serde::{Deserialize, Serialize};
-
-/// Below this robot count, [`VisibilityGraph::from_configuration`] uses the
-/// quadratic builder: for tiny clouds the all-pairs sweep is cheaper than
-/// building a grid index. A simulation session with a common radius picks
-/// its E(0) source by the same rule: the all-pairs loop below it, the
-/// engine's grid at and above it.
-pub const GRID_THRESHOLD: usize = 32;
 
 /// The undirected visibility graph `G(t) = (R, E(t))` where
 /// `(X, Y) ∈ E(t) ⟺ |X(t)Y(t)| ≤ V`.
@@ -50,20 +44,25 @@ impl VisibilityGraph {
     /// Builds the visibility graph of a configuration with common visibility
     /// radius `radius` (closed: distance exactly `radius` counts, §2.1).
     ///
-    /// Dispatches to the grid-backed builder for clouds of at least
-    /// [`GRID_THRESHOLD`] robots (near-linear for bounded density) and to the
-    /// quadratic reference builder otherwise; the two are equivalent.
+    /// Indexes the cloud on a [`DynamicGrid`] of cell edge `radius` and
+    /// reads its [`DynamicGrid::pairs_within`] `radius`, each robot's
+    /// partners drawn from the `3^DIM` surrounding cells: `O(n · density)`
+    /// instead of `O(n²)`. A zero radius still joins coincident robots, on
+    /// a unit cell.
     pub fn from_configuration<P: Point>(config: &Configuration<P>, radius: f64) -> Self {
         assert!(radius >= 0.0, "visibility radius must be non-negative");
-        if config.len() >= GRID_THRESHOLD && radius > 0.0 {
-            Self::from_configuration_grid(config, radius)
-        } else {
-            Self::from_configuration_brute(config, radius)
-        }
+        let pos = config.positions();
+        let cell = if radius > 0.0 { radius } else { 1.0 };
+        let pairs: Vec<RobotPair> = DynamicGrid::from_points(pos, cell)
+            .pairs_within(radius)
+            .into_iter()
+            .map(|(i, j)| RobotPair::new(RobotId::from(i), RobotId::from(j)))
+            .collect();
+        Self::from_sorted_pairs(pos.len(), pairs)
     }
 
-    /// The quadratic all-pairs builder — the reference implementation the
-    /// grid-backed path is property-tested against.
+    /// The quadratic all-pairs builder — the reference implementation
+    /// [`Self::from_configuration`] is tested against.
     pub fn from_configuration_brute<P: Point>(config: &Configuration<P>, radius: f64) -> Self {
         assert!(radius >= 0.0, "visibility radius must be non-negative");
         let pos = config.positions();
@@ -75,25 +74,6 @@ impl VisibilityGraph {
                 }
             }
         }
-        Self::from_sorted_pairs(pos.len(), pairs)
-    }
-
-    /// The grid-backed builder: indexes the cloud on a [`DynamicGrid`] with
-    /// cell edge `radius` and reads its [`DynamicGrid::pairs_within`]
-    /// `radius`, each robot's partners drawn from the `3^DIM` surrounding
-    /// cells. `O(n · density)` instead of `O(n²)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `radius` is not positive (the grid needs a positive cell
-    /// edge; use the brute builder for the degenerate `radius == 0` case).
-    pub fn from_configuration_grid<P: Point>(config: &Configuration<P>, radius: f64) -> Self {
-        let pos = config.positions();
-        let pairs: Vec<RobotPair> = DynamicGrid::from_points(pos, radius)
-            .pairs_within(radius)
-            .into_iter()
-            .map(|(i, j)| RobotPair::new(RobotId::from(i), RobotId::from(j)))
-            .collect();
         Self::from_sorted_pairs(pos.len(), pairs)
     }
 
@@ -250,15 +230,21 @@ mod tests {
 
     #[test]
     fn grid_and_brute_builders_agree_on_chains() {
-        // Long chains cross the GRID_THRESHOLD and exercise the grid path,
-        // with every edge distance exactly on the closed boundary.
-        for n in [2usize, 31, 32, 64, 129] {
-            let c = chain(n, 1.0);
-            let grid = VisibilityGraph::from_configuration_grid(&c, 1.0);
-            let brute = VisibilityGraph::from_configuration_brute(&c, 1.0);
-            assert_eq!(grid, brute, "n={n}");
-            assert_eq!(grid, VisibilityGraph::from_configuration(&c, 1.0));
-            assert_eq!(grid.edge_count(), n - 1);
+        // Every edge distance exactly on the closed boundary; at radius 0
+        // only the twin stacked on robot 0 is an edge.
+        for n in [1usize, 2, 31, 32, 64, 129] {
+            let mut c = chain(n, 1.0).positions().to_vec();
+            c.push(c[0]);
+            let c = Configuration::new(c);
+            for (radius, edges) in [(1.0, n + usize::from(n >= 2)), (0.0, 1)] {
+                let grid = VisibilityGraph::from_configuration(&c, radius);
+                assert_eq!(
+                    grid,
+                    VisibilityGraph::from_configuration_brute(&c, radius),
+                    "n={n} radius={radius}"
+                );
+                assert_eq!(grid.edge_count(), edges, "n={n} radius={radius}");
+            }
         }
     }
 

@@ -1,5 +1,6 @@
 //! Property tests for the model layer: the grid-backed visibility-graph
-//! builder is extensionally equal to the brute-force reference.
+//! builder, `from_configuration`, is extensionally equal to the brute-force
+//! reference.
 //!
 //! The grid path only skips *candidate enumeration* work — the distance
 //! predicate is the identical `dist ≤ radius` on identical f64s — so any
@@ -18,12 +19,9 @@ fn vec2(range: f64) -> impl Strategy<Value = Vec2> {
 
 fn assert_builders_agree(pts: Vec<Vec2>, radius: f64) -> Result<(), TestCaseError> {
     let c = Configuration::new(pts);
-    let grid = VisibilityGraph::from_configuration_grid(&c, radius);
+    let grid = VisibilityGraph::from_configuration(&c, radius);
     let brute = VisibilityGraph::from_configuration_brute(&c, radius);
     prop_assert_eq!(&grid, &brute, "grid and brute builders diverged");
-    // The dispatching front door agrees with both, on either side of its
-    // size threshold.
-    prop_assert_eq!(&grid, &VisibilityGraph::from_configuration(&c, radius));
     Ok(())
 }
 
@@ -68,9 +66,11 @@ proptest! {
         radius in 0.05..1.0f64,
     ) {
         // Degenerate density: many robots in one cell (multiplicity points).
+        // At radius 0 only the coincident copies are joined.
         let mut pts = vec![cluster; copies];
         pts.push(cluster + Vec2::new(radius, 0.0));
         pts.push(cluster + Vec2::new(0.0, 2.0 * radius));
-        assert_builders_agree(pts, radius)?;
+        assert_builders_agree(pts.clone(), radius)?;
+        assert_builders_agree(pts, 0.0)?;
     }
 }
